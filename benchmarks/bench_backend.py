@@ -4,8 +4,8 @@ Measures the assignment step (``SimilarityEngine.assign_all``: every
 transaction against every cluster representative, the inner loop of
 XK-means / PK-means / CXK-means) and a full XK-means ``fit`` on a synthetic
 generator corpus, once per benchmarked backend (``--backends``, default
-``python numpy``; ``sharded[:workers]`` and tiled specs like
-``numpy:block=64`` work too), and reports the speedup of each backend over
+``python numpy``; tiled specs like ``numpy:block=64`` work too), and
+reports the speedup of each backend over
 the pure-Python reference.  All backends are verified to produce
 *identical* assignments before any timing is trusted.
 
@@ -22,9 +22,9 @@ report as per-tile-size records.
 A third mode, ``--size-sweep``, benchmarks across the named corpus scales
 of :data:`repro.datasets.registry.SIZE_SWEEP_SCALES` (``scale-1`` /
 ``scale-5`` / ``scale-20``): per (backend, size) it times the assignment
-step, reports where the python -> numpy -> sharded -> torch crossovers
-fall (one ``crossover`` record per size names the fastest measured
-backend), and times the persistent compiled-corpus store
+step, reports where the python -> numpy crossover falls (one
+``crossover`` record per size names the fastest measured backend), and
+times the persistent compiled-corpus store
 (:mod:`repro.similarity.corpus_store`) -- cold compile + export vs warm
 zero-copy mmap attach, with the corpus fingerprint computed once outside
 both timed regions.  The full sweep fails unless the warm attach beats the
@@ -109,8 +109,6 @@ def bench_assign(
     best, result = _time_best(
         lambda: engine.assign_all(transactions, representatives), repeats
     )
-    if hasattr(engine.backend, "close"):
-        engine.backend.close()  # release sharded worker pools
     return best, result
 
 
@@ -127,8 +125,6 @@ def bench_fit(dataset, backend: str, k: int, f: float, gamma: float, seed: int):
     start = time.perf_counter()
     result = algorithm.fit(dataset.transactions)
     elapsed = time.perf_counter() - start
-    if hasattr(algorithm.engine.backend, "close"):
-        algorithm.engine.backend.close()  # release sharded worker pools
     return elapsed, result
 
 
@@ -508,7 +504,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--sweep-backends",
         nargs="+",
-        default=["python", "numpy", "sharded:2", "torch"],
+        default=["python", "numpy"],
         metavar="SPEC",
         help="backend specs timed per sweep size (unavailable backends are "
         "skipped with a note; the first measured one is the parity baseline)",

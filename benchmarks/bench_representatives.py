@@ -4,12 +4,12 @@ Measures the CXK-means summarisation machinery (``rank_items`` plus the
 ``GenerateTreeTuple`` candidate-chain scoring inside
 ``compute_local_representative``) on clusters of a synthetic generator
 corpus, once per benchmarked backend (``--backends``, default
-``python numpy``; ``torch`` works too when installed), and reports the
-speedup of each backend over the reference (the first ``--backends``
-entry).  All backends are verified to produce *identical* representatives
--- item for item -- before any timing is trusted (mirroring
-``bench_backend.py``).  ``--json PATH`` additionally writes the shared
-machine-readable report (see ``benchmarks/benchjson.py``).
+``python numpy``), and reports the speedup of each backend over the
+reference (the first ``--backends`` entry).  All backends are verified to
+produce *identical* representatives -- item for item -- before any timing
+is trusted (mirroring ``bench_backend.py``).  ``--json PATH``
+additionally writes the shared machine-readable report (see
+``benchmarks/benchjson.py``).
 
 A second section measures *cluster-sharded refinement*
 (:func:`repro.network.mpengine.refine_clusters`): the same per-cluster
@@ -143,8 +143,6 @@ def bench_refinement(
     run_refinement()
     rank_seconds, rankings = _time_best(run_ranking, repeats)
     refine_seconds, representatives = _time_best(run_refinement, repeats)
-    if hasattr(engine.backend, "close"):
-        engine.backend.close()  # release sharded worker pools
     return rank_seconds, refine_seconds, rankings, representatives
 
 

@@ -59,17 +59,9 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_BACKEND,
         metavar="NAME[:OPTIONS]",
         help="similarity backend for the clustering hot path "
-        f"(registered: {', '.join(registered_backends())}; specs like "
-        "'numpy:block=1024', 'sharded:4' or 'torch:cuda' select "
-        "options/devices; unknown specs list the registered alternatives)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the sharded backend "
-        "(only with --backend sharded; default: one per CPU)",
+        f"(registered: {', '.join(registered_backends())}; a spec like "
+        "'numpy:block=1024' selects options; unknown specs list the "
+        "registered alternatives)",
     )
     parser.add_argument(
         "--batch-block-items",
@@ -135,32 +127,19 @@ def _resolve_network_timeout(args: argparse.Namespace) -> Optional[float]:
 
 
 def _resolve_backend(args: argparse.Namespace) -> str:
-    """Combine ``--backend`` and ``--shard-workers`` into a validated spec.
+    """Validate ``--backend`` and return the normalised spec.
 
     Validation happens here -- config-resolution time -- so a misspelled
-    backend exits with the registered alternatives and a backend whose
-    optional dependency is missing (``--backend torch`` without PyTorch,
-    ``--backend torch:cuda`` without a GPU) raises
-    :class:`~repro.similarity.backend.BackendUnavailableError` with an
-    actionable message before any corpus is loaded or fit is started.
+    backend exits with the registered alternatives before any corpus is
+    loaded or fit is started.
     """
-    backend = args.backend
-    shard_workers = getattr(args, "shard_workers", None)
-    if shard_workers is not None:
-        if backend != "sharded":
-            raise SystemExit("--shard-workers requires --backend sharded")
-        if shard_workers < 1:
-            raise SystemExit(
-                f"--shard-workers must be positive, got {shard_workers}"
-            )
-        backend = f"sharded:{shard_workers}"
     try:
         # ValueError (unknown name, malformed options) and
-        # BackendUnavailableError (missing optional dependency, unusable
-        # device) both exit cleanly with validate_backend_spec's message --
-        # the same text a ClusteringConfig constructed with this spec
-        # raises, so CLI and library users see identical diagnostics
-        return validate_backend_spec(backend)
+        # BackendUnavailableError (numpy missing) both exit cleanly with
+        # validate_backend_spec's message -- the same text a
+        # ClusteringConfig constructed with this spec raises, so CLI and
+        # library users see identical diagnostics
+        return validate_backend_spec(args.backend)
     except (ValueError, BackendUnavailableError) as error:
         raise SystemExit(f"error: {error}") from error
 

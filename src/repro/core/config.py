@@ -34,34 +34,27 @@ class ClusteringConfig:
     backend:
         Name of the similarity backend driving the assignment and
         representative-refinement hot paths (``"python"`` for the reference
-        loops, ``"numpy"`` for the vectorized batch engine,
-        ``"sharded[:workers[:inner]]"`` for the multiprocessing backend
-        sharding ``assign_all`` row blocks across worker processes,
-        ``"torch[:device]"`` for the optional tensor backend; see
+        loops, ``"numpy[:block=N]"`` for the vectorized batch engine; see
         :mod:`repro.similarity.backend`).  The spec is validated at
         construction time
         (:func:`~repro.similarity.backend.validate_backend_spec`): unknown
-        names and malformed options raise ``ValueError``, and backends
-        whose optional dependency is missing -- e.g. ``"torch"`` without
-        PyTorch installed, or ``"torch:cuda"`` without a usable GPU --
-        raise :class:`~repro.similarity.backend.BackendUnavailableError`
-        with an actionable message here rather than deep inside a fit.
+        names and malformed options raise ``ValueError`` here rather than
+        deep inside a fit.
     batch_block_items:
         Tile budget (items per tile side) of the batched similarity
-        kernels: the ``numpy`` and ``torch`` backends evaluate their
-        similarity blocks in ``(row_tile x column_tile)`` tiles whose
-        row-item and column-item totals each stay within this budget, so
-        peak scratch memory is bounded regardless of corpus size while
-        several column transactions are fused per kernel call.  ``None``
-        keeps the backend default
+        kernels: the ``numpy`` backend evaluates its similarity blocks in
+        ``(row_tile x column_tile)`` tiles whose row-item and column-item
+        totals each stay within this budget, so peak scratch memory is
+        bounded regardless of corpus size while several column
+        transactions are fused per kernel call.  ``None`` keeps the
+        backend default
         (:data:`~repro.similarity.backend.DEFAULT_BLOCK_ITEMS`), ``0``
         selects the unbounded single-tile (untiled) path, and any
         positive value caps the tile side.  Tiling is bit-exact: every
         budget produces identical results (see
         :attr:`effective_backend`, which threads the budget into the
-        backend spec -- including the inner spec of a ``sharded``
-        backend, so worker processes inherit it).  An explicit
-        ``block=`` option in :attr:`backend` takes precedence.
+        backend spec).  An explicit ``block=`` option in :attr:`backend`
+        takes precedence.
     refine_workers:
         Worker processes for cluster-sharded representative refinement:
         each local (or global) phase dispatches one cluster's refinement
@@ -69,11 +62,9 @@ class ClusteringConfig:
         :func:`~repro.network.mpengine.refine_clusters`, merging the
         results in deterministic cluster-index order with bit-exact parity
         against the serial path.  ``None`` or ``1`` keeps the historical
-        serial refinement.  Refinement parallelism applies when the local
-        phases run serially in the driving process (the default peer
-        executor); phases dispatched into worker processes are daemonic
-        and cannot nest pools, so their budget resolves to 1
-        (:func:`~repro.network.mpengine.phase_refinement_config`).
+        serial refinement.  On the real transport the budget is split
+        equally across the concurrently running peer processes
+        (:func:`~repro.network.mpengine.split_refinement_budget`).
     corpus_cache_dir:
         Directory of the persistent compiled-corpus store
         (:mod:`repro.similarity.corpus_store`), default off (``None``).
@@ -82,8 +73,8 @@ class ClusteringConfig:
         fingerprinted on-disk layout under this directory on the first
         fit, and later fits of the same corpus + similarity configuration
         attach the arrays zero-copy via ``np.load(mmap_mode="r")`` instead
-        of recompiling -- shard worker processes and simulated peers then
-        share one set of mapped pages.  Backends without compiled corpora
+        of recompiling -- refinement workers, real-transport peer workers
+        and simulated peers then share one set of mapped pages.  Backends without compiled corpora
         (the ``python`` reference) ignore the setting.
     network:
         Transport running the collaborative rounds of CXK-means:
@@ -179,8 +170,7 @@ class ClusteringConfig:
                 f"drift_threshold must be in (0, 1], got {self.drift_threshold}"
             )
         # fail at config-resolution time, not deep inside a fit: unknown
-        # backends raise ValueError, missing optional dependencies raise
-        # BackendUnavailableError with install guidance.  Imported lazily
+        # backends and malformed options raise ValueError.  Imported lazily
         # because the similarity backend module sits beside, not below,
         # this one in the layer graph.
         from repro.similarity.backend import validate_backend_spec
@@ -241,11 +231,9 @@ class ClusteringConfig:
         When :attr:`batch_block_items` is set, the budget is merged into
         the spec's option grammar
         (:func:`~repro.similarity.backend.merge_block_option`):
-        ``numpy``/``torch`` specs gain ``:block=N``, ``sharded`` specs
-        thread it into their inner spec (so shard workers inherit the tile
-        configuration through the shard payload), the ``python`` reference
-        is unchanged, and an explicit ``block=`` already present in the
-        spec wins.  With :attr:`batch_block_items` unset this is simply
+        ``numpy`` specs gain ``:block=N``, the ``python`` reference is
+        unchanged, and an explicit ``block=`` already present in the spec
+        wins.  With :attr:`batch_block_items` unset this is simply
         :attr:`backend`.
         """
         if self.batch_block_items is None:

@@ -14,11 +14,9 @@ The peers are executed on one of two drop-in interchangeable transports,
 selected by ``ClusteringConfig(network=...)``:
 
 * ``"sim"`` -- the :class:`~repro.network.simnet.SimulatedNetwork`, which
-  accounts every exchanged representative and models the parallel runtime
-  of each round as ``max(per-peer compute time) + communication time``.
-  Per-peer computation can optionally be executed by a
-  :class:`~repro.network.mpengine.MultiprocessingExecutor` to obtain real
-  parallelism on the host machine.
+  runs the peers one after another in this process, accounts every
+  exchanged representative and models the parallel runtime of each round
+  as ``max(per-peer compute time) + communication time``.
 * ``"real"`` -- the :class:`~repro.network.realnet.RealNetwork`, which runs
   every peer as a genuinely concurrent process exchanging the same message
   types over localhost TCP and records measured wire bytes and wall-clock
@@ -46,11 +44,10 @@ from repro.core.seeding import partition_cluster_ids, select_seed_transactions
 from repro.network.costmodel import CostModel
 from repro.network.message import Message, MessageKind, representative_payload
 from repro.network.mpengine import (
-    SerialExecutor,
     make_refinement_shard,
-    phase_refinement_config,
     process_engine,
     refine_clusters,
+    split_refinement_budget,
     store_process_engine,
 )
 from repro.network.peer import make_peers
@@ -69,8 +66,8 @@ class LocalPhaseInput:
     """Input of one peer's local phase for one collaborative round.
 
     ``store_dir`` names the persistent compiled-corpus store shared by the
-    simulated network (None without one); worker processes executing the
-    phase attach it instead of recompiling their partition per process.
+    network (None without one); peer worker processes executing the phase
+    attach it instead of recompiling their partition per process.
     """
 
     peer_id: int
@@ -128,11 +125,10 @@ def run_local_phase(
     stabilises after a single pass; the loop structure is kept for fidelity
     with the pseudocode and as a guard for custom similarity engines.
 
-    This function is a module-level callable (not a closure) so it can be
-    dispatched to worker processes by the multiprocessing engine.  When no
-    *engine* is passed (multiprocessing workers) the per-process engine for
-    the phase's configuration is used, so a worker keeps its tag-path cache
-    and compiled backend corpus across collaborative rounds.
+    When no *engine* is passed (the real transport's peer workers) the
+    per-process engine for the phase's configuration is used, so a worker
+    keeps its tag-path cache and compiled backend corpus across
+    collaborative rounds.
 
     When the configuration grants more than one refinement worker
     (``refine_workers``), the per-cluster representative refinement -- the
@@ -230,23 +226,15 @@ class CXKMeans:
     cost_model:
         Cost model used by the simulated network to convert traffic into
         simulated communication time.
-    executor:
-        Optional executor for the per-peer local phases;
-        :class:`~repro.network.mpengine.SerialExecutor` (default) runs peers
-        sequentially with a shared tag-path cache, while
-        :class:`~repro.network.mpengine.MultiprocessingExecutor` runs them in
-        separate processes.
     """
 
     def __init__(
         self,
         config: ClusteringConfig,
         cost_model: Optional[CostModel] = None,
-        executor=None,
     ) -> None:
         self.config = config
         self.cost_model = cost_model or CostModel()
-        self.executor = executor or SerialExecutor()
         self._shared_cache = TagPathSimilarityCache()
         self._engine = SimilarityEngine(
             config.similarity,
@@ -256,7 +244,7 @@ class CXKMeans:
 
     @property
     def engine(self) -> SimilarityEngine:
-        """The engine shared by every simulated node on the serial path."""
+        """The engine shared by every simulated node."""
         return self._engine
 
     # ------------------------------------------------------------------ #
@@ -274,7 +262,6 @@ class CXKMeans:
         if self.config.network == "real":
             # imported lazily: realnet pulls the codec stack in, which only
             # real runs need
-            from repro.network.mpengine import split_refinement_budget
             from repro.network.realnet import RealNetwork
 
             worker_config = self.config.with_refine_workers(
@@ -376,16 +363,10 @@ class CXKMeans:
         m = len(partitions)
 
         # --- N0 startup: partition cluster ids, create peers and network --- #
-        use_shared_engine = isinstance(self.executor, SerialExecutor)
-        # Two-level parallelism budget: concurrent local phases share the
-        # refinement workers equally (the global phase below runs peers
-        # sequentially, so it keeps the full budget).
-        refine_budget = self.config.effective_refine_workers
-        phase_config = phase_refinement_config(self.config, self.executor, m)
         responsibilities = partition_cluster_ids(k, m)
         # one attached compiled-corpus store (when the runner prepared one)
-        # is shared by the whole simulated network: serial peers through the
-        # shared engine, worker-process phases through its directory handle
+        # is shared by the whole network: simulated peers through the
+        # shared engine, real peer workers through its directory handle
         store = getattr(self._engine.backend, "attached_store", None)
         store_dir = str(store.directory) if store is not None else None
         use_real = self.config.network == "real"
@@ -394,7 +375,7 @@ class CXKMeans:
             responsibilities,
             # real-transport peers compute remotely; their driver-side
             # objects carry no engine so nothing shadows the worker engines
-            engine=self._engine if (use_shared_engine and not use_real) else None,
+            engine=None if use_real else self._engine,
             store=store,
         )
         network = self._make_network(peers, store_dir, m)
@@ -404,10 +385,7 @@ class CXKMeans:
                 peers=peers,
                 partitions=partitions,
                 responsibilities=responsibilities,
-                phase_config=phase_config,
                 store_dir=store_dir,
-                refine_budget=refine_budget,
-                use_shared_engine=use_shared_engine,
                 rng=rng,
                 start=start,
             )
@@ -423,10 +401,7 @@ class CXKMeans:
         peers,
         partitions,
         responsibilities,
-        phase_config,
         store_dir,
-        refine_budget,
-        use_shared_engine,
         rng,
         start,
     ) -> ClusteringResult:
@@ -491,14 +466,12 @@ class CXKMeans:
                     peer_id=peer.peer_id,
                     transactions=peer.transactions,
                     global_representatives=ordered_representatives,
-                    config=phase_config,
+                    config=self.config,
                     store_dir=store_dir,
                 )
                 for peer in peers
             ]
-            outputs = network.run_local_phases(
-                inputs, run_local_phase, self.executor
-            )
+            outputs = network.run_local_phases(inputs, run_local_phase)
             for output in outputs:
                 last_outputs[output.peer_id] = output
                 store_fallbacks += output.store_fallback
@@ -557,14 +530,6 @@ class CXKMeans:
                 if not peer.responsibilities:
                     continue
                 with network.measure_compute(peer.peer_id):
-                    peer_engine = (
-                        self._engine
-                        if use_shared_engine
-                        else SimilarityEngine(
-                            self.config.similarity,
-                            backend=self.config.effective_backend,
-                        )
-                    )
                     shards = []
                     for cluster_id in peer.responsibilities:
                         weighted = [
@@ -579,7 +544,7 @@ class CXKMeans:
                             continue
                         shards.append(
                             make_refinement_shard(
-                                peer_engine,
+                                self._engine,
                                 cluster_index=cluster_id,
                                 members=[rep for rep, _ in weighted],
                                 weights=[weight for _, weight in weighted],
@@ -589,7 +554,11 @@ class CXKMeans:
                         )
                     if shards:
                         global_representatives.update(
-                            refine_clusters(shards, peer_engine, workers=refine_budget)
+                            refine_clusters(
+                                shards,
+                                self._engine,
+                                workers=self.config.effective_refine_workers,
+                            )
                         )
             network.end_round()
 

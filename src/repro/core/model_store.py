@@ -31,9 +31,8 @@ cannot affect scores; persisting the tag-path registry alone is enough to
 warm the structural cache on a cold load.
 
 Round-trip guarantee: ``fit -> save_model -> load_model -> assign_all``
-is bit-exact against the in-memory result on the python / numpy / tiled /
-sharded backends (torch under its documented tolerance policy), pinned by
-``tests/test_model_store.py``.
+is bit-exact against the in-memory result on the python / numpy / tiled
+numpy backends, pinned by ``tests/test_model_store.py``.
 """
 
 from __future__ import annotations
@@ -350,8 +349,11 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     directory:
         A directory previously written by :func:`save_model`.
     backend:
-        Optional backend-spec override (e.g. serve a torch-fitted model
-        on ``numpy``); defaults to the spec recorded in the manifest.
+        Optional backend-spec override (e.g. serve a python-fitted model
+        on ``numpy``); defaults to the spec recorded in the manifest.  A
+        recorded spec that names no registered backend raises the
+        unknown-backend ``ValueError`` before any data file is read; an
+        override loads such a model anyway.
     """
     directory = Path(directory)
     manifest = _read_json(directory, MODEL_MANIFEST_NAME)
@@ -737,7 +739,8 @@ class ClusterModel:
         }
 
     def close(self) -> None:
-        """Release backend resources (worker pools of sharded engines)."""
-        close = getattr(self.engine.backend, "close", None)
-        if close is not None:
-            close()
+        """Release the model (a no-op: no backend holds resources to free).
+
+        Kept so servers and scripts can retire a model uniformly when they
+        swap or drop it.
+        """

@@ -37,13 +37,7 @@ from repro.core.results import ClusteringResult, build_result
 from repro.core.seeding import partition_cluster_ids, select_seed_transactions
 from repro.network.costmodel import CostModel
 from repro.network.message import Message, MessageKind, representative_payload
-from repro.network.mpengine import (
-    RefinementShard,
-    SerialExecutor,
-    inprocess_backend_name,
-    phase_refinement_config,
-    refine_clusters,
-)
+from repro.network.mpengine import RefinementShard, refine_clusters
 from repro.network.peer import make_peers
 from repro.network.simnet import SimulatedNetwork
 from repro.similarity.cache import TagPathSimilarityCache
@@ -58,7 +52,6 @@ class PKMeans:
         self,
         config: ClusteringConfig,
         cost_model: Optional[CostModel] = None,
-        executor=None,
         objective_tolerance: float = 1.0e-9,
     ) -> None:
         if config.network == "real":
@@ -69,7 +62,6 @@ class PKMeans:
             )
         self.config = config
         self.cost_model = cost_model or CostModel()
-        self.executor = executor or SerialExecutor()
         self.objective_tolerance = objective_tolerance
         self._shared_cache = TagPathSimilarityCache()
         self._engine = SimilarityEngine(
@@ -80,7 +72,7 @@ class PKMeans:
 
     @property
     def engine(self) -> SimilarityEngine:
-        """The engine shared by every simulated node on the serial path."""
+        """The engine shared by every simulated node."""
         return self._engine
 
     # ------------------------------------------------------------------ #
@@ -123,16 +115,7 @@ class PKMeans:
 
         # PK-means has no notion of per-cluster responsibility; peers are
         # created with empty responsibility lists.
-        use_shared_engine = isinstance(self.executor, SerialExecutor)
-        # refinement budget split across concurrently running local phases
-        # (same two-level peers x clusters scheme as CXK-means)
-        refine_budget = self.config.effective_refine_workers
-        phase_config = phase_refinement_config(self.config, self.executor, m)
-        peers = make_peers(
-            partitions,
-            [[] for _ in range(m)],
-            engine=self._engine if use_shared_engine else None,
-        )
+        peers = make_peers(partitions, [[] for _ in range(m)], engine=self._engine)
         network = SimulatedNetwork(peers, cost_model=self.cost_model)
 
         # Initial representatives: the same fair protocol as the paper's
@@ -189,19 +172,12 @@ class PKMeans:
                     peer_id=peer.peer_id,
                     transactions=peer.transactions,
                     global_representatives=ordered_representatives,
-                    config=phase_config,
+                    config=self.config,
                 )
                 for peer in peers
             ]
-            if use_shared_engine:
-                outputs = [
-                    run_local_phase(item, engine=peers[item.peer_id].engine)
-                    for item in inputs
-                ]
-            else:
-                outputs = self.executor.map(run_local_phase, inputs)
+            outputs = network.run_local_phases(inputs, run_local_phase)
             for output in outputs:
-                network.stats.record_compute(output.peer_id, output.compute_seconds)
                 last_outputs[output.peer_id] = output
 
             # All-to-all exchange: every peer sends its k local representatives
@@ -225,14 +201,6 @@ class PKMeans:
             new_representatives: Dict[int, Transaction] = {}
             for peer in peers:
                 with network.measure_compute(peer.peer_id):
-                    peer_engine = (
-                        self._engine
-                        if use_shared_engine
-                        else SimilarityEngine(
-                            self.config.similarity,
-                            backend=self.config.effective_backend,
-                        )
-                    )
                     computed: Dict[int, Transaction] = {}
                     shards = []
                     for cluster_id in range(k):
@@ -252,7 +220,7 @@ class PKMeans:
                                 members=[rep for rep, _ in weighted],
                                 weights=[weight for _, weight in weighted],
                                 similarity=self.config.similarity,
-                                backend=inprocess_backend_name(peer_engine),
+                                backend=self._engine.backend_name,
                                 representative_id=f"rep:global:{cluster_id}",
                                 max_items=self.config.max_representative_items,
                             )
@@ -260,7 +228,11 @@ class PKMeans:
                     # the global-phase equivalent of the cluster-sharded
                     # refinement: one cluster merge per worker
                     computed.update(
-                        refine_clusters(shards, peer_engine, workers=refine_budget)
+                        refine_clusters(
+                            shards,
+                            self._engine,
+                            workers=self.config.effective_refine_workers,
+                        )
                     )
                 if not new_representatives:
                     new_representatives = computed

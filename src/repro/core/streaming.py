@@ -45,11 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult, build_result
 from repro.core.xkmeans import XKMeans
-from repro.network.mpengine import (
-    RefinementShard,
-    inprocess_backend_name,
-    refine_clusters,
-)
+from repro.network.mpengine import RefinementShard, refine_clusters
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.corpus_store import BlockCorpusStore
 from repro.similarity.transaction import SimilarityEngine
@@ -308,7 +304,7 @@ class StreamingClusterer:
     def _re_refine(self) -> None:
         """Re-refine representatives from bounded samples, flush retained."""
         shards: List[RefinementShard] = []
-        backend_name = inprocess_backend_name(self.engine)
+        backend_name = self.engine.backend_name
         workers = self.config.effective_refine_workers
         for index, state in enumerate(self._clusters):
             if not state.ids:

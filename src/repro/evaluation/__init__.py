@@ -1,4 +1,4 @@
-"""Cluster validity measures, timing utilities and report rendering."""
+"""Cluster validity measures and report rendering."""
 
 from repro.evaluation.fmeasure import (
     FMeasureBreakdown,
@@ -19,7 +19,6 @@ from repro.evaluation.reporting import (
     format_series,
     format_table,
 )
-from repro.evaluation.timing import Stopwatch, TimingRecord, time_function
 
 __all__ = [
     "overall_f_measure",
@@ -31,9 +30,6 @@ __all__ = [
     "normalized_mutual_information",
     "adjusted_rand_index",
     "clustering_report",
-    "Stopwatch",
-    "TimingRecord",
-    "time_function",
     "format_table",
     "format_series",
     "format_accuracy_table",

@@ -39,8 +39,7 @@ class Figure7Config:
     #: documents per scale unit than DBLP or Wikipedia).
     dataset_scale_multipliers: Dict[str, float] = field(default_factory=dict)
     #: Similarity backend spec driving the clustering hot path
-    #: (``"python"``, ``"numpy[:block=N]"``, ``"sharded[:workers[:inner]]"``
-    #: or ``"torch[:device][:block=N]"``).
+    #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
     #: Tile budget (items per side) of the batched similarity kernels
     #: (``None`` = backend default, ``0`` = unbounded; see

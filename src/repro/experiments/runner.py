@@ -248,14 +248,9 @@ def run_configuration(
             drift_threshold=drift_threshold,
         )
         algo = StreamingClusterer(config)
-        try:
-            store_status = {"store": "off"}
-            result = stream_corpus(algo, dataset.transactions)
-            streaming_stats = algo.stats.as_dict()
-        finally:
-            backend_object = algo.engine._backend
-            if hasattr(backend_object, "close"):
-                backend_object.close()
+        store_status = {"store": "off"}
+        result = stream_corpus(algo, dataset.transactions)
+        streaming_stats = algo.stats.as_dict()
         return _build_record(
             dataset=dataset,
             goal=goal,
@@ -277,19 +272,12 @@ def run_configuration(
             streaming_stats=streaming_stats,
         )
     algo = make_algorithm(algorithm, config, cost_model=cost_model)
-    try:
-        store_status = precompute_similarity(algo, dataset.transactions)
-        if isinstance(algo, XKMeans):
-            result = algo.fit(dataset.transactions)
-        else:
-            parts = partition(dataset.transactions, nodes, scheme=scheme, seed=seed)
-            result = algo.fit(parts)
-    finally:
-        # release backend resources (sharded worker pools) before the next
-        # sweep point; a no-op for the in-process backends
-        backend_object = algo.engine._backend
-        if hasattr(backend_object, "close"):
-            backend_object.close()
+    store_status = precompute_similarity(algo, dataset.transactions)
+    if isinstance(algo, XKMeans):
+        result = algo.fit(dataset.transactions)
+    else:
+        parts = partition(dataset.transactions, nodes, scheme=scheme, seed=seed)
+        result = algo.fit(parts)
     return _build_record(
         dataset=dataset,
         goal=goal,
@@ -457,8 +445,7 @@ class ExperimentSweep:
     cost_model: CostModel = field(default_factory=CostModel)
     dataset_seed: int = 0
     #: Similarity backend spec driving the clustering hot path
-    #: (``"python"``, ``"numpy[:block=N]"``, ``"sharded[:workers[:inner]]"``
-    #: or ``"torch[:device][:block=N]"``).
+    #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
     #: Tile budget (items per side) of the batched similarity kernels
     #: (``None`` = backend default, ``0`` = unbounded; see

@@ -51,8 +51,7 @@ class AccuracyTableConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     datasets: Optional[Sequence[str]] = None
     #: Similarity backend spec driving the clustering hot path
-    #: (``"python"``, ``"numpy[:block=N]"``, ``"sharded[:workers[:inner]]"``
-    #: or ``"torch[:device][:block=N]"``).
+    #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
     #: Tile budget (items per side) of the batched similarity kernels
     #: (``None`` = backend default, ``0`` = unbounded; see

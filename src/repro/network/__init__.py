@@ -3,15 +3,10 @@
 from repro.network.costmodel import CostModel, saturation_point, speedup_curve
 from repro.network.message import Message, MessageKind, representative_payload
 from repro.network.mpengine import (
-    AssignmentShard,
     MultiprocessingExecutor,
     RefinementShard,
-    SerialExecutor,
-    assign_shard,
     clear_process_engines,
     clear_shard_executors,
-    make_executor,
-    phase_refinement_config,
     process_engine,
     refine_clusters,
     refine_shard,
@@ -34,18 +29,13 @@ __all__ = [
     "CostModel",
     "saturation_point",
     "speedup_curve",
-    "SerialExecutor",
     "MultiprocessingExecutor",
-    "make_executor",
-    "AssignmentShard",
-    "assign_shard",
     "RefinementShard",
     "refine_shard",
     "refine_clusters",
     "shard_executor",
     "clear_shard_executors",
     "split_refinement_budget",
-    "phase_refinement_config",
     "process_engine",
     "clear_process_engines",
 ]

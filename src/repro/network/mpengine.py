@@ -1,56 +1,30 @@
-"""Execution engines for per-peer computations.
+"""Per-process similarity engines and cluster-sharded refinement.
 
-The collaborative algorithm runs one "local phase" per peer per round.  The
-simulated network executes these phases sequentially and models parallelism
-through its timing rules; this module additionally provides a real
-multiprocessing engine so the same peer logic can actually run in parallel on
-the host's cores (the paper's testbed parallelism, approximated with OS
-processes as per the reproduction notes in DESIGN.md).
+Similarity engines (tag-path cache plus a possibly compiled backend
+corpus) are expensive to rebuild and impossible to pickle cheaply, so
+every process that evaluates peer work materialises one engine per
+(similarity configuration, backend) pair and keeps it alive across rounds
+(:func:`process_engine`, or :func:`store_process_engine` when the corpus
+lives in an on-disk compiled store).  The real transport's peer workers
+build their engines here; on the simulated transport the algorithms pass
+their own shared engine instead, so every simulated node works against
+one compiled corpus.
 
-Both engines expose the same ``map`` interface: they apply a picklable
-module-level function to a list of argument tuples and return the results in
-order.  The multiprocessing engine transparently falls back to serial
-execution when the payload cannot be pickled or when only one worker is
-available, so callers never need to special-case platform quirks.
-
-The module additionally hosts the *per-process similarity engine* cache used
-by the peer local phases: similarity engines (tag-path cache plus a possibly
-compiled backend corpus) are expensive to rebuild and impossible to pickle
-cheaply, so worker processes materialise one engine per (similarity
-configuration, backend) pair and keep it alive across rounds.  On the serial
-path the algorithms pass their own shared engine instead, so every simulated
-node works against one compiled corpus.
-
-Two shard types dispatch work onto those per-process engines:
-
-* :class:`AssignmentShard` / :func:`assign_shard` -- one contiguous row
-  block of a sharded ``assign_all`` call (used by the ``sharded``
-  similarity backend);
-* :class:`RefinementShard` / :func:`refine_shard` -- one cluster's
-  representative refinement (``ComputeLocalRepresentative`` or its
-  global-phase equivalent), dispatched one cluster per worker by
-  :func:`refine_clusters` so ``run_local_phase`` no longer refines its k
-  representatives serially on one core.
-
-Both shard dispatchers draw their pools from one process-wide executor
-registry (:func:`shard_executor`, cached per worker count), so assignment
-and refinement shards dispatched with the same worker count land in the
-*same* pool -- a worker that assigned row blocks in one round reuses its
-cached engine (and compiled corpus) when it refines clusters in the next.
-All shard merges are deterministic (block order for assignment,
-cluster-index order for refinement) and every shard runs on a bit-exact
-backend, so sharded results are identical to serial ones.
+:class:`RefinementShard` / :func:`refine_shard` carry one cluster's
+representative refinement (``ComputeLocalRepresentative`` or its
+global-phase equivalent).  :func:`refine_clusters` dispatches them one
+cluster per worker of a process-wide pool (:func:`shard_executor`, cached
+per worker count) when a refinement budget above one is configured, and
+merges the results in cluster-index order.  Every shard runs on a
+bit-exact backend, so sharded results are identical to serial ones.
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
 import multiprocessing
 import os
-import pickle
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,9 +34,9 @@ from repro.similarity.transaction import SimilarityEngine
 from repro.transactions.transaction import Transaction
 
 #: Per-process engines keyed by (similarity config, backend name).  Worker
-#: processes of the multiprocessing executor populate this lazily on their
-#: first local phase and then reuse the engine -- including its tag-path
-#: cache and compiled corpus blocks -- for every subsequent round.
+#: processes populate this lazily on their first local phase or shard and
+#: then reuse the engine -- including its tag-path cache and compiled
+#: corpus blocks -- for every subsequent round.
 _PROCESS_ENGINES: Dict[Tuple[SimilarityConfig, str], SimilarityEngine] = {}
 
 
@@ -125,157 +99,12 @@ def store_process_engine(
     return engine
 
 
-# --------------------------------------------------------------------------- #
-# Round payloads (send shared shard data once per dispatch)
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class PayloadRef:
-    """Content-addressed reference to a published round payload.
-
-    Shards of one dispatch share large read-only data (the representative
-    set of an assignment round): instead of pickling it once per shard,
-    the dispatcher publishes it once (:func:`publish_round_payload`) and
-    every shard carries this tiny reference.  The digest both addresses
-    the worker-side cache and integrity-checks the file read.
-    """
-
-    path: str
-    digest: str
-
-
-#: Worker-side cache of loaded round payloads, keyed by content digest --
-#: every shard of a round resolves to one deserialisation per process.
-_ROUND_PAYLOADS: Dict[str, Any] = {}
-
-#: Loaded payloads kept per process before the cache is reset (rounds
-#: supersede each other quickly; a tiny cap bounds worker memory).
-_ROUND_PAYLOAD_CAP = 16
-
-
-def publish_round_payload(payload: Any) -> Optional[PayloadRef]:
-    """Write *payload* once for all shards of a dispatch; None on failure.
-
-    The pickle is written to a private temp file and addressed by its
-    sha256, so workers can verify they read exactly what was published.
-    A ``None`` return (unwritable temp dir, unpicklable payload) tells the
-    dispatcher to fall back to inlining the payload per shard.
-    """
-    try:
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(data).hexdigest()
-        handle, path = tempfile.mkstemp(prefix="repro-round-", suffix=".pkl")
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
-    except (OSError, pickle.PicklingError):
-        return None
-    return PayloadRef(path=path, digest=digest)
-
-
-def load_round_payload(ref: PayloadRef) -> Any:
-    """Load (or reuse) the published payload *ref* in this process.
-
-    Raises when the file is gone or its content does not match the
-    digest -- the strict shard dispatch turns that into the caller's
-    in-process fallback rather than computing with corrupt data.
-    """
-    cached = _ROUND_PAYLOADS.get(ref.digest)
-    if cached is not None:
-        return cached
-    with open(ref.path, "rb") as stream:
-        data = stream.read()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != ref.digest:
-        raise RuntimeError(
-            f"round payload {ref.path} digest mismatch "
-            f"(expected {ref.digest[:12]}, got {digest[:12]})"
-        )
-    payload = pickle.loads(data)
-    if len(_ROUND_PAYLOADS) >= _ROUND_PAYLOAD_CAP:
-        _ROUND_PAYLOADS.clear()
-    _ROUND_PAYLOADS[ref.digest] = payload
-    return payload
-
-
-def discard_round_payload(ref: Optional[PayloadRef]) -> None:
-    """Remove a published payload file (dispatch has completed)."""
-    if ref is None:
-        return
-    try:
-        os.unlink(ref.path)
-    except OSError:
-        pass
-
-
-@dataclass
-class AssignmentShard:
-    """One contiguous row block of a sharded ``assign_all`` call.
-
-    The :class:`~repro.similarity.backend.ShardedBackend` splits the
-    transaction rows of an assignment step into one shard per worker; each
-    shard carries everything a worker process needs to evaluate its block
-    independently: the rows, the full representative set, the similarity
-    configuration and the name of the in-process backend to evaluate with.
-
-    Two payload optimisations keep the per-shard pickle small and
-    constant-sized:
-
-    * with an attached corpus store the rows travel as ``store_dir`` plus
-      ``store_rows`` (row ids into the store's corpus) and
-      ``transactions`` is None -- the worker resolves them against its
-      process-wide store handle;
-    * the representative set of a round travels once per dispatch as a
-      published :class:`PayloadRef` (``representatives_ref``) instead of
-      once per shard; ``representatives`` is None in that case.
-
-    Shards built without a store (or when publishing fails) inline both
-    fields exactly as before -- the graceful pickle fallback.
-    """
-
-    transactions: Optional[List[Transaction]]
-    representatives: Optional[List[Transaction]]
-    similarity: SimilarityConfig
-    backend: str
-    store_dir: Optional[str] = None
-    store_rows: Optional[List[int]] = None
-    representatives_ref: Optional[PayloadRef] = None
-
-
-def _shard_representatives(shard) -> List[Transaction]:
-    """Resolve a shard's representative set (inline or round payload)."""
-    if shard.representatives_ref is not None:
-        return load_round_payload(shard.representatives_ref)
-    return shard.representatives
-
-
 def _store_transactions(store_dir: str, rows: Sequence[int]) -> List[Transaction]:
     """Resolve store row ids to transactions via the process store cache."""
     from repro.similarity.corpus_store import cached_store
 
     corpus = cached_store(store_dir).transactions()
     return [corpus[row] for row in rows]
-
-
-def assign_shard(shard: AssignmentShard) -> List[Tuple[int, float]]:
-    """Worker entry point of the sharded backend (module-level, picklable).
-
-    Evaluates one row block against the full representative set on this
-    process' cached engine (:func:`process_engine`, or
-    :func:`store_process_engine` for store-backed shards -- attached to
-    the shared on-disk corpus on first touch and reused across rounds).
-    The per-row results come back in row order; the caller concatenates
-    the blocks in shard order, which makes the merged assignment
-    deterministic.  Store or payload resolution failures raise, which the
-    strict dispatch turns into the caller's warm in-process fallback.
-    """
-    if shard.store_dir is not None:
-        engine = store_process_engine(
-            shard.similarity, shard.backend, shard.store_dir
-        )
-        transactions = _store_transactions(shard.store_dir, shard.store_rows)
-    else:
-        engine = process_engine(shard.similarity, shard.backend)
-        transactions = shard.transactions
-    return engine.assign_all(transactions, _shard_representatives(shard))
 
 
 # --------------------------------------------------------------------------- #
@@ -285,14 +114,12 @@ def assign_shard(shard: AssignmentShard) -> List[Tuple[int, float]]:
 class RefinementShard:
     """One cluster's representative-refinement task.
 
-    Where :class:`AssignmentShard` splits the *rows* of an assignment step,
-    a refinement shard carries one whole cluster: the serial tail of
+    A refinement shard carries one whole cluster: the serial tail of
     ``run_local_phase`` (refining k representatives one after another) is
     parallelised one cluster per worker.  A shard is self-contained -- it
     ships the cluster members, the similarity configuration and the name of
-    the in-process backend to evaluate with -- so a worker process can
-    refine it on its cached engine (:func:`process_engine`) without any
-    shared state.
+    the backend to evaluate with -- so a worker process can refine it on
+    its cached engine (:func:`process_engine`) without any shared state.
 
     Attributes
     ----------
@@ -306,9 +133,7 @@ class RefinementShard:
     similarity:
         The :class:`~repro.similarity.item.SimilarityConfig` of the run.
     backend:
-        Name of the in-process backend the worker evaluates with (the
-        *inner* backend when the run uses the ``sharded`` assignment
-        backend -- workers never nest process pools).
+        Name of the backend the worker evaluates with.
     representative_id:
         Identifier given to the refined representative transaction.
     max_items:
@@ -382,11 +207,8 @@ def refine_shard(shard: RefinementShard) -> Tuple[int, Transaction]:
 
     Refines one cluster on this process' cached engine
     (:func:`process_engine`, or :func:`store_process_engine` for
-    store-backed shards) -- the same cache :func:`assign_shard` uses,
-    and since both dispatchers share the executor registry
-    (:func:`shard_executor`), a worker alternating between assignment and
-    refinement shards of the same worker count really does keep one
-    compiled corpus per (similarity configuration, backend) pair.  Returns
+    store-backed shards), so a pool worker keeps one compiled corpus per
+    (similarity configuration, backend) pair across rounds.  Returns
     ``(cluster_index, representative)`` so the caller can merge results in
     cluster-index order regardless of completion order.
     """
@@ -415,11 +237,9 @@ def make_refinement_shard(
     representatives, which are synthetic and never live in the store), the
     shard ships ``store_dir`` + row ids instead of pickled members;
     otherwise it inlines the members exactly like the historical path.
-    Either way the shard's backend is the engine's in-process name
-    (:func:`inprocess_backend_name`), so workers never nest pools.
     """
     members = list(members)
-    backend = inprocess_backend_name(engine)
+    backend = engine.backend_name
     store = getattr(engine.backend, "attached_store", None)
     if store is not None and members and weights is None:
         rows: Optional[List[int]] = None
@@ -452,21 +272,18 @@ def make_refinement_shard(
     )
 
 
-#: Process-wide shard executors keyed by worker count, shared by every
-#: shard dispatcher (cluster refinement and the sharded assignment
-#: backend).  Spawning a pool costs hundreds of milliseconds, so pools are
-#: kept alive across collaborative rounds (and across fits in an
-#: experiment sweep) exactly like the per-process engines above.
+#: Process-wide refinement executors keyed by worker count.  Spawning a
+#: pool costs hundreds of milliseconds, so pools are kept alive across
+#: collaborative rounds (and across fits in an experiment sweep) exactly
+#: like the per-process engines above.
 _SHARD_EXECUTORS: Dict[int, "MultiprocessingExecutor"] = {}
 
 
 def shard_executor(workers: int) -> "MultiprocessingExecutor":
-    """Return this process' shared shard executor for *workers*.
+    """Return this process' shared refinement executor for *workers*.
 
-    Refinement dispatch and the ``sharded`` assignment backend both draw
-    from this registry, so shards of either type dispatched with the same
-    worker count run in the same pool (and therefore on the same cached
-    per-process engines).
+    Every :func:`refine_clusters` call with the same worker count runs in
+    the same pool, and therefore on the same cached per-process engines.
     """
     executor = _SHARD_EXECUTORS.get(workers)
     if executor is None:
@@ -493,17 +310,6 @@ def clear_shard_executors() -> None:
 atexit.register(clear_shard_executors)
 
 
-def inprocess_backend_name(engine: SimilarityEngine) -> str:
-    """Name of the backend a refinement worker should evaluate with.
-
-    Usually the engine's own backend name; when the engine runs the
-    ``sharded`` assignment backend, the sharded backend's in-process *inner*
-    backend is returned instead, so refinement workers never try to nest a
-    second level of process pools inside themselves.
-    """
-    return getattr(engine.backend, "inner_name", engine.backend_name)
-
-
 def refine_clusters(
     shards: Sequence[RefinementShard],
     engine: SimilarityEngine,
@@ -518,23 +324,15 @@ def refine_clusters(
     and the refinement of a cluster depends only on the shard's own payload,
     never on engine cache state.
 
-    Fallback behaviour (mirroring the sharded assignment backend):
+    Fallback behaviour:
 
     * ``workers <= 1``, a single populated shard, or empty clusters are
       refined in-process on the caller's *engine* (reusing its shared
       compiled corpus) -- exactly the historical serial path;
-    * shards naming a ``torch`` backend are always refined in-process:
-      tensor runtimes must not be re-initialised inside pool workers
-      (CUDA contexts cannot survive ``fork``, and every spawned worker
-      would pay a fresh runtime/device initialisation), so torch-backed
-      refinement falls back to the warm serial path cleanly instead of
-      dispatching -- mirroring the sharded assignment backend's refusal
-      to host a torch inner backend;
     * every dispatch failure -- an undispatchable environment (e.g. a
       stdin-launched parent whose ``__main__`` spawn workers cannot
-      replay), a pool spawn failure (e.g. already inside a daemonic peer
-      worker), an unpicklable payload, or a worker crash -- degrades to
-      the same warm-engine in-process refinement: the strict
+      replay), a pool spawn failure, an unpicklable payload, or a worker
+      crash -- degrades to the same warm-engine in-process refinement:
       :meth:`MultiprocessingExecutor.dispatch` raises instead of running
       shards on cold duplicate engines in this process.
     """
@@ -548,22 +346,14 @@ def refine_clusters(
             # empty clusters yield empty representatives; never worth a
             # round-trip to a worker process
             results[shard.cluster_index] = _refine_with_engine(shard, engine)
-    if any(
-        shard.backend.partition(":")[0] == "torch" for shard in populated
-    ):
-        # torch backends refuse nested process sharding: refine on the
-        # caller's warm engine instead of re-initialising tensor runtimes
-        # inside (daemonic, fork/spawn) pool workers
-        workers = 1
     if workers <= 1 or len(populated) <= 1:
         for shard in populated:
             results[shard.cluster_index] = _refine_with_engine(shard, engine)
         return results
     try:
         # dispatch() raises on every failure (undispatchable environment,
-        # pool spawn failure, worker crash) instead of map()'s silent
-        # in-process fallback, which would rebuild cold duplicate engines
-        # in this process; the warm-engine path below is strictly better
+        # pool spawn failure, worker crash); the warm-engine path below
+        # beats rebuilding cold duplicate engines in this process
         mapped = shard_executor(workers).dispatch(refine_shard, populated)
     except Exception:
         mapped = [
@@ -577,52 +367,15 @@ def refine_clusters(
 def split_refinement_budget(refine_workers: int, concurrent_phases: int) -> int:
     """Split a refinement worker budget across concurrently running phases.
 
-    With two-level parallelism (peers x clusters) the peer executor runs up
-    to *concurrent_phases* local phases at once; handing every phase the
-    full budget would oversubscribe the machine ``peers x clusters``-fold.
-    Each phase therefore receives an equal share, never below one worker
-    (one worker means the phase refines serially, which is always safe).
+    The real transport runs *concurrent_phases* peer processes at once;
+    handing every phase the full budget would oversubscribe the machine
+    ``peers x clusters``-fold.  Each phase therefore receives an equal
+    share, never below one worker (one worker means the phase refines
+    serially, which is always safe).
     """
     if concurrent_phases <= 1:
         return refine_workers
     return max(1, refine_workers // concurrent_phases)
-
-
-def phase_refinement_config(config, executor, phases: int):
-    """Per-phase copy of *config* with the refinement budget resolved.
-
-    The single budget policy shared by CXK-means and PK-means:
-
-    * phases that run one after another in this process (the default
-      :class:`SerialExecutor` peer path, or a multiprocessing executor
-      whose dispatch pre-check fails so it degrades to serial) keep the
-      full ``refine_workers`` budget;
-    * phases that will really run inside pool workers
-      (:meth:`MultiprocessingExecutor.can_dispatch`) get a budget of 1:
-      pool workers are daemonic and **cannot create child pools**, so any
-      larger budget would only buy a doomed pool-spawn attempt per phase
-      per round before serial fallback;
-    * an unknown executor type (no ``can_dispatch``; e.g. a thread-based
-      executor that could genuinely overlap phases *and* allow child
-      pools) gets an equal share of the budget per concurrent phase
-      (:func:`split_refinement_budget`).
-
-    *config* is duck-typed (it must expose ``effective_refine_workers``
-    and ``with_refine_workers``) because the concrete
-    :class:`~repro.core.config.ClusteringConfig` lives above this module
-    in the layer graph.
-    """
-    budget = config.effective_refine_workers
-    can_dispatch = getattr(executor, "can_dispatch", None)
-    if can_dispatch is not None:
-        if can_dispatch():
-            return config.with_refine_workers(1)
-        return config.with_refine_workers(budget)
-    return config.with_refine_workers(
-        split_refinement_budget(
-            budget, min(getattr(executor, "workers", 1), phases)
-        )
-    )
 
 
 def _spawn_main_is_replayable() -> bool:
@@ -632,8 +385,8 @@ def _spawn_main_is_replayable() -> bool:
     file path inside every worker.  When the parent was fed from stdin or an
     interactive session, that path does not exist on disk; workers then die
     during interpreter bootstrap and the pool respawns them forever -- a
-    hang rather than an error.  Detecting the situation up front lets the
-    executor fall back to serial execution instead.
+    hang rather than an error.  Detecting the situation up front lets
+    :func:`refine_clusters` fall back to serial refinement instead.
     """
     main_module = sys.modules.get("__main__")
     main_path = getattr(main_module, "__file__", None)
@@ -643,41 +396,15 @@ def _spawn_main_is_replayable() -> bool:
     return os.path.exists(main_path)
 
 
-class SerialExecutor:
-    """Executes peer phases one after another in the calling process."""
-
-    def map(self, function: Callable[[Any], Any], arguments: Sequence[Any]) -> List[Any]:
-        """Apply *function* to every element of *arguments*, in order."""
-        return [function(argument) for argument in arguments]
-
-    def can_dispatch(self) -> bool:
-        """Always False: the serial engine never reaches worker processes."""
-        return False
-
-    def close(self) -> None:  # pragma: no cover - nothing to release
-        """Release resources (no-op for the serial engine)."""
-
-    @property
-    def workers(self) -> int:
-        """Degree of parallelism (always 1 for the serial engine)."""
-        return 1
-
-
 class MultiprocessingExecutor:
-    """Executes peer phases in a pool of worker processes.
+    """A lazily spawned pool of *processes* worker processes.
 
-    Parameters
-    ----------
-    processes:
-        Number of worker processes; defaults to the machine's CPU count.
-    chunksize:
-        Chunk size passed to ``Pool.map``; the default of 1 keeps per-peer
-        work units intact, which matches the granularity of the algorithm.
+    Shards are mapped one per work unit (``chunksize=1``), which matches
+    their granularity of one cluster each.
     """
 
-    def __init__(self, processes: Optional[int] = None, chunksize: int = 1) -> None:
-        self._processes = processes or multiprocessing.cpu_count()
-        self._chunksize = max(1, chunksize)
+    def __init__(self, processes: int) -> None:
+        self._processes = processes
         self._pool: Optional[multiprocessing.pool.Pool] = None
 
     # ------------------------------------------------------------------ #
@@ -687,53 +414,22 @@ class MultiprocessingExecutor:
         return self._pool
 
     def can_dispatch(self) -> bool:
-        """True when :meth:`map` can actually reach the worker pool.
+        """True when :meth:`dispatch` can actually reach the worker pool.
 
-        Predicts the silent in-process fallback of :meth:`map` for the
-        conditions knowable up front (a single worker, or a ``spawn``
-        ``__main__`` that workers cannot replay -- stdin/REPL parents).
-        Callers with a better serial path than the executor's -- e.g.
-        :func:`refine_clusters`, whose caller holds a warm engine with a
-        compiled corpus -- check this first instead of letting work land
-        on a cold in-process duplicate engine.
+        False for the conditions knowable up front: a single worker, or a
+        ``spawn`` ``__main__`` that workers cannot replay (stdin/REPL
+        parents).
         """
         return self._processes > 1 and _spawn_main_is_replayable()
-
-    def map(self, function: Callable[[Any], Any], arguments: Sequence[Any]) -> List[Any]:
-        """Apply *function* in parallel, falling back to serial on failure."""
-        arguments = list(arguments)
-        if (
-            self._processes <= 1
-            or len(arguments) <= 1
-            or not _spawn_main_is_replayable()
-        ):
-            return [function(argument) for argument in arguments]
-        try:
-            pickle.dumps(function)
-            for argument in arguments:
-                pickle.dumps(argument)
-        except Exception:
-            return [function(argument) for argument in arguments]
-        try:
-            return self.dispatch(function, arguments)
-        except Exception:
-            # Any pool-level failure (spawn issues in constrained sandboxes,
-            # broken pipes, ...) degrades gracefully to serial execution.
-            return [function(argument) for argument in arguments]
 
     def dispatch(
         self, function: Callable[[Any], Any], arguments: Sequence[Any]
     ) -> List[Any]:
         """Apply *function* on the worker pool or raise -- never fall back.
 
-        The strict sibling of :meth:`map`: callers that hold a *better*
-        serial path than running *function* in this process (e.g.
-        :func:`refine_clusters`, whose caller owns a warm engine with a
-        compiled corpus, while *function* would build cold
-        :func:`process_engine` duplicates in the parent) use this so every
-        failure -- undispatchable environment, pool spawn failure,
-        worker crash -- surfaces as an exception they can answer with
-        their own fallback.
+        Every failure -- undispatchable environment, pool spawn failure,
+        worker crash -- surfaces as an exception, so the caller can answer
+        it with its own warm-engine fallback (see :func:`refine_clusters`).
         """
         arguments = list(arguments)
         if not self.can_dispatch():
@@ -743,7 +439,7 @@ class MultiprocessingExecutor:
             )
         pool = self._ensure_pool()
         try:
-            return pool.map(function, arguments, chunksize=self._chunksize)
+            return pool.map(function, arguments, chunksize=1)
         except Exception:
             # a pool whose map failed is not trustworthy any more (lost
             # workers, broken pipes): close it before re-raising so the
@@ -758,21 +454,3 @@ class MultiprocessingExecutor:
             self._pool.close()
             self._pool.join()
             self._pool = None
-
-    @property
-    def workers(self) -> int:
-        """Number of worker processes the pool runs with."""
-        return self._processes
-
-    def __enter__(self) -> "MultiprocessingExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def make_executor(parallel: bool = False, processes: Optional[int] = None):
-    """Return a :class:`SerialExecutor` or :class:`MultiprocessingExecutor`."""
-    if parallel:
-        return MultiprocessingExecutor(processes=processes)
-    return SerialExecutor()

@@ -147,8 +147,8 @@ def default_worker_factory(spec: PeerWorkerSpec) -> multiprocessing.Process:
     """Create the standard worker process for *spec* (not yet started).
 
     Workers use the ``spawn`` start method (safe to launch while the driver
-    thread runs) and are **non-daemonic**, so a sharded inner backend inside
-    the local phase may still create its own worker pools.
+    thread runs) and are **non-daemonic**, so a refinement budget above one
+    may still create its own worker pools inside the local phase.
     """
     context = multiprocessing.get_context("spawn")
     return context.Process(
@@ -719,12 +719,12 @@ class RealNetwork:
     # ------------------------------------------------------------------ #
     # Local phases
     # ------------------------------------------------------------------ #
-    def run_local_phases(self, inputs, runner=None, executor=None):
+    def run_local_phases(self, inputs, runner=None):
         """Collect this round's local-phase results from the workers.
 
-        The *runner* / *executor* arguments of the simulated network's
-        signature are accepted and ignored -- the phases already run inside
-        the worker processes, fed by the ``GLOBAL_REPRESENTATIVES`` frames
+        The *runner* argument of the simulated network's signature is
+        accepted and ignored -- the phases already run inside the worker
+        processes, fed by the ``GLOBAL_REPRESENTATIVES`` frames
         broadcast earlier in the round.  Results are returned in the input
         order as :class:`~repro.core.cxkmeans.LocalPhaseOutput` objects and
         their compute time is recorded into the round statistics (matching

@@ -154,26 +154,20 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     # Local phases
     # ------------------------------------------------------------------ #
-    def run_local_phases(self, inputs, runner, executor=None):
+    def run_local_phases(self, inputs, runner):
         """Execute this round's per-peer local phases and record their time.
 
         The transport-neutral entry point shared with
         :class:`~repro.network.realnet.RealNetwork`: the algorithm drivers
         hand over the phase inputs and get one output per peer back, with
         ``compute_seconds`` recorded into the round statistics.  On the
-        simulated transport the phases run in this process -- serially on
-        the shared per-peer engines when the executor is serial (or
-        absent), else dispatched through ``executor.map``.
+        simulated transport the phases run serially in this process, each
+        on its peer's shared engine.
         """
-        from repro.network.mpengine import SerialExecutor
-
-        if executor is None or isinstance(executor, SerialExecutor):
-            outputs = [
-                runner(phase_input, engine=self.peer(phase_input.peer_id).engine)
-                for phase_input in inputs
-            ]
-        else:
-            outputs = executor.map(runner, inputs)
+        outputs = [
+            runner(phase_input, engine=self.peer(phase_input.peer_id).engine)
+            for phase_input in inputs
+        ]
         for output in outputs:
             self.stats.record_compute(output.peer_id, output.compute_seconds)
         return outputs

@@ -5,7 +5,6 @@ from repro.similarity.backend import (
     BackendUnavailableError,
     NumpyBackend,
     PythonBackend,
-    ShardedBackend,
     SimilarityBackend,
     available_backends,
     create_backend,
@@ -34,7 +33,6 @@ __all__ = [
     "SimilarityBackend",
     "PythonBackend",
     "NumpyBackend",
-    "ShardedBackend",
     "available_backends",
     "create_backend",
     "register_backend",

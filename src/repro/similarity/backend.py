@@ -23,22 +23,7 @@ architecture:
   reductions over ``(row_tile x column_tile)`` blocks of bounded item
   budget (``"numpy[:block=N]"``, default :data:`DEFAULT_BLOCK_ITEMS`;
   ``block=0`` = unbounded), so peak scratch memory never grows with the
-  corpus;
-* ``"sharded"`` -- :class:`ShardedBackend`, which splits the rows of the
-  bulk ``assign_all`` call into contiguous blocks evaluated by worker
-  processes (each with a cached per-process engine, see
-  :mod:`repro.network.mpengine`) and concatenates the per-block results in
-  block order; every other entry point is served in-process by an inner
-  ``numpy``/``python`` backend.  Selected as
-  ``"sharded[:workers[:inner]]"`` where the inner spec may carry its own
-  options (``"sharded:4:numpy:block=64"`` -- workers inherit the tile
-  configuration);
-* ``"torch"`` -- :class:`~repro.similarity.torch_backend.TorchBackend`
-  (registered lazily; optional dependency), which evaluates the numpy
-  compiled-corpus layout as padded tensor kernels on a configurable device,
-  tiled by the same item budget.  Selected as ``"torch[:device][:block=N]"``
-  (``torch``, ``torch:cuda``, ``torch:cuda:block=4096``, ``torch:mps``);
-  bit-exact on CPU float64, documented tolerance on accelerator devices.
+  corpus.
 
 Since this PR the protocol also covers the CXK-means *summarisation*
 machinery: :meth:`SimilarityBackend.score_candidates` evaluates every
@@ -72,7 +57,7 @@ either backend.  The parity suite in ``tests/test_similarity_backend.py``
 asserts this property.
 
 Backends are registered by name; third parties can plug in their own
-(e.g. sharded or GPU implementations) through :func:`register_backend`.
+through :func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -182,20 +167,15 @@ def split_block_option(
 def spec_block_items(spec: Optional[str]) -> Optional[int]:
     """The ``block=`` budget a backend spec will actually run with.
 
-    Resolves the spec the way the factories do: ``numpy``/``torch`` specs
-    are scanned for a ``block=`` option, ``sharded`` specs defer to their
-    inner spec, and specs without batch kernels (``python``) or without a
-    ``block=`` option return ``None`` (backend default).  Malformed specs
-    also return ``None`` -- this is a read-only resolver; validation stays
-    with :func:`validate_backend_spec`.
+    Resolves the spec the way the factory does: ``numpy`` specs are
+    scanned for a ``block=`` option, and specs without batch kernels
+    (``python``) or without a ``block=`` option return ``None`` (backend
+    default).  Malformed specs also return ``None`` -- this is a read-only
+    resolver; validation stays with :func:`validate_backend_spec`.
     """
     key = (spec or DEFAULT_BACKEND).lower()
     base, _, options = key.partition(":")
-    if base == "sharded":
-        parts = options.split(":") if options else []
-        inner = ":".join(parts[1:]) if len(parts) > 1 else ""
-        return spec_block_items(inner) if inner else None
-    if base not in ("numpy", "torch"):
+    if base != "numpy":
         return None
     try:
         _, block = split_block_option(options or None, key)
@@ -212,12 +192,9 @@ def merge_block_option(spec: Optional[str], block_items: Optional[int]) -> str:
     returned (normalised, lower-cased) spec carries ``block={block_items}``
     wherever the tiled batch kernels will actually run --
 
-    * ``numpy`` / ``torch`` specs gain a trailing ``:block=N`` part unless
-      they already carry an explicit ``block=`` option (the more specific
+    * ``numpy`` specs gain a trailing ``:block=N`` part unless they
+      already carry an explicit ``block=`` option (the more specific
       spec-level option wins);
-    * ``sharded`` specs thread the budget into their *inner* backend spec
-      (resolving the default inner first), so worker processes inherit the
-      tile configuration through the shard payload's backend string;
     * the ``python`` reference backend has no batch scratch blocks to
       bound, so its spec is returned unchanged.
 
@@ -227,14 +204,7 @@ def merge_block_option(spec: Optional[str], block_items: Optional[int]) -> str:
     if block_items is None:
         return key
     base, _, options = key.partition(":")
-    if base == "sharded":
-        parts = options.split(":") if options else []
-        workers = parts[0] if parts else ""
-        inner = ":".join(parts[1:]) if len(parts) > 1 else ""
-        if not inner:
-            inner = "numpy" if _numpy_importable() else "python"
-        return f"sharded:{workers}:{merge_block_option(inner, block_items)}"
-    if base not in ("numpy", "torch"):
+    if base != "numpy":
         return key
     if options and any(
         part.startswith("block=") for part in options.split(":")
@@ -261,13 +231,6 @@ def _numpy_importable() -> bool:
     except BackendUnavailableError:  # pragma: no cover - see above
         return False
     return True
-
-
-def _torch_importable() -> bool:
-    """True when the optional torch dependency can be imported."""
-    from repro.similarity.torch_backend import torch_importable
-
-    return torch_importable()
 
 
 # --------------------------------------------------------------------------- #
@@ -913,11 +876,9 @@ class NumpyBackend:
         """Content block plus full-size local-id remap arrays.
 
         The single construction of the memoised content lookup shared by
-        every batch kernel (including subclasses such as the torch
-        backend, whose parity contract depends on gathering the *same*
-        floats): the dense block for the given class-id sets, and two
-        ``len(_content_exemplars)``-sized arrays mapping a global content
-        class id to its row/column position in that block.
+        every batch kernel: the dense block for the given class-id sets,
+        and two ``len(_content_exemplars)``-sized arrays mapping a global
+        content class id to its row/column position in that block.
         """
         np = self._np
         content = self._content_block(row_classes.tolist(), column_classes.tolist())
@@ -1417,324 +1378,6 @@ class NumpyBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Sharded multiprocessing backend
-# --------------------------------------------------------------------------- #
-class ShardedBackend:
-    """Multiprocessing backend sharding ``assign_all`` row blocks.
-
-    Every scalar and batch entry point is served by an in-process *inner*
-    backend (the vectorized numpy engine when importable, the python
-    reference otherwise); only the corpus-scale ``assign_all`` call is
-    parallelised.  The transaction rows are split into one contiguous block
-    per worker, each block is dispatched through a
-    :class:`~repro.network.mpengine.MultiprocessingExecutor` to
-    :func:`~repro.network.mpengine.assign_shard`, which evaluates it on the
-    worker process' cached engine
-    (:func:`~repro.network.mpengine.process_engine`), and the per-block
-    results are concatenated in block order.  The merge is therefore
-    deterministic, and because every shard is evaluated by a bit-exact inner
-    backend against the full representative set, the sharded assignment is
-    identical to the serial one.
-
-    The worker count and inner backend are selected through backend-name
-    options: ``"sharded"`` uses one worker per CPU, ``"sharded:4"`` uses 4
-    workers and ``"sharded:4:python"`` additionally pins the inner backend.
-    The inner spec may itself carry options (``"sharded:4:numpy:block=64"``),
-    which shard workers inherit through the shard payload's backend string
-    -- this is how the tile configuration reaches every worker process.
-    Small row counts (below :data:`MIN_SHARD_ROWS`), a single worker, or any
-    dispatch failure (unpicklable payloads, pool spawn failures -- e.g. when
-    already inside a daemonic pool worker) fall back to the in-process inner
-    backend, so ``sharded`` is always safe to select.
-    """
-
-    name = "sharded"
-
-    #: Below this many assignment rows the in-process inner backend is used
-    #: directly (process dispatch would dominate the actual work).
-    MIN_SHARD_ROWS = 8
-
-    def __init__(self, engine: "SimilarityEngine", options: Optional[str] = None) -> None:
-        self.engine = engine
-        self.workers, self.inner_name = self._parse_options(options)
-        self._inner = create_backend(self.inner_name, engine)
-        self._executor = None
-        #: Store handle shared with shard workers (None without a store).
-        self.attached_store = None
-
-    @property
-    def corpus_compile_count(self) -> int:
-        """Corpus transactions actually compiled by the inner backend."""
-        return getattr(self._inner, "corpus_compile_count", 0)
-
-    def attach_store(self, store, transactions=None) -> bool:
-        """Keep the store handle for shard dispatch and attach it to the
-        in-process inner backend when that backend supports compiled
-        corpora; workers attach their own handle on first shard touch."""
-        self.attached_store = store
-        inner_attach = getattr(self._inner, "attach_store", None)
-        if inner_attach is not None:
-            return bool(inner_attach(store, transactions))
-        return False
-
-    @staticmethod
-    def _parse_options(options: Optional[str]) -> Tuple[int, str]:
-        """Parse ``"[workers][:inner-spec]"`` sharded options.
-
-        The inner spec may carry its own options (``"numpy:block=64"``);
-        it is validated through :func:`validate_backend_spec`, so unknown
-        inner names and malformed inner options raise the same errors as
-        a directly selected backend.  Nested sharding and torch inner
-        backends are rejected with dedicated messages.
-        """
-        workers: Optional[int] = None
-        inner = "numpy" if _numpy_importable() else "python"
-        explicit_inner = False
-        if options:
-            parts = options.split(":")
-            if parts[0]:
-                try:
-                    workers = int(parts[0])
-                except ValueError:
-                    raise ValueError(
-                        f"invalid sharded worker count: {parts[0]!r}"
-                    ) from None
-                if workers < 1:
-                    raise ValueError(
-                        f"sharded worker count must be positive, got {workers}"
-                    )
-            inner_spec = ":".join(parts[1:])
-            if inner_spec:
-                inner = inner_spec
-                explicit_inner = True
-                if inner.split(":")[0] == "sharded":
-                    raise ValueError("the sharded backend cannot shard itself")
-        if inner.split(":")[0] == "torch":
-            raise ValueError(
-                "the torch backend cannot run inside sharded worker "
-                "processes (tensor runtimes must not be re-initialised in "
-                "forked/spawned shard workers); select backend='torch' "
-                "directly instead of sharding it"
-            )
-        if explicit_inner:
-            # single source of truth: the inner spec fails with exactly the
-            # errors a direct selection of that backend would raise
-            inner = validate_backend_spec(inner)
-        if workers is None:
-            import multiprocessing
-
-            workers = multiprocessing.cpu_count()
-        return workers, inner
-
-    # ------------------------------------------------------------------ #
-    # Executor lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_executor(self):
-        if self._executor is None:
-            from repro.network.mpengine import shard_executor
-
-            # drawn from the process-wide registry shared with cluster
-            # refinement, so assignment and refinement shards of the same
-            # worker count run in one pool (one engine cache per worker)
-            self._executor = shard_executor(self.workers)
-        return self._executor
-
-    def close(self) -> None:
-        """Release the worker pool (recreated lazily on the next shard).
-
-        The executor comes from the shared registry, so closing stops its
-        worker processes for every shard dispatcher; the pool respawns
-        lazily on whoever dispatches next.
-        """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "ShardedBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - defensive cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------ #
-    # Delegated entry points (in-process inner backend)
-    # ------------------------------------------------------------------ #
-    def item_similarity(self, item_a: TreeTupleItem, item_b: TreeTupleItem) -> float:
-        """Item similarity (Eq. 1), served by the in-process inner backend."""
-        return self._inner.item_similarity(item_a, item_b)
-
-    def gamma_shared_items(
-        self, tr1: Transaction, tr2: Transaction
-    ) -> Set[TreeTupleItem]:
-        """Gamma-shared item set (Eq. 2), served by the inner backend."""
-        return self._inner.gamma_shared_items(tr1, tr2)
-
-    def transaction_similarity(self, tr1: Transaction, tr2: Transaction) -> float:
-        """Transaction similarity (Eq. 4), served by the inner backend."""
-        return self._inner.transaction_similarity(tr1, tr2)
-
-    def pairwise_transaction_similarity(
-        self, rows: Sequence[Transaction], columns: Sequence[Transaction]
-    ) -> List[List[float]]:
-        """Similarity block, served in-process by the inner backend."""
-        return self._inner.pairwise_transaction_similarity(rows, columns)
-
-    def nearest_representative(
-        self, transaction: Transaction, representatives: Sequence[Transaction]
-    ) -> Tuple[int, float]:
-        """Single-row nearest representative, served by the inner backend."""
-        return self._inner.nearest_representative(transaction, representatives)
-
-    def compile_corpus(self, transactions: Sequence[Transaction]) -> int:
-        """Compile the corpus into the *inner* backend's cache (worker
-        processes compile their own copies lazily via the per-process
-        engine cache)."""
-        return self._inner.compile_corpus(transactions)
-
-    def extend_corpus(
-        self, transactions: Sequence[Transaction], *, pin: bool = False
-    ) -> int:
-        """Delta-compile into the *inner* backend (worker processes pick
-        up appended blocks through their per-process store handles)."""
-        return self._inner.extend_corpus(transactions, pin=pin)
-
-    def score_candidates(
-        self, cluster: Sequence[Transaction], candidates: Sequence[Transaction]
-    ) -> List[float]:
-        """Refinement candidate scores, served by the inner backend
-        (refinement parallelism is handled one level up by
-        :func:`repro.network.mpengine.refine_clusters`, never by nesting
-        pools inside a backend call)."""
-        return self._inner.score_candidates(cluster, candidates)
-
-    def rank_items_batch(self, items: Sequence[TreeTupleItem]) -> List[float]:
-        """Blended item ranks, served by the inner backend."""
-        return self._inner.rank_items_batch(items)
-
-    # ------------------------------------------------------------------ #
-    # Sharded assignment
-    # ------------------------------------------------------------------ #
-    def _row_blocks(self, transactions: List[Transaction]) -> List[List[Transaction]]:
-        """Split rows into at most ``workers`` contiguous non-empty blocks."""
-        total = len(transactions)
-        shards = min(self.workers, total)
-        size, remainder = divmod(total, shards)
-        blocks: List[List[Transaction]] = []
-        start = 0
-        for index in range(shards):
-            stop = start + size + (1 if index < remainder else 0)
-            blocks.append(transactions[start:stop])
-            start = stop
-        return blocks
-
-    def _store_rows(
-        self, transactions: Sequence[Transaction]
-    ) -> Optional[List[int]]:
-        """Store row ids for *transactions*, or None when any row (or the
-        store's row index itself) cannot be resolved -- in which case the
-        dispatch falls back to shipping the transactions by pickle."""
-        store = self.attached_store
-        if store is None:
-            return None
-        try:
-            row_index = store.row_index()
-        except Exception:
-            return None
-        rows: List[int] = []
-        for transaction in transactions:
-            row = row_index.get(transaction)
-            if row is None:
-                return None
-            rows.append(row)
-        return rows
-
-    def assign_all(
-        self,
-        transactions: Sequence[Transaction],
-        representatives: Sequence[Transaction],
-    ) -> List[Tuple[int, float]]:
-        """Sharded bulk assignment: contiguous row blocks dispatched to
-        worker processes and concatenated in block order (deterministic,
-        bit-exact with the serial inner backend); small inputs, one worker
-        or dispatch failures fall back to the in-process inner backend.
-
-        With an attached corpus store the shards carry the store directory
-        plus row-id spans instead of pickled ``Transaction`` rows, and the
-        representative set travels once per dispatch as a round payload
-        instead of once per shard -- workers attach the store on first
-        touch and reuse it across rounds.
-        """
-        transactions = list(transactions)
-        if not representatives:
-            return [(-1, 0.0) for _ in transactions]
-        if self.workers <= 1 or len(transactions) < self.MIN_SHARD_ROWS:
-            return self._inner.assign_all(transactions, representatives)
-        from repro.network.mpengine import (
-            AssignmentShard,
-            assign_shard,
-            discard_round_payload,
-            publish_round_payload,
-        )
-
-        executor = self._ensure_executor()
-        if not executor.can_dispatch():
-            # the executor would silently run shards in-process on cold
-            # duplicate engines (e.g. stdin-launched parent); the warm
-            # inner backend is strictly better
-            return self._inner.assign_all(transactions, representatives)
-        representatives = list(representatives)
-        blocks = self._row_blocks(transactions)
-        store_rows = self._store_rows(transactions)
-        store_dir = (
-            str(self.attached_store.directory) if store_rows is not None else None
-        )
-        # the representative set is identical for every shard of a round:
-        # publish it once and let shards carry a tiny content-addressed
-        # reference (falls back to inlining when the payload cannot be
-        # written, e.g. read-only temp dirs)
-        payload_ref = publish_round_payload(representatives)
-        try:
-            shards = []
-            start = 0
-            for block in blocks:
-                stop = start + len(block)
-                shards.append(
-                    AssignmentShard(
-                        transactions=None if store_rows is not None else block,
-                        representatives=(
-                            None if payload_ref is not None else representatives
-                        ),
-                        similarity=self.engine.config,
-                        backend=self.inner_name,
-                        store_dir=store_dir,
-                        store_rows=(
-                            store_rows[start:stop]
-                            if store_rows is not None
-                            else None
-                        ),
-                        representatives_ref=payload_ref,
-                    )
-                )
-                start = stop
-            try:
-                # strict dispatch: pool/worker failures raise and land on
-                # the warm inner backend instead of cold in-process
-                # duplicates
-                results = executor.dispatch(assign_shard, shards)
-            except Exception:
-                return self._inner.assign_all(transactions, representatives)
-        finally:
-            discard_round_payload(payload_ref)
-        return [pair for block_result in results for pair in block_result]
-
-
-# --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
 _REGISTRY: Dict[str, Callable[..., SimilarityBackend]] = {}
@@ -1754,9 +1397,9 @@ def create_backend(name: Optional[str], engine: "SimilarityEngine") -> Similarit
     """Instantiate the backend registered under *name* for *engine*.
 
     ``None`` selects :data:`DEFAULT_BACKEND`.  A ``"name:options"`` spec
-    passes the option string to the factory (e.g. ``"sharded:4"`` for four
-    worker processes).  Unknown names raise a ``ValueError`` listing the
-    registered alternatives.
+    passes the option string to the factory (e.g. ``"numpy:block=64"``).
+    Unknown names raise a ``ValueError`` listing the registered
+    alternatives.
     """
     key = (name or DEFAULT_BACKEND).lower()
     base, _, options = key.partition(":")
@@ -1804,31 +1447,18 @@ def registered_backends() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-#: Importability probes for backends with optional dependencies; backends
-#: absent from this mapping are always usable.
-_AVAILABILITY_PROBES: Dict[str, Callable[[], bool]] = {
-    "numpy": _numpy_importable,
-    "torch": _torch_importable,
-}
-
-
 def available_backends() -> Tuple[str, ...]:
     """Return the registered backends usable in this environment.
 
-    ``sharded`` is always usable: it degrades to its in-process inner
-    backend when worker pools cannot be spawned.  Backends with optional
-    dependencies (``numpy``, ``torch``) are listed only when their
-    dependency imports; selecting an excluded one still raises an
-    actionable :class:`BackendUnavailableError` (see
+    ``numpy`` is listed only when numpy imports; selecting it without numpy
+    still raises an actionable :class:`BackendUnavailableError` (see
     :func:`validate_backend_spec`).
     """
-    names = []
-    for name in registered_backends():
-        probe = _AVAILABILITY_PROBES.get(name)
-        if probe is not None and not probe():
-            continue
-        names.append(name)
-    return tuple(names)
+    return tuple(
+        name
+        for name in registered_backends()
+        if name != "numpy" or _numpy_importable()
+    )
 
 
 def validate_backend_spec(spec: Optional[str]) -> str:
@@ -1842,14 +1472,10 @@ def validate_backend_spec(spec: Optional[str]) -> str:
       alternatives (same message as :func:`create_backend` -- the single
       source of truth the CLI and ``ClusteringConfig`` both surface);
     * options passed to an option-less backend raise ``ValueError``;
-    * malformed option values (``block=`` budgets, worker counts, torch
-      devices) raise ``ValueError`` naming the offending part;
-    * backends whose optional dependency is missing -- or whose requested
-      device is unusable (``torch:cuda`` on a CPU-only build) -- raise
-      :class:`BackendUnavailableError` with an actionable message;
-    * ``sharded`` options are parsed eagerly (worker counts, inner-backend
-      rules incl. recursive inner-spec validation, the no-nested-torch
-      rule).
+    * malformed ``block=`` budgets raise ``ValueError`` naming the
+      offending part;
+    * ``numpy`` without numpy installed raises
+      :class:`BackendUnavailableError` with an actionable message.
 
     Returns the normalised (lower-cased) spec.
     """
@@ -1870,28 +1496,8 @@ def validate_backend_spec(spec: Optional[str]) -> str:
                 f"invalid numpy backend options {options!r} "
                 "(expected 'numpy[:block=N]')"
             )
-    elif base == "torch":
-        from repro.similarity.torch_backend import validate_torch_spec
-
-        validate_torch_spec(options or None)
-    elif base == "sharded":
-        ShardedBackend._parse_options(options or None)
     return key
-
-
-def _create_torch_backend(engine: "SimilarityEngine", options: Optional[str] = None):
-    """Lazy factory for the optional torch backend.
-
-    The module (and torch itself) is imported only when the backend is
-    actually selected, so the core install stays numpy-only; a missing
-    torch raises :class:`BackendUnavailableError` with install guidance.
-    """
-    from repro.similarity.torch_backend import TorchBackend
-
-    return TorchBackend(engine, options)
 
 
 register_backend("python", PythonBackend)
 register_backend("numpy", NumpyBackend)
-register_backend("sharded", ShardedBackend)
-register_backend("torch", _create_torch_backend)

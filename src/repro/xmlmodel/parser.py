@@ -15,6 +15,10 @@ identifiers follow document order, matching the conventions of the paper's
 running example.  Whitespace-only text between elements is dropped (it does
 not carry content in data-oriented XML); mixed content with non-blank text is
 preserved as ``S`` leaves.
+
+Element nesting is bounded by :data:`MAX_NESTING_DEPTH`: a deeper document
+raises :class:`~repro.xmlmodel.errors.XMLSyntaxError` with the position of
+the offending tag instead of exhausting the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ _ENTITIES: Dict[str, str] = {
     "apos": "'",
     "quot": '"',
 }
+
+#: Deepest element nesting the parser accepts (the root is level 1).  The
+#: recursive descent spends two frames per level, so this stays well below
+#: the default recursion limit even when the caller is itself deep (a
+#: server handler, a test runner); the bundled corpora nest at most 6.
+MAX_NESTING_DEPTH = 256
 
 _NAME_START = re.compile(r"[A-Za-z_:]")
 _NAME_CHAR = re.compile(r"[A-Za-z0-9_.:\-]")
@@ -199,7 +209,13 @@ class XMLParser:
     # ------------------------------------------------------------------ #
     # Elements
     # ------------------------------------------------------------------ #
-    def _parse_element(self, scanner: _Scanner, builder: XMLTreeBuilder) -> None:
+    def _parse_element(
+        self, scanner: _Scanner, builder: XMLTreeBuilder, depth: int = 1
+    ) -> None:
+        if depth > MAX_NESTING_DEPTH:
+            raise scanner.error(
+                f"element nesting deeper than {MAX_NESTING_DEPTH} levels"
+            )
         scanner.expect("<")
         tag = scanner.read_name()
         builder.start(tag)
@@ -212,7 +228,7 @@ class XMLParser:
             builder.end()
             return
         scanner.expect(">")
-        self._parse_content(scanner, builder, tag)
+        self._parse_content(scanner, builder, tag, depth)
         builder.end()
 
     def _parse_attributes(self, scanner: _Scanner) -> List[Tuple[str, str]]:
@@ -234,7 +250,7 @@ class XMLParser:
             attributes.append((name, decode_entities(raw, scanner)))
 
     def _parse_content(
-        self, scanner: _Scanner, builder: XMLTreeBuilder, open_tag: str
+        self, scanner: _Scanner, builder: XMLTreeBuilder, open_tag: str, depth: int
     ) -> None:
         text_parts: List[str] = []
 
@@ -274,7 +290,7 @@ class XMLParser:
                 continue
             if scanner.peek() == "<":
                 flush_text()
-                self._parse_element(scanner, builder)
+                self._parse_element(scanner, builder, depth + 1)
                 continue
             # plain character data up to the next markup character
             next_lt = scanner.text.find("<", scanner.pos)

@@ -222,6 +222,18 @@ class TestRouting:
             assert stats["errors"] == 1
             assert stats["requests"] == 0
 
+    def test_deeply_nested_xml_answers_400(self, registry_path):
+        with running_server(registry_path) as (server, base):
+            request = urllib.request.Request(
+                f"{base}/models/alpha/classify",
+                data=b"<a>" * 3000,
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as failure:
+                urllib.request.urlopen(request, timeout=10)
+            assert failure.value.code == 400
+            assert "nesting" in json.loads(failure.value.read())["error"]
+
     def test_stats_report_counters_and_percentiles(
         self, registry_path, documents
     ):

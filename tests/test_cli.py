@@ -155,6 +155,26 @@ class TestBackendSpecErrors:
         for name in registered_backends():
             assert name in str(cli_error.value)
 
+    @pytest.mark.parametrize("spec", ["sharded:2", "torch", "torch:cuda"])
+    def test_retired_backends_fail_before_loading_any_corpus(
+        self, spec, monkeypatch
+    ):
+        from repro import cli
+
+        def fail_dataset(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the corpus must not be loaded")
+
+        monkeypatch.setattr(cli, "get_dataset", fail_dataset)
+        with pytest.raises(SystemExit, match="unknown similarity backend"):
+            main(["cluster", "--corpus", "DBLP", "--backend", spec])
+
+    def test_cluster_help_lists_no_shard_workers_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cluster", "--help"])
+        out = capsys.readouterr().out
+        assert "--backend" in out
+        assert "--shard-workers" not in out
+
     def test_malformed_block_option_exits_cleanly(self):
         with pytest.raises(SystemExit, match="block"):
             main(

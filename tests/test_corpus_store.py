@@ -12,9 +12,8 @@ tests pin its contract:
 * a warm attach is a store **hit** that skips *all* compile work -- no
   tag-path cache precompute, ``corpus_compile_count == 0``, and
   ``compile_corpus`` returning 0 -- through a whole ``fit``;
-* store-attached engines are **bit-exact** with fresh-compiled ones across
-  the numpy / sharded backends, tiled and untiled (hypothesis property
-  suite; the torch variant lives in its own importorskip test).
+* store-attached engines are **bit-exact** with fresh-compiled ones on the
+  numpy backend, tiled and untiled (hypothesis property suite).
 """
 
 from __future__ import annotations
@@ -410,7 +409,7 @@ class TestAttachParity:
     @settings(max_examples=12, deadline=None)
     @given(
         backend=st.sampled_from(
-            ["numpy", "numpy:block=64", "numpy:block=0", "sharded:2"]
+            ["numpy", "numpy:block=64", "numpy:block=0"]
         ),
         f=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
         gamma=st.sampled_from([0.6, 0.8]),
@@ -421,7 +420,7 @@ class TestAttachParity:
         self, dblp_small, shared_cache_dir, backend, f, gamma, k, seed
     ):
         """``assign_all`` on a store-attached corpus equals the fresh
-        compile exactly, across backends (numpy untiled / tiled / sharded),
+        compile exactly, across backends (numpy untiled / tiled),
         similarity configurations and seeds.  The shared cache dir is
         reused across examples, so repeat configurations exercise the warm
         hit path and first-seen ones the miss+export path."""
@@ -446,64 +445,7 @@ class TestAttachParity:
         )
         assert status["store"] in ("hit", "miss")
         result = attached.assign_all(transactions, representatives)
-        for engine in (fresh, attached):
-            if hasattr(engine.backend, "close"):
-                engine.backend.close()
         assert result == expected
-
-    def test_sharded_warm_attach_matches_python_reference(
-        self, dblp_small, tmp_path
-    ):
-        """The dispatched store path (workers attaching by store_dir +
-        row spans) agrees with the serial python reference on a warm hit."""
-        transactions = dblp_small.transactions
-        representatives = select_seed_transactions(
-            transactions, 4, random.Random(0)
-        )
-        expected = make_engine("python").assign_all(
-            transactions, representatives
-        )
-        prepare_engine_corpus(make_engine(), transactions, cache_dir=tmp_path)
-        clear_store_cache()
-        engine = make_engine("sharded:2")
-        assert (
-            prepare_engine_corpus(engine, transactions, cache_dir=tmp_path)[
-                "store"
-            ]
-            == "hit"
-        )
-        try:
-            assert engine.assign_all(transactions, representatives) == expected
-            assert engine.backend.corpus_compile_count == 0
-        finally:
-            engine.backend.close()
-
-    @pytest.mark.parametrize("backend", ["torch", "torch:block=64"])
-    def test_torch_store_attach_is_bit_exact(
-        self, dblp_small, tmp_path, backend
-    ):
-        pytest.importorskip("torch")
-        transactions = dblp_small.transactions
-        representatives = select_seed_transactions(
-            transactions, 4, random.Random(1)
-        )
-        fresh = SimilarityEngine(
-            SIMILARITY, cache=TagPathSimilarityCache(), backend=backend
-        )
-        fresh_compile(fresh, transactions)
-        expected = fresh.assign_all(transactions, representatives)
-
-        prepare_engine_corpus(make_engine(), transactions, cache_dir=tmp_path)
-        clear_store_cache()
-        attached = SimilarityEngine(
-            SIMILARITY, cache=TagPathSimilarityCache(), backend=backend
-        )
-        status = prepare_engine_corpus(
-            attached, transactions, cache_dir=tmp_path
-        )
-        assert status["store"] == "hit"
-        assert attached.assign_all(transactions, representatives) == expected
-        assert attached.backend.corpus_compile_count == 0
 
     def test_stored_arrays_equal_a_fresh_compilation(self, dblp_small, tmp_path):
         """The exported arrays are byte-for-byte what a fresh backend

@@ -10,10 +10,8 @@ without installing a linter).
 Covered modules (the ISSUE's documented public API):
 
 * ``repro.similarity.backend`` -- the backend protocol and registry
-* ``repro.similarity.torch_backend`` -- the optional torch tensor backend
-  (imports without torch installed; only instantiation needs it)
 * ``repro.core.representatives`` -- the summarisation machinery
-* ``repro.network.mpengine`` -- executors, shards, per-process engines
+* ``repro.network.mpengine`` -- refinement shards, per-process engines
 * ``repro.core.config`` -- :class:`~repro.core.config.ClusteringConfig`
 * ``repro.core.streaming`` -- streaming / out-of-core incremental fitting
 * ``repro.similarity.corpus_store`` -- the persistent compiled-corpus store
@@ -40,13 +38,11 @@ import repro.network.realnet
 import repro.serving
 import repro.similarity.backend
 import repro.similarity.corpus_store
-import repro.similarity.torch_backend
 import repro.store
 import repro.store.registry
 
 DOCUMENTED_MODULES = [
     repro.similarity.backend,
-    repro.similarity.torch_backend,
     repro.core.representatives,
     repro.network.mpengine,
     repro.network.codec,

@@ -1,6 +1,4 @@
-"""Tests for cluster validity measures, timing helpers and reporting."""
-
-import time
+"""Tests for cluster validity measures and reporting."""
 
 import pytest
 
@@ -22,7 +20,6 @@ from repro.evaluation.reporting import (
     format_series,
     format_table,
 )
-from repro.evaluation.timing import Stopwatch, time_function
 
 REFERENCE = {
     "a1": "A", "a2": "A", "a3": "A",
@@ -106,33 +103,6 @@ class TestOtherIndices:
         report = clustering_report(PERFECT, REFERENCE)
         assert set(report) == {"f_measure", "purity", "nmi", "ari"}
         assert all(value == pytest.approx(1.0) for value in report.values())
-
-
-class TestTiming:
-    def test_stopwatch_measures_and_aggregates(self):
-        stopwatch = Stopwatch()
-        with stopwatch.measure("sleep"):
-            time.sleep(0.01)
-        stopwatch.record("sleep", 0.05)
-        summary = stopwatch.summary()["sleep"]
-        assert summary["count"] == 2.0
-        assert summary["max"] >= 0.05
-        assert summary["total"] >= 0.06
-
-    def test_time_callable_returns_result(self):
-        stopwatch = Stopwatch()
-        assert stopwatch.time_callable("op", lambda: 42) == 42
-        assert "op" in stopwatch.records
-
-    def test_time_function(self):
-        result = time_function(lambda x: x * 2, 21, repeat=3)
-        assert result["last_result"] == 42
-        assert result["repeat"] == 3.0
-        assert result["min"] <= result["mean"] <= result["max"]
-
-    def test_time_function_requires_positive_repeat(self):
-        with pytest.raises(ValueError):
-            time_function(lambda: None, repeat=0)
 
 
 class TestReporting:

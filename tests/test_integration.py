@@ -17,7 +17,6 @@ from repro.datasets.registry import cluster_count, get_corpus, get_dataset
 from repro.evaluation.fmeasure import overall_f_measure
 from repro.evaluation.metrics import clustering_report
 from repro.network.costmodel import CostModel
-from repro.network.mpengine import MultiprocessingExecutor
 from repro.similarity.item import SimilarityConfig
 
 
@@ -153,21 +152,6 @@ class TestPaperTrends:
 
 
 class TestExecutionEngines:
-    def test_multiprocessing_engine_produces_same_clusters_as_serial(self, dblp_dataset):
-        config = ClusteringConfig(
-            k=4,
-            similarity=SimilarityConfig(f=0.5, gamma=0.8),
-            seed=0,
-            max_iterations=2,
-        )
-        parts = partition_equally(dblp_dataset.transactions[:40], 2, seed=0)
-        serial = CXKMeans(config).fit(parts)
-        with MultiprocessingExecutor(processes=2) as executor:
-            parallel = CXKMeans(config, executor=executor).fit(parts)
-        assert serial.assignments(include_trash=True) == parallel.assignments(
-            include_trash=True
-        )
-
     def test_cost_model_scales_simulated_time(self, dblp_dataset):
         config = ClusteringConfig(
             k=4,

@@ -6,7 +6,7 @@ linkage) and serves classification queries from the reloaded model.  These
 tests pin its contract:
 
 * ``fit -> save_model -> load_model -> assign_all`` is **bit-exact** against
-  the in-memory model on the python / numpy / tiled / sharded backends;
+  the in-memory model on the python / numpy / tiled backends;
 * payload encoding round-trips values exactly (hypothesis property suite:
   ordered sparse vectors, items, transactions through JSON);
 * a reload of a store-backed model is a store **hit** that performs zero
@@ -14,6 +14,10 @@ tests pin its contract:
 * tampered manifests (format version), missing/corrupt blocks and
   unwritable directories are rejected with ``ModelStoreError`` (the CLI and
   runner degrade instead of failing the run);
+* a manifest naming a backend that is no longer registered (models saved
+  under the retired ``sharded`` / ``torch`` backends) fails with the
+  unknown-backend ``ValueError`` before any data file is read, and still
+  loads with an explicit backend override;
 * the CXK local phase narrows store-attach failures to expected errors,
   reports them as ``store_fallback`` and never recompiles an attached
   corpus (``corpus_compile_count == 0`` on the store-backed worker path).
@@ -22,6 +26,9 @@ tests pin its contract:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,8 +39,10 @@ pytest.importorskip("numpy")
 
 from repro.core.config import ClusteringConfig
 from repro.core.cxkmeans import CXKMeans, LocalPhaseInput, run_local_phase
+from repro.core import model_store
 from repro.core.model_store import (
     MODEL_FORMAT_VERSION,
+    MODEL_MANIFEST_NAME,
     ClusterModel,
     ModelStoreError,
     item_from_payload,
@@ -109,9 +118,6 @@ def fit_and_save(dataset, directory, backend="numpy", cache_dir=None, **override
         dataset.transactions, result.representatives()
     )
     save_model(directory, result, config, dataset=dataset, engine=algorithm.engine)
-    backend_object = algorithm.engine._backend
-    if hasattr(backend_object, "close"):
-        backend_object.close()
     return config, result, in_memory
 
 
@@ -186,7 +192,7 @@ class TestPayloadRoundTrip:
 # --------------------------------------------------------------------------- #
 class TestRoundTrip:
     @pytest.mark.parametrize(
-        "backend", ["python", "numpy", "numpy:block=64", "sharded:2"]
+        "backend", ["python", "numpy", "numpy:block=64"]
     )
     def test_reloaded_model_assigns_bit_exactly(
         self, dblp_small, tmp_path, backend
@@ -379,6 +385,79 @@ class TestValidation:
         result = algorithm.fit(dblp_small.transactions)
         with pytest.raises(ModelStoreError, match="cannot save"):
             save_model(blocker / "model", result, config, dataset=dblp_small)
+
+
+# --------------------------------------------------------------------------- #
+# Manifests naming a retired backend
+# --------------------------------------------------------------------------- #
+def record_backend(directory: Path, spec: str) -> None:
+    """Rewrite the manifest as if the model had been fitted on *spec*."""
+    manifest_path = directory / MODEL_MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["backend"] = spec
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestRetiredBackendManifest:
+    @pytest.mark.parametrize("spec", ["sharded:2", "torch"])
+    def test_load_fails_before_any_data_file_is_read(
+        self, dblp_small, tmp_path, monkeypatch, spec
+    ):
+        fit_and_save(dblp_small, tmp_path / "model")
+        record_backend(tmp_path / "model", spec)
+        read = []
+        real_read_json = model_store._read_json
+
+        def recording_read_json(directory, name):
+            read.append(name)
+            return real_read_json(directory, name)
+
+        monkeypatch.setattr(model_store, "_read_json", recording_read_json)
+        with pytest.raises(ValueError, match="unknown similarity backend"):
+            load_model(tmp_path / "model")
+        assert read == [MODEL_MANIFEST_NAME]
+
+    @pytest.mark.parametrize("spec", ["sharded:2", "torch"])
+    def test_cli_classify_exits_with_an_error_line(
+        self, dblp_small, dblp_documents, tmp_path, spec
+    ):
+        fit_and_save(dblp_small, tmp_path / "model")
+        record_backend(tmp_path / "model", spec)
+        document = tmp_path / "query.xml"
+        document.write_text(dblp_documents[0], encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "classify",
+                "--model", str(tmp_path / "model"), str(document),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode != 0
+        lines = completed.stderr.strip().splitlines()
+        assert lines[-1].startswith("error: unknown similarity backend")
+        assert "Traceback" not in completed.stderr
+
+    def test_backend_override_loads_and_classifies_bit_exactly(
+        self, dblp_small, dblp_documents, tmp_path
+    ):
+        _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model")
+        record_backend(tmp_path / "model", "sharded:2")
+        vectorised = load_model(tmp_path / "model", backend="numpy")
+        reference = load_model(tmp_path / "model", backend="python")
+        assert vectorised.assign_all(dblp_small.transactions) == in_memory
+        for document in dblp_documents[:8]:
+            ours = vectorised.classify(document)
+            theirs = reference.classify(document)
+            assert (ours.cluster_id, ours.score) == (
+                theirs.cluster_id,
+                theirs.score,
+            )
+            assert ours.assignments == theirs.assignments
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for the simulated network, the cost model and the executors."""
+"""Tests for the simulated network and the cost model."""
 
 import time
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.network.costmodel import CostModel, saturation_point, speedup_curve
 from repro.network.message import Message, MessageKind, representative_payload
-from repro.network.mpengine import MultiprocessingExecutor, SerialExecutor, make_executor
 from repro.network.peer import make_peers
 from repro.network.simnet import SimulatedNetwork
 from repro.transactions.items import make_synthetic_item
@@ -140,37 +139,6 @@ class TestCostModel:
     def test_speedup_requires_centralized_baseline(self):
         with pytest.raises(ValueError):
             speedup_curve({2: 5.0})
-
-
-def _square(x):
-    return x * x
-
-
-class TestExecutors:
-    def test_serial_executor(self):
-        executor = SerialExecutor()
-        assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert executor.workers == 1
-        executor.close()
-
-    def test_make_executor_factory(self):
-        assert isinstance(make_executor(False), SerialExecutor)
-        assert isinstance(make_executor(True, processes=2), MultiprocessingExecutor)
-
-    def test_multiprocessing_executor_preserves_order(self):
-        with MultiprocessingExecutor(processes=2) as executor:
-            assert executor.map(_square, list(range(8))) == [x * x for x in range(8)]
-
-    def test_multiprocessing_executor_falls_back_on_unpicklable_work(self):
-        executor = MultiprocessingExecutor(processes=2)
-        unpicklable = lambda x: x + 1  # noqa: E731 - deliberately a lambda
-        assert executor.map(unpicklable, [1, 2]) == [2, 3]
-        executor.close()
-
-    def test_single_worker_runs_serially(self):
-        executor = MultiprocessingExecutor(processes=1)
-        assert executor.map(_square, [3]) == [9]
-        executor.close()
 
 
 class RecordingCostModel(CostModel):

@@ -237,7 +237,7 @@ def _assert_bit_identical(sim_result, real_result) -> None:
 
 class TestSimRealParity:
     @pytest.mark.parametrize(
-        "peers,backend", [(2, "numpy"), (4, "numpy"), (3, "sharded:2")]
+        "peers,backend", [(2, "numpy"), (4, "numpy"), (3, "numpy")]
     )
     def test_identical_clusterings(self, mini_dataset, peers, backend):
         sim_result, real_result = _fit_both(mini_dataset, peers, backend)

@@ -10,8 +10,8 @@ clustering run on top of it -- must be *identical* to the serial path for
 every worker count; these tests assert exactly that (including a
 hypothesis property suite across 1/2/4 workers), plus the ``workers=1``
 short-circuit, the serial fallback on executor failure, the budget split
-of the two-level peers x clusters parallelism, and the isolation of the
-per-process engine cache across shard types.
+across the real transport's concurrent peers, and the per-process engine
+cache the shards run on.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ from repro.network import mpengine
 from repro.network.mpengine import (
     _PROCESS_ENGINES,
     _SHARD_EXECUTORS,
-    AssignmentShard,
     RefinementShard,
-    assign_shard,
     clear_process_engines,
     clear_shard_executors,
-    inprocess_backend_name,
+    process_engine,
     refine_clusters,
     refine_shard,
     shard_executor,
@@ -181,11 +179,6 @@ class TestShardModel:
             )
             assert rep_key(representative) == rep_key(expected)
 
-    def test_inprocess_backend_name_unwraps_sharded_inner(self):
-        assert inprocess_backend_name(make_engine("python")) == "python"
-        engine = make_engine("sharded:2:python")
-        assert inprocess_backend_name(engine) == "python"
-
     def test_config_validates_refine_workers(self):
         with pytest.raises(ValueError, match="refine_workers"):
             ClusteringConfig(k=2, refine_workers=0)
@@ -200,40 +193,6 @@ class TestShardModel:
     )
     def test_split_refinement_budget(self, budget, phases, expected):
         assert split_refinement_budget(budget, phases) == expected
-
-    def test_phase_refinement_config_resolves_per_executor(self):
-        """The shared budget policy: serial phase execution keeps the full
-        budget; phases that will really run in daemonic pool workers (which
-        cannot nest pools) get a budget of 1; unknown executor types split
-        the budget equally across concurrent phases."""
-        from repro.network.mpengine import (
-            MultiprocessingExecutor,
-            SerialExecutor,
-            phase_refinement_config,
-        )
-
-        config = ClusteringConfig(k=2, refine_workers=8)
-        serial = phase_refinement_config(config, SerialExecutor(), 4)
-        assert serial.effective_refine_workers == 8
-        # a one-process executor cannot dispatch -> phases run serially in
-        # this process and keep the full budget
-        degraded = phase_refinement_config(
-            config, MultiprocessingExecutor(processes=1), 4
-        )
-        assert degraded.effective_refine_workers == 8
-        # a dispatching executor runs phases in daemonic workers -> clamp
-        dispatching = MultiprocessingExecutor(processes=4)
-        if dispatching.can_dispatch():  # true under pytest (file __main__)
-            clamped = phase_refinement_config(config, dispatching, 4)
-            assert clamped.effective_refine_workers == 1
-
-        class ThreadishExecutor:  # no can_dispatch: unknown type
-            workers = 4
-
-        shared = phase_refinement_config(config, ThreadishExecutor(), 4)
-        assert shared.effective_refine_workers == 2
-        shared_few = phase_refinement_config(config, ThreadishExecutor(), 2)
-        assert shared_few.effective_refine_workers == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -515,18 +474,18 @@ class TestLifecycleAndIsolation:
         assert not _SHARD_EXECUTORS
         assert executor._pool is None  # closed, not just dropped
 
-    def test_shard_types_share_the_process_engine_cache(self, dblp_small):
-        """Assignment and refinement shards with the same (similarity,
-        backend) key reuse one cached engine -- and different backends get
-        isolated engines."""
+    def test_refinement_shards_share_engine_cache(self, dblp_small):
+        """Refinement shards with the same (similarity, backend) key reuse
+        one cached engine -- and different backends get isolated
+        engines."""
         transactions = dblp_small.transactions[:10]
-        representatives = transactions[:2]
-        assign_shard(
-            AssignmentShard(
-                transactions=list(transactions),
-                representatives=list(representatives),
+        refine_shard(
+            RefinementShard(
+                cluster_index=0,
+                members=list(transactions),
                 similarity=SIMILARITY,
                 backend="python",
+                representative_id="rep",
             )
         )
         assert len(_PROCESS_ENGINES) == 1
@@ -553,6 +512,12 @@ class TestLifecycleAndIsolation:
         assert len(_PROCESS_ENGINES) == 2
         assert (SIMILARITY, "python") in _PROCESS_ENGINES
         assert (SIMILARITY, "numpy") in _PROCESS_ENGINES
+
+    def test_clear_process_engines_empties_the_cache(self):
+        process_engine(SIMILARITY, "python")
+        assert _PROCESS_ENGINES
+        clear_process_engines()
+        assert not _PROCESS_ENGINES
 
     def test_autouse_isolation_left_no_state_behind(self):
         assert not _PROCESS_ENGINES

@@ -184,6 +184,22 @@ class TestStdinProtocol:
         # a missing file yields an error line, not a crash
         assert "error" in lines[2]
 
+    def test_deeply_nested_document_does_not_end_the_loop(
+        self, model_dir, xml_files, tmp_path
+    ):
+        deep = tmp_path / "deep.xml"
+        deep.write_text("<a>" * 3000, encoding="utf-8")
+        model = load_model(model_dir)
+        source = io.StringIO(f"{deep}\n{xml_files[0]}\n")
+        sink = io.StringIO()
+        answered = serve_stdin(model, source, sink)
+        lines = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert answered == 2
+        assert lines[0]["file"] == str(deep)
+        assert "nesting" in lines[0]["error"]
+        assert lines[1]["file"] == str(xml_files[0])
+        assert lines[1]["cluster_id"] >= -1
+
 
 class TestHttpServer:
     def test_live_server_answers_health_and_classify(self, model_dir, xml_files):

@@ -132,6 +132,11 @@ class TestRegistry:
     def test_backend_unavailable_error_is_runtime_error(self):
         assert issubclass(BackendUnavailableError, RuntimeError)
 
+    def test_optionless_backends_reject_options(self):
+        engine = SimilarityEngine(SimilarityConfig())
+        with pytest.raises(ValueError, match="accepts no options"):
+            create_backend("python:2", engine)
+
 
 # --------------------------------------------------------------------------- #
 # Hand-built edge cases
@@ -322,6 +327,34 @@ class TestCorpusParity:
             )
             results[backend] = CXKMeans(config).fit(partitions)
         assert results["python"].partition() == results["numpy"].partition()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_three_peer_cxkmeans_fit_parity(self, dblp_small, seed):
+        """Identical clusterings *and* representatives across python and
+        numpy for the same seed, over three peers."""
+        partitions = [
+            dblp_small.transactions[0::3],
+            dblp_small.transactions[1::3],
+            dblp_small.transactions[2::3],
+        ]
+        results = {}
+        for backend in ("python", "numpy"):
+            config = ClusteringConfig(
+                k=3,
+                similarity=SimilarityConfig(f=0.5, gamma=0.8),
+                seed=seed,
+                max_iterations=3,
+                backend=backend,
+            )
+            result = CXKMeans(config).fit(partitions)
+            results[backend] = (
+                result.partition(),
+                [
+                    sorted((str(i.path), i.answer) for i in rep.items)
+                    for rep in result.representatives()
+                ],
+            )
+        assert results["numpy"] == results["python"]
 
 
 # --------------------------------------------------------------------------- #

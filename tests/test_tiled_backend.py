@@ -1,6 +1,6 @@
 """Parity and behaviour tests for the tiled batch kernels.
 
-The numpy (and, by inheritance, torch) batch engine evaluates its
+The numpy batch engine evaluates its
 similarity blocks in ``(row_tile x column_tile)`` tiles bounded by a
 configurable item budget (``block=N`` in the backend option grammar,
 ``ClusteringConfig.batch_block_items`` at the config level).  Tiling is a
@@ -12,8 +12,6 @@ against the untiled path (``block=0``) and the python reference across
 * hypothesis-random transactions (including empty rows and columns),
 * the synthetic generator corpus,
 * full XK-means / CXK-means fits,
-* the sharded backend with a tiled inner spec (workers inherit the tile
-  configuration through the shard payload's backend string),
 
 for tile sizes ``{1, 2, 7, >= corpus}``, plus the option grammar, the
 ``ClusteringConfig`` threading and the peak-scratch memory bound itself.
@@ -32,7 +30,7 @@ from repro.core.cxkmeans import CXKMeans
 from repro.core.seeding import select_seed_transactions
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
-from repro.network.mpengine import clear_process_engines, clear_shard_executors
+from repro.network.mpengine import clear_process_engines
 from repro.similarity.backend import (
     DEFAULT_BLOCK_ITEMS,
     NumpyBackend,
@@ -199,52 +197,13 @@ class TestOptionGrammar:
         with pytest.raises(ValueError):
             create_backend(spec, shared)
 
-    def test_sharded_inner_spec_may_carry_options(self):
-        assert (
-            validate_backend_spec("sharded:2:numpy:block=16")
-            == "sharded:2:numpy:block=16"
-        )
-
-    def test_sharded_unknown_inner_fails_like_a_direct_selection(self):
-        """Single source of truth: the inner spec raises the same
-        registered-alternatives error as a directly selected backend."""
-        with pytest.raises(ValueError, match="unknown similarity backend"):
-            validate_backend_spec("sharded:2:bogus")
-        direct = cli_config = None
-        try:
-            validate_backend_spec("bogus")
-        except ValueError as error:
-            direct = str(error)
-        try:
-            validate_backend_spec("sharded:2:bogus")
-        except ValueError as error:
-            cli_config = str(error)
-        assert direct.replace("'bogus'", "X") == cli_config.replace(
-            "'bogus'", "X"
-        )
-
-    def test_sharded_malformed_inner_block_fails_eagerly(self):
-        with pytest.raises(ValueError, match="block"):
-            validate_backend_spec("sharded:2:numpy:block=zz")
-
     def test_merge_block_option(self):
         assert merge_block_option("numpy", 64) == "numpy:block=64"
         assert merge_block_option("numpy", None) == "numpy"
         assert merge_block_option("python", 64) == "python"
         assert merge_block_option(None, 64) == "python"
-        assert merge_block_option("torch:cuda", 64) == "torch:cuda:block=64"
         # an explicit spec-level block option wins over the config knob
         assert merge_block_option("numpy:block=8", 64) == "numpy:block=8"
-        # sharded specs thread the budget into their inner spec
-        assert (
-            merge_block_option("sharded:4:numpy", 64)
-            == "sharded:4:numpy:block=64"
-        )
-        assert merge_block_option("sharded:4", 64).startswith("sharded:4:")
-        assert merge_block_option("sharded:4", 64).endswith(":block=64")
-        assert (
-            merge_block_option("sharded:2:python", 64) == "sharded:2:python"
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -285,12 +244,6 @@ class TestConfigThreading:
             ).effective_batch_block_items
             == 8
         )
-        assert (
-            ClusteringConfig(
-                k=2, backend="sharded:2:numpy:block=5"
-            ).effective_batch_block_items
-            == 5
-        )
 
     def test_effective_backend_merges_the_budget(self):
         config = ClusteringConfig(k=2, backend="numpy", batch_block_items=32)
@@ -304,12 +257,6 @@ class TestConfigThreading:
         # the python reference has no batch kernels to tile
         config = ClusteringConfig(k=2, backend="python", batch_block_items=32)
         assert config.effective_backend == "python"
-
-    def test_effective_backend_threads_sharded_inner_specs(self):
-        config = ClusteringConfig(
-            k=2, backend="sharded:2:numpy", batch_block_items=16
-        )
-        assert config.effective_backend == "sharded:2:numpy:block=16"
 
     def test_with_batch_block_items_returns_an_updated_copy(self):
         config = ClusteringConfig(k=2, backend="numpy")
@@ -499,43 +446,6 @@ class TestCorpusParity:
             == results[0].partition()
             == results[None].partition()
         )
-
-
-# --------------------------------------------------------------------------- #
-# Sharded + tiled composition
-# --------------------------------------------------------------------------- #
-class TestShardedTiledComposition:
-    @pytest.fixture(autouse=True)
-    def _isolate(self):
-        clear_process_engines()
-        yield
-        clear_shard_executors()
-        clear_process_engines()
-
-    def test_shards_inherit_the_tile_configuration(self):
-        shared = SimilarityEngine(SimilarityConfig())
-        backend = create_backend("sharded:2:numpy:block=9", shared)
-        try:
-            assert backend.inner_name == "numpy:block=9"
-            # the in-process inner backend runs the tiled kernel too
-            assert backend._inner.block_items == 9
-        finally:
-            backend.close()
-
-    def test_sharded_tiled_assignment_matches_untiled(self, dblp_small):
-        transactions = dblp_small.transactions
-        representatives = select_seed_transactions(
-            transactions, 4, random.Random(1)
-        )
-        untiled = engine("numpy:block=0")
-        expected = untiled.assign_all(transactions, representatives)
-        sharded = engine("sharded:2:numpy:block=7")
-        try:
-            assert (
-                sharded.assign_all(transactions, representatives) == expected
-            )
-        finally:
-            sharded.backend.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.xmlmodel.errors import XMLSyntaxError
-from repro.xmlmodel.parser import XMLParser, decode_entities, parse_xml
+from repro.xmlmodel.parser import (
+    MAX_NESTING_DEPTH,
+    XMLParser,
+    decode_entities,
+    parse_xml,
+)
 from repro.xmlmodel.serializer import serialize, to_compact_string
 
 
@@ -124,6 +129,18 @@ class TestErrors:
         with pytest.raises(XMLSyntaxError) as info:
             parse_xml("<a>\n<b></c>\n</a>")
         assert info.value.line == 2
+
+    def test_deep_nesting_raises_a_syntax_error_not_recursion_error(self):
+        with pytest.raises(XMLSyntaxError, match="nesting") as info:
+            parse_xml("<a>" * 3000)
+        assert info.value.line == 1
+        # the offending tag is the first one beyond the bound
+        assert info.value.column == 3 * MAX_NESTING_DEPTH + 1
+
+    def test_nesting_at_the_bound_parses(self):
+        depth = MAX_NESTING_DEPTH
+        tree = parse_xml("<a>" * depth + "x" + "</a>" * depth)
+        assert tree.depth() == depth + 1
 
     def test_unterminated_comment(self):
         with pytest.raises(XMLSyntaxError):
