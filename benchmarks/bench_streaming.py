@@ -60,7 +60,7 @@ from repro.core.streaming import StreamingClusterer, stream_chunks
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
 from repro.evaluation.fmeasure import overall_f_measure
-from repro.similarity.corpus_store import BlockCorpusStore, load_store
+from repro.similarity.corpus_store import BlockCorpusStore
 from repro.similarity.item import SimilarityConfig
 from repro.similarity.transaction import SimilarityEngine
 
@@ -201,7 +201,7 @@ def bench_delta_compile(args: argparse.Namespace, report: BenchReport) -> List[s
 
         # fresh engine, warm zero-copy attach: the base corpus is free
         engine = SimilarityEngine(config.similarity, backend="numpy")
-        store = load_store(chain.directory)
+        store = BlockCorpusStore.open(chain.directory)
         store.bind_transactions(base)
         if not store.attach(engine.backend):
             failures.append("warm chain attach was rejected by a pristine backend")

@@ -535,46 +535,30 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 0:
-        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
-    if args.registry or args.workers is not None:
-        return _cmd_serve_async(args)
-    if not args.model:
-        raise SystemExit("serve needs --model DIR (or --registry PATH)")
-    model = _load_cluster_model(args)
-    try:
-        from repro.serving import DEFAULT_REQUEST_TIMEOUT, serve_http, serve_stdin
-
-        _print_model_header(model)
-        if args.port is None:
-            print("serving   : stdin (one XML file path per line)")
-            serve_stdin(model, sys.stdin, sys.stdout)
-        else:
-            print(f"serving   : http://{args.host}:{args.port} (POST /classify)")
-            serve_http(
-                model, host=args.host, port=args.port,
-                max_requests=args.max_requests,
-                request_timeout=(
-                    args.timeout if args.timeout is not None
-                    else DEFAULT_REQUEST_TIMEOUT
-                ),
-            )
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        model.close()
-    return 0
-
-
-def _cmd_serve_async(args: argparse.Namespace) -> int:
-    """The ``serve`` async path: registry routing and/or a worker pool."""
-    from repro.serving import DEFAULT_REQUEST_TIMEOUT, serve_async
+    """The ``serve`` command: stdin line protocol, or HTTP with ``--port``."""
+    from repro.core.model_store import ModelStoreError
+    from repro.serving import DEFAULT_REQUEST_TIMEOUT, serve_async, serve_stdin
     from repro.store.registry import RegistryError
 
+    if args.workers is not None and args.workers < 0:
+        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
     if args.port is None:
-        raise SystemExit(
-            "the async server is HTTP-only: --registry/--workers need --port"
-        )
+        if args.registry or args.workers is not None:
+            raise SystemExit(
+                "the HTTP server needs --port: --registry/--workers serve HTTP only"
+            )
+        if not args.model:
+            raise SystemExit("serve needs --model DIR (or --registry PATH)")
+        model = _load_cluster_model(args)
+        try:
+            _print_model_header(model)
+            print("serving   : stdin (one XML file path per line)")
+            serve_stdin(model, sys.stdin, sys.stdout)
+        except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+            pass
+        finally:
+            model.close()
+        return 0
     if args.registry:
         if args.model:
             raise SystemExit(
@@ -584,7 +568,7 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
         registry_path, model_dirs = args.registry, None
     else:
         if not args.model:
-            raise SystemExit("--workers without --registry needs --model DIR")
+            raise SystemExit("serve needs --model DIR (or --registry PATH)")
         if args.models:
             raise SystemExit("--models filters registry routes; use --registry")
         registry_path = None
@@ -610,7 +594,7 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
-    except (RegistryError, BackendUnavailableError, ValueError) as error:
+    except (RegistryError, ModelStoreError, BackendUnavailableError, ValueError) as error:
         raise SystemExit(f"error: {error}") from error
     return 0
 
@@ -882,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="serve a saved model (stdin/HTTP) or a registry's models (async)",
+        help="serve a saved model (stdin or HTTP) or a registry's models (HTTP)",
     )
     serve_parser.add_argument(
         "--model", default=None, metavar="DIR", help="model directory (from --save-model)"
@@ -906,8 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="classify on a pool of N worker processes (async server; "
-        "0 = classify in-process; default: the single-model wsgiref path)",
+        help="classify on a pool of N worker processes "
+        "(default 0: classify in-process)",
     )
     serve_parser.add_argument(
         "--poll-interval",

@@ -1,23 +1,19 @@
-"""Serving layer: stdin / WSGI single-model paths and the async router.
+"""Serving layer: the stdin line protocol and the async HTTP server.
 
-Two generations of serving share this module:
-
-- The **single-model** surfaces from the first serving PR --
-  :func:`make_wsgi_app` (a dependency-free WSGI application),
-  :func:`serve_http` (the same app on :mod:`wsgiref.simple_server`, now
-  with a per-connection socket timeout so a stalled client cannot block
-  the single-threaded loop) and :func:`serve_stdin` (the line protocol
-  for batch/pipe use).  One process, one warm
+- :func:`serve_stdin` answers one XML file path per input line with one
+  JSON verdict per output line (batch / pipe use) from one warm
   :class:`~repro.core.model_store.ClusterModel`.
-- The **multi-model async server** -- :class:`AsyncModelServer` on
-  :func:`asyncio.start_server` with a :class:`ModelRouter` resolving
-  model names through the durable registry (:mod:`repro.store`).  It
-  routes ``POST /models/<name>/classify``, serves per-model counters at
-  ``GET /models/<name>/stats``, hot-reloads fingerprint-changed
-  publishes with zero dropped in-flight requests, drains gracefully on
-  SIGTERM, and optionally dispatches CPU-bound classify calls to a
-  process pool (``--workers N``) so throughput scales past the
-  single-process ceiling on multi-core hosts.
+- :class:`AsyncModelServer` is the one HTTP server: an
+  :func:`asyncio.start_server` loop with a :class:`ModelRouter` resolving
+  model names either through the durable registry (:mod:`repro.store`)
+  or through static name -> directory routes (``serve --model DIR
+  --port N`` is one static route).  It routes
+  ``POST /models/<name>/classify`` (and ``POST /classify`` when one model
+  is routed), serves per-model counters at ``GET /models/<name>/stats``,
+  hot-reloads fingerprint-changed publishes with zero dropped in-flight
+  requests, drains gracefully on SIGTERM, and optionally dispatches
+  CPU-bound classify calls to a process pool (``--workers N``) so
+  throughput scales past the single-process ceiling on multi-core hosts.
 
 Every classify response reports the latency of its own call, so a load
 generator (``benchmarks/bench_serving.py``) can build latency histograms
@@ -38,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import Deque, Dict, List, Optional, TextIO, Tuple
 
 from repro.core.model_store import ClusterModel, load_model
 from repro.xmlmodel.errors import XMLError
@@ -47,10 +43,16 @@ from repro.xmlmodel.errors import XMLError
 #: unbounded reads, not a tuning knob.
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
-#: Default per-connection read timeout (seconds) of both HTTP servers: a
-#: client that connects and then stalls is disconnected after this bound
-#: instead of blocking a worker (wsgiref) or holding a connection slot
-#: (asyncio) forever.
+#: Longest accepted request line or header line (bytes): the stream
+#: limit the server listens with.  A longer line answers 400.
+MAX_LINE_BYTES = 64 * 1024
+
+#: Most header lines one request may carry; one more answers 400.
+MAX_HEADER_LINES = 100
+
+#: Default per-connection read timeout (seconds): a client that connects
+#: and then stalls is disconnected after this bound instead of holding a
+#: connection slot forever.
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
 #: How long a graceful drain waits for in-flight requests (seconds).
@@ -84,58 +86,8 @@ def classify_payload(model: ClusterModel, xml_text: str, doc_id: Optional[str] =
 
 
 # --------------------------------------------------------------------------- #
-# Single-model serving (stdin, WSGI, wsgiref)
+# The stdin line protocol
 # --------------------------------------------------------------------------- #
-def make_wsgi_app(model: ClusterModel) -> Callable:
-    """Build a WSGI application serving classify queries against *model*.
-
-    Routes:
-
-    - ``POST /classify`` (or ``POST /``): body is an XML document; the
-      response is the classify verdict as JSON.  Malformed XML answers
-      ``400`` with an ``error`` field instead of failing the worker.
-    - ``GET /healthz`` (or ``GET /`` / ``GET /stats``): serving stats
-      (store status, query counters, backend spec).
-    """
-
-    def app(environ, start_response) -> Iterable[bytes]:
-        method = environ.get("REQUEST_METHOD", "GET")
-        path = environ.get("PATH_INFO", "/") or "/"
-        if method == "GET" and path in ("/", "/healthz", "/stats"):
-            body = _json_bytes({"status": "ok", **model.stats()})
-            start_response(
-                "200 OK", [("Content-Type", "application/json"),
-                           ("Content-Length", str(len(body)))]
-            )
-            return [body]
-        if method == "POST" and path in ("/", "/classify"):
-            try:
-                length = int(environ.get("CONTENT_LENGTH") or 0)
-            except ValueError:
-                length = 0
-            length = min(length, MAX_REQUEST_BYTES)
-            raw = environ["wsgi.input"].read(length) if length else b""
-            try:
-                payload = classify_payload(model, raw.decode("utf-8"))
-                status, body = "200 OK", _json_bytes(payload)
-            except (XMLError, UnicodeDecodeError) as error:
-                status = "400 Bad Request"
-                body = _json_bytes({"error": str(error)})
-            start_response(
-                status, [("Content-Type", "application/json"),
-                         ("Content-Length", str(len(body)))]
-            )
-            return [body]
-        body = _json_bytes({"error": f"no route for {method} {path}"})
-        start_response(
-            "404 Not Found", [("Content-Type", "application/json"),
-                              ("Content-Length", str(len(body)))]
-        )
-        return [body]
-
-    return app
-
-
 def serve_stdin(
     model: ClusterModel,
     input_stream: TextIO,
@@ -164,51 +116,6 @@ def serve_stdin(
         output_stream.flush()
         answered += 1
     return answered
-
-
-def serve_http(
-    model: ClusterModel,
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    max_requests: Optional[int] = None,
-    request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
-) -> None:
-    """Serve the WSGI app on :mod:`wsgiref.simple_server`.
-
-    *max_requests* bounds the number of handled requests (used by tests
-    and smoke runs); ``None`` serves forever.  *request_timeout* is the
-    per-connection socket timeout: wsgiref handles one request at a
-    time, so without it a single client that connects and then sends
-    nothing blocks every other client **forever** -- with it, the stalled
-    connection times out and the loop moves on (regression-tested by
-    ``tests/test_serving.py``).  ``None`` disables the bound.
-    """
-    from wsgiref.simple_server import WSGIRequestHandler, make_server
-
-    class _QuietHandler(WSGIRequestHandler):
-        """Request handler without per-request stderr chatter."""
-
-        # socket timeout applied by BaseRequestHandler.setup(); a read
-        # that stalls past it raises, handle_one_request() drops the
-        # connection, and the serve loop continues with the next client
-        timeout = request_timeout
-
-        def log_message(self, format, *args):  # noqa: A002 - WSGI signature
-            """Suppress the default access log."""
-
-        def handle(self):
-            """Serve one request, treating a client stall as a drop."""
-            try:
-                super().handle()
-            except (TimeoutError, OSError):  # pragma: no cover - timing
-                self.close_connection = True
-
-    with make_server(host, port, make_wsgi_app(model), handler_class=_QuietHandler) as server:
-        if max_requests is None:
-            server.serve_forever()
-        else:
-            for _ in range(max_requests):
-                server.handle_request()
 
 
 # --------------------------------------------------------------------------- #
@@ -572,7 +479,7 @@ class AsyncModelServer:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         self._build_routes()
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+            self._serve_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.started.set()
         poller = (
@@ -614,17 +521,32 @@ class AsyncModelServer:
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
+    async def _read_line(self, reader: asyncio.StreamReader, what: str) -> bytes:
+        """Read one request or header line, bounded by *request_timeout*.
+
+        A line over :data:`MAX_LINE_BYTES` (the stream limit, which asyncio
+        reports as a ``ValueError``) is a bad request, not a crash.
+        """
+        try:
+            return await asyncio.wait_for(
+                reader.readline(), timeout=self.request_timeout
+            )
+        except ValueError as error:
+            raise _BadRequest(
+                f"{what} longer than {MAX_LINE_BYTES} bytes"
+            ) from error
+
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket.
 
         Every read is bounded by *request_timeout*, which is what keeps a
-        stalled client from pinning a connection slot.
+        stalled client from pinning a connection slot; lines, header count
+        and body size are bounded by :data:`MAX_LINE_BYTES`,
+        :data:`MAX_HEADER_LINES` and :data:`MAX_REQUEST_BYTES`.
         """
-        line = await asyncio.wait_for(
-            reader.readline(), timeout=self.request_timeout
-        )
+        line = await self._read_line(reader, "request line")
         if not line:
             return None
         try:
@@ -632,18 +554,20 @@ class AsyncModelServer:
         except ValueError as error:
             raise _BadRequest(f"malformed request line: {line!r}") from error
         headers: Dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.request_timeout
-            )
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = await self._read_line(reader, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(f"more than {MAX_HEADER_LINES} header lines")
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError as error:
             raise _BadRequest("invalid Content-Length") from error
+        if length < 0:
+            raise _BadRequest(f"negative Content-Length {length}")
         if length > MAX_REQUEST_BYTES:
             raise _BadRequest(
                 f"request body of {length} bytes exceeds {MAX_REQUEST_BYTES}"

@@ -5,43 +5,16 @@ feature blocks (tag-path matrix, per-item id arrays, content-class
 registries) is the dominant fixed cost of every clustering run -- and
 historically it was paid once *per process, per run*: each multiprocessing
 worker rebuilt the compiled corpus from pickled ``Transaction`` lists.  The
-store exports one compilation to a fingerprinted on-disk layout that any
-number of later processes attach with ``np.load(mmap_mode="r")``, so N
-processes share one set of page-cache pages instead of holding N private
+store exports one compilation to an on-disk layout that any number of
+later processes attach with ``np.load(mmap_mode="r")``, so N processes
+share one set of page-cache pages instead of holding N private
 compilations.
 
-On-disk layout (one directory per fingerprint under the cache root)::
-
-    <cache_dir>/<fingerprint[:16]>/
-        manifest.json          # format version, fingerprint, counts (LAST)
-        tp_matrix.npy          # (P, P) float64 structural-similarity matrix
-        item_tag_path_ids.npy  # (I,) int64, corpus items in corpus order
-        item_content_ids.npy   # (I,) int64, dense first-occurrence classes
-        item_uids.npy          # (I,) int64, canonical item identifiers
-        tx_spans.npy           # (T+1,) int64 item offsets per transaction
-        tag_paths.json         # tag-path registry (list of step lists)
-        transactions.pkl       # pickled corpus (worker-side attach only)
-
-The manifest is written last, so a crash mid-save leaves a directory that
-:meth:`CorpusStore.load` rejects (and the next run recompiles and
-overwrites).  Staleness is handled entirely through the fingerprint: the
-content hash covers the transactions (ids, paths, answers, terms, TCU
-vectors), the similarity configuration and :data:`STORE_FORMAT_VERSION`,
-so changed data, a changed ``(f, gamma)`` or a bumped store format each
-land in a different directory and force a recompile.
-
-The arrays reproduce a fresh :meth:`NumpyBackend.compile_corpus` of the
-same corpus *exactly* (identifiers are assigned in the same
-first-occurrence order, matrix entries come from the same pure
-``TagPathSimilarityCache.similarity`` floats), which is what makes the
-attach path bit-exact with the fresh-compile path.
-
-Block-structured chains (streaming ingestion)
----------------------------------------------
-:class:`BlockCorpusStore` is the append-only sibling used by the streaming
-ingestion path (:mod:`repro.core.streaming`): instead of one monolithic
-compilation it grows a chain of numbered immutable blocks, each carrying
-its own ``.npy`` arrays, span table and pickled transactions::
+Every store is an append-only chain of numbered immutable blocks
+(:class:`BlockCorpusStore`, also bound as :data:`CorpusStore`).  A
+``--corpus-cache`` store is a one-block chain written by
+:meth:`BlockCorpusStore.save`; the streaming ingestion path
+(:mod:`repro.core.streaming`) grows a chain one block per chunk::
 
     <directory>/
         chain.json             # chain manifest, rewritten LAST per append
@@ -53,14 +26,28 @@ its own ``.npy`` arrays, span table and pickled transactions::
             tag_paths.json     # only the tag paths first seen in this block
             transactions.pkl   # only this block's transactions
 
+Cache stores live in one directory per corpus fingerprint under the cache
+root (:func:`store_directory`).  Staleness is handled entirely through the
+fingerprint: the content hash covers the transactions (ids, paths,
+answers, terms, TCU vectors), the similarity configuration and
+:data:`STORE_FORMAT_VERSION`, so changed data, a changed ``(f, gamma)`` or
+a bumped store format each land in a different directory and force a
+recompile.
+
 Registries continue *across* blocks (global first-occurrence ids), so
-:meth:`BlockCorpusStore.append_block` compiles exactly the delta and a
-multi-block attach reconstructs the full compiled corpus without
-recompiling any earlier block.  The chain fingerprint is a rolling hash
-over the per-block content hashes.  Crash safety is two-staged: a block
-directory without its ``block.json`` (torn write) or a complete block not
-yet listed in ``chain.json`` is invisible to :meth:`BlockCorpusStore.open`
-/ attach and is repaired (removed, then rewritten) by the next append.
+:meth:`BlockCorpusStore.append_block` compiles exactly the delta and an
+attach reconstructs the full compiled corpus without recompiling any
+block.  The arrays reproduce a fresh :meth:`NumpyBackend.compile_corpus`
+of the same corpus *exactly* (identifiers are assigned in the same
+first-occurrence order, matrix entries come from the same pure
+``TagPathSimilarityCache.similarity`` floats), which is what makes the
+attach path bit-exact with the fresh-compile path.  The chain fingerprint
+is a rolling hash over the per-block content hashes.  Crash safety is
+two-staged: a block directory without its ``block.json`` (torn write) or a
+complete block not yet listed in ``chain.json`` is invisible to
+:meth:`BlockCorpusStore.open` / attach and is repaired (removed, then
+rewritten) by the next append -- so a crash mid-save is a miss on the
+next run.
 """
 
 from __future__ import annotations
@@ -78,25 +65,9 @@ from repro.similarity.item import SimilarityConfig
 from repro.transactions.transaction import Transaction
 from repro.xmlmodel.paths import XMLPath
 
-#: Version of the on-disk layout; part of the fingerprint *and* checked in
-#: the manifest, so bumping it invalidates every existing store directory.
-STORE_FORMAT_VERSION = 1
-
-#: Name of the manifest file (written last for crash safety).
-MANIFEST_NAME = "manifest.json"
-
-#: The memmap-attached array blocks of a store directory.
-ARRAY_NAMES = (
-    "tp_matrix",
-    "item_tag_path_ids",
-    "item_content_ids",
-    "item_uids",
-    "tx_spans",
-)
-
-#: Version of the block-chain layout; recorded in (and checked against)
-#: every chain manifest, and folded into the rolling chain fingerprint.
-BLOCK_FORMAT_VERSION = 1
+#: Version of the on-disk layout; part of every fingerprint *and* checked
+#: in every chain manifest, so bumping it invalidates every existing store.
+STORE_FORMAT_VERSION = 2
 
 #: Name of the chain manifest (rewritten last on every append).
 CHAIN_MANIFEST_NAME = "chain.json"
@@ -104,8 +75,8 @@ CHAIN_MANIFEST_NAME = "chain.json"
 #: Name of the per-block manifest (written last within each block).
 BLOCK_MANIFEST_NAME = "block.json"
 
-#: The per-item id arrays every block carries (the matrix travels as
-#: ``tp_rows`` strips instead of a full ``tp_matrix``).
+#: The arrays every block carries (the matrix travels as ``tp_rows``
+#: strips: the block's new tag paths against every path seen so far).
 BLOCK_ARRAY_NAMES = (
     "tp_rows",
     "item_tag_path_ids",
@@ -186,275 +157,8 @@ def store_directory(cache_dir, fingerprint: str) -> Path:
     return Path(cache_dir) / fingerprint[:16]
 
 
-class CorpusStore:
-    """Handle to one fingerprinted store directory.
-
-    Construct through :meth:`save` (export a freshly compiled corpus) or
-    :meth:`load` (validate an existing directory); attach to a backend with
-    :meth:`attach`.  Array blocks are loaded lazily with
-    ``np.load(mmap_mode="r")`` and cached on the handle, so attaching costs
-    page-table setup rather than a read of the data.
-    """
-
-    def __init__(self, directory: Path, manifest: Dict[str, object]) -> None:
-        self._directory = Path(directory)
-        self._manifest = manifest
-        self._arrays: Optional[Dict[str, object]] = None
-        self._tag_paths: Optional[List[XMLPath]] = None
-        self._transactions: Optional[List[Transaction]] = None
-        self._row_index: Optional[Dict[Transaction, int]] = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def directory(self) -> Path:
-        """The store directory this handle points at."""
-        return self._directory
-
-    @property
-    def fingerprint(self) -> str:
-        """The full corpus fingerprint recorded in the manifest."""
-        return str(self._manifest["fingerprint"])
-
-    @property
-    def manifest(self) -> Dict[str, object]:
-        """The parsed manifest (format version, fingerprint, counts)."""
-        return self._manifest
-
-    # ------------------------------------------------------------------ #
-    # Save / load
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def save(
-        cls,
-        directory,
-        transactions: Sequence[Transaction],
-        similarity: SimilarityConfig,
-        cache,
-        fingerprint: Optional[str] = None,
-    ) -> "CorpusStore":
-        """Export a canonical compilation of *transactions* to *directory*.
-
-        The registries are recomputed from scratch in corpus order -- the
-        same first-occurrence insertion order a fresh backend compiling
-        exactly this corpus would produce -- rather than copied from a live
-        backend, whose registries may carry extra entries from
-        representative compiles.  Matrix entries come from
-        ``cache.similarity`` (the pure tag-path similarity the backends
-        share), so the stored floats equal the fresh-compile floats bit for
-        bit.  The manifest is written last; a crash mid-save therefore
-        leaves a directory that :meth:`load` rejects.
-        """
-        np = _load_numpy()
-        transactions = list(transactions)
-        if fingerprint is None:
-            fingerprint = corpus_fingerprint(transactions, similarity)
-        tag_paths: List[XMLPath] = []
-        tag_index: Dict[XMLPath, int] = {}
-        content_index: Dict[tuple, int] = {}
-        uid_index: Dict[object, int] = {}
-        tp_ids: List[int] = []
-        content_ids: List[int] = []
-        uids: List[int] = []
-        spans: List[int] = [0]
-        content_key = NumpyBackend._content_key
-        for transaction in transactions:
-            for item in transaction.items:
-                tag_path = item.tag_path
-                tag_id = tag_index.get(tag_path)
-                if tag_id is None:
-                    tag_id = len(tag_paths)
-                    tag_index[tag_path] = tag_id
-                    tag_paths.append(tag_path)
-                key = content_key(item)
-                content_id = content_index.get(key)
-                if content_id is None:
-                    content_id = len(content_index)
-                    content_index[key] = content_id
-                uid = uid_index.get(item)
-                if uid is None:
-                    uid = len(uid_index)
-                    uid_index[item] = uid
-                tp_ids.append(tag_id)
-                content_ids.append(content_id)
-                uids.append(uid)
-            spans.append(len(tp_ids))
-        size = len(tag_paths)
-        matrix = np.empty((size, size), dtype=np.float64)
-        similarity_of = cache.similarity
-        for i in range(size):
-            path_i = tag_paths[i]
-            for j in range(i, size):
-                value = similarity_of(path_i, tag_paths[j])
-                matrix[i, j] = value
-                matrix[j, i] = value
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        arrays = {
-            "tp_matrix": matrix,
-            "item_tag_path_ids": np.asarray(tp_ids, dtype=np.int64),
-            "item_content_ids": np.asarray(content_ids, dtype=np.int64),
-            "item_uids": np.asarray(uids, dtype=np.int64),
-            "tx_spans": np.asarray(spans, dtype=np.int64),
-        }
-        for name, array in arrays.items():
-            np.save(directory / f"{name}.npy", array)
-        with open(directory / "tag_paths.json", "w", encoding="utf-8") as handle:
-            json.dump([list(path.steps) for path in tag_paths], handle)
-        with open(directory / "transactions.pkl", "wb") as handle:
-            pickle.dump(transactions, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        manifest = {
-            "format_version": STORE_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "similarity": {"f": similarity.f, "gamma": similarity.gamma},
-            "counts": {
-                "transactions": len(transactions),
-                "items": len(tp_ids),
-                "tag_paths": size,
-                "content_classes": len(content_index),
-            },
-            "arrays": [f"{name}.npy" for name in ARRAY_NAMES],
-        }
-        # last write: the manifest's presence marks the directory complete
-        with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        store = cls(directory, manifest)
-        store._transactions = transactions
-        _STORE_CACHE[str(directory)] = store
-        return store
-
-    @classmethod
-    def load(cls, directory) -> "CorpusStore":
-        """Validate *directory* and return a handle to it.
-
-        Raises :class:`CorpusStoreError` when the manifest is absent or
-        unreadable (including half-written crash leftovers), records a
-        different :data:`STORE_FORMAT_VERSION`, or any array/registry file
-        named by the layout is missing.
-        """
-        directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise CorpusStoreError(
-                f"cannot read corpus-store manifest {manifest_path}: {error}"
-            ) from error
-        if not isinstance(manifest, dict):
-            raise CorpusStoreError(
-                f"corpus-store manifest {manifest_path} is not an object"
-            )
-        version = manifest.get("format_version")
-        if version != STORE_FORMAT_VERSION:
-            raise CorpusStoreError(
-                f"corpus store {directory} has format version {version!r}, "
-                f"expected {STORE_FORMAT_VERSION}"
-            )
-        fingerprint = manifest.get("fingerprint")
-        if not isinstance(fingerprint, str) or not fingerprint:
-            raise CorpusStoreError(
-                f"corpus store {directory} has no fingerprint"
-            )
-        missing = [
-            name
-            for name in [f"{name}.npy" for name in ARRAY_NAMES]
-            + ["tag_paths.json", "transactions.pkl"]
-            if not (directory / name).exists()
-        ]
-        if missing:
-            raise CorpusStoreError(
-                f"corpus store {directory} is missing {', '.join(missing)}"
-            )
-        return cls(directory, manifest)
-
-    # ------------------------------------------------------------------ #
-    # Lazy attached resources
-    # ------------------------------------------------------------------ #
-    def arrays(self) -> Dict[str, object]:
-        """The array blocks, memmap-attached read-only and cached.
-
-        ``np.load(mmap_mode="r")`` maps the ``.npy`` payloads copy-on-read:
-        every process attaching the same store shares one set of page-cache
-        pages, which is the whole point of the store.
-        """
-        if self._arrays is None:
-            np = _load_numpy()
-            loaded: Dict[str, object] = {}
-            for name in ARRAY_NAMES:
-                path = self._directory / f"{name}.npy"
-                try:
-                    loaded[name] = np.load(path, mmap_mode="r")
-                except (OSError, ValueError) as error:
-                    raise CorpusStoreError(
-                        f"cannot attach corpus-store array {path}: {error}"
-                    ) from error
-            self._arrays = loaded
-        return self._arrays
-
-    def tag_paths(self) -> List[XMLPath]:
-        """The tag-path registry, in stored (first-occurrence) order."""
-        if self._tag_paths is None:
-            path = self._directory / "tag_paths.json"
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    steps_lists = json.load(handle)
-            except (OSError, ValueError) as error:
-                raise CorpusStoreError(
-                    f"cannot read corpus-store tag paths {path}: {error}"
-                ) from error
-            self._tag_paths = [XMLPath(tuple(steps)) for steps in steps_lists]
-        return self._tag_paths
-
-    def bind_transactions(self, transactions: Sequence[Transaction]) -> None:
-        """Adopt the caller's live corpus list instead of unpickling.
-
-        Used on the attach path when the attaching process already holds
-        the corpus (the usual case outside pool workers), so
-        :meth:`transactions` / :meth:`row_index` never touch
-        ``transactions.pkl`` there.
-        """
-        self._transactions = list(transactions)
-        self._row_index = None
-
-    def transactions(self) -> List[Transaction]:
-        """The stored corpus, unpickled on first use (workers) and cached."""
-        if self._transactions is None:
-            path = self._directory / "transactions.pkl"
-            try:
-                with open(path, "rb") as handle:
-                    self._transactions = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError) as error:
-                raise CorpusStoreError(
-                    f"cannot read corpus-store transactions {path}: {error}"
-                ) from error
-        return self._transactions
-
-    def row_index(self) -> Dict[Transaction, int]:
-        """Mapping from corpus transaction (by value) to its row number."""
-        if self._row_index is None:
-            self._row_index = {
-                transaction: row
-                for row, transaction in enumerate(self.transactions())
-            }
-        return self._row_index
-
-    def attach(self, backend, transactions: Optional[Sequence[Transaction]] = None) -> bool:
-        """Attach this store to *backend* (``backend.attach_store``).
-
-        Returns True when the backend zero-copy-attached the array blocks,
-        False when it only kept the handle (already-compiled engines and
-        backends without compiled corpora).
-        """
-        attach = getattr(backend, "attach_store", None)
-        if attach is None:
-            return False
-        return bool(attach(self, transactions))
-
-
 # --------------------------------------------------------------------------- #
-# Block-structured append-only chains (streaming ingestion)
+# Block chains
 # --------------------------------------------------------------------------- #
 def _block_name(index: int) -> str:
     """Directory name of block *index* (``block-00000`` style)."""
@@ -464,7 +168,7 @@ def _block_name(index: int) -> str:
 def chain_base_fingerprint(similarity: SimilarityConfig) -> str:
     """Seed of the rolling chain hash: layout version + similarity config."""
     digest = hashlib.sha256()
-    digest.update(f"repro-block-chain/{BLOCK_FORMAT_VERSION}".encode("utf-8"))
+    digest.update(f"repro-block-chain/{STORE_FORMAT_VERSION}".encode("utf-8"))
     digest.update(b"\x00")
     digest.update(repr((similarity.f, similarity.gamma)).encode("utf-8"))
     return digest.hexdigest()
@@ -488,16 +192,16 @@ def roll_chain_fingerprint(previous: str, block_fingerprint: str) -> str:
 class BlockCorpusStore:
     """Append-only chain of immutable compiled-corpus blocks.
 
-    Create an empty chain with :meth:`create`, reopen an existing one with
+    Write a whole corpus as a one-block chain with :meth:`save`, create an
+    empty chain with :meth:`create`, reopen an existing one with
     :meth:`open`, grow it one immutable block at a time with
-    :meth:`append_block`.  The handle duck-types the monolithic
-    :class:`CorpusStore` interface (``arrays`` / ``tag_paths`` /
+    :meth:`append_block`.  Backends, refinement-shard workers and the
+    model store consume the handle through ``arrays`` / ``tag_paths`` /
     ``transactions`` / ``row_index`` / ``attach`` / ``fingerprint`` /
-    ``directory``), so backends, refinement-shard workers and the model
-    store consume a chain exactly like a monolithic store -- without ever
-    recompiling earlier blocks: an attach re-assembles the full matrix
-    from the per-block row strips and concatenates the per-item id arrays
-    (which were compiled exactly once, when their block was appended).
+    ``directory`` -- without ever recompiling a block: an attach
+    re-assembles the full matrix from the per-block row strips and
+    concatenates the per-item id arrays (which were compiled exactly once,
+    when their block was appended).
 
     Out-of-core friendliness: :meth:`iter_transaction_blocks` and
     :meth:`resolve_rows` load one block's pickled transactions at a time
@@ -510,8 +214,9 @@ class BlockCorpusStore:
         self._directory = Path(directory)
         self._similarity = similarity
         self._manifest = manifest
-        # cumulative compile registries (continued across appends); rebuilt
-        # lazily from the stored blocks after a cold open
+        # cumulative compile registries (continued across appends); after a
+        # cold open the tag paths come back from the blocks' JSON files and
+        # the uid / content indexes only when an append needs them
         self._tag_paths: Optional[List[XMLPath]] = None
         self._tag_index: Optional[Dict[XMLPath, int]] = None
         self._content_index: Optional[Dict[tuple, int]] = None
@@ -558,15 +263,42 @@ class BlockCorpusStore:
         return sum(int(block["items"]) for block in self.blocks)
 
     # ------------------------------------------------------------------ #
-    # Create / open
+    # Save / create / open
     # ------------------------------------------------------------------ #
+    @classmethod
+    def save(
+        cls,
+        directory,
+        transactions: Sequence[Transaction],
+        similarity: SimilarityConfig,
+        cache,
+        fingerprint: Optional[str] = None,
+    ) -> "BlockCorpusStore":
+        """Export a canonical compilation of *transactions* as a one-block chain.
+
+        The registries are computed from scratch in corpus order -- the
+        same first-occurrence insertion order a fresh backend compiling
+        exactly this corpus would produce -- rather than copied from a live
+        backend, whose registries may carry extra entries from
+        representative compiles.  *fingerprint* is the corpus fingerprint
+        when the caller already computed it (the corpus is then hashed
+        once, not twice).  The returned handle keeps *transactions* bound
+        and becomes this process' cached handle for *directory*.
+        """
+        transactions = list(transactions)
+        store = cls.create(directory, similarity)
+        store.append_block(transactions, cache, fingerprint=fingerprint)
+        store.bind_transactions(transactions)
+        _STORE_CACHE[str(store.directory)] = store
+        return store
+
     @classmethod
     def create(cls, directory, similarity: SimilarityConfig) -> "BlockCorpusStore":
         """Initialise an empty chain at *directory* (manifest written last)."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         manifest: Dict[str, object] = {
-            "format_version": BLOCK_FORMAT_VERSION,
+            "format_version": STORE_FORMAT_VERSION,
             "similarity": {"f": similarity.f, "gamma": similarity.gamma},
             "fingerprint": chain_base_fingerprint(similarity),
             "blocks": [],
@@ -584,7 +316,8 @@ class BlockCorpusStore:
         Only blocks listed in ``chain.json`` are part of the chain: a
         torn append (block directory present but unlisted, or listed
         files half-written) either never becomes visible or raises
-        :class:`CorpusStoreError` here.
+        :class:`CorpusStoreError` here, as does a chain manifest of a
+        different :data:`STORE_FORMAT_VERSION`.
         """
         directory = Path(directory)
         manifest_path = directory / CHAIN_MANIFEST_NAME
@@ -602,10 +335,10 @@ class BlockCorpusStore:
                 f"block-chain manifest {manifest_path} is not a chain object"
             )
         version = manifest.get("format_version")
-        if version != BLOCK_FORMAT_VERSION:
+        if version != STORE_FORMAT_VERSION:
             raise CorpusStoreError(
                 f"block chain {directory} has format version {version!r}, "
-                f"expected {BLOCK_FORMAT_VERSION}"
+                f"expected {STORE_FORMAT_VERSION}"
             )
         similarity_doc = manifest.get("similarity")
         if not isinstance(similarity_doc, dict):
@@ -637,12 +370,12 @@ class BlockCorpusStore:
 
         Re-reads ``chain.json`` (atomically replaced by every append, so
         the read is always consistent) and, when the chain advanced,
-        extends this handle's cumulative registries and cached corpus by
-        walking only the *new* blocks; the assembled array view is
-        invalidated.  A no-op read costs one small JSON load -- cheap
-        enough that :func:`cached_store` refreshes on every lookup, which
-        is how long-lived worker handles see a streaming writer's
-        appends.  Returns True when new blocks were adopted.
+        extends this handle's registries and cached corpus by walking only
+        the *new* blocks; the assembled array view is invalidated.  A
+        no-op read costs one small JSON load -- cheap enough that
+        :func:`cached_store` refreshes on every lookup, which is how
+        long-lived worker handles see a streaming writer's appends.
+        Returns True when new blocks were adopted.
         """
         manifest_path = self._directory / CHAIN_MANIFEST_NAME
         try:
@@ -672,24 +405,18 @@ class BlockCorpusStore:
             self._transactions = None
             self._row_index = None
             return True
-        new_range = range(old_count, len(manifest["blocks"]))
-        if self._tag_paths is not None:
-            content_key = NumpyBackend._content_key
-            for index in new_range:
+        for index in range(old_count, len(manifest["blocks"])):
+            if self._tag_paths is not None:
                 for tag_path in self._block_tag_paths(index):
                     self._tag_index[tag_path] = len(self._tag_paths)
                     self._tag_paths.append(tag_path)
-                for transaction in self._load_block_transactions(index):
-                    for item in transaction.items:
-                        key = content_key(item)
-                        if key not in self._content_index:
-                            self._content_index[key] = len(self._content_index)
-                        if item not in self._uid_index:
-                            self._uid_index[item] = len(self._uid_index)
-        if self._transactions is not None:
-            for index in new_range:
-                self._transactions.extend(self._load_block_transactions(index))
-            self._row_index = None
+            if self._uid_index is not None or self._transactions is not None:
+                block = self._load_block_transactions(index)
+                if self._uid_index is not None:
+                    self._index_items(block)
+                if self._transactions is not None:
+                    self._transactions.extend(block)
+        self._row_index = None
         return True
 
     def _write_chain_manifest(self) -> None:
@@ -721,6 +448,29 @@ class BlockCorpusStore:
                 removed.append(entry.name)
         return removed
 
+    def _ensure_tag_paths(self) -> None:
+        """Read the tag-path registry from the blocks' ``tag_paths.json``."""
+        if self._tag_paths is not None:
+            return
+        tag_paths: List[XMLPath] = []
+        for index in range(len(self.blocks)):
+            tag_paths.extend(self._block_tag_paths(index))
+        self._tag_paths = tag_paths
+        self._tag_index = {path: i for i, path in enumerate(tag_paths)}
+
+    def _index_items(self, transactions: Sequence[Transaction]) -> None:
+        """Extend the uid / content registries by first occurrence."""
+        content_index = self._content_index
+        uid_index = self._uid_index
+        content_key = NumpyBackend._content_key
+        for transaction in transactions:
+            for item in transaction.items:
+                key = content_key(item)
+                if key not in content_index:
+                    content_index[key] = len(content_index)
+                if item not in uid_index:
+                    uid_index[item] = len(uid_index)
+
     def _ensure_registries(self) -> None:
         """Rebuild the cumulative compile registries after a cold open.
 
@@ -731,40 +481,32 @@ class BlockCorpusStore:
         warm handle would have carried are reproduced exactly, and the
         next append continues the global numbering seamlessly.
         """
-        if self._tag_paths is not None:
+        self._ensure_tag_paths()
+        if self._uid_index is not None:
             return
-        tag_paths: List[XMLPath] = []
-        content_index: Dict[tuple, int] = {}
-        uid_index: Dict[object, int] = {}
-        content_key = NumpyBackend._content_key
+        self._content_index, self._uid_index = {}, {}
         for index in range(len(self.blocks)):
-            tag_paths.extend(self._block_tag_paths(index))
-            for transaction in self._load_block_transactions(index):
-                for item in transaction.items:
-                    key = content_key(item)
-                    if key not in content_index:
-                        content_index[key] = len(content_index)
-                    if item not in uid_index:
-                        uid_index[item] = len(uid_index)
-        self._tag_paths = tag_paths
-        self._tag_index = {path: i for i, path in enumerate(tag_paths)}
-        self._content_index = content_index
-        self._uid_index = uid_index
+            self._index_items(self._load_block_transactions(index))
 
     def append_block(
-        self, transactions: Sequence[Transaction], cache
+        self,
+        transactions: Sequence[Transaction],
+        cache,
+        fingerprint: Optional[str] = None,
     ) -> Dict[str, object]:
         """Compile *transactions* into the next immutable block.
 
         Only the delta is compiled: new tag paths / content classes / item
         uids extend the cumulative registries in first-occurrence order
-        (the numbering a monolithic compile of the concatenated corpus
-        would assign), and the structural matrix grows by the new paths'
-        row strip -- ``cache.similarity`` is evaluated for new-path pairs
-        only, never for earlier blocks.  The block directory is written
-        first (its ``block.json`` last within it), then the chain manifest
-        adopts it; torn leftovers from a previous crash are repaired
-        before writing.  Returns the new block's manifest record.
+        (the numbering one compile of the concatenated corpus would
+        assign), and the structural matrix grows by the new paths' row
+        strip -- ``cache.similarity`` is evaluated for new-path pairs
+        only, never for earlier blocks.  *fingerprint* is the block's
+        :func:`corpus_fingerprint` when the caller already has it.  The
+        block directory is written first (its ``block.json`` last within
+        it), then the chain manifest adopts it; torn leftovers from a
+        previous crash are repaired before writing.  Returns the new
+        block's manifest record.
         """
         np = _load_numpy()
         transactions = list(transactions)
@@ -776,7 +518,6 @@ class BlockCorpusStore:
         content_index = self._content_index
         uid_index = self._uid_index
         content_key = NumpyBackend._content_key
-        paths_before = len(tag_paths)
         new_paths: List[XMLPath] = []
         tp_ids: List[int] = []
         content_ids: List[int] = []
@@ -828,10 +569,11 @@ class BlockCorpusStore:
             json.dump([list(path.steps) for path in new_paths], handle)
         with open(block_dir / "transactions.pkl", "wb") as handle:
             pickle.dump(transactions, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        block_fingerprint = corpus_fingerprint(transactions, self._similarity)
+        if fingerprint is None:
+            fingerprint = corpus_fingerprint(transactions, self._similarity)
         record: Dict[str, object] = {
             "name": _block_name(index),
-            "fingerprint": block_fingerprint,
+            "fingerprint": fingerprint,
             "transactions": len(transactions),
             "items": len(tp_ids),
             "new_tag_paths": len(new_paths),
@@ -845,7 +587,7 @@ class BlockCorpusStore:
         self._manifest["blocks"].append(record)
         self._manifest["fingerprint"] = roll_chain_fingerprint(
             self.fingerprint if index else chain_base_fingerprint(self._similarity),
-            block_fingerprint,
+            fingerprint,
         )
         # adopting the block into the chain is the final, atomic step
         self._write_chain_manifest()
@@ -946,19 +688,27 @@ class BlockCorpusStore:
         return resolved
 
     # ------------------------------------------------------------------ #
-    # CorpusStore-compatible full-corpus views
+    # Full-corpus views
     # ------------------------------------------------------------------ #
     def arrays(self) -> Dict[str, object]:
-        """Assemble the full-corpus arrays from the chain (cached).
+        """The full-corpus arrays, memmap-backed and cached.
 
-        The structural matrix is rebuilt from the per-block row strips
-        (pure copies of stored floats -- no ``cache.similarity`` calls, so
-        earlier blocks are never recompiled); the per-item id arrays are
-        concatenations of the per-block memmaps and the span table is the
-        per-block tables shifted by their item offsets.  The result is
-        keyed exactly like :meth:`CorpusStore.arrays`, which is what lets
-        ``NumpyBackend.attach_store`` consume a chain unchanged.
+        ``tp_matrix`` (P, P), the per-item ``item_*`` id arrays (I,) and
+        ``tx_spans`` (T + 1,) -- the keys ``NumpyBackend.attach_store``
+        consumes.  A one-block chain *is* the full corpus, so its memmaps
+        are returned as they are: every process attaching the same store
+        shares one set of page-cache pages.  A longer chain rebuilds the
+        structural matrix from the per-block row strips (pure copies of
+        stored floats -- no ``cache.similarity`` calls, so no block is
+        recompiled), concatenates the per-item id arrays and shifts the
+        per-block span tables by their item offsets.
         """
+        if self._arrays is None and len(self.blocks) == 1:
+            # block 0's strip holds its paths against themselves -- the whole
+            # (symmetric) matrix -- and its spans start at zero
+            arrays = self._block_arrays(0)
+            arrays["tp_matrix"] = arrays.pop("tp_rows")
+            self._arrays = arrays
         if self._arrays is None:
             np = _load_numpy()
             blocks = self.blocks
@@ -998,12 +748,22 @@ class BlockCorpusStore:
         return self._arrays
 
     def tag_paths(self) -> List[XMLPath]:
-        """The cumulative tag-path registry, in global first-occurrence order."""
-        self._ensure_registries()
+        """The cumulative tag-path registry, in global first-occurrence order.
+
+        Read from the blocks' ``tag_paths.json`` files, so an attach never
+        unpickles a block to list tag paths.
+        """
+        self._ensure_tag_paths()
         return list(self._tag_paths)
 
     def bind_transactions(self, transactions: Sequence[Transaction]) -> None:
-        """Adopt the caller's live corpus list instead of unpickling blocks."""
+        """Adopt the caller's live corpus list instead of unpickling blocks.
+
+        Used on the attach path when the attaching process already holds
+        the corpus (the usual case outside pool workers), so
+        :meth:`transactions` / :meth:`row_index` never touch a block's
+        ``transactions.pkl`` there.
+        """
         self._transactions = list(transactions)
         self._row_index = None
 
@@ -1031,26 +791,21 @@ class BlockCorpusStore:
         return self._row_index
 
     def attach(self, backend, transactions: Optional[Sequence[Transaction]] = None) -> bool:
-        """Attach this chain to *backend* (``backend.attach_store``)."""
+        """Attach this chain to *backend* (``backend.attach_store``).
+
+        Returns True when the backend zero-copy-attached the arrays, False
+        when it only kept the handle (already-compiled engines and
+        backends without compiled corpora).
+        """
         attach = getattr(backend, "attach_store", None)
         if attach is None:
             return False
         return bool(attach(self, transactions))
 
 
-def load_store(directory):
-    """Load the store at *directory*, whichever layout it uses.
-
-    A directory carrying a ``chain.json`` is opened as a
-    :class:`BlockCorpusStore`; anything else goes through the monolithic
-    :meth:`CorpusStore.load`.  Shard workers resolve ``store_dir``
-    references through this, so refinement shards address block chains
-    and monolithic stores interchangeably.
-    """
-    directory = Path(directory)
-    if (directory / CHAIN_MANIFEST_NAME).exists():
-        return BlockCorpusStore.open(directory)
-    return CorpusStore.load(directory)
+#: The one store class under the name the cache path has always used
+#: (:meth:`CorpusStore.save` writes a one-block chain).
+CorpusStore = BlockCorpusStore
 
 
 # --------------------------------------------------------------------------- #
@@ -1059,28 +814,24 @@ def load_store(directory):
 #: Stores attached by this process, keyed by directory.  Worker processes
 #: resolve shard row ids through this cache, so the corpus is unpickled at
 #: most once per process no matter how many shards and rounds reference it.
-_STORE_CACHE: Dict[str, object] = {}
+_STORE_CACHE: Dict[str, BlockCorpusStore] = {}
 
 
-def cached_store(directory):
+def cached_store(directory) -> BlockCorpusStore:
     """This process' shared handle for the store at *directory*.
 
-    Chain-aware: resolves through :func:`load_store`, so shard workers
-    addressing a block chain get a :class:`BlockCorpusStore` handle and
-    monolithic directories keep returning :class:`CorpusStore`.
+    A cached handle is refreshed on every lookup: chain handles go stale
+    while a streaming writer appends, and refreshing here is what lets
+    worker processes resolve rows of blocks appended after their handle
+    was first cached.
     """
     key = str(directory)
     store = _STORE_CACHE.get(key)
     if store is None:
-        store = load_store(directory)
+        store = BlockCorpusStore.open(directory)
         _STORE_CACHE[key] = store
     else:
-        # chain handles can go stale while a streaming writer appends;
-        # refreshing here is what lets worker processes resolve rows of
-        # blocks appended after their handle was first cached
-        refresh = getattr(store, "refresh", None)
-        if refresh is not None:
-            refresh()
+        store.refresh()
     return store
 
 
@@ -1112,7 +863,7 @@ def prepare_engine_corpus(
       without compiled corpora (the ``python`` reference): the historical
       precompute-and-compile path runs, status ``"off"`` /
       ``"unsupported"``.
-    * Store **hit** (a valid directory whose fingerprint matches): the
+    * Store **hit** (a valid one-block chain of exactly this corpus): the
       arrays are memmap-attached and *no* compile work happens -- the
       O(paths^2) cache precompute and the per-item compilation are both
       skipped, status ``"hit"`` with ``compiled == 0``.
@@ -1122,6 +873,8 @@ def prepare_engine_corpus(
       directory degrades to status ``"error"`` without failing the run)
       and the fresh store is attached as the handle workers will share.
 
+    The corpus is hashed once: *fingerprint* (computed here when not
+    given) both names the directory and becomes the block fingerprint.
     Returns a status dictionary (``store``, ``compiled``, and on the store
     paths ``fingerprint`` / ``directory``).
     """
@@ -1137,10 +890,13 @@ def prepare_engine_corpus(
         fingerprint = corpus_fingerprint(transactions, engine.config)
     directory = store_directory(cache_dir, fingerprint)
     try:
-        store = CorpusStore.load(directory)
+        store = BlockCorpusStore.open(directory)
     except CorpusStoreError:
         store = None
-    if store is not None and store.fingerprint == fingerprint:
+    one_block = roll_chain_fingerprint(
+        chain_base_fingerprint(engine.config), fingerprint
+    )
+    if store is not None and store.fingerprint == one_block:
         store.bind_transactions(transactions)
         _STORE_CACHE[str(directory)] = store
         backend.attach_store(store, transactions)

@@ -1,14 +1,15 @@
 """Persistence, invalidation and bit-exact-attach tests for the corpus store.
 
 The persistent compiled-corpus store (``repro/similarity/corpus_store.py``)
-exports one ``NumpyBackend`` compilation to a fingerprinted on-disk layout
-that later runs attach zero-copy via ``np.load(mmap_mode="r")``.  These
-tests pin its contract:
+exports one ``NumpyBackend`` compilation as a block chain in a
+fingerprinted directory that later runs attach zero-copy via
+``np.load(mmap_mode="r")``.  These tests pin its contract:
 
 * the fingerprint invalidates on changed transaction content, a changed
   similarity configuration and a bumped store-format version;
-* corrupted or crash-truncated directories are rejected by ``load`` and
-  transparently recompiled (then re-exported) by ``prepare_engine_corpus``;
+* corrupted or crash-truncated directories are rejected by ``open`` and
+  transparently recompiled (then re-exported) by ``prepare_engine_corpus``,
+  and so are directories in the pre-chain monolithic layout;
 * a warm attach is a store **hit** that skips *all* compile work -- no
   tag-path cache precompute, ``corpus_compile_count == 0``, and
   ``compile_corpus`` returning 0 -- through a whole ``fit``;
@@ -182,6 +183,11 @@ class TestInvalidation:
         )
         assert first["store"] == "miss"
         assert first["compiled"] == len(transactions)
+        # one store format: a cache store is a one-block chain
+        assert corpus_store.CorpusStore is corpus_store.BlockCorpusStore
+        assert sorted(
+            entry.name for entry in Path(first["directory"]).iterdir()
+        ) == ["block-00000", "chain.json"]
         clear_store_cache()
         second = prepare_engine_corpus(
             make_engine(), transactions, cache_dir=tmp_path
@@ -236,7 +242,7 @@ class TestInvalidation:
         assert second["directory"] != first["directory"]
         # the old-format directory is now unloadable
         with pytest.raises(CorpusStoreError, match="format version"):
-            CorpusStore.load(first["directory"])
+            CorpusStore.open(first["directory"])
 
     def test_corrupted_manifest_recovers_by_recompiling(
         self, dblp_small, tmp_path
@@ -246,9 +252,9 @@ class TestInvalidation:
             make_engine(), transactions, cache_dir=tmp_path
         )
         directory = Path(first["directory"])
-        (directory / "manifest.json").write_text("{ truncated", encoding="utf-8")
+        (directory / "chain.json").write_text("{ truncated", encoding="utf-8")
         with pytest.raises(CorpusStoreError, match="manifest"):
-            CorpusStore.load(directory)
+            CorpusStore.open(directory)
         clear_store_cache()
         second = prepare_engine_corpus(
             make_engine(), transactions, cache_dir=tmp_path
@@ -264,16 +270,16 @@ class TestInvalidation:
     def test_missing_manifest_marks_a_crash_truncated_save(
         self, dblp_small, tmp_path
     ):
-        # the manifest is written last: a directory without one (a crash
+        # the block manifest is written last: a block without one (a crash
         # mid-save) must be rejected and recompiled, not half-attached
         transactions = dblp_small.transactions
         first = prepare_engine_corpus(
             make_engine(), transactions, cache_dir=tmp_path
         )
         directory = Path(first["directory"])
-        (directory / "manifest.json").unlink()
+        (directory / "block-00000" / "block.json").unlink()
         with pytest.raises(CorpusStoreError):
-            CorpusStore.load(directory)
+            CorpusStore.open(directory)
         clear_store_cache()
         second = prepare_engine_corpus(
             make_engine(), transactions, cache_dir=tmp_path
@@ -286,9 +292,9 @@ class TestInvalidation:
             make_engine(), transactions, cache_dir=tmp_path
         )
         directory = Path(first["directory"])
-        (directory / "tp_matrix.npy").unlink()
+        (directory / "block-00000" / "tp_rows.npy").unlink()
         with pytest.raises(CorpusStoreError, match="missing"):
-            CorpusStore.load(directory)
+            CorpusStore.open(directory)
 
     def test_unwritable_cache_dir_degrades_to_error_status(
         self, dblp_small, tmp_path
@@ -331,6 +337,18 @@ class TestInvalidation:
         assert status["compiled"] == len(dblp_small.transactions)
         assert status["fingerprint"]
         assert status["directory"].startswith(str(tmp_path))
+        # the torn write it left behind is a miss (then a hit) next time
+        monkeypatch.undo()
+        clear_store_cache()
+        again = prepare_engine_corpus(
+            make_engine(), dblp_small.transactions, cache_dir=tmp_path
+        )
+        assert again["store"] == "miss"
+        assert again["directory"] == status["directory"]
+        clear_store_cache()
+        assert prepare_engine_corpus(
+            make_engine(), dblp_small.transactions, cache_dir=tmp_path
+        )["store"] == "hit"
 
     def test_store_off_and_unsupported_statuses(self, dblp_small, tmp_path):
         off = prepare_engine_corpus(make_engine(), dblp_small.transactions)
@@ -458,7 +476,7 @@ class TestAttachParity:
         status = prepare_engine_corpus(
             make_engine(), transactions, cache_dir=tmp_path
         )
-        store = CorpusStore.load(status["directory"])
+        store = CorpusStore.open(status["directory"])
         arrays = store.arrays()
         backend = engine.backend
         spans = arrays["tx_spans"]
@@ -488,7 +506,6 @@ from repro.similarity.corpus_store import (  # noqa: E402  (section import)
     BLOCK_MANIFEST_NAME,
     BlockCorpusStore,
     chain_base_fingerprint,
-    load_store,
     roll_chain_fingerprint,
 )
 
@@ -579,7 +596,7 @@ class TestBlockChain:
         transactions = dblp_small.transactions
         build_chain(tmp_path / "chain", chunk3(transactions))
         warm = make_engine()
-        store = load_store(tmp_path / "chain")
+        store = BlockCorpusStore.open(tmp_path / "chain")
         store.bind_transactions(transactions)
         assert store.attach(warm.backend)
         assert warm.backend.compile_corpus(transactions) == 0
@@ -674,12 +691,141 @@ class TestBlockChainCrashSafety:
         with pytest.raises(CorpusStoreError):
             BlockCorpusStore.open(tmp_path / "chain")
 
-    def test_load_store_dispatches_on_layout(self, dblp_small, tmp_path):
-        """`load_store` opens chains and monolithic dirs interchangeably."""
-        transactions = dblp_small.transactions
-        build_chain(tmp_path / "chain", chunk3(transactions))
-        assert isinstance(load_store(tmp_path / "chain"), BlockCorpusStore)
+
+# --------------------------------------------------------------------------- #
+# One store format: every store is a block chain
+# --------------------------------------------------------------------------- #
+def write_pre_chain_store(cache_dir, transactions, monkeypatch):
+    """Hand-write a store in the retired monolithic layout (format 1).
+
+    Returns ``(directory, fingerprint)``: where that layout's cache lookup
+    put the store, and the corpus fingerprint it recorded.
+    """
+    import json
+    import pickle
+
+    import numpy as np
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_store, "STORE_FORMAT_VERSION", 1)
+        fingerprint = corpus_fingerprint(transactions, SIMILARITY)
+    directory = store_directory(cache_dir, fingerprint)
+    directory.mkdir(parents=True)
+    source = build_chain(Path(cache_dir).parent / "pre-chain-source", [transactions])
+    for name, array in source.arrays().items():
+        np.save(directory / f"{name}.npy", np.asarray(array))
+    (directory / "tag_paths.json").write_text(
+        json.dumps([list(path.steps) for path in source.tag_paths()])
+    )
+    (directory / "transactions.pkl").write_bytes(pickle.dumps(list(transactions)))
+    (directory / "manifest.json").write_text(
+        json.dumps({"format_version": 1, "fingerprint": fingerprint})
+    )
+    return directory, fingerprint
+
+
+class TestOneStoreFormat:
+    def test_cold_prepare_hashes_the_corpus_once(
+        self, dblp_small, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_fingerprint = corpus_store.corpus_fingerprint
+
+        def counting_fingerprint(*args, **kwargs):
+            calls.append(args)
+            return real_fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(corpus_store, "corpus_fingerprint", counting_fingerprint)
         status = prepare_engine_corpus(
-            make_engine(), transactions, cache_dir=tmp_path / "mono"
+            make_engine(), dblp_small.transactions, cache_dir=tmp_path
         )
-        assert isinstance(load_store(status["directory"]), CorpusStore)
+        assert status["store"] == "miss"
+        assert len(calls) == 1
+
+    def test_attach_with_bound_transactions_never_unpickles_a_block(
+        self, dblp_small, tmp_path, monkeypatch
+    ):
+        """Attach reads tag paths from JSON, not from the pickled corpus."""
+        transactions = dblp_small.transactions
+        build_chain(tmp_path / "chain", [transactions])
+        status = prepare_engine_corpus(
+            make_engine(), transactions, cache_dir=tmp_path / "cache"
+        )
+        clear_store_cache()
+
+        def refuse(self, index):
+            raise AssertionError(f"attach unpickled block {index}")
+
+        monkeypatch.setattr(BlockCorpusStore, "_load_block_transactions", refuse)
+        chain = BlockCorpusStore.open(tmp_path / "chain")
+        chain.bind_transactions(transactions)
+        engine = make_engine()
+        assert chain.attach(engine.backend)
+        assert engine.backend.compile_corpus(transactions) == 0
+        warm = prepare_engine_corpus(
+            make_engine(), transactions, cache_dir=tmp_path / "cache"
+        )
+        assert warm["store"] == "hit"
+        assert warm["directory"] == status["directory"]
+
+    def test_pre_chain_layout_misses_into_a_fresh_directory(
+        self, dblp_small, tmp_path, monkeypatch
+    ):
+        transactions = dblp_small.transactions
+        old_directory, _ = write_pre_chain_store(
+            tmp_path / "cache", transactions, monkeypatch
+        )
+        status = prepare_engine_corpus(
+            make_engine(), transactions, cache_dir=tmp_path / "cache"
+        )
+        assert status["store"] == "miss"
+        assert status["compiled"] == len(transactions)
+        assert Path(status["directory"]) != old_directory
+        assert (Path(status["directory"]) / "chain.json").exists()
+        assert (old_directory / "manifest.json").exists()
+        clear_store_cache()
+        assert prepare_engine_corpus(
+            make_engine(), transactions, cache_dir=tmp_path / "cache"
+        )["store"] == "hit"
+
+    def test_model_pointing_at_a_pre_chain_store_loads_cold(
+        self, dblp_small, tmp_path, monkeypatch
+    ):
+        """A model saved before the fold keeps classifying, bit-exactly."""
+        import json
+
+        from repro.core.model_store import load_model, save_model
+        from repro.datasets.registry import get_corpus
+        from repro.xmlmodel.serializer import serialize
+
+        transactions = dblp_small.transactions
+        config = ClusteringConfig(
+            k=4, similarity=SIMILARITY, seed=0, max_iterations=3, backend="numpy"
+        )
+        algorithm = XKMeans(config)
+        result = algorithm.fit(transactions)
+        save_model(
+            tmp_path / "model", result, config, dataset=dblp_small,
+            engine=algorithm.engine,
+        )
+        old_directory, old_fingerprint = write_pre_chain_store(
+            tmp_path / "cache", transactions, monkeypatch
+        )
+        manifest_path = tmp_path / "model" / "model.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["corpus"]["store_dir"] = str(old_directory)
+        manifest["corpus"]["fingerprint"] = old_fingerprint
+        manifest_path.write_text(json.dumps(manifest))
+        clear_store_cache()
+
+        model = load_model(tmp_path / "model")
+        reference = load_model(tmp_path / "model", backend="python")
+        assert model.store_status == "cold"
+        for tree in get_corpus("DBLP", scale=0.2, seed=0).trees[:6]:
+            ours = model.classify(serialize(tree))
+            theirs = reference.classify(serialize(tree))
+            assert (ours.cluster_id, ours.score, ours.assignments) == (
+                theirs.cluster_id,
+                theirs.score,
+                theirs.assignments,
+            )

@@ -16,7 +16,7 @@ Covered modules (the ISSUE's documented public API):
 * ``repro.core.streaming`` -- streaming / out-of-core incremental fitting
 * ``repro.similarity.corpus_store`` -- the persistent compiled-corpus store
 * ``repro.core.model_store`` -- fitted-model persistence + warm queries
-* ``repro.serving`` -- the stdin / WSGI / async multi-model serving layer
+* ``repro.serving`` -- the stdin line protocol and the async HTTP server
 * ``repro.store`` / ``repro.store.registry`` -- the durable model registry
 """
 

@@ -281,7 +281,7 @@ class TestWarmStorePath:
         clear_store_cache()
         manifest = json.loads((tmp_path / "model" / "model.json").read_text())
         store_dir = Path(manifest["corpus"]["store_dir"])
-        (store_dir / "manifest.json").unlink()
+        (store_dir / "chain.json").unlink()
         model = load_model(tmp_path / "model")
         assert model.store_status == "cold"
         assert model.assign_all(dblp_small.transactions) == in_memory
@@ -532,7 +532,7 @@ class TestStoreFallback:
             engine, dblp_small.transactions, cache_dir=tmp_path
         )
         store_dir = Path(status["directory"])
-        (store_dir / "manifest.json").write_text("{ truncated")
+        (store_dir / "chain.json").write_text("{ truncated")
         clear_store_cache()
         clear_process_engines()
 

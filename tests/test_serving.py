@@ -1,18 +1,26 @@
-"""Tests for the serving layer (WSGI app, stdin protocol, CLI commands).
+"""Tests for the serving layer (HTTP routes, stdin protocol, CLI commands).
 
-Pin the thin serving surface over a loaded model: the WSGI routes and
-error statuses, the stdin line protocol (one XML file path in, one JSON
-verdict out, per-line error isolation), the live HTTP server, and the
+Pin the thin serving surface over a loaded model: the single-model static
+route of the async server and its error statuses, the HTTP framing bounds
+(malformed, oversized or stalled requests answer 400 or are dropped while
+other clients keep being served), the stdin line protocol (one XML file
+path in, one JSON verdict out, per-line error isolation), and the
 ``cxk cluster --save-model`` / ``cxk classify`` / ``cxk serve`` CLI flows
 including the grep-able ``store     : hit`` banner the CI smoke asserts.
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import io
 import json
+import shutil
+import socket
 import threading
+import time
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -26,9 +34,12 @@ from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
 from repro.network.mpengine import clear_process_engines
 from repro.serving import (
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
+    AsyncModelServer,
+    ModelRouter,
     classify_payload,
-    make_wsgi_app,
-    serve_http,
+    serve_async,
     serve_stdin,
 )
 from repro.similarity.corpus_store import clear_store_cache, prepare_engine_corpus
@@ -84,7 +95,6 @@ def xml_files(tmp_path_factory):
 
 def fetch_with_retry(url, data=None, method="GET", attempts=100):
     """GET/POST *url*, retrying while the server socket is not yet bound."""
-    import time
     import urllib.error
 
     request = urllib.request.Request(url, data=data, method=method)
@@ -100,64 +110,101 @@ def fetch_with_retry(url, data=None, method="GET", attempts=100):
 
 def free_port():
     """An ephemeral localhost port number."""
-    import socket
-
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
 
 
-def call_wsgi(app, method="GET", path="/", body=b""):
-    """Invoke a WSGI app directly; return (status, parsed JSON body)."""
-    captured = {}
+@contextmanager
+def static_server(model_dir, **kwargs):
+    """Serve *model_dir* as one static route on a background thread.
 
-    def start_response(status, headers):
-        captured["status"] = status
-        captured["headers"] = dict(headers)
+    The route is named after the directory, as ``serve --model DIR
+    --port N`` names it.
+    """
+    port = free_port()
+    server = AsyncModelServer(
+        ModelRouter(model_dirs={Path(model_dir).name: str(model_dir)}),
+        port=port,
+        **kwargs,
+    )
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.run(install_signal_handlers=False)),
+        daemon=True,
+    )
+    thread.start()
+    assert server.started.wait(timeout=30)
+    try:
+        yield server, port
+    finally:
+        server.shutdown_threadsafe()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
 
-    environ = {
-        "REQUEST_METHOD": method,
-        "PATH_INFO": path,
-        "CONTENT_LENGTH": str(len(body)),
-        "wsgi.input": io.BytesIO(body),
-    }
-    chunks = b"".join(app(environ, start_response))
-    return captured["status"], json.loads(chunks.decode("utf-8"))
+
+def http_call(port, method, path, body=None):
+    """One request on a fresh connection; return (status, parsed JSON)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
 
 
-class TestWsgiApp:
-    def test_health_route_reports_stats(self, model_dir):
-        model = load_model(model_dir)
-        status, payload = call_wsgi(make_wsgi_app(model), "GET", "/healthz")
-        assert status == "200 OK"
+def raw_exchange(port, payload):
+    """Send raw bytes; return everything the server answers before closing."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
+        client.sendall(payload)
+        received = b""
+        while True:
+            chunk = client.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+@pytest.fixture(scope="module")
+def served(model_dir):
+    """One running static-route server shared by the module's HTTP tests."""
+    clear_store_cache()
+    with static_server(model_dir) as running:
+        yield running
+
+
+class TestStaticRoute:
+    def test_health_route_reports_stats(self, served):
+        server, port = served
+        status, payload = http_call(port, "GET", "/healthz")
+        assert status == 200
         assert payload["status"] == "ok"
-        assert payload["store"] == "hit"
-        assert payload["corpus_compile_count"] == 0
+        assert payload["models"]["model"]["store"] == "hit"
+        assert server.routes["model"].model.stats()["corpus_compile_count"] == 0
 
-    def test_classify_route_returns_a_verdict(self, model_dir):
-        model = load_model(model_dir)
+    def test_classify_route_returns_a_verdict(self, served):
+        _, port = served
         document = serialize(get_corpus("DBLP", scale=0.2, seed=0).trees[0])
-        status, payload = call_wsgi(
-            make_wsgi_app(model), "POST", "/classify", document.encode("utf-8")
+        status, payload = http_call(
+            port, "POST", "/classify", document.encode("utf-8")
         )
-        assert status == "200 OK"
+        assert status == 200
+        assert payload["model"] == "model"
         assert payload["cluster_id"] >= -1
         assert payload["transactions"] >= 1
         assert payload["latency_ms"] >= 0.0
         assert payload["assignments"]
 
-    def test_malformed_xml_answers_400(self, model_dir):
-        model = load_model(model_dir)
-        status, payload = call_wsgi(
-            make_wsgi_app(model), "POST", "/classify", b"<broken"
-        )
-        assert status == "400 Bad Request"
+    def test_malformed_xml_answers_400(self, served):
+        _, port = served
+        status, payload = http_call(port, "POST", "/classify", b"<broken")
+        assert status == 400
         assert "error" in payload
 
-    def test_unknown_route_answers_404(self, model_dir):
-        model = load_model(model_dir)
-        status, payload = call_wsgi(make_wsgi_app(model), "GET", "/nope")
-        assert status == "404 Not Found"
+    def test_unknown_route_answers_404(self, served):
+        _, port = served
+        status, payload = http_call(port, "GET", "/nope")
+        assert status == 404
         assert "error" in payload
 
     def test_classify_payload_reports_latency(self, model_dir):
@@ -204,10 +251,11 @@ class TestStdinProtocol:
 class TestHttpServer:
     def test_live_server_answers_health_and_classify(self, model_dir, xml_files):
         port = free_port()
-        model = load_model(model_dir)
         server = threading.Thread(
-            target=serve_http,
-            kwargs=dict(model=model, host="127.0.0.1", port=port, max_requests=2),
+            target=serve_async,
+            kwargs=dict(
+                model_dirs={"model": str(model_dir)}, port=port, max_requests=2
+            ),
             daemon=True,
         )
         server.start()
@@ -223,41 +271,51 @@ class TestHttpServer:
         assert not server.is_alive()
 
     def test_stalled_client_cannot_block_the_server(self, model_dir):
-        """Regression: a client that connects and sends nothing used to
-        block the single-threaded wsgiref loop forever; the per-connection
-        timeout now drops it and the next client is served."""
-        import socket
+        """A client that connects and sends nothing is dropped after the
+        request timeout, and other connections are served meanwhile."""
+        with static_server(model_dir, request_timeout=0.5) as (_, port):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as stalled:
+                status, health = http_call(port, "GET", "/healthz")
+                assert (status, health["status"]) == (200, "ok")
+                started = time.monotonic()
+                assert stalled.recv(1) == b""  # the server closed it
+                assert time.monotonic() - started < 5.0
 
-        port = free_port()
-        model = load_model(model_dir)
-        server = threading.Thread(
-            target=serve_http,
-            kwargs=dict(
-                model=model, host="127.0.0.1", port=port, max_requests=2,
-                request_timeout=0.5,
-            ),
-            daemon=True,
-        )
-        server.start()
-        # connect but never send a request line: without the timeout this
-        # holds the (one-request-at-a-time) server hostage
-        import time
+    @pytest.mark.parametrize(
+        "request_bytes, reason",
+        [
+            (b"POST /classify HTTP/1.1\r\nContent-Length: -5\r\n\r\n", b"negative"),
+            (b"GET /" + b"a" * (MAX_LINE_BYTES + 1) + b" HTTP/1.1\r\n\r\n", b"request line"),
+            (b"GET / HTTP/1.1\r\nX: " + b"a" * (MAX_LINE_BYTES + 1) + b"\r\n\r\n", b"header line"),
+            (b"GET / HTTP/1.1\r\n" + b"X: y\r\n" * (MAX_HEADER_LINES + 1) + b"\r\n", b"header lines"),
+            (b"NONSENSE\r\n\r\n", b"malformed request line"),
+        ],
+        ids=["negative-length", "long-request-line", "long-header", "many-headers", "bad-request-line"],
+    )
+    def test_malformed_framing_answers_400_and_keeps_serving(
+        self, served, request_bytes, reason
+    ):
+        _, port = served
+        answer = raw_exchange(port, request_bytes)
+        assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in answer
+        assert reason in answer
+        status, health = http_call(port, "GET", "/healthz")
+        assert (status, health["status"]) == (200, "ok")
 
-        for attempt in range(100):
-            try:
-                stalled = socket.create_connection(("127.0.0.1", port), timeout=10)
-                break
-            except OSError:
-                if attempt == 99:
-                    raise
-                time.sleep(0.05)
+    def test_header_lines_up_to_the_cap_are_accepted(self, served):
+        _, port = served
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
         try:
-            health = fetch_with_retry(f"http://127.0.0.1:{port}/healthz")
-            assert health["status"] == "ok"
+            connection.putrequest(
+                "GET", "/healthz", skip_host=True, skip_accept_encoding=True
+            )
+            for index in range(MAX_HEADER_LINES):
+                connection.putheader(f"X-Header-{index}", "y")
+            connection.endheaders()
+            assert connection.getresponse().status == 200
         finally:
-            stalled.close()
-        server.join(timeout=10)
-        assert not server.is_alive()
+            connection.close()
 
 
 class TestCli:
@@ -359,6 +417,39 @@ class TestCli:
         fetcher.join(timeout=10)
         assert status == 0
         assert "serving   : http://127.0.0.1" in capsys.readouterr().out
+
+
+    @staticmethod
+    def corrupt(model):
+        """Give *model* a representatives block of the wrong shape."""
+        (model / "representatives.json").write_text(
+            json.dumps({"representatives": 7}), encoding="utf-8"
+        )
+
+    def test_serve_http_of_a_corrupt_model_exits_cleanly(self, model_dir, tmp_path):
+        model = shutil.copytree(model_dir, tmp_path / "model")
+        self.corrupt(model)
+        with pytest.raises(SystemExit, match="error: corrupt representatives"):
+            main(["serve", "--model", str(model), "--port", str(free_port())])
+
+    def test_serve_registry_with_a_corrupt_active_model_exits_cleanly(
+        self, model_dir, tmp_path
+    ):
+        from repro.store import open_registry
+
+        model = shutil.copytree(model_dir, tmp_path / "model")
+        open_registry(tmp_path / "registry.db").publish("dblp", model)
+        self.corrupt(model)
+        with pytest.raises(SystemExit, match="error: corrupt representatives"):
+            main(
+                [
+                    "serve",
+                    "--registry",
+                    str(tmp_path / "registry.db"),
+                    "--port",
+                    str(free_port()),
+                ]
+            )
 
 
 # --------------------------------------------------------------------------- #
