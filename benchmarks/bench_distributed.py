@@ -20,6 +20,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -122,6 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
         quick=args.quick,
+        cpus=os.cpu_count() or 1,
     )
     report.record(
         backend=args.backend,

@@ -50,6 +50,7 @@ from repro.similarity.backend import (
 )
 from repro.similarity.item import SimilarityConfig
 from repro.transactions.builder import build_dataset
+from repro.xmlmodel.errors import XMLError
 from repro.xmlmodel.parser import parse_xml_file
 
 
@@ -395,6 +396,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 result = model.classify_file(path)
             except OSError as error:
                 raise SystemExit(f"error: {error}") from error
+            except XMLError as error:
+                raise SystemExit(f"error: {path}: {error}") from error
             print(
                 f"{path}: cluster={result.cluster_id} "
                 f"score={result.score:.4f} transactions={result.transactions}",

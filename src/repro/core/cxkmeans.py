@@ -120,10 +120,10 @@ def run_local_phase(
     The peer relocates its local transactions against the current global
     representatives (transactions with zero similarity to every
     representative fall into the trash cluster) and computes a local
-    representative for every non-empty local cluster.  Because the global
-    representatives stay fixed during the phase, the relocation loop
-    stabilises after a single pass; the loop structure is kept for fidelity
-    with the pseudocode and as a guard for custom similarity engines.
+    representative for every non-empty local cluster.  The pseudocode's
+    relocation loop repeats until the assignment is stable, but the global
+    representatives stay fixed during the phase, so a second pass would
+    recompute the first: the phase makes exactly one ``assign_all`` pass.
 
     When no *engine* is passed (the real transport's peer workers) the
     per-process engine for the phase's configuration is used, so a worker
@@ -166,22 +166,14 @@ def run_local_phase(
     local_engine.backend.compile_corpus(transactions)
 
     assignment: Dict[str, int] = {}
-    previous_assignment: Optional[Dict[str, int]] = None
     clusters: List[List[Transaction]] = [[] for _ in range(k)]
-
-    while previous_assignment != assignment or previous_assignment is None:
-        previous_assignment = dict(assignment)
-        assignment = {}
-        clusters = [[] for _ in range(k)]
-        results = local_engine.assign_all(transactions, representatives)
-        for transaction, (best_index, best_similarity) in zip(transactions, results):
-            if best_similarity <= 0.0:
-                assignment[transaction.transaction_id] = -1
-            else:
-                assignment[transaction.transaction_id] = best_index
-                clusters[best_index].append(transaction)
-        if previous_assignment == assignment:
-            break
+    results = local_engine.assign_all(transactions, representatives)
+    for transaction, (best_index, best_similarity) in zip(transactions, results):
+        if best_similarity <= 0.0:
+            assignment[transaction.transaction_id] = -1
+        else:
+            assignment[transaction.transaction_id] = best_index
+            clusters[best_index].append(transaction)
 
     # Representative refinement: one shard per cluster, dispatched across
     # refinement workers when the configuration grants more than one

@@ -44,7 +44,10 @@ approximately equal:
   :func:`~repro.similarity.content.content_similarity` function, memoised
   per ordered pair of *content classes* (the ordered term/weight tuple of a
   TCU vector, or the raw answer for empty TCUs -- exactly the information
-  that function consumes);
+  that function consumes); it is called only for class pairs that share a
+  term, because every other pair scores exactly what that function returns
+  without reading a weight (1.0 for an empty-TCU class meeting itself, 0.0
+  otherwise);
 * the blend ``f * sim_S + (1 - f) * sim_C`` is evaluated elementwise with
   the same IEEE-754 operation order as the scalar code, including the
   ``f == 0`` / ``f == 1`` short-circuits.
@@ -468,10 +471,11 @@ class NumpyBackend:
     * ``tag_path_ids`` indexing a dense structural-similarity matrix whose
       entries come from the shared tag-path cache (the paper's Sec. 4.3.2
       precomputation, materialised as an array);
-    * ``content_ids`` indexing a memoised content-similarity block keyed by
+    * ``content_ids`` indexing a content-similarity block keyed by
       *content class* (the ordered term/weight tuple of the TCU vector, or
-      the raw answer for empty TCUs), computed with the exact scalar
-      :func:`~repro.similarity.content.content_similarity`;
+      the raw answer for empty TCUs), whose term-sharing pairs are computed
+      with the exact scalar
+      :func:`~repro.similarity.content.content_similarity` and memoised;
     * ``uids`` (canonical item identifiers under transaction-item equality)
       used for the ``|match_gamma|`` and ``|tr1 ∪ tr2|`` set counts.
 
@@ -530,6 +534,12 @@ class NumpyBackend:
         self._tp_matrix = self._np.zeros((0, 0), dtype=self._np.float64)
         self._content_index: Dict[tuple, int] = {}
         self._content_exemplars: List[TreeTupleItem] = []
+        # term ids of every content class as CSR arrays (class c owns
+        # _class_term_ids[_class_term_offsets[c]:_class_term_offsets[c + 1]]),
+        # grown lazily by _class_terms; empty-TCU classes own no terms
+        self._class_term_offsets = self._np.zeros(1, dtype=self._np.intp)
+        self._class_term_ids = self._np.zeros(0, dtype=self._np.intp)
+        # memoised scalar values of the term-sharing class pairs only
         self._content_memo: Dict[Tuple[int, int], float] = {}
         self._cosine_memo: Dict[Tuple[int, int], float] = {}
         self._uid_index: Dict[TreeTupleItem, int] = {}
@@ -846,42 +856,133 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Content block
     # ------------------------------------------------------------------ #
-    def _content_block(self, row_classes, column_classes):
-        """Dense content-similarity block for the given content-class ids.
+    def _class_terms(self):
+        """CSR ``(offsets, term_ids)`` of every registered content class.
 
-        Entries are memoised per *ordered* (row class, column class) pair:
-        the scalar kernel is not perfectly symmetric at the ULP level (the
-        sparse dot iterates the smaller operand), and the reference code
-        always evaluates ``sim(transaction item, representative item)`` in
-        that order.
+        Grown by the classes registered since the last call; only their
+        vectors are read.
+        """
+        np = self._np
+        exemplars = self._content_exemplars
+        offsets = self._class_term_offsets
+        covered = len(offsets) - 1
+        if covered < len(exemplars):
+            new_terms = [
+                list(exemplars[index].vector.terms())
+                for index in range(covered, len(exemplars))
+            ]
+            flat = [term for terms in new_terms for term in terms]
+            lengths = [len(terms) for terms in new_terms]
+            self._class_term_ids = np.concatenate(
+                [self._class_term_ids, np.array(flat, dtype=np.intp)]
+            )
+            self._class_term_offsets = np.concatenate(
+                [offsets, offsets[-1] + np.cumsum(lengths, dtype=np.intp)]
+            )
+        return self._class_term_offsets, self._class_term_ids
+
+    def _runs(self, starts, lengths):
+        """The concatenated ``range(start, start + length)`` runs."""
+        np = self._np
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if len(ends) else 0
+        offsets = np.repeat(starts - (ends - lengths), lengths)
+        return np.arange(total, dtype=np.intp) + offsets
+
+    def _class_term_entries(self, classes):
+        """``(term ids, local class index)`` of every term of *classes*."""
+        np = self._np
+        offsets, term_ids = self._class_terms()
+        starts = offsets[classes]
+        lengths = offsets[classes + 1] - starts
+        owners = np.repeat(np.arange(len(classes), dtype=np.intp), lengths)
+        return term_ids[self._runs(starts, lengths)], owners
+
+    def _sharing_pairs(self, row_classes, column_classes):
+        """Local ``(rows, columns)`` index arrays of the class pairs of
+        ``row_classes x column_classes`` that share at least one term id.
+
+        A sort/search join over the per-class term ids: every row term
+        meets the run of equal column terms, and the distinct
+        (row, column) pairs come back in row-major order.
+        """
+        np = self._np
+        row_terms, row_owners = self._class_term_entries(row_classes)
+        column_terms, column_owners = self._class_term_entries(column_classes)
+        order = np.argsort(column_terms)
+        column_terms = column_terms[order]
+        column_owners = column_owners[order]
+        first = np.searchsorted(column_terms, row_terms, side="left")
+        counts = np.searchsorted(column_terms, row_terms, side="right") - first
+        width = len(column_classes)
+        keys = np.unique(
+            np.repeat(row_owners, counts) * width
+            + column_owners[self._runs(first, counts)]
+        )
+        return keys // width, keys % width
+
+    def _sharing_block(self, row_classes, column_classes, memo, score):
+        """Block of ``score(row exemplar, column exemplar)`` over the
+        term-sharing class pairs, 0.0 everywhere else.
+
+        Each evaluated value is memoised in *memo* under the *ordered*
+        (row class, column class) pair: the scalar kernels are not
+        perfectly symmetric at the ULP level (the sparse dot iterates the
+        smaller operand), and the reference code always evaluates
+        ``sim(transaction item, representative item)`` in that order.
         """
         if not self._hydrated:
             self._ensure_hydrated()
         np = self._np
-        memo = self._content_memo
+        block = np.zeros((len(row_classes), len(column_classes)), dtype=np.float64)
+        rows, columns = self._sharing_pairs(row_classes, column_classes)
         exemplars = self._content_exemplars
-        block = np.empty((len(row_classes), len(column_classes)), dtype=np.float64)
-        for i, row_class in enumerate(row_classes):
-            row_item = exemplars[row_class]
-            for j, column_class in enumerate(column_classes):
-                pair = (row_class, column_class)
-                value = memo.get(pair)
-                if value is None:
-                    value = content_similarity(row_item, exemplars[column_class])
-                    memo[pair] = value
-                block[i, j] = value
+        values = []
+        for pair in zip(row_classes[rows].tolist(), column_classes[columns].tolist()):
+            value = memo.get(pair)
+            if value is None:
+                value = score(exemplars[pair[0]], exemplars[pair[1]])
+                memo[pair] = value
+            values.append(value)
+        block[rows, columns] = values
+        return block
+
+    def _content_block(self, row_classes, column_classes):
+        """Content-similarity block for the given distinct class-id arrays.
+
+        Only class pairs that share a term call the scalar
+        :func:`content_similarity`; every other entry is the value that
+        function returns without looking at a weight.  An empty-TCU class
+        meeting itself scores 1.0 (empty classes are keyed by their
+        answer, and equal answers score 1.0), and every other pair -- two
+        empty classes with different answers, an empty against a
+        non-empty TCU, two vectors without a common term (a zero dot
+        product) -- scores exactly 0.0.
+        """
+        np = self._np
+        block = self._sharing_block(
+            row_classes, column_classes, self._content_memo, content_similarity
+        )
+        offsets = self._class_term_offsets
+        _, row_self, column_self = np.intersect1d(
+            row_classes, column_classes, assume_unique=True, return_indices=True
+        )
+        self_classes = row_classes[row_self]
+        empty = offsets[self_classes + 1] == offsets[self_classes]
+        block[row_self[empty], column_self[empty]] = 1.0
         return block
 
     def _content_maps(self, row_classes, column_classes):
         """Content block plus full-size local-id remap arrays.
 
         The single construction of the memoised content lookup shared by
-        every batch kernel: the dense block for the given class-id sets,
-        and two ``len(_content_exemplars)``-sized arrays mapping a global
-        content class id to its row/column position in that block.
+        every batch kernel: the block for the given (sorted, distinct)
+        class-id arrays, and two ``len(_content_exemplars)``-sized arrays
+        mapping a global content class id to its row/column position in
+        that block.
         """
         np = self._np
-        content = self._content_block(row_classes.tolist(), column_classes.tolist())
+        content = self._content_block(row_classes, column_classes)
         row_remap = np.zeros(len(self._content_exemplars), dtype=np.intp)
         row_remap[row_classes] = np.arange(len(row_classes), dtype=np.intp)
         column_remap = np.zeros(len(self._content_exemplars), dtype=np.intp)
@@ -891,30 +992,22 @@ class NumpyBackend:
         return content, row_remap, column_remap
 
     def _cosine_block(self, classes):
-        """Dense TCU-cosine block for the given content-class ids.
+        """TCU-cosine block for the given (sorted, distinct) class ids.
 
         ``rank_C`` sums :meth:`~repro.text.vector.SparseVector.cosine`
         values, which depend only on the vectors' ordered term/weight
         sequences -- exactly the information the content-class key pins --
         so one cosine per ordered class pair reproduces every per-item
-        cosine of the reference loop bit-for-bit.
+        cosine of the reference loop bit-for-bit.  As in
+        :meth:`_content_block`, only term-sharing pairs are evaluated;
+        every other cosine (empty vectors included) is 0.0.
         """
-        if not self._hydrated:
-            self._ensure_hydrated()
-        np = self._np
-        memo = self._cosine_memo
-        exemplars = self._content_exemplars
-        block = np.empty((len(classes), len(classes)), dtype=np.float64)
-        for i, row_class in enumerate(classes):
-            row_vector = exemplars[row_class].vector
-            for j, column_class in enumerate(classes):
-                pair = (row_class, column_class)
-                value = memo.get(pair)
-                if value is None:
-                    value = row_vector.cosine(exemplars[column_class].vector)
-                    memo[pair] = value
-                block[i, j] = value
-        return block
+        return self._sharing_block(
+            classes,
+            classes,
+            self._cosine_memo,
+            lambda first, second: first.vector.cosine(second.vector),
+        )
 
     # ------------------------------------------------------------------ #
     # Batch kernel (tiled)
@@ -1145,11 +1238,13 @@ class NumpyBackend:
         f = self.config.f
         if f == 1.0:
             return structural
-        pair = (self._content_id(item_a), self._content_id(item_b))
-        value = self._content_memo.get(pair)
-        if value is None:
-            value = content_similarity(item_a, item_b)
-            self._content_memo[pair] = value
+        np = self._np
+        value = float(
+            self._content_block(
+                np.array([self._content_id(item_a)], dtype=np.intp),
+                np.array([self._content_id(item_b)], dtype=np.intp),
+            )[0, 0]
+        )
         if f == 0.0:
             return value
         return f * structural + (1.0 - f) * value
@@ -1346,7 +1441,7 @@ class NumpyBackend:
         if f != 1.0:
             class_ids = np.array([self._content_id(item) for item in items], dtype=np.intp)
             present = np.unique(class_ids)
-            block = self._cosine_block(present.tolist())
+            block = self._cosine_block(present)
             remap = np.zeros(len(self._content_exemplars), dtype=np.intp)
             remap[present] = np.arange(len(present), dtype=np.intp)
             local = remap[class_ids]

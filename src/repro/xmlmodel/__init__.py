@@ -1,6 +1,12 @@
 """XML document model: trees, parsing, serialisation and paths (paper Sec. 3.1)."""
 
-from repro.xmlmodel.errors import XMLError, XMLPathError, XMLSyntaxError, XMLTreeError
+from repro.xmlmodel.errors import (
+    XMLEncodingError,
+    XMLError,
+    XMLPathError,
+    XMLSyntaxError,
+    XMLTreeError,
+)
 from repro.xmlmodel.names import (
     ATTRIBUTE_PREFIX,
     PCDATA,
@@ -30,6 +36,7 @@ from repro.xmlmodel.tree import XMLNode, XMLTree, XMLTreeBuilder, tree_from_nest
 
 __all__ = [
     "XMLError",
+    "XMLEncodingError",
     "XMLSyntaxError",
     "XMLTreeError",
     "XMLPathError",

@@ -32,6 +32,10 @@ class XMLSyntaxError(XMLError):
         super().__init__(message)
 
 
+class XMLEncodingError(XMLError):
+    """Raised when a document's bytes do not decode in the expected encoding."""
+
+
 class XMLTreeError(XMLError):
     """Raised for structural violations when building or editing trees.
 

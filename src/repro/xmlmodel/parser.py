@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.xmlmodel.errors import XMLSyntaxError
+from repro.xmlmodel.errors import XMLEncodingError, XMLSyntaxError
 from repro.xmlmodel.tree import XMLTree, XMLTreeBuilder
 
 #: Standard predefined XML entities.
@@ -310,7 +310,15 @@ def parse_xml(text: str, doc_id: Optional[str] = None, keep_whitespace_text: boo
 
 
 def parse_xml_file(path: str, doc_id: Optional[str] = None, encoding: str = "utf-8") -> XMLTree:
-    """Parse the XML document stored at *path*."""
-    with open(path, "r", encoding=encoding) as handle:
-        text = handle.read()
+    """Parse the XML document stored at *path*.
+
+    Bytes that do not decode in *encoding* raise :class:`XMLEncodingError`
+    (an :class:`~repro.xmlmodel.errors.XMLError`), so callers that report
+    XML errors per document need no separate ``UnicodeDecodeError`` case.
+    """
+    try:
+        with open(path, "r", encoding=encoding) as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:
+        raise XMLEncodingError(f"not {encoding} text ({error.reason})") from error
     return parse_xml(text, doc_id=doc_id or path)

@@ -49,6 +49,31 @@ class TestLocalPhase:
         assert output.cluster_sizes[1] == 0
         assert output.local_representatives[1].is_empty()
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_phase_assigns_once(self, mini_dataset, config, backend):
+        """The global representatives are fixed during a phase, so one
+        ``assign_all`` pass is the whole relocation loop."""
+        engine = SimilarityEngine(config.similarity, backend=backend)
+        calls = []
+        assign_all = engine.assign_all
+
+        def counting(transactions, representatives):
+            calls.append(len(transactions))
+            return assign_all(transactions, representatives)
+
+        engine.assign_all = counting  # type: ignore[method-assign]
+        transactions = mini_dataset.transactions[:6]
+        output = run_local_phase(
+            LocalPhaseInput(0, transactions, transactions[:2], config), engine=engine
+        )
+        assert calls == [len(transactions)]
+        assert output.assignment == {
+            transaction.transaction_id: (-1 if similarity <= 0.0 else index)
+            for transaction, (index, similarity) in zip(
+                transactions, assign_all(transactions, transactions[:2])
+            )
+        }
+
 
 class TestCXKMeans:
     def test_all_transactions_are_clustered_or_trashed(self, mini_dataset, config):

@@ -247,6 +247,22 @@ class TestStdinProtocol:
         assert lines[1]["file"] == str(xml_files[0])
         assert lines[1]["cluster_id"] >= -1
 
+    def test_undecodable_file_answers_an_error_line_and_the_loop_goes_on(
+        self, model_dir, xml_files, tmp_path
+    ):
+        latin = tmp_path / "latin.xml"
+        latin.write_bytes("<a>caf\u00e9</a>".encode("latin-1"))
+        model = load_model(model_dir)
+        source = io.StringIO(f"{latin}\n{xml_files[0]}\n")
+        sink = io.StringIO()
+        answered = serve_stdin(model, source, sink)
+        lines = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert answered == 2
+        assert lines[0]["file"] == str(latin)
+        assert "not utf-8 text" in lines[0]["error"]
+        assert lines[1]["file"] == str(xml_files[0])
+        assert lines[1]["cluster_id"] >= -1
+
 
 class TestHttpServer:
     def test_live_server_answers_health_and_classify(self, model_dir, xml_files):
@@ -505,6 +521,33 @@ class TestClassifyStdin:
         out = capsys.readouterr().out
         assert status == 0
         assert out.index(str(xml_files[0])) < out.index(f"{xml_files[1]}: cluster=")
+
+    @pytest.mark.parametrize("stdin", [False, True])
+    @pytest.mark.parametrize(
+        "content",
+        [b"<a><b></a>", "<a>caf\u00e9</a>".encode("latin-1")],
+        ids=["malformed", "latin-1"],
+    )
+    def test_bad_document_exits_with_an_error_line(
+        self, model_dir, tmp_path, monkeypatch, content, stdin
+    ):
+        """A malformed or non-UTF-8 document ends classify like an
+        unreadable file: an ``error:`` message, not a traceback."""
+        import sys
+
+        from repro.xmlmodel.errors import XMLError
+
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(content)
+        argv = ["classify", "--model", str(model_dir)]
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", _LazyStdin([f"{bad}\n"]))
+            argv.append("--stdin")
+        else:
+            argv.append(str(bad))
+        with pytest.raises(SystemExit, match=f"^error: {bad}: ") as raised:
+            main(argv)
+        assert isinstance(raised.value.__cause__, XMLError)
 
     def test_classify_without_files_or_stdin_exits(self, model_dir):
         with pytest.raises(SystemExit, match="--stdin"):

@@ -148,10 +148,16 @@ class TestEdgeCaseParity:
         near_2 = item("r.b.S", "near two", SparseVector({2: 1.0, 4: 1.0}))
         empty_tcu_1 = item("r.c.S", "1999")
         empty_tcu_2 = item("r.c.S", "2001")
+        # the content edges of the term-sharing kernel: an empty TCU with
+        # empty_tcu_1's answer on another path (1.0), and a non-empty TCU
+        # sharing no term with any other item (0.0 against all of them)
+        empty_tcu_twin = item("r.d.S", "1999")
+        lonely = item("r.a.S", "lonely", SparseVector({9: 1.0}))
         return [
             make_transaction("t1", [shared, near_1, empty_tcu_1]),
             make_transaction("t2", [shared, near_2, empty_tcu_2]),
             make_transaction("t3", [near_2, empty_tcu_1]),
+            make_transaction("t4", [empty_tcu_twin, lonely]),
             make_transaction("empty", []),
         ]
 
@@ -355,6 +361,76 @@ class TestCorpusParity:
                 ],
             )
         assert results["numpy"] == results["python"]
+
+
+class TestSparseContentKernel:
+    """The numpy backend scores only content-class pairs that share a term.
+
+    Every other pair has a value the scalar function returns without
+    reading a weight (1.0 for an empty-TCU class meeting itself, else
+    0.0), so evaluating it -- or memoising it -- is wasted work.
+    """
+
+    @staticmethod
+    def shares_a_term(first, second):
+        """True when two (term, weight) sequences have a term in common."""
+        return bool({term for term, _ in first} & {term for term, _ in second})
+
+    def test_only_term_sharing_pairs_are_evaluated_once(
+        self, dblp_small, monkeypatch
+    ):
+        from repro.similarity import backend as backend_module
+
+        content_calls = []
+        cosine_calls = []
+        inside_content = []
+        content_similarity = backend_module.content_similarity
+        cosine = SparseVector.cosine
+
+        def recording_content(first, second):
+            # an ordered (term, weight) tuple is the content-class key of a
+            # non-empty TCU, so equal records mean a re-evaluated pair
+            content_calls.append(
+                (tuple(first.vector.items()), tuple(second.vector.items()))
+            )
+            inside_content.append(True)
+            try:
+                return content_similarity(first, second)
+            finally:
+                inside_content.pop()
+
+        def recording_cosine(self, other):
+            if not inside_content:
+                cosine_calls.append((tuple(self.items()), tuple(other.items())))
+            return cosine(self, other)
+
+        monkeypatch.setattr(backend_module, "content_similarity", recording_content)
+        monkeypatch.setattr(SparseVector, "cosine", recording_cosine)
+
+        _, numpy_engine = engines(f=0.5, gamma=0.8)
+        backend = numpy_engine.backend
+        transactions = dblp_small.transactions
+        backend.compile_corpus(transactions)
+        representatives = select_seed_transactions(transactions, 5, random.Random(0))
+        pool = [entry for tr in transactions[:15] for entry in tr.items]
+        for _ in range(2):  # the repeat must be served from the memos
+            numpy_engine.assign_all(transactions, representatives)
+            numpy_engine.score_candidates(transactions[:20], representatives)
+            numpy_engine.rank_items_batch(pool)
+
+        for calls in (content_calls, cosine_calls):
+            assert calls
+            assert len(set(calls)) == len(calls)
+            assert all(self.shares_a_term(first, second) for first, second in calls)
+        exemplars = backend._content_exemplars
+        for memo in (backend._content_memo, backend._cosine_memo):
+            assert memo
+            assert all(
+                self.shares_a_term(
+                    exemplars[row].vector.items(), exemplars[column].vector.items()
+                )
+                for row, column in memo
+            )
 
 
 # --------------------------------------------------------------------------- #
