@@ -1,4 +1,4 @@
-"""Benchmark B2 -- backend and sharding speedups on representative refinement.
+"""Benchmark B2 -- backend speedups on representative refinement.
 
 Measures the CXK-means summarisation machinery (``rank_items`` plus the
 ``GenerateTreeTuple`` candidate-chain scoring inside
@@ -11,11 +11,6 @@ is trusted (mirroring ``bench_backend.py``).  ``--json PATH``
 additionally writes the shared machine-readable report (see
 ``benchmarks/benchjson.py``).
 
-A second section measures *cluster-sharded refinement*
-(:func:`repro.network.mpengine.refine_clusters`): the same per-cluster
-refinement dispatched one cluster per worker process instead of serially,
-again parity-checked item for item before timing.
-
 Run standalone (no pytest machinery needed)::
 
     PYTHONPATH=src python benchmarks/bench_representatives.py            # full run
@@ -23,17 +18,13 @@ Run standalone (no pytest machinery needed)::
 
 The full run uses the DBLP generator corpus at scale 1.0 and fails with a
 non-zero exit status unless the numpy backend is at least ``--min-speedup``
-(default 3.0) times faster on the refinement step and -- on hosts with at
-least two CPUs -- the cluster-sharded refinement is at least
-``--min-shard-speedup`` (default 2.0) times faster than the serial loop at
-k >= 4 with ``--refine-workers`` workers; the quick run shrinks the corpus
-and only reports.
+(default 3.0) times faster on the refinement step; the quick run shrinks
+the corpus and only reports.
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import random
 import sys
 import time
@@ -46,11 +37,6 @@ from benchjson import BenchReport, reference_speedup
 from repro.core.representatives import compute_local_representative, rank_items
 from repro.core.seeding import select_seed_transactions
 from repro.datasets.registry import get_dataset
-from repro.network.mpengine import (
-    RefinementShard,
-    clear_shard_executors,
-    refine_clusters,
-)
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.item import SimilarityConfig
 from repro.similarity.transaction import SimilarityEngine
@@ -94,8 +80,7 @@ def prepared_engine(
     clusters: Sequence[Sequence[Transaction]], backend: str, f: float, gamma: float
 ) -> SimilarityEngine:
     """Engine prepared the way the experiment driver does it: tag-path
-    cache precomputed over the cluster members, corpus compiled.  Shared by
-    both benchmark sections so their serial baselines stay comparable."""
+    cache precomputed over the cluster members, corpus compiled."""
     engine = SimilarityEngine(
         SimilarityConfig(f=f, gamma=gamma),
         cache=TagPathSimilarityCache(),
@@ -120,8 +105,8 @@ def bench_refinement(
 
     Returns (best ranking seconds, best refinement seconds, per-cluster
     rankings, representatives) -- rankings and representatives are each
-    compared across backends before any timing is trusted, so the two
-    benchmark sections report parity of the outputs they actually measure.
+    compared across backends before any timing is trusted, so both
+    reported steps carry parity of the outputs they actually measure.
     """
     engine = prepared_engine(clusters, backend, f, gamma)
     pools = [
@@ -146,54 +131,6 @@ def bench_refinement(
     return rank_seconds, refine_seconds, rankings, representatives
 
 
-def bench_sharded_refinement(
-    clusters: Sequence[Sequence[Transaction]],
-    backend: str,
-    f: float,
-    gamma: float,
-    repeats: int,
-    workers: int,
-) -> Tuple[float, float, List[Transaction], List[Transaction]]:
-    """Time serial vs. cluster-sharded refinement on the same backend.
-
-    Both paths run through :func:`repro.network.mpengine.refine_clusters`
-    -- the serial one with ``workers=1`` on a shared in-process engine, the
-    sharded one dispatching one cluster per worker process.  The worker
-    pool and the per-worker compiled corpora are warmed up outside the
-    timed region (they persist across collaborative rounds in production).
-    Returns (serial seconds, sharded seconds, serial representatives,
-    sharded representatives).
-    """
-    engine = prepared_engine(clusters, backend, f, gamma)
-    similarity = engine.config
-
-    def shards() -> List[RefinementShard]:
-        return [
-            RefinementShard(
-                cluster_index=index,
-                members=list(cluster),
-                similarity=similarity,
-                backend=backend,
-                representative_id=f"rep:{index}",
-            )
-            for index, cluster in enumerate(clusters)
-        ]
-
-    def run_serial():
-        refined = refine_clusters(shards(), engine, workers=1)
-        return [refined[index] for index in sorted(refined)]
-
-    def run_sharded():
-        refined = refine_clusters(shards(), engine, workers=workers)
-        return [refined[index] for index in sorted(refined)]
-
-    run_serial()
-    run_sharded()  # warm-up: spawns the pool, compiles per-worker corpora
-    serial_seconds, serial_reps = _time_best(run_serial, repeats)
-    sharded_seconds, sharded_reps = _time_best(run_sharded, repeats)
-    return serial_seconds, sharded_seconds, serial_reps, sharded_reps
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus", default="DBLP", help="synthetic corpus name")
@@ -208,24 +145,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=3.0,
         help="required numpy-over-python speedup on the refinement step",
-    )
-    parser.add_argument(
-        "--refine-workers",
-        type=int,
-        default=4,
-        help="worker processes for the cluster-sharded refinement section",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        default="python",
-        help="in-process backend the sharded refinement section runs on",
-    )
-    parser.add_argument(
-        "--min-shard-speedup",
-        type=float,
-        default=2.0,
-        help="required sharded-over-serial refinement speedup at k >= 4 "
-        "(enforced only on hosts with >= 2 CPUs)",
     )
     parser.add_argument(
         "--quick",
@@ -290,24 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for backend in backends[1:]
     }
 
-    # --- cluster-sharded refinement (one cluster per worker process) ------ #
-    workers = args.refine_workers
-    cpus = multiprocessing.cpu_count()
-    try:
-        serial_s, sharded_s, serial_reps, sharded_reps = bench_sharded_refinement(
-            clusters, args.shard_backend, args.f, args.gamma, repeats, workers
-        )
-    finally:
-        clear_shard_executors()
-    shard_mismatch = [
-        index
-        for index, (rep_serial, rep_sharded) in enumerate(
-            zip(serial_reps, sharded_reps)
-        )
-        if rep_serial.items != rep_sharded.items
-    ]
-    shard_speedup = serial_s / sharded_s if sharded_s else float("inf")
-
     # the JSON artifact is written before any parity gate fires, so CI
     # uploads a report (with parity=false rows) even for failing runs
     if args.json:
@@ -323,7 +224,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             quick=args.quick,
             reference=reference,
             speedup_baseline="python",
-            shard_backend=args.shard_backend,
         )
         for backend in backends:
             is_reference = backend == reference
@@ -346,22 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 speedup=reference_speedup(refine_times, backend),
                 parity=None if is_reference else not mismatches[backend],
             )
-        report.record(
-            backend=args.shard_backend,
-            op="refinement_serial",
-            size=len(clusters),
-            seconds=serial_s,
-            workers=1,
-        )
-        report.record(
-            backend=args.shard_backend,
-            op="refinement_sharded",
-            size=len(clusters),
-            seconds=sharded_s,
-            speedup=None if not sharded_s else serial_s / sharded_s,
-            parity=not shard_mismatch,
-            workers=workers,
-        )
         report.write(args.json)
 
     for backend in backends[1:]:
@@ -410,37 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "(requires both python and numpy in --backends)"
             )
 
-    if shard_mismatch:
-        print(
-            "FAIL: serial and sharded refinement disagree on the "
-            f"representatives of clusters {shard_mismatch}"
-        )
-        return 1
-    print(
-        f"\nsharded refinement parity: identical representatives "
-        f"(backend={args.shard_backend}, workers={workers}, cpus={cpus})"
-    )
-    print(f"{'step':<12}{'serial':>12}{'sharded':>12}{'speedup':>10}")
-    print(
-        f"{'refinement':<12}{serial_s:>11.4f}s{sharded_s:>11.4f}s"
-        f"{shard_speedup:>9.1f}x"
-    )
-    gate_applies = (
-        not args.quick and workers >= 2 and cpus >= 2 and len(clusters) >= 4
-    )
-    if gate_applies and shard_speedup < args.min_shard_speedup:
-        print(
-            f"FAIL: cluster-sharded refinement only {shard_speedup:.1f}x faster "
-            f"than serial (required: {args.min_shard_speedup:.1f}x at "
-            f"k={len(clusters)} with {workers} workers)"
-        )
-        return 1
-    if not gate_applies and not args.quick:
-        print(
-            "note: sharded-refinement speedup gate skipped "
-            f"(workers={workers}, cpus={cpus}, k={len(clusters)}; the gate "
-            "needs >= 2 workers, >= 2 CPUs and k >= 4)"
-        )
     return 0
 
 

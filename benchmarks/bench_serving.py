@@ -15,32 +15,19 @@ every backend must assign every query document to the same cluster as the
 pure-Python reference.  A store-hit load must also do zero corpus compile
 work (``corpus_compile_count == 0``) or the run fails.
 
-With ``--workers N`` the run adds a multi-process stage: the saved model
-is served by a pool of N worker processes (the same
-:func:`repro.serving.worker_classify_batch` entry point the async server
-dispatches to), the query stream is split into per-worker batches, and
-the record reports the **aggregate** queries/sec next to the
-single-process number.  Parity still gates the stage: the pooled
-assignments must match the single-process reference bit-exactly.  On a
-multi-core host the aggregate must beat the single-process rate (the
-gate is skipped on one CPU, where a pool can only add overhead).
-
 Run standalone (no pytest machinery needed)::
 
     PYTHONPATH=src python benchmarks/bench_serving.py            # full run
     PYTHONPATH=src python benchmarks/bench_serving.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_serving.py --workers 2
     PYTHONPATH=src python benchmarks/bench_serving.py --json bench-serving.json
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -85,105 +72,6 @@ def latency_histogram(latencies_ms: List[float]) -> Dict[str, int]:
         previous = bound
     histogram[f"gt_{previous:g}ms"] = counts[-1]
     return histogram
-
-
-def _split_batches(documents: List[str], batches: int) -> List[List[str]]:
-    """Split *documents* into *batches* near-equal contiguous slices."""
-    size, remainder = divmod(len(documents), batches)
-    slices: List[List[str]] = []
-    start = 0
-    for index in range(batches):
-        stop = start + size + (1 if index < remainder else 0)
-        slices.append(documents[start:stop])
-        start = stop
-    return [part for part in slices if part]
-
-
-def run_worker_stage(
-    report: BenchReport,
-    model_dir: Path,
-    backend: str,
-    query_documents: List[str],
-    reference_assignments: Optional[List[int]],
-    single_qps: Optional[float],
-    workers: int,
-    failures: List[str],
-) -> None:
-    """Benchmark classify on a pool of *workers* processes.
-
-    Each worker keeps its own warm model (the server's
-    :func:`~repro.serving.process_model` cache); one warm-up batch per
-    worker pays the model load outside the timed window, then the query
-    stream is dispatched as per-worker batches and timed end to end.
-    Appends an ``op="classify_pool"`` record; gates on bit-exact parity
-    with *reference_assignments* and -- only when the host actually has
-    more than one CPU -- on the aggregate rate beating *single_qps*.
-    """
-    from repro.serving import worker_classify_batch
-    from repro.store.registry import model_fingerprint
-
-    fingerprint = model_fingerprint(model_dir)
-    batches = _split_batches(query_documents, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        warmup = [
-            pool.submit(
-                worker_classify_batch, str(model_dir), fingerprint, backend,
-                query_documents[:1],
-            )
-            for _ in range(workers)
-        ]
-        for future in warmup:
-            future.result()
-        start = time.perf_counter()
-        futures = [
-            pool.submit(
-                worker_classify_batch, str(model_dir), fingerprint, backend, batch
-            )
-            for batch in batches
-        ]
-        payloads = [payload for future in futures for payload in future.result()]
-        total = time.perf_counter() - start
-
-    assignments = [payload["cluster_id"] for payload in payloads]
-    latencies = sorted(payload["latency_ms"] for payload in payloads)
-    parity: Optional[bool] = None
-    if reference_assignments is not None:
-        parity = assignments == reference_assignments
-        if not parity:
-            failures.append(
-                f"workers={workers}: pooled assignments diverge from the "
-                "single-process reference"
-            )
-    qps = len(payloads) / total if total else 0.0
-    cpus = os.cpu_count() or 1
-    if single_qps is not None and cpus > 1 and qps <= single_qps:
-        failures.append(
-            f"workers={workers}: aggregate {qps:.1f} q/s did not beat the "
-            f"single-process {single_qps:.1f} q/s on a {cpus}-CPU host"
-        )
-    report.record(
-        backend=backend,
-        op="classify_pool",
-        size=len(payloads),
-        seconds=total,
-        speedup=(qps / single_qps) if single_qps else None,
-        parity=parity,
-        qps=qps,
-        workers=workers,
-        cpus=cpus,
-        store=payloads[-1].get("store") if payloads else None,
-        single_process_qps=single_qps,
-        latency_ms_p50=percentile(latencies, 0.50),
-        latency_ms_p90=percentile(latencies, 0.90),
-        latency_ms_p99=percentile(latencies, 0.99),
-        latency_histogram=latency_histogram(latencies),
-    )
-    print(
-        f"{'pool x' + str(workers):>14}: {qps:8.1f} q/s aggregate "
-        f"({cpus} CPUs, single-process {single_qps or 0.0:.1f} q/s), "
-        f"p50 {percentile(latencies, 0.50):.2f}ms "
-        f"p99 {percentile(latencies, 0.99):.2f}ms"
-    )
 
 
 def run_benchmark(args: argparse.Namespace) -> int:
@@ -307,24 +195,6 @@ def run_benchmark(args: argparse.Namespace) -> int:
             )
             model.close()
 
-        if args.workers:
-            pool_backend = args.fit_backend
-            single_qps = (
-                queries / classify_seconds[pool_backend]
-                if classify_seconds.get(pool_backend)
-                else None
-            )
-            run_worker_stage(
-                report,
-                model_dir,
-                pool_backend,
-                [documents[index % len(documents)] for index in range(queries)],
-                reference_assignments,
-                single_qps,
-                args.workers,
-                failures,
-            )
-
     if args.json:
         report.write(args.json)
     for failure in failures:
@@ -355,19 +225,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=["python", "numpy"],
         help="backend specs to serve with (python is the parity reference)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also benchmark classify on a pool of N worker processes "
-        "(aggregate q/s; parity-gated against the single-process stream)",
-    )
     parser.add_argument("--json", default=None, metavar="PATH", help="JSON report")
-    args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be positive, got {args.workers}")
-    return run_benchmark(args)
+    return run_benchmark(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ The ``cxk`` console script exposes the main workflows:
   checkpoints);
 * ``cxk serve`` -- serve a saved model (stdin line protocol or HTTP), or
   serve every active model of a registry through the async multi-model
-  router (``--registry``, with ``--workers N`` for a process pool);
+  router (``--registry``);
 * ``cxk models`` -- catalog fitted models in the durable registry
   (``list`` / ``show`` / ``publish`` / ``retire``);
 * ``cxk figure7`` / ``cxk table1`` / ``cxk table2`` / ``cxk figure8`` --
@@ -60,27 +60,10 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_BACKEND,
         metavar="NAME[:OPTIONS]",
         help="similarity backend for the clustering hot path "
-        f"(registered: {', '.join(registered_backends())}; a spec like "
-        "'numpy:block=1024' selects options; unknown specs list the "
-        "registered alternatives)",
-    )
-    parser.add_argument(
-        "--batch-block-items",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tile budget (items per side) of the batched similarity "
-        "kernels; bounds peak kernel scratch memory regardless of corpus "
-        "size (0 = unbounded, default: backend default; results are "
-        "bit-exact for every budget)",
-    )
-    parser.add_argument(
-        "--refine-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for cluster-sharded representative "
-        "refinement (one cluster per worker; default: serial refinement)",
+        f"(registered: {', '.join(registered_backends())}; "
+        "'numpy:block=N' sets the tile budget of the batched kernels, "
+        "0 = untiled, results are bit-exact for every budget; unknown "
+        "specs list the registered alternatives)",
     )
     parser.add_argument(
         "--corpus-cache",
@@ -143,27 +126,6 @@ def _resolve_backend(args: argparse.Namespace) -> str:
         return validate_backend_spec(args.backend)
     except (ValueError, BackendUnavailableError) as error:
         raise SystemExit(f"error: {error}") from error
-
-
-def _resolve_batch_block_items(args: argparse.Namespace) -> Optional[int]:
-    """Validate and return ``--batch-block-items`` (None = backend default)."""
-    batch_block_items = getattr(args, "batch_block_items", None)
-    if batch_block_items is not None and batch_block_items < 0:
-        raise SystemExit(
-            "--batch-block-items must be >= 0 (0 = unbounded), got "
-            f"{batch_block_items}"
-        )
-    return batch_block_items
-
-
-def _resolve_refine_workers(args: argparse.Namespace) -> Optional[int]:
-    """Validate and return the ``--refine-workers`` value (None = serial)."""
-    refine_workers = getattr(args, "refine_workers", None)
-    if refine_workers is not None and refine_workers < 1:
-        raise SystemExit(
-            f"--refine-workers must be positive, got {refine_workers}"
-        )
-    return refine_workers
 
 
 def _add_common_experiment_arguments(parser: argparse.ArgumentParser) -> None:
@@ -255,8 +217,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
         backend=backend,
-        batch_block_items=_resolve_batch_block_items(args),
-        refine_workers=_resolve_refine_workers(args),
         corpus_cache_dir=args.corpus_cache,
         network=network,
         **({"network_timeout": network_timeout} if network_timeout is not None else {}),
@@ -468,8 +428,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
         backend=backend,
-        batch_block_items=_resolve_batch_block_items(args),
-        refine_workers=_resolve_refine_workers(args),
         streaming=True,
         chunk_size=args.chunk_size,
         retain_threshold=args.retain_threshold,
@@ -543,13 +501,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import DEFAULT_REQUEST_TIMEOUT, serve_async, serve_stdin
     from repro.store.registry import RegistryError
 
-    if args.workers is not None and args.workers < 0:
-        raise SystemExit(f"--workers must be >= 0, got {args.workers}")
     if args.port is None:
-        if args.registry or args.workers is not None:
-            raise SystemExit(
-                "the HTTP server needs --port: --registry/--workers serve HTTP only"
-            )
+        if args.registry:
+            raise SystemExit("the HTTP server needs --port: --registry serves HTTP only")
         if not args.model:
             raise SystemExit("serve needs --model DIR (or --registry PATH)")
         model = _load_cluster_model(args)
@@ -579,7 +533,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     routes = args.models or (["<active models>"] if registry_path else list(model_dirs))
     print(f"serving   : http://{args.host}:{args.port} (async router)")
     print(f"routes    : {', '.join(routes)}  (POST /models/<name>/classify)")
-    print(f"workers   : {args.workers or 0} (0 = in-process classify)")
     try:
         serve_async(
             registry_path=registry_path,
@@ -587,7 +540,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             model_dirs=model_dirs,
             host=args.host,
             port=args.port,
-            workers=args.workers or 0,
             backend=args.backend,
             poll_interval=args.poll_interval,
             max_requests=args.max_requests,
@@ -674,8 +626,6 @@ def _cmd_figure7(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
         max_iterations=args.max_iterations,
         backend=_resolve_backend(args),
-        batch_block_items=_resolve_batch_block_items(args),
-        refine_workers=_resolve_refine_workers(args),
         corpus_cache_dir=args.corpus_cache,
         network=getattr(args, "network", "sim"),
         network_timeout=_resolve_network_timeout(args),
@@ -692,8 +642,6 @@ def _cmd_figure8(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
         max_iterations=args.max_iterations,
         backend=_resolve_backend(args),
-        batch_block_items=_resolve_batch_block_items(args),
-        refine_workers=_resolve_refine_workers(args),
         corpus_cache_dir=args.corpus_cache,
     )
     print(run_figure8(config).report())
@@ -709,8 +657,6 @@ def _cmd_table(args: argparse.Namespace, table_number: int) -> int:
         max_iterations=args.max_iterations,
         goals=tuple(args.goals),
         backend=_resolve_backend(args),
-        batch_block_items=_resolve_batch_block_items(args),
-        refine_workers=_resolve_refine_workers(args),
         corpus_cache_dir=args.corpus_cache,
         network=getattr(args, "network", "sim"),
         network_timeout=_resolve_network_timeout(args),
@@ -887,14 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="restrict --registry routing to these published names",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="classify on a pool of N worker processes "
-        "(default 0: classify in-process)",
     )
     serve_parser.add_argument(
         "--poll-interval",

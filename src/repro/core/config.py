@@ -34,37 +34,13 @@ class ClusteringConfig:
     backend:
         Name of the similarity backend driving the assignment and
         representative-refinement hot paths (``"python"`` for the reference
-        loops, ``"numpy[:block=N]"`` for the vectorized batch engine; see
+        loops, ``"numpy[:block=N]"`` for the vectorized batch engine, whose
+        ``block=N`` option sets the tile budget of its batched kernels; see
         :mod:`repro.similarity.backend`).  The spec is validated at
         construction time
         (:func:`~repro.similarity.backend.validate_backend_spec`): unknown
         names and malformed options raise ``ValueError`` here rather than
         deep inside a fit.
-    batch_block_items:
-        Tile budget (items per tile side) of the batched similarity
-        kernels: the ``numpy`` backend evaluates its similarity blocks in
-        ``(row_tile x column_tile)`` tiles whose row-item and column-item
-        totals each stay within this budget, so peak scratch memory is
-        bounded regardless of corpus size while several column
-        transactions are fused per kernel call.  ``None`` keeps the
-        backend default
-        (:data:`~repro.similarity.backend.DEFAULT_BLOCK_ITEMS`), ``0``
-        selects the unbounded single-tile (untiled) path, and any
-        positive value caps the tile side.  Tiling is bit-exact: every
-        budget produces identical results (see
-        :attr:`effective_backend`, which threads the budget into the
-        backend spec).  An explicit ``block=`` option in :attr:`backend`
-        takes precedence.
-    refine_workers:
-        Worker processes for cluster-sharded representative refinement:
-        each local (or global) phase dispatches one cluster's refinement
-        per worker through
-        :func:`~repro.network.mpengine.refine_clusters`, merging the
-        results in deterministic cluster-index order with bit-exact parity
-        against the serial path.  ``None`` or ``1`` keeps the historical
-        serial refinement.  On the real transport the budget is split
-        equally across the concurrently running peer processes
-        (:func:`~repro.network.mpengine.split_refinement_budget`).
     corpus_cache_dir:
         Directory of the persistent compiled-corpus store
         (:mod:`repro.similarity.corpus_store`), default off (``None``).
@@ -73,9 +49,9 @@ class ClusteringConfig:
         fingerprinted on-disk layout under this directory on the first
         fit, and later fits of the same corpus + similarity configuration
         attach the arrays zero-copy via ``np.load(mmap_mode="r")`` instead
-        of recompiling -- refinement workers, real-transport peer workers
-        and simulated peers then share one set of mapped pages.  Backends without compiled corpora
-        (the ``python`` reference) ignore the setting.
+        of recompiling -- real-transport peer workers and simulated peers
+        then share one set of mapped pages.  Backends without compiled
+        corpora (the ``python`` reference) ignore the setting.
     network:
         Transport running the collaborative rounds of CXK-means:
         ``"sim"`` (default) executes the peers sequentially on the
@@ -123,8 +99,6 @@ class ClusteringConfig:
     seed: int = 0
     max_representative_items: Optional[int] = None
     backend: str = "python"
-    batch_block_items: Optional[int] = None
-    refine_workers: Optional[int] = None
     corpus_cache_dir: Optional[str] = None
     network: str = "sim"
     network_timeout: float = 120.0
@@ -139,15 +113,6 @@ class ClusteringConfig:
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be positive, got {self.max_iterations}"
-            )
-        if self.batch_block_items is not None and self.batch_block_items < 0:
-            raise ValueError(
-                "batch_block_items must be >= 0 (0 = unbounded), got "
-                f"{self.batch_block_items}"
-            )
-        if self.refine_workers is not None and self.refine_workers < 1:
-            raise ValueError(
-                f"refine_workers must be positive, got {self.refine_workers}"
             )
         if self.network not in ("sim", "real"):
             raise ValueError(
@@ -176,11 +141,6 @@ class ClusteringConfig:
         from repro.similarity.backend import validate_backend_spec
 
         validate_backend_spec(self.backend)
-        if self.batch_block_items is not None:
-            # the merged spec (batch_block_items threaded into the backend
-            # options) is what the algorithms actually run; validate it
-            # here too so the merge cannot fail later
-            validate_backend_spec(self.effective_backend)
 
     @property
     def f(self) -> float:
@@ -191,56 +151,6 @@ class ClusteringConfig:
     def gamma(self) -> float:
         """Shortcut for the gamma matching threshold."""
         return self.similarity.gamma
-
-    @property
-    def effective_refine_workers(self) -> int:
-        """The refinement worker count with ``None`` resolved to serial (1)."""
-        return self.refine_workers or 1
-
-    @property
-    def effective_batch_block_items(self) -> int:
-        """The tile budget the batch kernels will actually run with.
-
-        Resolved from :attr:`effective_backend` -- so a spec-level
-        ``block=`` option (which wins over :attr:`batch_block_items`, see
-        :attr:`effective_backend`) is reported correctly -- falling back
-        to the backend default
-        (:data:`~repro.similarity.backend.DEFAULT_BLOCK_ITEMS`) when
-        neither the spec nor the config names a budget.  ``0`` means
-        unbounded (the untiled single-tile path); any positive value caps
-        each tile side's item total.
-        """
-        from repro.similarity.backend import (
-            DEFAULT_BLOCK_ITEMS,
-            spec_block_items,
-        )
-
-        block = spec_block_items(self.effective_backend)
-        if block is not None:
-            return block
-        # backends without batch kernels (python) carry no block in their
-        # spec; fall back to the config knob, then the backend default
-        if self.batch_block_items is not None:
-            return self.batch_block_items
-        return DEFAULT_BLOCK_ITEMS
-
-    @property
-    def effective_backend(self) -> str:
-        """The backend spec the algorithms run: ``backend`` + tile budget.
-
-        When :attr:`batch_block_items` is set, the budget is merged into
-        the spec's option grammar
-        (:func:`~repro.similarity.backend.merge_block_option`):
-        ``numpy`` specs gain ``:block=N``, the ``python`` reference is
-        unchanged, and an explicit ``block=`` already present in the spec
-        wins.  With :attr:`batch_block_items` unset this is simply
-        :attr:`backend`.
-        """
-        if self.batch_block_items is None:
-            return self.backend
-        from repro.similarity.backend import merge_block_option
-
-        return merge_block_option(self.backend, self.batch_block_items)
 
     def with_k(self, k: int) -> "ClusteringConfig":
         """Return a copy of the configuration with a different ``k``."""
@@ -257,16 +167,6 @@ class ClusteringConfig:
     def with_backend(self, backend: str) -> "ClusteringConfig":
         """Return a copy with a different similarity backend."""
         return replace(self, backend=backend)
-
-    def with_batch_block_items(
-        self, batch_block_items: Optional[int]
-    ) -> "ClusteringConfig":
-        """Return a copy with a different batch tile budget."""
-        return replace(self, batch_block_items=batch_block_items)
-
-    def with_refine_workers(self, refine_workers: Optional[int]) -> "ClusteringConfig":
-        """Return a copy with a different refinement worker budget."""
-        return replace(self, refine_workers=refine_workers)
 
     def with_corpus_cache_dir(
         self, corpus_cache_dir: Optional[str]

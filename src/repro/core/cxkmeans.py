@@ -44,10 +44,9 @@ from repro.core.seeding import partition_cluster_ids, select_seed_transactions
 from repro.network.costmodel import CostModel
 from repro.network.message import Message, MessageKind, representative_payload
 from repro.network.mpengine import (
-    make_refinement_shard,
+    RefinementShard,
     process_engine,
     refine_clusters,
-    split_refinement_budget,
     store_process_engine,
 )
 from repro.network.peer import make_peers
@@ -129,12 +128,6 @@ def run_local_phase(
     per-process engine for the phase's configuration is used, so a worker
     keeps its tag-path cache and compiled backend corpus across
     collaborative rounds.
-
-    When the configuration grants more than one refinement worker
-    (``refine_workers``), the per-cluster representative refinement -- the
-    phase's serial tail -- is sharded one cluster per worker process
-    through :func:`~repro.network.mpengine.refine_clusters`; results are
-    merged in cluster-index order and are bit-exact with the serial path.
     """
     start = time.perf_counter()
     config = phase_input.config
@@ -149,17 +142,13 @@ def run_local_phase(
             # and must propagate
             try:
                 local_engine = store_process_engine(
-                    config.similarity,
-                    config.effective_backend,
-                    phase_input.store_dir,
+                    config.similarity, config.backend, phase_input.store_dir
                 )
             except (CorpusStoreError, OSError):
                 store_fallback = 1
                 local_engine = None
         if local_engine is None:
-            local_engine = process_engine(
-                config.similarity, config.effective_backend
-            )
+            local_engine = process_engine(config.similarity, config.backend)
     representatives = phase_input.global_representatives
     k = len(representatives)
     transactions = phase_input.transactions
@@ -175,24 +164,20 @@ def run_local_phase(
             assignment[transaction.transaction_id] = best_index
             clusters[best_index].append(transaction)
 
-    # Representative refinement: one shard per cluster, dispatched across
-    # refinement workers when the configuration grants more than one
-    # (cluster-sharded refinement; serial and sharded results are
-    # bit-exact, merged in cluster-index order by refine_clusters).
+    # representative refinement: one shard per cluster, on the phase engine
     cluster_sizes = [len(members) for members in clusters]
     shards = [
-        make_refinement_shard(
-            local_engine,
+        RefinementShard(
             cluster_index=cluster_index,
             members=members,
+            similarity=config.similarity,
+            backend=local_engine.backend_name,
             representative_id=f"rep:local:{phase_input.peer_id}:{cluster_index}",
             max_items=config.max_representative_items,
         )
         for cluster_index, members in enumerate(clusters)
     ]
-    refined = refine_clusters(
-        shards, local_engine, workers=config.effective_refine_workers
-    )
+    refined = refine_clusters(shards, local_engine)
     local_representatives = [refined[cluster_index] for cluster_index in range(k)]
 
     return LocalPhaseOutput(
@@ -231,7 +216,7 @@ class CXKMeans:
         self._engine = SimilarityEngine(
             config.similarity,
             cache=self._shared_cache,
-            backend=config.effective_backend,
+            backend=config.backend,
         )
 
     @property
@@ -242,29 +227,17 @@ class CXKMeans:
     # ------------------------------------------------------------------ #
     # Transport selection
     # ------------------------------------------------------------------ #
-    def _make_network(self, peers, store_dir: Optional[str], phases: int):
-        """Build (and start) the transport selected by ``config.network``.
-
-        The real transport receives a per-worker configuration whose
-        refinement budget is split across the genuinely concurrent phases
-        (:func:`~repro.network.mpengine.split_refinement_budget`) -- the
-        worker processes are non-daemonic, so a budget > 1 still shards
-        refinement inside each peer without oversubscribing the host.
-        """
+    def _make_network(self, peers, store_dir: Optional[str]):
+        """Build (and start) the transport selected by ``config.network``."""
         if self.config.network == "real":
             # imported lazily: realnet pulls the codec stack in, which only
             # real runs need
             from repro.network.realnet import RealNetwork
 
-            worker_config = self.config.with_refine_workers(
-                split_refinement_budget(
-                    self.config.effective_refine_workers, phases
-                )
-            )
             network = RealNetwork(
                 peers,
                 cost_model=self.cost_model,
-                phase_config=worker_config,
+                phase_config=self.config,
                 store_dir=store_dir,
                 connect_timeout=self.config.network_timeout,
                 round_timeout=self.config.network_timeout,
@@ -370,7 +343,7 @@ class CXKMeans:
             engine=None if use_real else self._engine,
             store=store,
         )
-        network = self._make_network(peers, store_dir, m)
+        network = self._make_network(peers, store_dir)
         try:
             return self._collaborate(
                 network=network,
@@ -514,10 +487,6 @@ class CXKMeans:
                 break
 
             # -- global representative computation (by responsible peers) ------ #
-            # Each responsible peer refines the clusters it owns; with a
-            # refinement budget > 1 the per-cluster merges are sharded one
-            # cluster per worker (the global-phase equivalent of the
-            # run_local_phase sharding), merged in cluster-index order.
             for peer in peers:
                 if not peer.responsibilities:
                     continue
@@ -535,22 +504,19 @@ class CXKMeans:
                             # still attract transactions later
                             continue
                         shards.append(
-                            make_refinement_shard(
-                                self._engine,
+                            RefinementShard(
                                 cluster_index=cluster_id,
                                 members=[rep for rep, _ in weighted],
                                 weights=[weight for _, weight in weighted],
+                                similarity=self.config.similarity,
+                                backend=self._engine.backend_name,
                                 representative_id=f"rep:global:{cluster_id}",
                                 max_items=self.config.max_representative_items,
                             )
                         )
                     if shards:
                         global_representatives.update(
-                            refine_clusters(
-                                shards,
-                                self._engine,
-                                workers=self.config.effective_refine_workers,
-                            )
+                            refine_clusters(shards, self._engine)
                         )
             network.end_round()
 

@@ -19,7 +19,7 @@ Mirroring :mod:`repro.similarity.corpus_store`, the manifest is written
 last so a crash mid-save leaves a directory that :func:`load_model`
 rejects instead of half-loading.  The manifest records the format version,
 the full :class:`~repro.core.config.ClusteringConfig` (backend spec, seed,
-``f``/``gamma``, tiling/refinement options), the preprocessing
+``f``/``gamma``, streaming options), the preprocessing
 configuration, fit metadata, and -- when the fitted engine had a compiled
 corpus store attached -- the corpus fingerprint and store directory so a
 reload can re-attach the mmap-backed arrays with **zero compile work**.
@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult
+from repro.similarity.backend import validate_backend_spec
 from repro.similarity.item import SimilarityConfig
 from repro.text.preprocess import PreprocessingConfig, TextPreprocessor
 from repro.text.vector import SparseVector, merge_vectors
@@ -241,8 +242,6 @@ def save_model(
             "max_iterations": config.max_iterations,
             "max_representative_items": config.max_representative_items,
             "backend": config.backend,
-            "batch_block_items": config.batch_block_items,
-            "refine_workers": config.refine_workers,
             "corpus_cache_dir": (
                 str(config.corpus_cache_dir)
                 if config.corpus_cache_dir is not None
@@ -334,15 +333,82 @@ def _read_json(directory: Path, name: str) -> Dict[str, object]:
         raise ModelStoreError(f"cannot read model file {path}: {error}") from error
 
 
+#: Marks a manifest config key without a default (see _config_from_manifest).
+_REQUIRED = object()
+
+
+def _config_from_manifest(
+    raw: Dict[str, object], directory: Path, backend: Optional[str]
+) -> ClusteringConfig:
+    """Decode the manifest's ``config`` section.
+
+    A missing key, a value of the wrong type or a value
+    :class:`ClusteringConfig` rejects raises :class:`ModelStoreError`
+    naming *directory* and the key.  A recorded backend spec naming no
+    registered backend keeps raising the unknown-backend ``ValueError``
+    (see :func:`load_model`).  Unknown keys are ignored -- among them the
+    retired tile-budget and refinement-worker keys older manifests carry:
+    tiling is bit-exact and refinement always runs in process, so neither
+    changed a verdict.
+    """
+
+    def read(key: str, cast, default=_REQUIRED):
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ModelStoreError(
+                    f"model config in {directory} lacks key {key!r}"
+                )
+            return default
+        value = raw[key]
+        try:
+            return cast(value)
+        except (TypeError, ValueError) as error:
+            raise ModelStoreError(
+                f"model config in {directory} has a bad {key!r} value "
+                f"{value!r}: {error}"
+            ) from error
+
+    def optional(cast):
+        return lambda value: None if value is None else cast(value)
+
+    spec = backend if backend is not None else read("backend", str)
+    validate_backend_spec(spec)
+    try:
+        return ClusteringConfig(
+            k=read("k", int),
+            similarity=SimilarityConfig(
+                f=read("f", float), gamma=read("gamma", float)
+            ),
+            max_iterations=read("max_iterations", int),
+            seed=read("seed", int),
+            max_representative_items=read(
+                "max_representative_items", optional(int), None
+            ),
+            backend=spec,
+            corpus_cache_dir=read("corpus_cache_dir", optional(str), None),
+            # pre-streaming manifests simply fall back to the batch defaults
+            streaming=read("streaming", bool, False),
+            chunk_size=read("chunk_size", optional(int), None),
+            retain_threshold=read("retain_threshold", float, 0.25),
+            drift_threshold=read("drift_threshold", float, 0.5),
+        )
+    except ValueError as error:
+        raise ModelStoreError(
+            f"invalid model config in {directory}: {error}"
+        ) from error
+
+
 def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     """Load a model directory into a query-ready :class:`ClusterModel`.
 
-    Validates the manifest (format version, file inventory) before
-    touching any data file.  When the manifest records a compiled corpus
-    store, the store is re-attached to the fresh engine (``store: hit`` --
-    zero compile work); on any store failure or fingerprint mismatch the
-    model degrades to a cold load (``store: cold``) that pre-warms the
-    structural tag-path cache from the persisted registry instead.
+    Validates the manifest (format version, file inventory, config
+    section) before touching any data file.  When the manifest records a
+    compiled corpus store, the store is re-attached to the fresh engine
+    (``store: hit`` -- zero compile work); on any store failure or
+    fingerprint mismatch the model degrades to a cold load
+    (``store: cold``) that pre-warms the structural tag-path cache from
+    the persisted registry instead.  A malformed config section raises
+    :class:`ModelStoreError` naming the directory and the key.
 
     Parameters
     ----------
@@ -371,36 +437,7 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     raw = manifest.get("config")
     if not isinstance(raw, dict):
         raise ModelStoreError(f"model manifest has no config section: {directory}")
-    config = ClusteringConfig(
-        k=int(raw["k"]),
-        similarity=SimilarityConfig(f=float(raw["f"]), gamma=float(raw["gamma"])),
-        max_iterations=int(raw["max_iterations"]),
-        seed=int(raw["seed"]),
-        max_representative_items=(
-            int(raw["max_representative_items"])
-            if raw.get("max_representative_items") is not None
-            else None
-        ),
-        backend=str(backend if backend is not None else raw["backend"]),
-        batch_block_items=(
-            int(raw["batch_block_items"])
-            if raw.get("batch_block_items") is not None and backend is None
-            else None
-        ),
-        refine_workers=(
-            int(raw["refine_workers"])
-            if raw.get("refine_workers") is not None
-            else None
-        ),
-        corpus_cache_dir=raw.get("corpus_cache_dir"),
-        # pre-streaming manifests simply fall back to the batch defaults
-        streaming=bool(raw.get("streaming", False)),
-        chunk_size=(
-            int(raw["chunk_size"]) if raw.get("chunk_size") is not None else None
-        ),
-        retain_threshold=float(raw.get("retain_threshold", 0.25)),
-        drift_threshold=float(raw.get("drift_threshold", 0.5)),
-    )
+    config = _config_from_manifest(raw, directory, backend)
 
     reps_doc = _read_json(directory, "representatives.json")
     try:
@@ -445,7 +482,7 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     from repro.similarity.corpus_store import CorpusStoreError, cached_store
     from repro.similarity.transaction import SimilarityEngine
 
-    engine = SimilarityEngine(config.similarity, backend=config.effective_backend)
+    engine = SimilarityEngine(config.similarity, backend=config.backend)
     corpus_doc = manifest.get("corpus") or {}
     store_status = "off"
     store_dir = corpus_doc.get("store_dir")

@@ -67,7 +67,7 @@ class PKMeans:
         self._engine = SimilarityEngine(
             config.similarity,
             cache=self._shared_cache,
-            backend=config.effective_backend,
+            backend=config.backend,
         )
 
     @property
@@ -225,15 +225,7 @@ class PKMeans:
                                 max_items=self.config.max_representative_items,
                             )
                         )
-                    # the global-phase equivalent of the cluster-sharded
-                    # refinement: one cluster merge per worker
-                    computed.update(
-                        refine_clusters(
-                            shards,
-                            self._engine,
-                            workers=self.config.effective_refine_workers,
-                        )
-                    )
+                    computed.update(refine_clusters(shards, self._engine))
                 if not new_representatives:
                     new_representatives = computed
             global_representatives = new_representatives

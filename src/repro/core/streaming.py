@@ -21,18 +21,18 @@ compilation (:meth:`~repro.similarity.backend.NumpyBackend.extend_corpus`):
   flushed to its best cluster (or trash).
 * **Drift-triggered re-refinement.**  Drift is the retained-set fill
   fraction; when it reaches ``drift_threshold`` the clusterer re-refines
-  the representatives from a bounded per-cluster member sample (reusing
-  :func:`~repro.network.mpengine.refine_clusters`, so the work dispatches
-  across refinement workers exactly like a batch iteration), re-assigns
-  the retained set against the new representatives and records the
-  assignment-churn rate.  Between drift events a chunk costs one delta
-  compile plus one bulk assignment -- never a full re-fit.
+  the representatives from a bounded per-cluster member sample (through
+  :func:`~repro.network.mpengine.refine_clusters`, exactly like a batch
+  iteration), re-assigns the retained set against the new
+  representatives and records the assignment-churn rate.  Between drift
+  events a chunk costs one delta compile plus one bulk assignment --
+  never a full re-fit.
 * **Out of core.**  With a backing block store, each chunk is appended as
   an immutable block and cluster membership is tracked as global row ids;
-  older blocks stay mmap-resident on disk (re-refinement shards ship
-  ``store_dir`` + row ids and workers attach the chain), so process
-  memory holds only the representatives, the id-level bookkeeping and the
-  active tail of the stream.
+  older blocks stay mmap-resident on disk (a re-refinement resolves only
+  its bounded member sample from the chain), so process memory holds
+  only the representatives, the id-level bookkeeping and the active tail
+  of the stream.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult, build_result
@@ -122,11 +122,10 @@ class StreamingClusterer:
     store:
         Optional :class:`BlockCorpusStore` chain.  When given, every
         ingested chunk (bootstrap included) is appended as an immutable
-        block, membership is tracked as global row ids and re-refinement
-        shards address the chain by ``store_dir`` + rows -- the
-        out-of-core mode.  Without a store, members are kept in memory
-        and shards inline them (the small-corpus mode the property tests
-        exercise).
+        block, membership is tracked as global row ids and a
+        re-refinement resolves its member sample from the chain by row --
+        the out-of-core mode.  Without a store, members are kept in
+        memory (the small-corpus mode the property tests exercise).
     keep_members:
         Whether :meth:`finalize` materialises member transactions in the
         result.  Defaults to the in-memory behaviour (True without a
@@ -145,7 +144,7 @@ class StreamingClusterer:
         self.engine = engine or SimilarityEngine(
             config.similarity,
             cache=TagPathSimilarityCache(),
-            backend=config.effective_backend,
+            backend=config.backend,
         )
         self.store = store
         self.keep_members = keep_members if keep_members is not None else store is None
@@ -290,41 +289,22 @@ class StreamingClusterer:
     # ------------------------------------------------------------------ #
     # Drift-triggered re-refinement
     # ------------------------------------------------------------------ #
-    def _refine_sample(self, state: _ClusterState) -> Tuple[List[int], List[str]]:
-        """The bounded member sample one re-refinement may touch.
-
-        The most recent members are kept (the stream's active tail -- the
-        population whose drift triggered the round); the bound makes a
-        re-refinement cost proportional to the retain capacity, never the
-        accumulated corpus.
-        """
-        cap = max(64, 4 * self.retain_capacity)
-        return state.rows[-cap:], state.ids[-cap:]
-
     def _re_refine(self) -> None:
         """Re-refine representatives from bounded samples, flush retained."""
         shards: List[RefinementShard] = []
         backend_name = self.engine.backend_name
-        workers = self.config.effective_refine_workers
         for index, state in enumerate(self._clusters):
             if not state.ids:
                 continue
-            rows, ids = self._refine_sample(state)
-            members: Optional[List[Transaction]] = None
-            member_rows: Optional[List[int]] = None
-            store_dir: Optional[str] = None
-            if self.store is not None and workers > 1:
-                # dispatched shards address the chain by rows; the worker
-                # process materialises them, not the driver
-                member_rows = rows
-                store_dir = str(self.store.directory)
-            elif self.store is not None:
-                # in-process refinement resolves the bounded sample block
-                # by block (transient loads) -- never the cached full
-                # corpus, so the driver's memory stays flat
-                members = self.store.resolve_rows(rows)
+            # the most recent members -- the stream's active tail, whose
+            # drift triggered the round; the bound makes a re-refinement
+            # cost proportional to the retain capacity, never the corpus
+            cap = max(64, 4 * self.retain_capacity)
+            if self.store is not None:
+                # resolved block by block (transient loads), never through
+                # the cached full corpus, so memory stays flat
+                members = self.store.resolve_rows(state.rows[-cap:])
             else:
-                cap = max(64, 4 * self.retain_capacity)
                 members = state.members[-cap:]
             shards.append(
                 RefinementShard(
@@ -334,13 +314,9 @@ class StreamingClusterer:
                     backend=backend_name,
                     representative_id=f"rep:{index}",
                     max_items=self.config.max_representative_items,
-                    store_dir=store_dir,
-                    member_rows=member_rows,
                 )
             )
-        refined = refine_clusters(
-            shards, self.engine, workers=self.config.effective_refine_workers
-        )
+        refined = refine_clusters(shards, self.engine)
         self._representatives = [
             refined.get(index, representative)
             for index, representative in enumerate(self._representatives)

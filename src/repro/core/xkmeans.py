@@ -17,10 +17,7 @@ from repro.core.config import ClusteringConfig
 from repro.core.representatives import representatives_equal
 from repro.core.results import ClusteringResult, build_result
 from repro.core.seeding import select_seed_transactions
-from repro.network.mpengine import (
-    make_refinement_shard,
-    refine_clusters,
-)
+from repro.network.mpengine import RefinementShard, refine_clusters
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.transaction import SimilarityEngine
 from repro.transactions.transaction import Transaction
@@ -54,7 +51,7 @@ class XKMeans:
         self.engine = engine or SimilarityEngine(
             config.similarity,
             cache=TagPathSimilarityCache(),
-            backend=config.effective_backend,
+            backend=config.backend,
         )
 
     # ------------------------------------------------------------------ #
@@ -128,23 +125,20 @@ class XKMeans:
             clusters, _ = self._clusters_from_assignment(
                 transactions, new_assignment, k
             )
-            # refinement: one shard per non-empty cluster, dispatched across
-            # refinement workers when the configuration grants them (the
-            # same cluster-sharded path used by the distributed algorithms)
+            # refinement: one shard per non-empty cluster
             shards = [
-                make_refinement_shard(
-                    self.engine,
+                RefinementShard(
                     cluster_index=index,
                     members=members,
+                    similarity=self.config.similarity,
+                    backend=self.engine.backend_name,
                     representative_id=f"rep:{index}",
                     max_items=self.config.max_representative_items,
                 )
                 for index, members in enumerate(clusters)
                 if members
             ]
-            refined = refine_clusters(
-                shards, self.engine, workers=self.config.effective_refine_workers
-            )
+            refined = refine_clusters(shards, self.engine)
             # empty clusters keep the previous representative so they may
             # re-acquire transactions in later iterations
             new_representatives = [

@@ -180,8 +180,6 @@ def run_configuration(
     max_iterations: int = 8,
     cost_model: Optional[CostModel] = None,
     backend: str = "python",
-    batch_block_items: Optional[int] = None,
-    refine_workers: Optional[int] = None,
     corpus_cache_dir: Optional[str] = None,
     save_model_dir: Optional[str] = None,
     network: str = "sim",
@@ -222,8 +220,6 @@ def run_configuration(
         seed=seed,
         max_iterations=max_iterations,
         backend=backend,
-        batch_block_items=batch_block_items,
-        refine_workers=refine_workers,
         corpus_cache_dir=corpus_cache_dir,
         network=network,
         **(
@@ -447,13 +443,6 @@ class ExperimentSweep:
     #: Similarity backend spec driving the clustering hot path
     #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
-    #: Tile budget (items per side) of the batched similarity kernels
-    #: (``None`` = backend default, ``0`` = unbounded; see
-    #: :attr:`repro.core.config.ClusteringConfig.batch_block_items`).
-    batch_block_items: Optional[int] = None
-    #: Worker processes for cluster-sharded representative refinement
-    #: (``None`` keeps the serial refinement path).
-    refine_workers: Optional[int] = None
     #: Directory of the persistent compiled-corpus store (``None`` = off);
     #: every sweep cell over the same (dataset, scale, similarity) reuses
     #: one exported compilation instead of recompiling per run.
@@ -509,8 +498,6 @@ class ExperimentSweep:
                                 max_iterations=self.max_iterations,
                                 cost_model=self.cost_model,
                                 backend=self.backend,
-                                batch_block_items=self.batch_block_items,
-                                refine_workers=self.refine_workers,
                                 corpus_cache_dir=self.corpus_cache_dir,
                                 save_model_dir=save_model_dir,
                                 network=self.network,

@@ -53,13 +53,6 @@ class AccuracyTableConfig:
     #: Similarity backend spec driving the clustering hot path
     #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
-    #: Tile budget (items per side) of the batched similarity kernels
-    #: (``None`` = backend default, ``0`` = unbounded; see
-    #: :attr:`repro.core.config.ClusteringConfig.batch_block_items`).
-    batch_block_items: Optional[int] = None
-    #: Worker processes for cluster-sharded representative refinement
-    #: (``None`` keeps the serial refinement path).
-    refine_workers: Optional[int] = None
     #: Directory of the persistent compiled-corpus store (``None`` = off).
     corpus_cache_dir: Optional[str] = None
     #: Transport of the collaborative rounds (``"sim"`` / ``"real"``).
@@ -125,8 +118,6 @@ def run_accuracy_table(config: Optional[AccuracyTableConfig] = None) -> Accuracy
             max_iterations=config.max_iterations,
             cost_model=config.cost_model,
             backend=config.backend,
-            batch_block_items=config.batch_block_items,
-            refine_workers=config.refine_workers,
             corpus_cache_dir=config.corpus_cache_dir,
             network=config.network,
             network_timeout=config.network_timeout,

@@ -147,8 +147,7 @@ def default_worker_factory(spec: PeerWorkerSpec) -> multiprocessing.Process:
     """Create the standard worker process for *spec* (not yet started).
 
     Workers use the ``spawn`` start method (safe to launch while the driver
-    thread runs) and are **non-daemonic**, so a refinement budget above one
-    may still create its own worker pools inside the local phase.
+    thread runs) and are **non-daemonic**.
     """
     context = multiprocessing.get_context("spawn")
     return context.Process(

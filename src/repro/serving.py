@@ -11,9 +11,9 @@
   ``POST /models/<name>/classify`` (and ``POST /classify`` when one model
   is routed), serves per-model counters at ``GET /models/<name>/stats``,
   hot-reloads fingerprint-changed publishes with zero dropped in-flight
-  requests, drains gracefully on SIGTERM, and optionally dispatches
-  CPU-bound classify calls to a process pool (``--workers N``) so
-  throughput scales past the single-process ceiling on multi-core hosts.
+  requests, and drains gracefully on SIGTERM.  Every route's model is
+  loaded in the server process and classify runs inline on the event
+  loop.
 
 Every classify response reports the latency of its own call, so a load
 generator (``benchmarks/bench_serving.py``) can build latency histograms
@@ -30,10 +30,7 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Deque, Dict, List, Optional, TextIO, Tuple
 
 from repro.core.model_store import ClusterModel, load_model
@@ -60,11 +57,6 @@ DEFAULT_DRAIN_TIMEOUT = 30.0
 
 #: Per-model ring-buffer size for the /stats latency percentiles.
 LATENCY_WINDOW = 1024
-
-#: Worker processes keep at most this many distinct model directories
-#: warm; older entries are closed and evicted (hot reloads retire
-#: directories, so an unbounded cache would leak one model per publish).
-WORKER_MODEL_CACHE_CAP = 8
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -116,88 +108,6 @@ def serve_stdin(
         output_stream.flush()
         answered += 1
     return answered
-
-
-# --------------------------------------------------------------------------- #
-# Worker-side model execution (process-pool classify)
-# --------------------------------------------------------------------------- #
-#: Per-process model cache: directory -> (fingerprint, ClusterModel).
-_PROCESS_MODELS: Dict[str, Tuple[str, ClusterModel]] = {}
-
-
-def process_model(
-    directory: str, fingerprint: str, backend: Optional[str] = None
-) -> ClusterModel:
-    """The calling process' warm model for *directory* (load on first use).
-
-    Worker processes keep one loaded :class:`ClusterModel` per model
-    directory, keyed by the registry fingerprint: a hot reload that
-    re-publishes *the same directory* with new content (a re-save in
-    place) invalidates the cached entry, while a publish into a fresh
-    directory simply lands in a new cache slot -- in-flight calls against
-    the old directory keep their old model either way.  The cache is
-    capped at :data:`WORKER_MODEL_CACHE_CAP` directories (oldest closed
-    and evicted), bounding worker memory across many reloads.
-    """
-    cached = _PROCESS_MODELS.get(directory)
-    if cached is not None and cached[0] == fingerprint:
-        return cached[1]
-    if cached is not None:
-        cached[1].close()
-        del _PROCESS_MODELS[directory]
-    while len(_PROCESS_MODELS) >= WORKER_MODEL_CACHE_CAP:
-        oldest = next(iter(_PROCESS_MODELS))
-        _PROCESS_MODELS.pop(oldest)[1].close()
-    model = load_model(directory, backend=backend)
-    _PROCESS_MODELS[directory] = (fingerprint, model)
-    return model
-
-
-def clear_process_models() -> None:
-    """Close and drop every cached worker model (tests, pool shutdown)."""
-    while _PROCESS_MODELS:
-        _PROCESS_MODELS.popitem()[1][1].close()
-
-
-def worker_classify(
-    directory: str,
-    fingerprint: str,
-    backend: Optional[str],
-    xml_text: str,
-) -> dict:
-    """Classify *xml_text* on this process' warm model (pool entry point).
-
-    Module-level (hence picklable) so :class:`AsyncModelServer` can
-    dispatch it through a :class:`~concurrent.futures.ProcessPoolExecutor`;
-    the returned payload additionally carries the worker's store status so
-    the parent's ``/stats`` can report it without loading the model
-    itself.
-    """
-    model = process_model(directory, fingerprint, backend)
-    payload = classify_payload(model, xml_text)
-    payload["store"] = model.store_status
-    return payload
-
-
-def worker_classify_batch(
-    directory: str,
-    fingerprint: str,
-    backend: Optional[str],
-    documents: List[str],
-) -> List[dict]:
-    """Classify a batch of documents on one warm worker (bench entry point).
-
-    One pool dispatch amortises the IPC cost over the whole slice, which
-    is how ``bench_serving.py --workers N`` measures the pool's aggregate
-    classify capacity separately from HTTP framing overhead.
-    """
-    model = process_model(directory, fingerprint, backend)
-    results = []
-    for document in documents:
-        payload = classify_payload(model, document)
-        payload["store"] = model.store_status
-        results.append(payload)
-    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -298,11 +208,10 @@ def _percentile(sorted_values: List[float], fraction: float) -> float:
 
 @dataclass
 class _RouteState:
-    """One routed model: its current target, counters and (inline) model."""
+    """One routed model: its current target, loaded model and counters."""
 
     target: RouteTarget
-    model: Optional[ClusterModel] = None
-    store: str = "unknown"
+    model: ClusterModel
     requests: int = 0
     errors: int = 0
     reloads: int = 0
@@ -318,7 +227,7 @@ class _RouteState:
             "version": self.target.version,
             "fingerprint": self.target.fingerprint,
             "directory": self.target.directory,
-            "store": self.store,
+            "store": self.model.store_status,
             "requests": self.requests,
             "errors": self.errors,
             "reloads": self.reloads,
@@ -340,21 +249,21 @@ class AsyncModelServer:
       :data:`LATENCY_WINDOW` calls, store status, routed version and
       fingerprint.
     - ``GET /models`` -- the routing table; ``GET /healthz`` -- overall
-      status (``ok`` | ``draining``), per-model summary, worker count.
+      status (``ok`` | ``draining``) and per-model summary.
     - ``POST /reload`` -- re-resolve the router and swap every route
       whose fingerprint changed; the response names swapped / added /
-      removed models.  With *poll_interval* the same check also runs on
-      a timer, so a registry publish hot-reloads without any call.
+      removed models, and the routes whose new model failed to load
+      (``failed``: name -> error; such a route keeps its old model).
+      With *poll_interval* the same check also runs on a timer, so a
+      registry publish hot-reloads without any call.
 
-    Concurrency model: request parsing and bookkeeping run on the event
-    loop; the CPU-bound classify runs either inline (``workers=0``, one
-    process, requests serialise) or on a :class:`ProcessPoolExecutor` of
-    *workers* pre-forked processes, each keeping its own warm models
-    (:func:`process_model`).  Hot reload swaps a route atomically between
-    requests -- in-flight calls hold the old target (and the workers its
-    old model), so **zero requests are dropped** by a publish.  SIGTERM /
-    SIGINT trigger a graceful drain: stop accepting, finish in-flight
-    work (bounded by *drain_timeout*), then shut the pool down.
+    Concurrency model: every route's model is loaded in the server
+    process; request parsing, bookkeeping and the CPU-bound classify all
+    run on the event loop, so classify calls serialise.  Hot reload swaps
+    a route atomically between requests, so **zero requests are dropped**
+    by a publish.  SIGTERM / SIGINT trigger a graceful drain: stop
+    accepting, finish in-flight work (bounded by *drain_timeout*), then
+    close the models.
     """
 
     def __init__(
@@ -363,7 +272,6 @@ class AsyncModelServer:
         host: str = "127.0.0.1",
         port: int = 8000,
         *,
-        workers: int = 0,
         backend: Optional[str] = None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
@@ -374,7 +282,6 @@ class AsyncModelServer:
         self.router = router
         self.host = host
         self.port = port
-        self.workers = max(0, int(workers))
         self.backend = backend
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
@@ -384,7 +291,6 @@ class AsyncModelServer:
         self.started = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._shutdown: Optional[asyncio.Event] = None
         self._inflight = 0
         self._handled = 0
@@ -394,52 +300,58 @@ class AsyncModelServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def _build_routes(self) -> None:
-        """Resolve the initial routing table (and load models inline)."""
+        """Resolve the initial routing table and load every model."""
         for name, target in self.router.targets().items():
             self.routes[name] = self._make_route(target)
 
     def _make_route(self, target: RouteTarget) -> _RouteState:
-        """Materialise one route; inline mode loads the model eagerly."""
-        state = _RouteState(target=target)
-        if self.workers == 0:
-            state.model = load_model(target.directory, backend=self.backend)
-            state.store = state.model.store_status
-        return state
+        """Materialise one route: load its model in this process."""
+        return _RouteState(
+            target=target, model=load_model(target.directory, backend=self.backend)
+        )
 
-    def refresh_routes(self) -> Dict[str, List[str]]:
+    def refresh_routes(self) -> Dict[str, object]:
         """Re-resolve the router; swap fingerprint-changed routes.
 
-        Returns ``{"swapped": [...], "added": [...], "removed": [...]}``.
-        The swap replaces the route entry atomically (a dict assignment
-        on the event loop); requests already dispatched keep their old
-        :class:`RouteTarget`, so none are dropped.
+        Returns ``{"swapped": [...], "added": [...], "removed": [...],
+        "failed": {name: error}}``.  The swap replaces the route entry
+        atomically (a dict assignment on the event loop); requests already
+        dispatched keep their old model, so none are dropped.  A model
+        that fails to load leaves its route as it was (an added route
+        stays absent) and lands in ``failed``; the other routes still
+        swap, and the next refresh retries it.
         """
         fresh = self.router.targets()
-        summary: Dict[str, List[str]] = {"swapped": [], "added": [], "removed": []}
+        swapped: List[str] = []
+        added: List[str] = []
+        removed: List[str] = []
+        failed: Dict[str, str] = {}
         for name, target in fresh.items():
             current = self.routes.get(name)
-            if current is None:
-                self.routes[name] = self._make_route(target)
-                summary["added"].append(name)
-            elif current.target.fingerprint != target.fingerprint:
+            if current is not None and current.target.fingerprint == target.fingerprint:
+                continue
+            try:
                 replacement = self._make_route(target)
-                # carry the cumulative counters across the swap; /stats
-                # reports the live version next to them
-                replacement.requests = current.requests
-                replacement.errors = current.errors
-                replacement.latencies_ms = current.latencies_ms
-                replacement.reloads = current.reloads + 1
-                self.routes[name] = replacement
-                if current.model is not None:
-                    current.model.close()
-                summary["swapped"].append(name)
+            except Exception as error:  # noqa: BLE001 - reported per route
+                failed[name] = f"{type(error).__name__}: {error}"
+                continue
+            self.routes[name] = replacement
+            if current is None:
+                added.append(name)
+                continue
+            # carry the cumulative counters across the swap; /stats
+            # reports the live version next to them
+            replacement.requests = current.requests
+            replacement.errors = current.errors
+            replacement.latencies_ms = current.latencies_ms
+            replacement.reloads = current.reloads + 1
+            current.model.close()
+            swapped.append(name)
         for name in list(self.routes):
             if name not in fresh:
-                dropped = self.routes.pop(name)
-                if dropped.model is not None:
-                    dropped.model.close()
-                summary["removed"].append(name)
-        return summary
+                self.routes.pop(name).model.close()
+                removed.append(name)
+        return {"swapped": swapped, "added": added, "removed": removed, "failed": failed}
 
     def request_shutdown(self) -> None:
         """Begin a graceful drain (idempotent; callable from the loop)."""
@@ -464,8 +376,8 @@ class AsyncModelServer:
         The graceful-drain contract: after the shutdown signal the
         listening socket closes (new connections are refused and kept-
         alive connections get ``503``), every in-flight request still
-        completes (bounded by *drain_timeout*), and only then do the pool
-        and the inline models shut down.
+        completes (bounded by *drain_timeout*), and only then are the
+        models closed.
         """
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
@@ -475,8 +387,6 @@ class AsyncModelServer:
             with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
                 for signum in (signal.SIGTERM, signal.SIGINT):
                     self._loop.add_signal_handler(signum, self.request_shutdown)
-        if self.workers > 0:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         self._build_routes()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port, limit=MAX_LINE_BYTES
@@ -499,12 +409,8 @@ class AsyncModelServer:
             deadline = time.monotonic() + self.drain_timeout
             while self._inflight > 0 and time.monotonic() < deadline:
                 await asyncio.sleep(0.01)
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
             for state in self.routes.values():
-                if state.model is not None:
-                    state.model.close()
+                state.model.close()
             self.routes.clear()
 
     async def _poll_registry(self) -> None:
@@ -659,7 +565,12 @@ class AsyncModelServer:
                 "models": [state.stats() for state in self.routes.values()]
             }
         if method == "POST" and path == "/reload":
-            return 200, {"reloaded": self.refresh_routes()}
+            try:
+                return 200, {"reloaded": self.refresh_routes()}
+            except Exception as error:  # noqa: BLE001 - a 500, not a drop
+                # the routing table itself could not be resolved (registry
+                # unreadable, static directory unfingerprintable)
+                return 500, {"error": f"{type(error).__name__}: {error}"}
         if method == "POST" and path == "/classify" and len(self.routes) == 1:
             (state,) = self.routes.values()
             return await self._classify(state, body)
@@ -680,13 +591,12 @@ class AsyncModelServer:
         """The ``/healthz`` body: overall status plus per-model summary."""
         return {
             "status": "draining" if self._draining else "ok",
-            "workers": self.workers,
             "handled": self._handled,
             "models": {
                 name: {
                     "version": state.target.version,
                     "fingerprint": state.target.fingerprint,
-                    "store": state.store,
+                    "store": state.model.store_status,
                     "requests": state.requests,
                     "errors": state.errors,
                 }
@@ -695,19 +605,14 @@ class AsyncModelServer:
         }
 
     async def _classify(self, state: _RouteState, body: bytes) -> Tuple[int, dict]:
-        """Classify *body* on *state*'s model (inline or on the pool)."""
-        target = state.target
+        """Classify *body* on *state*'s model."""
         try:
             text = body.decode("utf-8")
         except UnicodeDecodeError as error:
             state.errors += 1
             return 400, {"error": str(error)}
         try:
-            if self._pool is not None:
-                payload = await self._dispatch(target, text)
-            else:
-                payload = classify_payload(state.model, text)
-                payload["store"] = state.model.store_status
+            payload = classify_payload(state.model, text)
         except (XMLError, ValueError) as error:
             state.errors += 1
             return 400, {"error": str(error)}
@@ -715,37 +620,11 @@ class AsyncModelServer:
             state.errors += 1
             return 500, {"error": f"{type(error).__name__}: {error}"}
         state.requests += 1
-        state.store = str(payload.get("store", state.store))
         state.latencies_ms.append(float(payload.get("latency_ms", 0.0)))
-        payload["model"] = target.name
-        payload["version"] = target.version
+        payload["store"] = state.model.store_status
+        payload["model"] = state.target.name
+        payload["version"] = state.target.version
         return 200, payload
-
-    async def _dispatch(self, target: RouteTarget, text: str) -> dict:
-        """Run one classify on the worker pool (one crash-rebuild retry).
-
-        A worker killed mid-call (OOM, signal) breaks the whole
-        :class:`ProcessPoolExecutor`; the pool is rebuilt once and the
-        call retried, so a single crash costs one request's latency, not
-        the server.
-        """
-        loop = asyncio.get_running_loop()
-        for attempt in (0, 1):
-            try:
-                return await loop.run_in_executor(
-                    self._pool,
-                    worker_classify,
-                    target.directory,
-                    target.fingerprint,
-                    self.backend,
-                    text,
-                )
-            except BrokenProcessPool:
-                if attempt or self._draining:
-                    raise
-                self._pool.shutdown(wait=False)
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        raise RuntimeError("unreachable")  # pragma: no cover
 
 
 class _BadRequest(Exception):
@@ -759,7 +638,6 @@ def serve_async(
     model_dirs: Optional[Dict[str, str]] = None,
     host: str = "127.0.0.1",
     port: int = 8000,
-    workers: int = 0,
     backend: Optional[str] = None,
     poll_interval: Optional[float] = None,
     max_requests: Optional[int] = None,
@@ -784,7 +662,6 @@ def serve_async(
         router,
         host=host,
         port=port,
-        workers=workers,
         backend=backend,
         poll_interval=poll_interval,
         max_requests=max_requests,

@@ -101,9 +101,8 @@ DEFAULT_BACKEND = "python"
 #: tiles whose row-item and column-item totals each stay within this
 #: budget, so peak scratch memory is bounded by roughly
 #: ``budget**2 * 8`` bytes per scratch array regardless of corpus size.
-#: Overridable per backend spec (``numpy:block=N``) or through
-#: :attr:`~repro.core.config.ClusteringConfig.batch_block_items`;
-#: ``block=0`` selects the unbounded single-tile (untiled) path.
+#: Overridable per backend spec (``numpy:block=N``); ``block=0`` selects
+#: the unbounded single-tile (untiled) path.
 DEFAULT_BLOCK_ITEMS = 2048
 
 
@@ -165,55 +164,6 @@ def split_block_option(
         elif part:
             rest.append(part)
     return rest, block
-
-
-def spec_block_items(spec: Optional[str]) -> Optional[int]:
-    """The ``block=`` budget a backend spec will actually run with.
-
-    Resolves the spec the way the factory does: ``numpy`` specs are
-    scanned for a ``block=`` option, and specs without batch kernels
-    (``python``) or without a ``block=`` option return ``None`` (backend
-    default).  Malformed specs also return ``None`` -- this is a read-only
-    resolver; validation stays with :func:`validate_backend_spec`.
-    """
-    key = (spec or DEFAULT_BACKEND).lower()
-    base, _, options = key.partition(":")
-    if base != "numpy":
-        return None
-    try:
-        _, block = split_block_option(options or None, key)
-    except ValueError:
-        return None
-    return block
-
-
-def merge_block_option(spec: Optional[str], block_items: Optional[int]) -> str:
-    """Merge a tile budget into a backend spec string.
-
-    The spec-level threading used by
-    :attr:`~repro.core.config.ClusteringConfig.effective_backend`: the
-    returned (normalised, lower-cased) spec carries ``block={block_items}``
-    wherever the tiled batch kernels will actually run --
-
-    * ``numpy`` specs gain a trailing ``:block=N`` part unless they
-      already carry an explicit ``block=`` option (the more specific
-      spec-level option wins);
-    * the ``python`` reference backend has no batch scratch blocks to
-      bound, so its spec is returned unchanged.
-
-    ``block_items=None`` leaves the spec untouched (backend default).
-    """
-    key = (spec or DEFAULT_BACKEND).lower()
-    if block_items is None:
-        return key
-    base, _, options = key.partition(":")
-    if base != "numpy":
-        return key
-    if options and any(
-        part.startswith("block=") for part in options.split(":")
-    ):
-        return key
-    return f"{key}:block={block_items}"
 
 
 def _load_numpy():

@@ -760,7 +760,7 @@ class BlockCorpusStore:
         """Adopt the caller's live corpus list instead of unpickling blocks.
 
         Used on the attach path when the attaching process already holds
-        the corpus (the usual case outside pool workers), so
+        the corpus (the usual case outside real-transport peer workers), so
         :meth:`transactions` / :meth:`row_index` never touch a block's
         ``transactions.pkl`` there.
         """

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -35,13 +36,7 @@ from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
 from repro.experiments.runner import precompute_similarity
 from repro.network.mpengine import clear_process_engines
-from repro.serving import (
-    AsyncModelServer,
-    ModelRouter,
-    clear_process_models,
-    worker_classify,
-    worker_classify_batch,
-)
+from repro.serving import AsyncModelServer, ModelRouter
 from repro.similarity.corpus_store import clear_store_cache
 from repro.similarity.item import SimilarityConfig
 from repro.store import RegistryError, model_fingerprint, open_registry
@@ -72,14 +67,12 @@ def free_port():
 
 @pytest.fixture(autouse=True)
 def isolated_caches():
-    """Start and end every test with empty engine/store/worker caches."""
+    """Start and end every test with empty engine and store caches."""
     clear_process_engines()
     clear_store_cache()
-    clear_process_models()
     yield
     clear_process_engines()
     clear_store_cache()
-    clear_process_models()
 
 
 def fit_and_save(directory, *, k, max_iterations=2):
@@ -126,11 +119,12 @@ def documents():
 
 
 @contextmanager
-def running_server(registry_path, **kwargs):
-    """Run an :class:`AsyncModelServer` on a background thread."""
+def running_server(registry_path=None, *, router=None, **kwargs):
+    """Run an :class:`AsyncModelServer` on a background thread (routing the
+    registry at *registry_path* unless a *router* is given)."""
     port = free_port()
     server = AsyncModelServer(
-        ModelRouter(registry=open_registry(registry_path)),
+        router or ModelRouter(registry=open_registry(registry_path)),
         port=port,
         **kwargs,
     )
@@ -352,8 +346,44 @@ class TestHotReload:
             registry.publish("beta", registry.active("beta").directory)
             reloaded = fetch_with_retry(f"{base}/reload", data=b"", method="POST")
             assert reloaded["reloaded"] == {
-                "swapped": [], "added": [], "removed": []
+                "swapped": [], "added": [], "removed": [], "failed": {}
             }
+
+    def test_failed_load_keeps_its_route_and_the_others_still_swap(
+        self, registry_path, tmp_path, documents
+    ):
+        """A broken re-save of one route is reported with its error and
+        keeps serving its old model; a good re-save of the next route
+        still swaps in the same reload."""
+        root = Path(registry_path).parent
+        broken = shutil.copytree(root / "alpha", tmp_path / "broken")
+        good = shutil.copytree(root / "beta", tmp_path / "good")
+        router = ModelRouter(model_dirs={"broken": str(broken), "good": str(good)})
+        with running_server(router=router) as (server, base):
+            before = fetch_with_retry(f"{base}/models/broken/stats")
+            manifest = json.loads((broken / "model.json").read_text())
+            del manifest["config"]["k"]
+            (broken / "model.json").write_text(json.dumps(manifest))
+            shutil.rmtree(good)
+            shutil.copytree(root / "spare", good)
+
+            reloaded = fetch_with_retry(f"{base}/reload", data=b"", method="POST")
+
+            assert reloaded["reloaded"]["swapped"] == ["good"]
+            assert list(reloaded["reloaded"]["failed"]) == ["broken"]
+            assert "lacks key 'k'" in reloaded["reloaded"]["failed"]["broken"]
+            stats = fetch_with_retry(f"{base}/models/broken/stats")
+            assert stats["fingerprint"] == before["fingerprint"]
+            assert stats["reloads"] == 0
+            payload = fetch_with_retry(
+                f"{base}/models/broken/classify",
+                data=documents[0].encode("utf-8"),
+                method="POST",
+            )
+            assert payload["model"] == "broken"
+            stats = fetch_with_retry(f"{base}/models/good/stats")
+            assert stats["fingerprint"] == model_fingerprint(root / "spare")
+            assert stats["reloads"] == 1
 
     def test_poll_interval_reloads_without_a_call(
         self, registry_path, documents
@@ -442,7 +472,7 @@ class TestDrain:
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--registry", str(registry_path),
-                "--port", str(port), "--workers", "0",
+                "--port", str(port),
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -466,40 +496,3 @@ class TestDrain:
                 process.communicate(timeout=30)
         assert process.returncode == 0, output
         assert "async router" in output
-
-
-class TestWorkerPool:
-    def test_pool_classify_matches_direct_classify(
-        self, registry_path, documents
-    ):
-        registry = open_registry(registry_path)
-        record = registry.active("beta")
-        model = load_model(record.directory)
-        expected = [model.classify(doc).to_dict() for doc in documents[:5]]
-        model.close()
-        clear_store_cache()
-        with running_server(registry_path, workers=1) as (server, base):
-            for document, reference in zip(documents[:5], expected):
-                payload = fetch_with_retry(
-                    f"{base}/models/beta/classify",
-                    data=document.encode("utf-8"),
-                    method="POST",
-                )
-                assert payload["cluster_id"] == reference["cluster_id"]
-                assert payload["assignments"] == reference["assignments"]
-            stats = fetch_with_retry(f"{base}/models/beta/stats")
-            assert stats["requests"] == 5
-
-    def test_worker_entry_points_share_the_process_cache(
-        self, registry_path, documents
-    ):
-        record = open_registry(registry_path).active("alpha")
-        single = worker_classify(
-            record.directory, record.fingerprint, None, documents[0]
-        )
-        batch = worker_classify_batch(
-            record.directory, record.fingerprint, None, documents[:2]
-        )
-        assert single["cluster_id"] == batch[0]["cluster_id"]
-        assert len(batch) == 2
-        assert batch[0]["store"] in ("off", "cold", "hit")

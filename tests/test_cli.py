@@ -97,45 +97,6 @@ class TestClusterCommand:
             main(["cluster", "--xml-dir", str(tmp_path / "empty")])
 
 
-class TestRefineWorkersFlag:
-    def test_cluster_with_refine_workers(self, capsys):
-        """--refine-workers runs the cluster-sharded refinement path and
-        produces the same report as the serial run (bit-exact parity)."""
-        arguments = [
-            "cluster",
-            "--corpus", "DBLP",
-            "--goal", "content",
-            "--peers", "2",
-            "--scale", "0.15",
-            "--gamma", "0.7",
-            "--max-iterations", "3",
-        ]
-        assert main(arguments) == 0
-        serial = capsys.readouterr().out
-        assert main(arguments + ["--refine-workers", "2"]) == 0
-        sharded = capsys.readouterr().out
-        # identical clusters and F-measure; timing and cache-statistics
-        # lines may differ (refinement similarity work runs on the worker
-        # engines' caches instead of the parent's)
-        strip = lambda text: [
-            line
-            for line in text.splitlines()
-            if not line.startswith(("elapsed", "simulated", "cache"))
-        ]
-        assert strip(sharded) == strip(serial)
-
-    def test_refine_workers_must_be_positive(self):
-        with pytest.raises(SystemExit, match="refine-workers"):
-            main(
-                [
-                    "cluster",
-                    "--corpus", "DBLP",
-                    "--scale", "0.15",
-                    "--refine-workers", "0",
-                ]
-            )
-
-
 class TestBackendSpecErrors:
     """CLI and ClusteringConfig share one source of backend diagnostics."""
 
@@ -186,18 +147,38 @@ class TestBackendSpecErrors:
             )
 
     def test_batch_block_items_must_be_non_negative(self):
-        with pytest.raises(SystemExit, match="batch-block-items"):
+        """A negative tile budget exits cleanly; the ``block=N`` spec option
+        is the one way to set the budget."""
+        with pytest.raises(SystemExit, match="block size must be >= 0"):
             main(
                 [
                     "cluster",
                     "--corpus", "DBLP",
                     "--scale", "0.15",
-                    "--batch-block-items", "-1",
+                    "--backend", "numpy:block=-1",
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "command, retired",
+        [
+            ("cluster", "--refine-workers"),
+            ("cluster", "--batch-block-items"),
+            ("stream", "--refine-workers"),
+            ("stream", "--batch-block-items"),
+            ("serve", "--workers"),
+        ],
+    )
+    def test_help_lists_no_retired_flag(self, capsys, command, retired):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert retired not in capsys.readouterr().out
+
 
 class TestBatchBlockItemsFlag:
+    """The tile budget on the CLI, set through ``--backend numpy:block=N``
+    (the one way to set it)."""
+
     def _cluster_output(self, capsys, extra):
         arguments = [
             "cluster",
@@ -211,19 +192,20 @@ class TestBatchBlockItemsFlag:
         ]
         assert main(arguments + extra) == 0
         output = capsys.readouterr().out
-        # timing lines vary run to run; everything else must be identical
+        # timing lines vary run to run and the backend line names the
+        # spec; everything else must be identical
         return [
             line
             for line in output.splitlines()
-            if not line.startswith(("elapsed", "simulated"))
+            if not line.startswith(("elapsed", "simulated", "backend"))
         ]
 
     def test_tiled_runs_are_bit_exact_with_untiled(self, capsys):
-        untiled = self._cluster_output(capsys, ["--batch-block-items", "0"])
-        tiled_flag = self._cluster_output(capsys, ["--batch-block-items", "7"])
-        tiled_spec = self._cluster_output(capsys, [])
-        assert tiled_flag == untiled
-        assert tiled_spec == untiled
+        untiled = self._cluster_output(capsys, ["--backend", "numpy:block=0"])
+        tiled = self._cluster_output(capsys, ["--backend", "numpy:block=7"])
+        default = self._cluster_output(capsys, [])
+        assert tiled == untiled
+        assert default == untiled
 
     def test_backend_spec_block_option_accepted(self, capsys):
         arguments = [

@@ -11,9 +11,12 @@ tests pin its contract:
   ordered sparse vectors, items, transactions through JSON);
 * a reload of a store-backed model is a store **hit** that performs zero
   corpus compile work through load *and* classify;
-* tampered manifests (format version), missing/corrupt blocks and
-  unwritable directories are rejected with ``ModelStoreError`` (the CLI and
-  runner degrade instead of failing the run);
+* tampered manifests (format version, malformed config section),
+  missing/corrupt blocks and unwritable directories are rejected with
+  ``ModelStoreError`` (the CLI and runner degrade instead of failing the
+  run);
+* manifests written before the tile-budget and refinement-worker options
+  were retired still load and classify bit-exactly;
 * a manifest naming a backend that is no longer registered (models saved
   under the retired ``sharded`` / ``torch`` backends) fails with the
   unknown-backend ``ValueError`` before any data file is read, and still
@@ -211,22 +214,15 @@ class TestRoundTrip:
         config, _, _ = fit_and_save(
             dblp_small,
             tmp_path / "model",
-            backend="numpy",
-            batch_block_items=64,
-            refine_workers=2,
+            backend="numpy:block=64",
             max_representative_items=11,
         )
         model = load_model(tmp_path / "model")
         loaded = model.config
-        assert loaded.k == config.k
-        assert loaded.similarity == config.similarity
-        assert loaded.seed == config.seed
-        assert loaded.max_iterations == config.max_iterations
+        assert loaded == config
+        assert loaded.backend == "numpy:block=64"
         assert loaded.max_representative_items == 11
-        assert loaded.backend == config.backend
-        assert loaded.batch_block_items == 64
-        assert loaded.refine_workers == 2
-        assert loaded.effective_backend == config.effective_backend
+        assert model.engine.backend.block_items == 64
 
     def test_backend_override_serves_bit_exactly(self, dblp_small, tmp_path):
         _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model")
@@ -319,6 +315,29 @@ class TestWarmStorePath:
         )
 
 
+#: Malformed config sections -> the fragment naming the key in the error:
+#: a missing key, a value of the wrong type, and a well-typed value that
+#: ClusteringConfig rejects.
+MALFORMED_CONFIGS = {
+    "missing-k": "lacks key 'k'",
+    "null-f": "bad 'f' value None",
+    "zero-k": "k must be positive",
+}
+
+
+def break_config(directory: Path, case: str) -> None:
+    """Rewrite the manifest's config section into one malformed *case*."""
+    manifest_path = directory / MODEL_MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    if case == "missing-k":
+        del manifest["config"]["k"]
+    elif case == "null-f":
+        manifest["config"]["f"] = None
+    else:  # zero-k: well typed, but ClusteringConfig rejects it
+        manifest["config"]["k"] = 0
+    manifest_path.write_text(json.dumps(manifest))
+
+
 # --------------------------------------------------------------------------- #
 # Validation: version, corruption, unwritable directories
 # --------------------------------------------------------------------------- #
@@ -374,6 +393,17 @@ class TestValidation:
         model = load_model(tmp_path / "model")
         assert model.assign_all(dblp_small.transactions) == in_memory
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_names_the_directory_and_the_key(
+        self, dblp_small, tmp_path, case
+    ):
+        fit_and_save(dblp_small, tmp_path / "model")
+        break_config(tmp_path / "model", case)
+        with pytest.raises(ModelStoreError) as failure:
+            load_model(tmp_path / "model")
+        assert str(tmp_path / "model") in str(failure.value)
+        assert MALFORMED_CONFIGS[case] in str(failure.value)
+
     def test_unwritable_directory_raises_model_store_error(
         self, dblp_small, tmp_path
     ):
@@ -385,6 +415,47 @@ class TestValidation:
         result = algorithm.fit(dblp_small.transactions)
         with pytest.raises(ModelStoreError, match="cannot save"):
             save_model(blocker / "model", result, config, dataset=dblp_small)
+
+
+# --------------------------------------------------------------------------- #
+# Manifests carrying retired options
+# --------------------------------------------------------------------------- #
+class TestRetiredOptionManifest:
+    @pytest.mark.parametrize("backend", ["numpy", "numpy:block=64"])
+    def test_retired_option_keys_load_and_classify_bit_exactly(
+        self, dblp_small, dblp_documents, tmp_path, backend
+    ):
+        """A manifest carrying the retired tile-budget and refinement-worker
+        keys (every manifest written before they were removed has both)
+        loads, ignores them and classifies like the python reference."""
+        _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model", backend)
+        manifest_path = tmp_path / "model" / MODEL_MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        config = {}
+        for key, value in manifest["config"].items():
+            config[key] = value
+            if key == "backend":
+                config["batch_block_items"] = 64
+                config["refine_workers"] = 2
+        manifest["config"] = config
+        manifest_path.write_text(json.dumps(manifest))
+
+        model = load_model(tmp_path / "model")
+        reference = load_model(tmp_path / "model", backend="python")
+        try:
+            assert model.config.backend == backend
+            assert model.assign_all(dblp_small.transactions) == in_memory
+            for document in dblp_documents[:8]:
+                ours = model.classify(document)
+                theirs = reference.classify(document)
+                assert (ours.cluster_id, ours.score) == (
+                    theirs.cluster_id,
+                    theirs.score,
+                )
+                assert ours.assignments == theirs.assignments
+        finally:
+            model.close()
+            reference.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,17 +1,12 @@
-"""Parity, fallback and lifecycle tests for cluster-sharded refinement.
+"""Tests for per-cluster representative refinement.
 
-Cluster-sharded representative refinement
-(``repro/network/mpengine.py``: ``RefinementShard`` / ``refine_shard`` /
-``refine_clusters``) dispatches one cluster's
-``compute_{local,global}_representative`` per worker process and merges the
-results in cluster-index order.  Because every shard runs the same
-refinement code on a bit-exact backend, the sharded refinement -- and any
-clustering run on top of it -- must be *identical* to the serial path for
-every worker count; these tests assert exactly that (including a
-hypothesis property suite across 1/2/4 workers), plus the ``workers=1``
-short-circuit, the serial fallback on executor failure, the budget split
-across the real transport's concurrent peers, and the per-process engine
-cache the shards run on.
+``repro/network/mpengine.py``: a ``RefinementShard`` carries one cluster's
+``compute_{local,global}_representative`` call and ``refine_clusters``
+refines a list of them on the caller's engine, keyed by cluster index.
+These tests pin that the refined representatives are *identical* to calling
+the representative functions directly (including a hypothesis property
+suite), that empty clusters yield empty representatives, that repeat runs
+agree, and the per-process engine cache real-transport peers run on.
 """
 
 from __future__ import annotations
@@ -24,26 +19,18 @@ from hypothesis import strategies as st
 
 from repro.core.config import ClusteringConfig
 from repro.core.cxkmeans import CXKMeans, LocalPhaseInput, run_local_phase
-from repro.core.pkmeans import PKMeans
 from repro.core.representatives import (
     compute_global_representative,
     compute_local_representative,
 )
 from repro.core.seeding import select_seed_transactions
-from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
-from repro.network import mpengine
 from repro.network.mpengine import (
     _PROCESS_ENGINES,
-    _SHARD_EXECUTORS,
     RefinementShard,
     clear_process_engines,
-    clear_shard_executors,
     process_engine,
     refine_clusters,
-    refine_shard,
-    shard_executor,
-    split_refinement_budget,
 )
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.item import SimilarityConfig
@@ -55,15 +42,12 @@ from repro.xmlmodel.paths import XMLPath
 
 
 @pytest.fixture(autouse=True)
-def isolated_shard_state():
-    """Each test starts and ends with empty per-process engine and
-    refinement-executor caches, so pools and compiled corpora never leak
-    between tests."""
+def isolated_engine_cache():
+    """Each test starts and ends with an empty per-process engine cache, so
+    compiled corpora never leak between tests."""
     clear_process_engines()
-    clear_shard_executors()
     yield
     clear_process_engines()
-    clear_shard_executors()
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +58,8 @@ def dblp_small():
 SIMILARITY = SimilarityConfig(f=0.5, gamma=0.8)
 
 
-def make_engine(backend: str = "python") -> SimilarityEngine:
-    return SimilarityEngine(
-        SIMILARITY, cache=TagPathSimilarityCache(), backend=backend
-    )
+def make_engine() -> SimilarityEngine:
+    return SimilarityEngine(SIMILARITY, cache=TagPathSimilarityCache())
 
 
 def make_clusters(dataset, k: int, seed: int = 0):
@@ -94,13 +76,13 @@ def make_clusters(dataset, k: int, seed: int = 0):
     return clusters
 
 
-def local_shards(clusters, backend: str = "python"):
+def local_shards(clusters):
     return [
         RefinementShard(
             cluster_index=index,
             members=list(members),
             similarity=SIMILARITY,
-            backend=backend,
+            backend="python",
             representative_id=f"rep:{index}",
         )
         for index, members in enumerate(clusters)
@@ -168,39 +150,12 @@ class TestShardModel:
         )
         assert global_shard.kind == "global"
 
-    def test_refine_shard_matches_direct_computation(self, dblp_small):
-        clusters = make_clusters(dblp_small, 3)
-        engine = make_engine()
-        for shard in local_shards(clusters):
-            index, representative = refine_shard(shard)
-            assert index == shard.cluster_index
-            expected = compute_local_representative(
-                shard.members, engine, representative_id=shard.representative_id
-            )
-            assert rep_key(representative) == rep_key(expected)
-
-    def test_config_validates_refine_workers(self):
-        with pytest.raises(ValueError, match="refine_workers"):
-            ClusteringConfig(k=2, refine_workers=0)
-        config = ClusteringConfig(k=2)
-        assert config.effective_refine_workers == 1
-        assert config.with_refine_workers(4).effective_refine_workers == 4
-        assert config.with_refine_workers(None).refine_workers is None
-
-    @pytest.mark.parametrize(
-        "budget,phases,expected",
-        [(8, 1, 8), (8, 2, 4), (8, 3, 2), (4, 8, 1), (1, 4, 1), (5, 0, 5)],
-    )
-    def test_split_refinement_budget(self, budget, phases, expected):
-        assert split_refinement_budget(budget, phases) == expected
-
 
 # --------------------------------------------------------------------------- #
-# Parity: serial vs. sharded, every worker count
+# Parity: refine_clusters vs. the representative functions called directly
 # --------------------------------------------------------------------------- #
 class TestRefinementParity:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_local_refinement_matches_serial(self, dblp_small, workers):
+    def test_local_refinement_matches_direct_computation(self, dblp_small):
         clusters = make_clusters(dblp_small, 4)
         engine = make_engine()
         expected = {
@@ -209,13 +164,12 @@ class TestRefinementParity:
             )
             for index, members in enumerate(clusters)
         }
-        refined = refine_clusters(local_shards(clusters), engine, workers=workers)
+        refined = refine_clusters(local_shards(clusters), engine)
         assert set(refined) == set(expected)
         for index in expected:
             assert rep_key(refined[index]) == rep_key(expected[index])
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_global_refinement_matches_serial(self, dblp_small, workers):
+    def test_global_refinement_matches_direct_computation(self, dblp_small):
         clusters = [cluster for cluster in make_clusters(dblp_small, 4) if cluster]
         engine = make_engine()
         locals_per_cluster = [
@@ -245,24 +199,24 @@ class TestRefinementParity:
             )
             for index, (representative, weight) in enumerate(locals_per_cluster)
         }
-        refined = refine_clusters(shards, engine, workers=workers)
+        refined = refine_clusters(shards, engine)
         for index in expected:
             assert rep_key(refined[index]) == rep_key(expected[index])
 
     def test_repeat_runs_are_deterministic(self, dblp_small):
         clusters = make_clusters(dblp_small, 4)
         engine = make_engine()
-        first = refine_clusters(local_shards(clusters), engine, workers=2)
-        second = refine_clusters(local_shards(clusters), engine, workers=2)
+        first = refine_clusters(local_shards(clusters), engine)
+        second = refine_clusters(local_shards(clusters), engine)
         assert {i: rep_key(r) for i, r in first.items()} == {
             i: rep_key(r) for i, r in second.items()
         }
 
     @settings(max_examples=10, deadline=None)
     @given(clusters=clusters_strategy())
-    def test_property_parity_across_worker_counts(self, clusters):
-        """Hypothesis parity: random clusters refine bit-exactly under
-        1, 2 and 4 workers (the acceptance bar of the sharded refinement)."""
+    def test_property_refinement_matches_direct_computation(self, clusters):
+        """Hypothesis parity: random clusters refine to exactly the
+        representatives the direct calls produce."""
         engine = make_engine()
         expected = {
             index: rep_key(
@@ -272,158 +226,31 @@ class TestRefinementParity:
             )
             for index, members in enumerate(clusters)
         }
-        for workers in (1, 2, 4):
-            refined = refine_clusters(
-                local_shards(clusters), engine, workers=workers
-            )
-            assert {i: rep_key(r) for i, r in refined.items()} == expected
+        refined = refine_clusters(local_shards(clusters), engine)
+        assert {i: rep_key(r) for i, r in refined.items()} == expected
 
 
-# --------------------------------------------------------------------------- #
-# Short-circuits and fallbacks
-# --------------------------------------------------------------------------- #
 class TestFallbacks:
-    def test_workers_one_never_creates_an_executor(self, dblp_small):
-        clusters = make_clusters(dblp_small, 3)
-        refine_clusters(local_shards(clusters), make_engine(), workers=1)
-        assert not _SHARD_EXECUTORS
-
-    def test_single_populated_shard_stays_in_process(self, dblp_small):
-        clusters = [dblp_small.transactions[:6], []]
-        refined = refine_clusters(local_shards(clusters), make_engine(), workers=4)
-        assert not _SHARD_EXECUTORS
-        assert set(refined) == {0, 1}
-        assert refined[1].is_empty()
-
     def test_empty_clusters_yield_empty_representatives(self):
-        refined = refine_clusters(local_shards([[], []]), make_engine(), workers=4)
+        refined = refine_clusters(local_shards([[], []]), make_engine())
         assert refined[0].is_empty() and refined[1].is_empty()
-        assert not _SHARD_EXECUTORS
-
-    def test_executor_failure_falls_back_to_serial(self, dblp_small, monkeypatch):
-        """A crashing dispatch degrades to in-process refinement with the
-        exact serial results."""
-        clusters = make_clusters(dblp_small, 3)
-        engine = make_engine()
-        expected = refine_clusters(local_shards(clusters), engine, workers=1)
-
-        class ExplodingExecutor:
-            def can_dispatch(self):
-                return True
-
-            def dispatch(self, function, arguments):
-                raise RuntimeError("worker crashed")
-
-        monkeypatch.setattr(
-            mpengine, "shard_executor", lambda workers: ExplodingExecutor()
-        )
-        refined = refine_clusters(local_shards(clusters), engine, workers=4)
-        assert {i: rep_key(r) for i, r in refined.items()} == {
-            i: rep_key(r) for i, r in expected.items()
-        }
-
-    def test_run_local_phase_parity_with_refinement_workers(self, dblp_small):
-        """The full local phase (assignment + sharded refinement) is
-        bit-exact with the serial phase."""
-        transactions = dblp_small.transactions
-        representatives = select_seed_transactions(transactions, 3, random.Random(1))
-        outputs = {}
-        for refine_workers in (None, 2):
-            clear_process_engines()
-            config = ClusteringConfig(
-                k=3,
-                similarity=SIMILARITY,
-                backend="python",
-                refine_workers=refine_workers,
-            )
-            outputs[refine_workers] = run_local_phase(
-                LocalPhaseInput(
-                    peer_id=0,
-                    transactions=list(transactions),
-                    global_representatives=list(representatives),
-                    config=config,
-                )
-            )
-        serial, sharded = outputs[None], outputs[2]
-        assert sharded.assignment == serial.assignment
-        assert sharded.cluster_sizes == serial.cluster_sizes
-        assert [rep_key(r) for r in sharded.local_representatives] == [
-            rep_key(r) for r in serial.local_representatives
-        ]
 
 
 # --------------------------------------------------------------------------- #
-# Full-fit parity per seed
+# Full-fit parity across backends
 # --------------------------------------------------------------------------- #
 class TestFitParity:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_cxkmeans_fit_matches_serial_per_seed(self, dblp_small, workers):
-        partitions = [dblp_small.transactions[0::2], dblp_small.transactions[1::2]]
-        results = {}
-        for refine_workers in (None, workers):
-            config = ClusteringConfig(
-                k=3,
-                similarity=SIMILARITY,
-                seed=3,
-                max_iterations=4,
-                refine_workers=refine_workers,
-            )
-            result = CXKMeans(config).fit(partitions)
-            results[refine_workers] = (
-                result.partition(),
-                [rep_key(rep) for rep in result.representatives()],
-                result.iterations,
-            )
-        assert results[workers] == results[None]
-
-    def test_pkmeans_fit_matches_serial(self, dblp_small):
-        partitions = [dblp_small.transactions[0::2], dblp_small.transactions[1::2]]
-        results = {}
-        for refine_workers in (None, 2):
-            config = ClusteringConfig(
-                k=3,
-                similarity=SIMILARITY,
-                seed=5,
-                max_iterations=3,
-                refine_workers=refine_workers,
-            )
-            result = PKMeans(config).fit(partitions)
-            results[refine_workers] = (
-                result.partition(),
-                [rep_key(rep) for rep in result.representatives()],
-            )
-        assert results[2] == results[None]
-
-    def test_xkmeans_fit_matches_serial(self, dblp_small):
-        results = {}
-        for refine_workers in (None, 2):
-            config = ClusteringConfig(
-                k=4,
-                similarity=SIMILARITY,
-                seed=7,
-                max_iterations=4,
-                refine_workers=refine_workers,
-            )
-            result = XKMeans(config).fit(dblp_small.transactions)
-            results[refine_workers] = (
-                result.partition(),
-                [rep_key(rep) for rep in result.representatives()],
-                result.iterations,
-            )
-        assert results[2] == results[None]
-
     def test_numpy_inner_backend_parity(self, dblp_small):
         pytest.importorskip("numpy")
         partitions = [dblp_small.transactions[0::2], dblp_small.transactions[1::2]]
         results = {}
-        for backend, refine_workers in (("python", None), ("numpy", 2)):
+        for backend in ("python", "numpy"):
             config = ClusteringConfig(
                 k=3,
                 similarity=SIMILARITY,
                 seed=0,
                 max_iterations=3,
                 backend=backend,
-                refine_workers=refine_workers,
             )
             result = CXKMeans(config).fit(partitions)
             results[backend] = (
@@ -434,81 +261,37 @@ class TestFitParity:
 
 
 # --------------------------------------------------------------------------- #
-# Executor lifecycle and engine-cache isolation
+# Per-process engine cache
 # --------------------------------------------------------------------------- #
 class TestLifecycleAndIsolation:
-    def test_dispatch_failure_closes_the_broken_pool(self):
-        """A pool whose map failed is closed before the error propagates,
-        so the cached executor respawns a fresh pool on the next dispatch
-        instead of reusing the broken one for the rest of the process."""
-        from repro.network.mpengine import MultiprocessingExecutor
-
-        executor = MultiprocessingExecutor(processes=2)
-        if not executor.can_dispatch():  # pragma: no cover - env dependent
-            pytest.skip("environment cannot dispatch to worker processes")
-
-        class BrokenPool:
-            def map(self, *args, **kwargs):
-                raise RuntimeError("lost worker")
-
-            def close(self):
-                pass
-
-            def join(self):
-                pass
-
-        executor._pool = BrokenPool()
-        with pytest.raises(RuntimeError, match="lost worker"):
-            executor.dispatch(str, [1, 2])
-        assert executor._pool is None
-
-    def test_shard_executor_is_cached_per_worker_count(self):
-        first = shard_executor(2)
-        assert shard_executor(2) is first
-        assert shard_executor(3) is not first
-        assert set(_SHARD_EXECUTORS) == {2, 3}
-
-    def test_clear_shard_executors_closes_and_empties(self):
-        executor = shard_executor(2)
-        clear_shard_executors()
-        assert not _SHARD_EXECUTORS
-        assert executor._pool is None  # closed, not just dropped
-
     def test_refinement_shards_share_engine_cache(self, dblp_small):
-        """Refinement shards with the same (similarity, backend) key reuse
-        one cached engine -- and different backends get isolated
-        engines."""
+        """Engine-less local phases (the real transport's peer workers)
+        refine their shards on the per-process engine: phases with the
+        same (similarity, backend) key reuse one cached engine, and
+        different backends get isolated engines."""
         transactions = dblp_small.transactions[:10]
-        refine_shard(
-            RefinementShard(
-                cluster_index=0,
-                members=list(transactions),
-                similarity=SIMILARITY,
-                backend="python",
-                representative_id="rep",
-            )
+        representatives = select_seed_transactions(
+            transactions, 2, random.Random(0)
         )
+
+        def phase(backend):
+            run_local_phase(
+                LocalPhaseInput(
+                    peer_id=0,
+                    transactions=list(transactions),
+                    global_representatives=list(representatives),
+                    config=ClusteringConfig(
+                        k=2, similarity=SIMILARITY, backend=backend
+                    ),
+                )
+            )
+
+        phase("python")
         assert len(_PROCESS_ENGINES) == 1
-        refine_shard(
-            RefinementShard(
-                cluster_index=0,
-                members=list(transactions),
-                similarity=SIMILARITY,
-                backend="python",
-                representative_id="rep",
-            )
-        )
+        phase("python")
         # same key -> same engine, no second entry
         assert len(_PROCESS_ENGINES) == 1
-        refine_shard(
-            RefinementShard(
-                cluster_index=0,
-                members=list(transactions),
-                similarity=SIMILARITY,
-                backend="numpy",
-                representative_id="rep",
-            )
-        )
+        phase("numpy")
         assert len(_PROCESS_ENGINES) == 2
         assert (SIMILARITY, "python") in _PROCESS_ENGINES
         assert (SIMILARITY, "numpy") in _PROCESS_ENGINES
@@ -521,4 +304,3 @@ class TestLifecycleAndIsolation:
 
     def test_autouse_isolation_left_no_state_behind(self):
         assert not _PROCESS_ENGINES
-        assert not _SHARD_EXECUTORS

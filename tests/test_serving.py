@@ -435,18 +435,51 @@ class TestCli:
         assert "serving   : http://127.0.0.1" in capsys.readouterr().out
 
 
-    @staticmethod
-    def corrupt(model):
-        """Give *model* a representatives block of the wrong shape."""
-        (model / "representatives.json").write_text(
-            json.dumps({"representatives": 7}), encoding="utf-8"
-        )
+    #: Corruption cases -> the text the error line must carry.  Besides a
+    #: wrong-shaped representatives block, three malformed config sections:
+    #: a missing key, a value of the wrong type and a well-typed value
+    #: ClusteringConfig rejects.
+    CORRUPTIONS = {
+        "representatives": "corrupt representatives",
+        "missing-k": "lacks key 'k'",
+        "null-f": "bad 'f' value None",
+        "zero-k": "k must be positive",
+    }
 
-    def test_serve_http_of_a_corrupt_model_exits_cleanly(self, model_dir, tmp_path):
+    @staticmethod
+    def corrupt(model, case="representatives"):
+        """Apply one of :attr:`CORRUPTIONS` to the model directory *model*."""
+        if case == "representatives":
+            (model / "representatives.json").write_text(
+                json.dumps({"representatives": 7}), encoding="utf-8"
+            )
+            return
+        manifest = json.loads((model / "model.json").read_text())
+        if case == "missing-k":
+            del manifest["config"]["k"]
+        elif case == "null-f":
+            manifest["config"]["f"] = None
+        else:
+            manifest["config"]["k"] = 0
+        (model / "model.json").write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_serve_http_of_a_corrupt_model_exits_cleanly(
+        self, model_dir, xml_files, tmp_path, case
+    ):
+        """``serve --port`` and ``classify`` end in one ``error:`` line (a
+        ``SystemExit`` message, never a traceback) naming the problem."""
         model = shutil.copytree(model_dir, tmp_path / "model")
-        self.corrupt(model)
-        with pytest.raises(SystemExit, match="error: corrupt representatives"):
-            main(["serve", "--model", str(model), "--port", str(free_port())])
+        self.corrupt(model, case)
+        for command in (
+            ["serve", "--model", str(model), "--port", str(free_port())],
+            ["classify", "--model", str(model), str(xml_files[0])],
+        ):
+            with pytest.raises(SystemExit) as failure:
+                main(command)
+            assert str(failure.value).startswith("error: ")
+            assert self.CORRUPTIONS[case] in str(failure.value)
+            assert str(model) in str(failure.value)
 
     def test_serve_registry_with_a_corrupt_active_model_exits_cleanly(
         self, model_dir, tmp_path

@@ -2,8 +2,8 @@
 
 The numpy batch engine evaluates its
 similarity blocks in ``(row_tile x column_tile)`` tiles bounded by a
-configurable item budget (``block=N`` in the backend option grammar,
-``ClusteringConfig.batch_block_items`` at the config level).  Tiling is a
+configurable item budget (``block=N`` in the backend option grammar, the
+one way to set it).  Tiling is a
 pure memory/throughput knob: every budget must produce **bit-identical**
 results -- the fused segment-wise reductions consume the same gathered
 floats as the untiled pass -- so this suite asserts exact ``==`` equality
@@ -35,7 +35,6 @@ from repro.similarity.backend import (
     DEFAULT_BLOCK_ITEMS,
     NumpyBackend,
     create_backend,
-    merge_block_option,
     split_block_option,
     validate_backend_spec,
 )
@@ -197,79 +196,14 @@ class TestOptionGrammar:
         with pytest.raises(ValueError):
             create_backend(spec, shared)
 
-    def test_merge_block_option(self):
-        assert merge_block_option("numpy", 64) == "numpy:block=64"
-        assert merge_block_option("numpy", None) == "numpy"
-        assert merge_block_option("python", 64) == "python"
-        assert merge_block_option(None, 64) == "python"
-        # an explicit spec-level block option wins over the config knob
-        assert merge_block_option("numpy:block=8", 64) == "numpy:block=8"
-
 
 # --------------------------------------------------------------------------- #
 # ClusteringConfig threading
 # --------------------------------------------------------------------------- #
 class TestConfigThreading:
     def test_negative_budget_is_rejected(self):
-        with pytest.raises(ValueError, match="batch_block_items"):
-            ClusteringConfig(k=2, batch_block_items=-1)
-
-    def test_effective_batch_block_items_resolution(self):
-        assert (
-            ClusteringConfig(k=2).effective_batch_block_items
-            == DEFAULT_BLOCK_ITEMS
-        )
-        assert (
-            ClusteringConfig(k=2, batch_block_items=0).effective_batch_block_items
-            == 0
-        )
-        assert (
-            ClusteringConfig(k=2, batch_block_items=7).effective_batch_block_items
-            == 7
-        )
-
-    def test_effective_batch_block_items_reports_the_running_budget(self):
-        """The reported budget always matches what the kernels run with,
-        including when a spec-level ``block=`` option wins."""
-        assert (
-            ClusteringConfig(
-                k=2, backend="numpy:block=8"
-            ).effective_batch_block_items
-            == 8
-        )
-        # spec option wins over the config knob -- for the report too
-        assert (
-            ClusteringConfig(
-                k=2, backend="numpy:block=8", batch_block_items=32
-            ).effective_batch_block_items
-            == 8
-        )
-
-    def test_effective_backend_merges_the_budget(self):
-        config = ClusteringConfig(k=2, backend="numpy", batch_block_items=32)
-        assert config.effective_backend == "numpy:block=32"
-        assert ClusteringConfig(k=2, backend="numpy").effective_backend == "numpy"
-        # explicit spec option wins
-        config = ClusteringConfig(
-            k=2, backend="numpy:block=8", batch_block_items=32
-        )
-        assert config.effective_backend == "numpy:block=8"
-        # the python reference has no batch kernels to tile
-        config = ClusteringConfig(k=2, backend="python", batch_block_items=32)
-        assert config.effective_backend == "python"
-
-    def test_with_batch_block_items_returns_an_updated_copy(self):
-        config = ClusteringConfig(k=2, backend="numpy")
-        updated = config.with_batch_block_items(9)
-        assert updated.batch_block_items == 9
-        assert config.batch_block_items is None
-        assert updated.effective_backend == "numpy:block=9"
-
-    def test_algorithm_engines_run_the_merged_spec(self):
-        config = ClusteringConfig(k=2, backend="numpy", batch_block_items=11)
-        algorithm = XKMeans(config)
-        assert algorithm.engine.backend_name == "numpy:block=11"
-        assert algorithm.engine.backend.block_items == 11
+        with pytest.raises(ValueError, match="block size must be >= 0"):
+            ClusteringConfig(k=2, backend="numpy:block=-1")
 
 
 # --------------------------------------------------------------------------- #
@@ -425,26 +359,26 @@ class TestCorpusParity:
                 )
 
     def test_cxkmeans_fit_parity_via_batch_block_items(self, dblp_small):
-        """The config-level knob produces the same clustering as untiled."""
+        """A tiled budget (set through the ``block=N`` spec option, the one
+        way to set it) produces the same clustering as untiled."""
         partitions = [
             dblp_small.transactions[0::2],
             dblp_small.transactions[1::2],
         ]
         results = {}
-        for batch_block_items in (0, 7, None):
+        for spec in ("numpy:block=0", "numpy:block=7", "numpy"):
             config = ClusteringConfig(
                 k=3,
                 similarity=SimilarityConfig(f=0.5, gamma=0.8),
                 seed=3,
                 max_iterations=4,
-                backend="numpy",
-                batch_block_items=batch_block_items,
+                backend=spec,
             )
-            results[batch_block_items] = CXKMeans(config).fit(partitions)
+            results[spec] = CXKMeans(config).fit(partitions)
         assert (
-            results[7].partition()
-            == results[0].partition()
-            == results[None].partition()
+            results["numpy:block=7"].partition()
+            == results["numpy:block=0"].partition()
+            == results["numpy"].partition()
         )
 
 
