@@ -1,23 +1,23 @@
 """Command line interface for the CXK-means reproduction.
 
-The ``cxk`` console script exposes the main workflows:
+``python -m repro.cli`` exposes the main workflows as subcommands:
 
-* ``cxk cluster`` -- cluster an XML directory (or a synthetic corpus) with
+* ``cluster`` -- cluster an XML directory (or a synthetic corpus) with
   CXK-means / PK-means / XK-means and print the resulting clusters
   (``--save-model DIR`` persists the fitted model for serving);
-* ``cxk classify`` -- classify XML documents against a saved model
+* ``classify`` -- classify XML documents against a saved model
   (``--stdin`` streams file paths line by line with bounded memory);
-* ``cxk stream`` -- ingest XML documents incrementally into a saved model
+* ``stream`` -- ingest XML documents incrementally into a saved model
   (chunked streaming clustering, ``--out-of-core`` block store, periodic
   checkpoints);
-* ``cxk serve`` -- serve a saved model (stdin line protocol or HTTP), or
+* ``serve`` -- serve a saved model (stdin line protocol or HTTP), or
   serve every active model of a registry through the async multi-model
   router (``--registry``);
-* ``cxk models`` -- catalog fitted models in the durable registry
+* ``models`` -- catalog fitted models in the durable registry
   (``list`` / ``show`` / ``publish`` / ``retire``);
-* ``cxk figure7`` / ``cxk table1`` / ``cxk table2`` / ``cxk figure8`` --
+* ``figure7`` / ``table1`` / ``table2`` / ``figure8`` --
   regenerate the paper's tables and figures as text reports;
-* ``cxk datasets`` -- print the profile of the synthetic corpora.
+* ``datasets`` -- print the profile of the synthetic corpora.
 
 Every experiment command accepts ``--scale`` so users can trade fidelity for
 runtime; the defaults keep each command within a few minutes on a laptop.
@@ -43,9 +43,9 @@ from repro.experiments.runner import make_algorithm, precompute_similarity
 from repro.experiments.table1 import AccuracyTableConfig, run_table1
 from repro.experiments.table2 import run_table2
 from repro.similarity.backend import (
+    BACKEND_NAMES,
     DEFAULT_BACKEND,
     BackendUnavailableError,
-    registered_backends,
     validate_backend_spec,
 )
 from repro.similarity.item import SimilarityConfig
@@ -60,7 +60,7 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_BACKEND,
         metavar="NAME[:OPTIONS]",
         help="similarity backend for the clustering hot path "
-        f"(registered: {', '.join(registered_backends())}; "
+        f"(registered: {', '.join(BACKEND_NAMES)}; "
         "'numpy:block=N' sets the tile budget of the batched kernels, "
         "0 = untiled, results are bit-exact for every budget; unknown "
         "specs list the registered alternatives)",
@@ -368,20 +368,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _iter_stream_chunks(args: argparse.Namespace, chunk_size: int):
+def _iter_stream_chunks(args: argparse.Namespace, chunk_size: int, dataset=None):
     """Yield ``(name, transactions)`` ingestion chunks for ``cxk stream``.
 
-    Corpus mode (``--corpus``) replays a synthetic corpus in order with its
-    frozen whole-corpus term statistics, so the streamed clustering is
-    comparable to (and at one big chunk bit-exact with) the batch fit.
-    File/stdin mode parses XML documents chunk by chunk and builds each
+    Corpus mode (``--corpus``) replays *dataset*, the synthetic corpus, in
+    order with its frozen whole-corpus term statistics, so the streamed
+    clustering is comparable to (and at one big chunk bit-exact with) the
+    batch fit.  File/stdin mode parses XML documents chunk by chunk and builds each
     chunk's transactions with :func:`build_dataset` -- content weighting is
     then per-chunk rather than corpus-wide (a documented approximation of
     the collection statistics a batch build would use); paths stream
     through bounded memory, one chunk of parsed trees at a time.
     """
-    if args.corpus:
-        dataset = get_dataset(args.corpus, scale=args.scale, seed=args.seed)
+    if dataset is not None:
         transactions = dataset.transactions
         for start in range(0, len(transactions), chunk_size):
             yield args.corpus, transactions[start : start + chunk_size]
@@ -428,7 +427,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
         backend=backend,
-        streaming=True,
         chunk_size=args.chunk_size,
         retain_threshold=args.retain_threshold,
         drift_threshold=args.drift_threshold,
@@ -441,6 +439,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             os.path.join(args.model, "blocks"), config.similarity
         )
     clusterer = StreamingClusterer(config, store=store)
+    # corpus mode streams a whole dataset, so the model keeps its vocabulary
+    # and collection counts; file/stdin chunks are built one at a time
+    dataset = (
+        get_dataset(args.corpus, scale=args.scale, seed=args.seed)
+        if args.corpus
+        else None
+    )
     print(f"algorithm : Streaming-XK-means (k={args.k}, chunk={args.chunk_size})")
     print(f"backend   : {backend}")
     print(
@@ -455,7 +460,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             # manifest so `classify`/`serve` can warm-attach the blocks
             clusterer.engine.backend.attach_store(store)
         try:
-            save_model(args.model, result, config, engine=clusterer.engine)
+            save_model(
+                args.model, result, config, dataset=dataset, engine=clusterer.engine
+            )
             stats = clusterer.stats
             print(
                 f"checkpoint: saved -> {args.model} "
@@ -469,7 +476,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             print(f"checkpoint: error ({error})", flush=True)
 
     chunks_seen = 0
-    for name, chunk in _iter_stream_chunks(args, args.chunk_size):
+    for name, chunk in _iter_stream_chunks(args, args.chunk_size, dataset):
         clusterer.ingest(chunk)
         chunks_seen += 1
         if (
@@ -944,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the ``cxk`` console script."""
+    """Entry point of ``python -m repro.cli``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args)

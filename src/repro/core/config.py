@@ -69,15 +69,13 @@ class ClusteringConfig:
         :class:`~repro.network.realnet.RealNetworkError` within this
         bound instead of hanging the driver.  Ignored by the simulated
         transport.
-    streaming:
-        Enables the incremental fit mode
-        (:class:`~repro.core.streaming.StreamingClusterer`): the corpus is
-        ingested in chunks against the current representatives instead of
-        one batch fit, with poorly-matched transactions parked in a
-        bounded retained set and re-refinement triggered only when drift
-        crosses :attr:`drift_threshold`.  Batch fits ignore the flag.
     chunk_size:
-        Transactions per ingested chunk in streaming mode.  ``None`` means
+        Transactions per ingested chunk of the incremental fit mode
+        (:class:`~repro.core.streaming.StreamingClusterer`, which ingests
+        the corpus in chunks against the current representatives, parks
+        poorly-matched transactions in a bounded retained set and
+        re-refines only when drift crosses :attr:`drift_threshold`; batch
+        fits ignore this and the two settings below).  ``None`` means
         unchunked (the whole input is one chunk -- the configuration under
         which streaming is bit-exact with the batch fit); the retained-set
         capacity is derived from this (see
@@ -102,7 +100,6 @@ class ClusteringConfig:
     corpus_cache_dir: Optional[str] = None
     network: str = "sim"
     network_timeout: float = 120.0
-    streaming: bool = False
     chunk_size: Optional[int] = None
     retain_threshold: float = 0.25
     drift_threshold: float = 0.5
@@ -200,14 +197,13 @@ class ClusteringConfig:
 
     def with_streaming(
         self,
-        streaming: bool = True,
         *,
         chunk_size: Optional[int] = None,
         retain_threshold: Optional[float] = None,
         drift_threshold: Optional[float] = None,
     ) -> "ClusteringConfig":
-        """Return a copy with streaming-ingestion settings applied."""
-        updates: dict = {"streaming": streaming}
+        """Return a copy with the given streaming-ingestion settings."""
+        updates: dict = {}
         if chunk_size is not None:
             updates["chunk_size"] = chunk_size
         if retain_threshold is not None:

@@ -47,13 +47,13 @@ from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult
 from repro.similarity.backend import validate_backend_spec
 from repro.similarity.item import SimilarityConfig
-from repro.text.preprocess import PreprocessingConfig, TextPreprocessor
-from repro.text.vector import SparseVector, merge_vectors
+from repro.text.preprocess import PreprocessingConfig
+from repro.text.vector import SparseVector
 from repro.text.vocabulary import Vocabulary
-from repro.text.weighting import CorpusTermStatistics, TtfItfWeighter
-from repro.transactions.items import ItemDomain, TreeTupleItem
+from repro.text.weighting import CorpusTermStatistics
+from repro.transactions.builder import BuilderConfig, TransactionDatasetBuilder
+from repro.transactions.items import TreeTupleItem
 from repro.transactions.transaction import Transaction, make_transaction
-from repro.treetuples.decompose import extract_tree_tuples
 from repro.xmlmodel.parser import parse_xml, parse_xml_file
 from repro.xmlmodel.paths import XMLPath
 from repro.xmlmodel.tree import XMLTree
@@ -247,7 +247,6 @@ def save_model(
                 if config.corpus_cache_dir is not None
                 else None
             ),
-            "streaming": config.streaming,
             "chunk_size": config.chunk_size,
             "retain_threshold": config.retain_threshold,
             "drift_threshold": config.drift_threshold,
@@ -322,19 +321,67 @@ def save_model(
 # Load
 # --------------------------------------------------------------------------- #
 def _read_json(directory: Path, name: str) -> Dict[str, object]:
-    """Read one JSON document of the model directory or raise."""
+    """Read one JSON object of the model directory or raise."""
     path = directory / name
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            document = json.load(handle)
     except FileNotFoundError as error:
         raise ModelStoreError(f"model file missing: {path}") from error
     except (OSError, json.JSONDecodeError) as error:
         raise ModelStoreError(f"cannot read model file {path}: {error}") from error
+    if not isinstance(document, dict):
+        raise ModelStoreError(
+            f"model file {path} holds a {type(document).__name__}, "
+            "not a JSON object"
+        )
+    return document
 
 
-#: Marks a manifest config key without a default (see _config_from_manifest).
+#: Marks a manifest key without a default (see _section_reader).
 _REQUIRED = object()
+
+
+def _section_reader(raw: Dict[str, object], where: str):
+    """Typed key reader over one manifest section.
+
+    ``read(key, cast, default)`` returns ``cast(raw[key])``, or *default*
+    when the key is absent; a missing required key or a value *cast*
+    rejects with ``TypeError`` / ``ValueError`` raises
+    :class:`ModelStoreError` naming *where* (the section and the model
+    directory) and the key.
+    """
+
+    def read(key: str, cast, default=_REQUIRED):
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ModelStoreError(f"{where} lacks key {key!r}")
+            return default
+        value = raw[key]
+        try:
+            return cast(value)
+        except (TypeError, ValueError) as error:
+            raise ModelStoreError(
+                f"{where} has a bad {key!r} value {value!r}: {error}"
+            ) from error
+
+    return read
+
+
+def _optional(cast):
+    """*cast* that passes ``None`` through."""
+    return lambda value: None if value is None else cast(value)
+
+
+def _exactly(kind):
+    """A cast accepting only values that already are of type *kind*."""
+
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+
+    return cast
 
 
 def _config_from_manifest(
@@ -347,30 +394,12 @@ def _config_from_manifest(
     naming *directory* and the key.  A recorded backend spec naming no
     registered backend keeps raising the unknown-backend ``ValueError``
     (see :func:`load_model`).  Unknown keys are ignored -- among them the
-    retired tile-budget and refinement-worker keys older manifests carry:
-    tiling is bit-exact and refinement always runs in process, so neither
-    changed a verdict.
+    retired tile-budget, refinement-worker and ``streaming`` keys older
+    manifests carry: tiling is bit-exact, refinement always runs in process
+    and the streaming flag was advisory, so none changed a verdict.
     """
 
-    def read(key: str, cast, default=_REQUIRED):
-        if key not in raw:
-            if default is _REQUIRED:
-                raise ModelStoreError(
-                    f"model config in {directory} lacks key {key!r}"
-                )
-            return default
-        value = raw[key]
-        try:
-            return cast(value)
-        except (TypeError, ValueError) as error:
-            raise ModelStoreError(
-                f"model config in {directory} has a bad {key!r} value "
-                f"{value!r}: {error}"
-            ) from error
-
-    def optional(cast):
-        return lambda value: None if value is None else cast(value)
-
+    read = _section_reader(raw, f"model config in {directory}")
     spec = backend if backend is not None else read("backend", str)
     validate_backend_spec(spec)
     try:
@@ -382,13 +411,12 @@ def _config_from_manifest(
             max_iterations=read("max_iterations", int),
             seed=read("seed", int),
             max_representative_items=read(
-                "max_representative_items", optional(int), None
+                "max_representative_items", _optional(int), None
             ),
             backend=spec,
-            corpus_cache_dir=read("corpus_cache_dir", optional(str), None),
+            corpus_cache_dir=read("corpus_cache_dir", _optional(str), None),
             # pre-streaming manifests simply fall back to the batch defaults
-            streaming=read("streaming", bool, False),
-            chunk_size=read("chunk_size", optional(int), None),
+            chunk_size=read("chunk_size", _optional(int), None),
             retain_threshold=read("retain_threshold", float, 0.25),
             drift_threshold=read("drift_threshold", float, 0.5),
         )
@@ -407,8 +435,9 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     (``store: hit`` -- zero compile work); on any store failure or
     fingerprint mismatch the model degrades to a cold load
     (``store: cold``) that pre-warms the structural tag-path cache from
-    the persisted registry instead.  A malformed config section raises
-    :class:`ModelStoreError` naming the directory and the key.
+    the persisted registry instead.  A data file that is not a JSON object
+    or a malformed manifest section raises :class:`ModelStoreError`
+    naming the directory and the file or key.
 
     Parameters
     ----------
@@ -430,7 +459,8 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
             f"unsupported model format version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION}) in {directory}"
         )
-    for name in manifest.get("files", list(MODEL_DATA_FILES)):
+    read = _section_reader(manifest, f"model manifest in {directory}")
+    for name in read("files", _exactly(list), list(MODEL_DATA_FILES)):
         if not (directory / str(name)).exists():
             raise ModelStoreError(f"model file missing: {directory / str(name)}")
 
@@ -438,6 +468,21 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     if not isinstance(raw, dict):
         raise ModelStoreError(f"model manifest has no config section: {directory}")
     config = _config_from_manifest(raw, directory, backend)
+    read_pre = _section_reader(
+        read("preprocessing", _optional(_exactly(dict)), None) or {},
+        f"model preprocessing in {directory}",
+    )
+    preprocessing = PreprocessingConfig(
+        min_token_length=read_pre("min_token_length", int, 2),
+        keep_numbers=read_pre("keep_numbers", bool, False),
+        remove_stopwords=read_pre("remove_stopwords", bool, True),
+        stem=read_pre("stem", bool, True),
+        stopwords=read_pre("stopwords", _optional(frozenset), None),
+    )
+    corpus_doc = read("corpus", _optional(_exactly(dict)), None) or {}
+    store_dir = _section_reader(
+        corpus_doc, f"model corpus section in {directory}"
+    )("store_dir", _optional(_exactly(str)), None)
 
     reps_doc = _read_json(directory, "representatives.json")
     try:
@@ -451,31 +496,24 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
         ) from error
 
     vocab_doc = _read_json(directory, "vocabulary.json")
-    registries_doc = _read_json(directory, "registries.json")
     try:
         vocabulary = Vocabulary(vocab_doc.get("terms", ()))
         total_tcus = int(vocab_doc.get("total_tcus", 0))
-        term_tcus = {
-            str(term): int(count)
-            for term, count in (vocab_doc.get("term_tcus") or {}).items()
-        }
+        term_tcus = _exactly(dict)(vocab_doc.get("term_tcus") or {})
+        term_tcus = {str(term): int(count) for term, count in term_tcus.items()}
+    except (TypeError, ValueError) as error:
+        raise ModelStoreError(
+            f"corrupt vocabulary block {directory / 'vocabulary.json'}: {error}"
+        ) from error
+    registries_doc = _read_json(directory, "registries.json")
+    try:
         tag_paths = [
             XMLPath(tuple(steps)) for steps in registries_doc.get("tag_paths", ())
         ]
     except (TypeError, ValueError) as error:
         raise ModelStoreError(
-            f"corrupt vocabulary/registry block in {directory}: {error}"
+            f"corrupt registry block {directory / 'registries.json'}: {error}"
         ) from error
-
-    raw_pre = manifest.get("preprocessing") or {}
-    stopwords = raw_pre.get("stopwords")
-    preprocessing = PreprocessingConfig(
-        min_token_length=int(raw_pre.get("min_token_length", 2)),
-        keep_numbers=bool(raw_pre.get("keep_numbers", False)),
-        remove_stopwords=bool(raw_pre.get("remove_stopwords", True)),
-        stem=bool(raw_pre.get("stem", True)),
-        stopwords=frozenset(stopwords) if stopwords is not None else None,
-    )
 
     # local import: corpus_store pulls in the numpy-backed store machinery,
     # which model saving/encoding must not depend on
@@ -483,9 +521,7 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     from repro.similarity.transaction import SimilarityEngine
 
     engine = SimilarityEngine(config.similarity, backend=config.backend)
-    corpus_doc = manifest.get("corpus") or {}
     store_status = "off"
-    store_dir = corpus_doc.get("store_dir")
     if store_dir is not None:
         store_status = "cold"
         try:
@@ -509,7 +545,9 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
         vocabulary=vocabulary,
         total_tcus=total_tcus,
         term_tcus=term_tcus,
-        preprocessor=TextPreprocessor(preprocessing),
+        builder=TransactionDatasetBuilder(
+            "query", BuilderConfig(preprocessing=preprocessing)
+        ),
         store_status=store_status,
     )
 
@@ -606,7 +644,7 @@ class ClusterModel:
         vocabulary: Vocabulary,
         total_tcus: int,
         term_tcus: Dict[str, int],
-        preprocessor: TextPreprocessor,
+        builder: TransactionDatasetBuilder,
         store_status: str,
     ) -> None:
         """Assemble a loaded model; use :func:`load_model` instead."""
@@ -619,7 +657,7 @@ class ClusterModel:
         self._vocabulary = vocabulary
         self._total_tcus = total_tcus
         self._term_tcus = term_tcus
-        self._preprocessor = preprocessor
+        self._builder = builder
         self._queries = 0
         self._query_seconds = 0.0
         empty = 0
@@ -650,62 +688,18 @@ class ClusterModel:
 
     # ------------------------------------------------------------------ #
     def transact(self, tree: XMLTree) -> List[Transaction]:
-        """Decompose *tree* into weighted transactions (query-side builder).
+        """Decompose *tree* into weighted transactions (query-side build).
 
-        Mirrors :class:`~repro.transactions.builder.TransactionBuilder`
-        restricted to a single document: tree tuples -> TCUs -> per-query
-        term statistics (collection scope pinned to the fitted corpus) ->
-        ttf.itf vectors, with items interned in a query-local
-        :class:`ItemDomain` (dense ids, vectors averaged over the item's
-        occurrences *within this document*).
+        The corpus builder run on a single document, with per-query term
+        statistics whose collection scope is pinned to the fitted corpus:
+        tree tuples -> TCUs -> ttf.itf vectors, with items interned in a
+        query-local item domain (dense ids, vectors averaged over the
+        item's occurrences *within this document*).
         """
-        tuples = extract_tree_tuples(tree)
         statistics = ServingTermStatistics(
             self._vocabulary, self._total_tcus, self._term_tcus
         )
-        tuple_tcus: Dict[str, List[Tuple[XMLPath, str, Tuple[str, ...]]]] = {}
-        for tree_tuple in tuples:
-            tcus = []
-            for path, answer in tree_tuple.as_pairs():
-                terms = tuple(self._preprocessor.process(answer))
-                statistics.add_tcu(
-                    tree_tuple.tuple_id, tree_tuple.source_doc_id, terms
-                )
-                tcus.append((path, answer, terms))
-            tuple_tcus[tree_tuple.tuple_id] = tcus
-
-        weighter = TtfItfWeighter(statistics)
-        domain = ItemDomain()
-        occurrence_vectors: Dict[int, List[SparseVector]] = {}
-        transactions: List[Transaction] = []
-        for tree_tuple in tuples:
-            items = []
-            for path, answer, terms in tuple_tcus[tree_tuple.tuple_id]:
-                item = domain.intern(path, answer, terms)
-                vector = weighter.vector(
-                    terms, tree_tuple.tuple_id, tree_tuple.source_doc_id
-                )
-                occurrence_vectors.setdefault(item.item_id, []).append(vector)
-                items.append(item)
-            if not items:
-                continue
-            transactions.append(
-                make_transaction(
-                    transaction_id=tree_tuple.tuple_id,
-                    items=items,
-                    doc_id=tree_tuple.source_doc_id,
-                    tuple_id=tree_tuple.tuple_id,
-                )
-            )
-        for item_id, vectors in occurrence_vectors.items():
-            averaged = merge_vectors(vectors).scaled(1.0 / len(vectors))
-            domain.replace(domain.get(item_id).with_vector(averaged))
-        return [
-            transaction.with_items(
-                [domain.get(item.item_id) for item in transaction.items]
-            )
-            for transaction in transactions
-        ]
+        return self._builder.build([tree], statistics=statistics).transactions
 
     # ------------------------------------------------------------------ #
     def classify_tree(self, tree: XMLTree) -> ClassifyResult:

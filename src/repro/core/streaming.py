@@ -114,8 +114,7 @@ class StreamingClusterer:
     config:
         The clustering configuration; ``k``, similarity, backend and the
         streaming knobs (``chunk_size``, ``retain_threshold``,
-        ``drift_threshold``) all apply.  ``config.streaming`` itself is
-        advisory -- constructing the clusterer is the opt-in.
+        ``drift_threshold``) all apply.
     engine:
         Optional pre-built engine (shared tag-path cache); built from the
         configuration otherwise, exactly like :class:`XKMeans`.

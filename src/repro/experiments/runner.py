@@ -93,15 +93,6 @@ class RunRecord:
     #: ``measured_wall_seconds`` / ``wire_bytes`` / ``control_bytes`` from
     #: the wire (see :meth:`repro.network.realnet.RealNetwork.summary`).
     predicted_vs_measured: Dict[str, float] = field(default_factory=dict)
-    #: Post-bootstrap chunks ingested by a streaming run (0 for batch runs).
-    chunks_ingested: int = 0
-    #: Transactions still parked in the retained set when the run finalized.
-    retained: int = 0
-    #: Drift-triggered re-refinement rounds of a streaming run.
-    re_refinements: int = 0
-    #: Peak resident-set size of the driving process in KB
-    #: (``ru_maxrss``; 0 when not measured -- batch runs skip the probe).
-    peak_rss_kb: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return dict(self.__dict__)
@@ -184,10 +175,6 @@ def run_configuration(
     save_model_dir: Optional[str] = None,
     network: str = "sim",
     network_timeout: Optional[float] = None,
-    streaming: bool = False,
-    chunk_size: Optional[int] = None,
-    retain_threshold: Optional[float] = None,
-    drift_threshold: Optional[float] = None,
 ) -> RunRecord:
     """Run one clustering configuration and score it against the ground truth.
 
@@ -201,14 +188,6 @@ def run_configuration(
     / ``"real"``; CXK-means only for ``"real"``); real runs additionally
     fill the record's ``predicted_vs_measured`` fields with the cost-model
     predictions next to the measured wire bytes and wall-clock.
-
-    *streaming* replays the corpus through the incremental fit mode
-    (:class:`repro.core.streaming.StreamingClusterer`; centralized
-    ``xk`` only) in ``chunk_size`` chunks instead of one batch fit, and
-    fills the record's streaming counters (``chunks_ingested`` /
-    ``retained`` / ``re_refinements`` / ``peak_rss_kb``).  The up-front
-    corpus precompute is skipped in this mode -- each chunk is
-    delta-compiled as it arrives, which is the point.
     """
     labeling = GOAL_LABELING[goal]
     reference = dataset.labels_for(labeling)
@@ -228,45 +207,6 @@ def run_configuration(
             else {}
         ),
     )
-    streaming_stats: Dict[str, object] = {}
-    if streaming:
-        if algorithm.lower() not in ("xk", "xk-means", "xkmeans", "centralized"):
-            raise ValueError(
-                "streaming ingestion is implemented for the centralized "
-                f"XK-means only, got algorithm {algorithm!r}"
-            )
-        from repro.core.streaming import StreamingClusterer, stream_corpus
-
-        config = config.with_streaming(
-            True,
-            chunk_size=chunk_size,
-            retain_threshold=retain_threshold,
-            drift_threshold=drift_threshold,
-        )
-        algo = StreamingClusterer(config)
-        store_status = {"store": "off"}
-        result = stream_corpus(algo, dataset.transactions)
-        streaming_stats = algo.stats.as_dict()
-        return _build_record(
-            dataset=dataset,
-            goal=goal,
-            nodes=nodes,
-            scheme=scheme,
-            f=f,
-            gamma=gamma,
-            seed=seed,
-            k=k,
-            config=config,
-            algo=algo,
-            result=result,
-            reference=reference,
-            store_status=store_status,
-            backend=backend,
-            network=network,
-            algorithm=algorithm,
-            save_model_dir=save_model_dir,
-            streaming_stats=streaming_stats,
-        )
     algo = make_algorithm(algorithm, config, cost_model=cost_model)
     store_status = precompute_similarity(algo, dataset.transactions)
     if isinstance(algo, XKMeans):
@@ -274,61 +214,6 @@ def run_configuration(
     else:
         parts = partition(dataset.transactions, nodes, scheme=scheme, seed=seed)
         result = algo.fit(parts)
-    return _build_record(
-        dataset=dataset,
-        goal=goal,
-        nodes=nodes,
-        scheme=scheme,
-        f=f,
-        gamma=gamma,
-        seed=seed,
-        k=k,
-        config=config,
-        algo=algo,
-        result=result,
-        reference=reference,
-        store_status=store_status,
-        backend=backend,
-        network=network,
-        algorithm=algorithm,
-        save_model_dir=save_model_dir,
-        streaming_stats={},
-    )
-
-
-def _peak_rss_kb() -> int:
-    """Peak resident-set size of this process in KB (``ru_maxrss``)."""
-    import resource
-    import sys
-
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KB on Linux but bytes on macOS
-    return int(peak // 1024) if sys.platform == "darwin" else int(peak)
-
-
-def _build_record(
-    *,
-    dataset: TransactionDataset,
-    goal: str,
-    nodes: int,
-    scheme: PartitioningScheme,
-    f: float,
-    gamma: float,
-    seed: int,
-    k: int,
-    config: ClusteringConfig,
-    algo,
-    result,
-    reference,
-    store_status,
-    backend: str,
-    network: str,
-    algorithm: str,
-    save_model_dir: Optional[str],
-    streaming_stats: Dict[str, object],
-) -> RunRecord:
-    """Score *result* and assemble the :class:`RunRecord` (shared tail of
-    the batch and streaming paths of :func:`run_configuration`)."""
     model_status: Dict[str, object] = {"model": "off"}
     if save_model_dir is not None:
         from repro.core.model_store import ModelStoreError, save_model
@@ -385,10 +270,6 @@ def _build_record(
         model=model_status,
         network=network,
         predicted_vs_measured=predicted_vs_measured,
-        chunks_ingested=int(streaming_stats.get("chunks_ingested", 0)),
-        retained=int(streaming_stats.get("retained", 0)),
-        re_refinements=int(streaming_stats.get("re_refinements", 0)),
-        peak_rss_kb=_peak_rss_kb() if streaming_stats else 0,
     )
 
 

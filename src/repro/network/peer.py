@@ -1,34 +1,32 @@
 """Peers of the simulated P2P network.
 
-A :class:`Peer` owns a local portion of the transaction set, an inbox of
-messages delivered by the :class:`~repro.network.simnet.SimulatedNetwork`,
-and the responsibilities assigned by the startup process (the subset ``Z_i``
-of cluster identifiers whose global representatives it must compute).
+A :class:`Peer` owns a local portion of the transaction set and the
+responsibilities assigned by the startup process (the subset ``Z_i`` of
+cluster identifiers whose global representatives it must compute).
 
 The peer object is intentionally algorithm-agnostic: both CXK-means and the
-PK-means baseline drive peers through the same mailbox interface, which keeps
+PK-means baseline exchange their messages through the same
+:class:`~repro.network.simnet.SimulatedNetwork` accounting, which keeps
 their communication volumes directly comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.network.message import Message, MessageKind
 from repro.similarity.transaction import SimilarityEngine
 from repro.transactions.transaction import Transaction
 
 
 @dataclass
 class Peer:
-    """A network peer with a local data share and a message inbox."""
+    """A network peer with a local data share and its responsibilities."""
 
     peer_id: int
     transactions: List[Transaction] = field(default_factory=list)
     #: Cluster identifiers whose *global* representative this peer computes.
     responsibilities: List[int] = field(default_factory=list)
-    inbox: List[Message] = field(default_factory=list)
     #: Similarity engine used for the peer's local phases.  When several
     #: simulated nodes run in one process the algorithms attach the *same*
     #: engine to every peer, so all nodes share one tag-path cache and one
@@ -45,32 +43,6 @@ class Peer:
     def local_size(self) -> int:
         """Return ``|S_i|``: the number of locally stored transactions."""
         return len(self.transactions)
-
-    def deliver(self, message: Message) -> None:
-        """Place *message* into the inbox (called by the network)."""
-        self.inbox.append(message)
-
-    def drain_inbox(self, kind: Optional[MessageKind] = None) -> List[Message]:
-        """Remove and return inbox messages, optionally filtered by kind."""
-        if kind is None:
-            drained = list(self.inbox)
-            self.inbox.clear()
-            return drained
-        kept: List[Message] = []
-        drained = []
-        for message in self.inbox:
-            if message.kind is kind:
-                drained.append(message)
-            else:
-                kept.append(message)
-        self.inbox = kept
-        return drained
-
-    def peek_inbox(self, kind: Optional[MessageKind] = None) -> List[Message]:
-        """Return inbox messages without removing them."""
-        if kind is None:
-            return list(self.inbox)
-        return [message for message in self.inbox if message.kind is kind]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

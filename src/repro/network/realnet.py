@@ -21,11 +21,10 @@ control flow and differ only in where the local phases run.
 
 Accounting
 ----------
-:class:`RealNetwork` exposes the same round/stats surface as
-:class:`~repro.network.simnet.SimulatedNetwork` (``begin_round`` /
-``end_round`` / ``send`` / ``broadcast`` / ``summary``), so the
-:class:`~repro.network.stats.NetworkStats` and the cost-model *predictions*
-are computed exactly as in a simulated run.  On top of that it records what
+:class:`RealNetwork` is a :class:`~repro.network.simnet.SimulatedNetwork`:
+its topology, rounds, messaging and :class:`~repro.network.stats.NetworkStats`
+are the simulation's own, so the cost-model *predictions* are computed
+exactly as in a simulated run.  On top of that it records what
 actually happened on the wire: encoded frame bytes per round
 (``wire_bytes`` for algorithm messages, ``control_bytes`` for the
 HELLO/RESULT/SHUTDOWN frames and the driver-relay self-copies) and measured
@@ -76,7 +75,7 @@ from repro.network.codec import (
 from repro.network.costmodel import CostModel
 from repro.network.message import Message, MessageKind
 from repro.network.peer import Peer
-from repro.network.stats import NetworkStats
+from repro.network.simnet import SimulatedNetwork
 from repro.transactions.transaction import Transaction
 
 #: Default deadline for the worker handshake (socket connect + HELLO).
@@ -274,15 +273,16 @@ class _PeerLink:
         self.failure: Optional[str] = None
 
 
-class RealNetwork:
+class RealNetwork(SimulatedNetwork):
     """Localhost TCP network of genuinely concurrent peer processes.
 
-    Drop-in interchangeable with
-    :class:`~repro.network.simnet.SimulatedNetwork`: the round management,
-    messaging and :meth:`summary` surface are identical (so the algorithm
-    drivers need no transport-specific branches), while
-    :meth:`run_local_phases` ships each round's local phases to the worker
-    processes instead of running them in-process.
+    The simulated network plus the wire: topology, round management,
+    messaging rules and the :class:`~repro.network.stats.NetworkStats` are
+    inherited (so the algorithm drivers need no transport-specific
+    branches), while every accounted message is encoded and written to its
+    recipient's worker, each round's wall clock and wire bytes are
+    measured, and :meth:`run_local_phases` collects the local phases the
+    worker processes ran instead of running them in-process.
 
     Parameters
     ----------
@@ -317,13 +317,7 @@ class RealNetwork:
         round_timeout: float = DEFAULT_ROUND_TIMEOUT,
         worker_factory=None,
     ) -> None:
-        self.peers: List[Peer] = list(peers)
-        self._by_id: Dict[int, Peer] = {peer.peer_id: peer for peer in self.peers}
-        self.cost_model = cost_model or CostModel()
-        self.stats = NetworkStats()
-        self.simulated_seconds = 0.0
-        self._round_index = -1
-        self._round_open = False
+        super().__init__(peers, cost_model)
         self._round_started_at = 0.0
 
         self.phase_config = phase_config
@@ -351,21 +345,6 @@ class RealNetwork:
         self._processes: Dict[int, multiprocessing.Process] = {}
         self._started = False
         self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Topology (identical surface to SimulatedNetwork)
-    # ------------------------------------------------------------------ #
-    def peer(self, peer_id: int) -> Peer:
-        """Return the driver-side peer object with the given identifier."""
-        return self._by_id[peer_id]
-
-    def peer_ids(self) -> List[int]:
-        """Return the peer identifiers in peer order."""
-        return [peer.peer_id for peer in self.peers]
-
-    def size(self) -> int:
-        """Return the number of peers (``m``)."""
-        return len(self.peers)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -585,16 +564,13 @@ class RealNetwork:
                 await writer.wait_closed()
 
     # ------------------------------------------------------------------ #
-    # Round management (identical semantics to SimulatedNetwork)
+    # Rounds: measured wall clock and wire bytes
     # ------------------------------------------------------------------ #
     def begin_round(self) -> int:
-        """Open a new collaborative round; returns its index."""
-        self._round_index += 1
-        self._round_open = True
-        self.stats.start_round(self._round_index)
+        """Open a new collaborative round and start measuring it."""
         self._round_wire_bytes = 0
         self._round_started_at = time.perf_counter()
-        return self._round_index
+        return super().begin_round()
 
     def end_round(self) -> float:
         """Close the round; returns its *predicted* (cost-model) duration.
@@ -602,61 +578,20 @@ class RealNetwork:
         The measured wall-clock and wire bytes of the round are appended to
         :attr:`round_measurements`.
         """
-        if not self._round_open:
-            raise RuntimeError("end_round() called with no open round")
-        round_stats = self.stats.current_round()
-        comm_seconds = self.cost_model.communication_seconds(
-            round_stats.transferred_transactions, round_stats.transferred_units
-        )
-        duration = round_stats.max_compute_seconds() + comm_seconds
-        self.simulated_seconds += duration
+        duration = super().end_round()
         wall = time.perf_counter() - self._round_started_at
         self.measured_wall_seconds += wall
         self.round_measurements.append((self._round_wire_bytes, wall))
-        self._round_open = False
         return duration
 
-    @contextlib.contextmanager
-    def round(self):
-        """Context manager wrapping :meth:`begin_round` / :meth:`end_round`."""
-        index = self.begin_round()
-        try:
-            yield index
-        finally:
-            self.end_round()
-
-    @contextlib.contextmanager
-    def measure_compute(self, peer_id: int):
-        """Measure driver-side computation charged to *peer_id* this round."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stats.record_compute(peer_id, time.perf_counter() - start)
-
     # ------------------------------------------------------------------ #
-    # Messaging
+    # Messaging: the wire
     # ------------------------------------------------------------------ #
-    def send(self, message: Message) -> None:
-        """Transmit *message* to its recipient's worker and account it.
-
-        Mirrors the simulated network: self-sends are dropped (a node does
-        not use the network to talk to itself), and sending outside an open
-        round is a programming error.
-        """
-        if not self._round_open:
-            raise RuntimeError(
-                "send() called with no open round: every message must be "
-                "accounted to a round (wrap the exchange in network.round())"
-            )
-        if message.sender == message.recipient:
-            return
-        message.round_index = max(self._round_index, 0)
-        frame = encode_frame(FrameKind.MESSAGE, encode_message(message))
-        self._transmit(message.recipient, frame)
-        self.stats.record_message(message)
-        self.wire_bytes += len(frame)
-        self._round_wire_bytes += len(frame)
+    def _transmit(self, message: Message) -> None:
+        """Write an accounted *message* to its recipient's worker."""
+        size = self._write(message)
+        self.wire_bytes += size
+        self._round_wire_bytes += size
 
     def broadcast(self, sender: int, kind: MessageKind, payload) -> int:
         """Send the same payload from *sender* to every other peer.
@@ -670,40 +605,31 @@ class RealNetwork:
         accounted as ``control_bytes``, not network traffic, keeping the
         :class:`NetworkStats` identical to a simulated run.
         """
-        if not self._round_open:
-            raise RuntimeError(
-                "broadcast() called with no open round: every message must "
-                "be accounted to a round (wrap the exchange in network.round())"
-            )
-        count = 0
-        for peer in self.peers:
+        count = super().broadcast(sender, kind, payload)
+        if kind is MessageKind.GLOBAL_REPRESENTATIVES:
             message = Message(
-                sender=sender, recipient=peer.peer_id, kind=kind, payload=payload
+                sender=sender, recipient=sender, kind=kind, payload=payload
             )
-            if peer.peer_id == sender:
-                if kind is MessageKind.GLOBAL_REPRESENTATIVES:
-                    message.round_index = max(self._round_index, 0)
-                    frame = encode_frame(FrameKind.MESSAGE, encode_message(message))
-                    self._transmit(peer.peer_id, frame)
-                    self.control_bytes += len(frame)
-                continue
-            self.send(message)
-            count += 1
+            message.round_index = max(self._round_index, 0)
+            self.control_bytes += self._write(message)
         return count
 
-    def _transmit(self, peer_id: int, frame: bytes) -> None:
-        """Write *frame* to the worker connection of *peer_id* (blocking)."""
-        link = self._links.get(peer_id)
+    def _write(self, message: Message) -> int:
+        """Encode *message* and write it to its recipient's worker
+        connection (blocking); returns the frame's size in bytes."""
+        link = self._links.get(message.recipient)
         if link is None:
             raise RealNetworkError(
-                f"peer {peer_id} is not connected (transport not started?)"
+                f"peer {message.recipient} is not connected (transport not started?)"
             )
         if link.failure is not None:
             raise RealNetworkError(link.failure)
+        frame = encode_frame(FrameKind.MESSAGE, encode_message(message))
         self._call(self._write_link(link, frame), timeout=self.round_timeout)
+        return len(frame)
 
     async def _write_link(self, link: _PeerLink, frame: bytes) -> None:
-        """Driver-loop half of :meth:`_transmit`."""
+        """Driver-loop half of :meth:`_write`."""
         if link.writer is None:
             raise RealNetworkError(f"peer {link.peer_id} has no open connection")
         try:
@@ -799,17 +725,11 @@ class RealNetwork:
 
         The cost-model keys (``simulated_seconds``,
         ``communication_seconds`` and the :class:`NetworkStats` aggregates)
-        are computed exactly as on the simulated transport -- they are the
-        *predictions* -- while ``wire_bytes`` / ``control_bytes`` /
+        are the simulated transport's -- they are the *predictions* --
+        while ``wire_bytes`` / ``control_bytes`` /
         ``measured_wall_seconds`` report what actually crossed the wire.
         """
-        summary = self.stats.as_dict()
-        summary["simulated_seconds"] = self.simulated_seconds
-        summary["communication_seconds"] = self.cost_model.communication_seconds(
-            self.stats.total_transferred_transactions(),
-            self.stats.total_transferred_units(),
-        )
-        summary["peers"] = float(self.size())
+        summary = super().summary()
         summary["wire_bytes"] = float(self.wire_bytes)
         summary["control_bytes"] = float(self.control_bytes)
         summary["measured_wall_seconds"] = self.measured_wall_seconds

@@ -4,9 +4,12 @@ The simulated network executes the peers of a distributed algorithm
 sequentially on one host while accounting for what *would* happen on a real
 cluster:
 
-* every message is delivered instantly but recorded in the
+* every message is recorded in the
   :class:`~repro.network.stats.NetworkStats` (count, transactions, items,
-  abstract size units);
+  abstract size units) and needs no delivery: the algorithm state lives
+  with the driver, which is also why the real transport
+  (:class:`~repro.network.realnet.RealNetwork`, a subclass adding only
+  the wire) reproduces a simulated run exactly;
 * the computation time of every peer is measured with a wall-clock timer
   while its work for the round runs;
 * at the end of each round the simulated elapsed time advances by
@@ -55,6 +58,7 @@ class SimulatedNetwork:
         return self._by_id[peer_id]
 
     def peer_ids(self) -> List[int]:
+        """Return the peer identifiers in peer order."""
         return [peer.peer_id for peer in self.peers]
 
     def size(self) -> int:
@@ -109,16 +113,17 @@ class SimulatedNetwork:
     # Messaging
     # ------------------------------------------------------------------ #
     def send(self, message: Message) -> None:
-        """Deliver *message* to its recipient and record the traffic.
+        """Transmit *message* to its recipient and record the traffic.
 
-        Messages a peer sends to itself are neither delivered nor accounted
-        (a node does not use the network to talk to itself).  Sending with
-        no open round is a programming error: the traffic would land in an
-        auto-created round-0 record that a later :meth:`begin_round`
-        shadows with a duplicate ``RoundStats(0)``, so the phantom round's
-        bytes would never be charged by :meth:`end_round` -- the message
-        counts fed to the cost model would silently disagree with the
-        recorded statistics.
+        Messages a peer sends to itself are neither transmitted nor
+        accounted (a node does not use the network to talk to itself), in
+        or outside a round.  Any other send with no open round is a
+        programming error: the traffic would land in an auto-created
+        round-0 record that a later :meth:`begin_round` shadows with a
+        duplicate ``RoundStats(0)``, so the phantom round's bytes would
+        never be charged by :meth:`end_round` -- the message counts fed to
+        the cost model would silently disagree with the recorded
+        statistics.
         """
         if message.sender == message.recipient:
             return
@@ -128,8 +133,15 @@ class SimulatedNetwork:
                 "accounted to a round (wrap the exchange in network.round())"
             )
         message.round_index = max(self._round_index, 0)
+        self._transmit(message)
         self.stats.record_message(message)
-        self._by_id[message.recipient].deliver(message)
+
+    def _transmit(self, message: Message) -> None:
+        """Carry an accounted *message* to its recipient.
+
+        Nothing to do in the simulation, where the recipient's state lives
+        in this process; the real transport writes the encoded frame.
+        """
 
     def broadcast(
         self,

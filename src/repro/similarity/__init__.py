@@ -6,10 +6,7 @@ from repro.similarity.backend import (
     NumpyBackend,
     PythonBackend,
     SimilarityBackend,
-    available_backends,
     create_backend,
-    register_backend,
-    registered_backends,
 )
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.content import content_similarity, cosine_similarity
@@ -33,10 +30,7 @@ __all__ = [
     "SimilarityBackend",
     "PythonBackend",
     "NumpyBackend",
-    "available_backends",
     "create_backend",
-    "register_backend",
-    "registered_backends",
     "dirichlet",
     "positional_tag_score",
     "tag_path_similarity",

@@ -9,9 +9,12 @@ hardware allows".  This module turns the similarity layer into a pluggable
 architecture:
 
 * :class:`SimilarityBackend` -- the protocol every backend implements:
-  scalar item / transaction similarity, a batched
-  ``pairwise_transaction_similarity`` and the bulk ``assign_all`` entry
-  point used by the assignment step of the clustering loops;
+  the calls the clustering algorithms make (the bulk ``assign_all`` of the
+  assignment step, the refinement's ``score_candidates`` and
+  ``rank_items_batch``, corpus compilation) plus the batched
+  ``pairwise_transaction_similarity`` the parity suites compare; the
+  scalar Eq. 1-4 functions live only on the reference
+  :class:`~repro.similarity.transaction.SimilarityEngine`;
 * ``"python"`` -- :class:`PythonBackend`, a thin wrapper around the
   reference loops of :class:`~repro.similarity.transaction.SimilarityEngine`
   (byte-for-byte the historical behaviour);
@@ -59,31 +62,23 @@ clustering run with a fixed seed produces identical assignments under
 either backend.  The parity suite in ``tests/test_similarity_backend.py``
 asserts this property.
 
-Backends are registered by name; third parties can plug in their own
-through :func:`register_backend`.
+A backend is selected by a spec string, ``python`` or ``numpy[:block=N]``,
+which :func:`parse_backend_spec` reads for both :func:`create_backend` and
+:func:`validate_backend_spec`.
 """
 
 from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Optional,
+    Protocol,
     Sequence,
-    Set,
     Tuple,
+    runtime_checkable,
 )
-
-try:  # pragma: no cover - Protocol exists on every supported Python
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        """Fallback no-op decorator for Pythons without typing.Protocol."""
-        return cls
 
 from repro.similarity.content import content_similarity
 from repro.transactions.items import TreeTupleItem
@@ -96,6 +91,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Name of the backend used when none is requested explicitly.
 DEFAULT_BACKEND = "python"
 
+#: Every backend name a spec may start with, in the order error messages
+#: list them.
+BACKEND_NAMES = ("numpy", "python")
+
 #: Default item budget per tile side of the batched kernels.  Every batch
 #: backend evaluates its similarity blocks in ``(row_tile x column_tile)``
 #: tiles whose row-item and column-item totals each stay within this
@@ -107,63 +106,7 @@ DEFAULT_BLOCK_ITEMS = 2048
 
 
 class BackendUnavailableError(RuntimeError):
-    """Raised when a registered backend cannot run in this environment."""
-
-
-def _unknown_backend_message(spec) -> str:
-    """The single unknown-backend error message shared by every entry point.
-
-    :func:`create_backend`, :func:`validate_backend_spec` (and through it
-    ``ClusteringConfig`` and the CLI) all raise exactly this text, so a
-    misspelled spec lists the same registered alternatives no matter where
-    the user wrote it.
-    """
-    return (
-        f"unknown similarity backend: {spec!r} "
-        f"(registered: {', '.join(sorted(_REGISTRY))})"
-    )
-
-
-def split_block_option(
-    options: Optional[str], spec: str
-) -> Tuple[List[str], Optional[int]]:
-    """Split ``block=N`` parts out of a backend option string.
-
-    Returns ``(remaining_parts, block_items)`` where *remaining_parts* are
-    the non-empty, non-``block=`` option parts in order and *block_items*
-    is ``None`` when the spec carries no block option.  ``block=0`` is the
-    explicit unbounded (untiled single-tile) selection; negative or
-    non-integer values and duplicate ``block=`` parts raise ``ValueError``
-    naming *spec* so config-resolution-time validation points at the spec
-    the user wrote.
-    """
-    block: Optional[int] = None
-    rest: List[str] = []
-    if not options:
-        return rest, block
-    for part in options.split(":"):
-        if part.startswith("block="):
-            if block is not None:
-                raise ValueError(
-                    f"duplicate 'block=' option in backend spec {spec!r}"
-                )
-            value = part[len("block="):]
-            try:
-                block = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"invalid batch block size {value!r} in backend spec "
-                    f"{spec!r} (expected 'block=N' with an integer N >= 0; "
-                    "0 selects the unbounded untiled path)"
-                ) from None
-            if block < 0:
-                raise ValueError(
-                    f"batch block size must be >= 0 (0 = unbounded), got "
-                    f"{block} in backend spec {spec!r}"
-                )
-        elif part:
-            rest.append(part)
-    return rest, block
+    """Raised when the selected backend cannot run in this environment."""
 
 
 def _load_numpy():
@@ -178,14 +121,6 @@ def _load_numpy():
     return numpy
 
 
-def _numpy_importable() -> bool:
-    try:
-        _load_numpy()
-    except BackendUnavailableError:  # pragma: no cover - see above
-        return False
-    return True
-
-
 # --------------------------------------------------------------------------- #
 # The backend protocol
 # --------------------------------------------------------------------------- #
@@ -193,44 +128,28 @@ def _numpy_importable() -> bool:
 class SimilarityBackend(Protocol):
     """Interface of a similarity backend.
 
-    A backend answers the same questions as the reference
-    :class:`~repro.similarity.transaction.SimilarityEngine`, plus two batch
-    entry points that let implementations amortise per-call work across a
-    whole corpus:
+    The batch calls the clustering algorithms make, each answering what the
+    scalar reference methods of
+    :class:`~repro.similarity.transaction.SimilarityEngine` would answer
+    for a whole block at once, so implementations can amortise per-call
+    work across a corpus:
 
-    * :meth:`pairwise_transaction_similarity` evaluates a block of
-      ``sim^gamma_J`` values at once;
     * :meth:`assign_all` performs the complete assignment step (every
       transaction against every representative) of one clustering
-      iteration.
+      iteration;
+    * :meth:`score_candidates` and :meth:`rank_items_batch` serve the
+      representative refinement;
+    * :meth:`compile_corpus` and :meth:`extend_corpus` prepare a corpus;
+    * :meth:`pairwise_transaction_similarity` evaluates a block of
+      ``sim^gamma_J`` values -- the kernel's parity surface.
     """
 
     name: str
-
-    def item_similarity(self, item_a: TreeTupleItem, item_b: TreeTupleItem) -> float:
-        """Combined item similarity (Eq. 1)."""
-        ...
-
-    def gamma_shared_items(
-        self, tr1: Transaction, tr2: Transaction
-    ) -> Set[TreeTupleItem]:
-        """The gamma-shared item set ``match_gamma(tr1, tr2)`` (Eq. 2)."""
-        ...
-
-    def transaction_similarity(self, tr1: Transaction, tr2: Transaction) -> float:
-        """XML transaction similarity ``sim^gamma_J`` (Eq. 4)."""
-        ...
 
     def pairwise_transaction_similarity(
         self, rows: Sequence[Transaction], columns: Sequence[Transaction]
     ) -> List[List[float]]:
         """Matrix of ``sim^gamma_J(rows[i], columns[j])`` values."""
-        ...
-
-    def nearest_representative(
-        self, transaction: Transaction, representatives: Sequence[Transaction]
-    ) -> Tuple[int, float]:
-        """(index, similarity) of the most similar representative."""
         ...
 
     def assign_all(
@@ -305,20 +224,6 @@ class PythonBackend:
     def __init__(self, engine: "SimilarityEngine") -> None:
         self.engine = engine
 
-    def item_similarity(self, item_a: TreeTupleItem, item_b: TreeTupleItem) -> float:
-        """Combined item similarity (Eq. 1), the scalar reference loop."""
-        return self.engine.item_similarity(item_a, item_b)
-
-    def gamma_shared_items(
-        self, tr1: Transaction, tr2: Transaction
-    ) -> Set[TreeTupleItem]:
-        """Gamma-shared item set ``match_gamma(tr1, tr2)`` (Eq. 2)."""
-        return self.engine.gamma_shared_items(tr1, tr2)
-
-    def transaction_similarity(self, tr1: Transaction, tr2: Transaction) -> float:
-        """Transaction similarity ``sim^gamma_J`` (Eq. 4), reference loop."""
-        return self.engine.transaction_similarity(tr1, tr2)
-
     def pairwise_transaction_similarity(
         self, rows: Sequence[Transaction], columns: Sequence[Transaction]
     ) -> List[List[float]]:
@@ -326,20 +231,13 @@ class PythonBackend:
         similarity = self.engine.transaction_similarity
         return [[similarity(row, column) for column in columns] for row in rows]
 
-    def nearest_representative(
-        self, transaction: Transaction, representatives: Sequence[Transaction]
-    ) -> Tuple[int, float]:
-        """(index, similarity) of the best representative; ties break to
-        the lowest index (strictly-greater update rule)."""
-        return self.engine.nearest_representative(transaction, representatives)
-
     def assign_all(
         self,
         transactions: Sequence[Transaction],
         representatives: Sequence[Transaction],
     ) -> List[Tuple[int, float]]:
-        """Bulk assignment as a plain loop over
-        :meth:`nearest_representative`, one result per transaction in input
+        """Bulk assignment as a plain loop over the engine's
+        ``nearest_representative``, one result per transaction in input
         order (byte-for-byte the historical behaviour)."""
         # hoist the representatives' item sets out of the transaction loop
         representative_item_sets = [
@@ -456,17 +354,9 @@ class NumpyBackend:
     DEFAULT_BLOCK_ITEMS = DEFAULT_BLOCK_ITEMS
 
     def __init__(
-        self, engine: "SimilarityEngine", options: Optional[str] = None
+        self, engine: "SimilarityEngine", block_items: Optional[int] = None
     ) -> None:
         self._np = _load_numpy()
-        rest, block_items = split_block_option(
-            options, f"numpy:{options}" if options else "numpy"
-        )
-        if rest:
-            raise ValueError(
-                f"invalid numpy backend options {options!r} "
-                "(expected 'numpy[:block=N]')"
-            )
         #: Configured tile budget: ``None`` = backend default, ``0`` =
         #: unbounded (untiled single-tile path), ``N`` = at most N row
         #: items x N column items of scratch per tile.
@@ -667,7 +557,7 @@ class NumpyBackend:
         """Rebuild the uid/content registries from the attached corpus.
 
         Deferred until something actually needs them (compiling a *new*
-        transaction, scalar item kernels, content blocks).  Walking the
+        transaction, content blocks, item ranks).  Walking the
         corpus in order reproduces the exact fresh-compile registries:
         uids were stored dense in first-occurrence order, and a content
         id equal to the current exemplar count marks the first occurrence
@@ -925,8 +815,8 @@ class NumpyBackend:
     def _content_maps(self, row_classes, column_classes):
         """Content block plus full-size local-id remap arrays.
 
-        The single construction of the memoised content lookup shared by
-        every batch kernel: the block for the given (sorted, distinct)
+        The memoised content lookup of the batch kernel: the block for
+        the given (sorted, distinct)
         class-id arrays, and two ``len(_content_exemplars)``-sized arrays
         mapping a global content class id to its row/column position in
         that block.
@@ -1178,96 +1068,14 @@ class NumpyBackend:
         return sims
 
     # ------------------------------------------------------------------ #
-    # Scalar API (parity with the reference backend)
+    # Batch entry points
     # ------------------------------------------------------------------ #
-    def item_similarity(self, item_a: TreeTupleItem, item_b: TreeTupleItem) -> float:
-        """Combined item similarity (Eq. 1) from the shared tag-path cache
-        and the memoised per-content-class block; bit-exact with the scalar
-        reference (same IEEE-754 operation order, same short-circuits)."""
-        structural = self.cache.item_similarity(item_a, item_b)
-        f = self.config.f
-        if f == 1.0:
-            return structural
-        np = self._np
-        value = float(
-            self._content_block(
-                np.array([self._content_id(item_a)], dtype=np.intp),
-                np.array([self._content_id(item_b)], dtype=np.intp),
-            )[0, 0]
-        )
-        if f == 0.0:
-            return value
-        return f * structural + (1.0 - f) * value
-
-    def gamma_shared_items(
-        self, tr1: Transaction, tr2: Transaction
-    ) -> Set[TreeTupleItem]:
-        """Gamma-shared item set (Eq. 2) as two masked max-reduction passes
-        over the compiled item-similarity block; the returned set equals the
-        reference loop's for every input."""
-        if tr1.is_empty() or tr2.is_empty():
-            return set()
-        np = self._np
-        f = self.config.f
-        gamma = self.config.gamma
-        first = self._compile(tr1)
-        second = self._compile(tr2)
-        tp_matrix = self._ensure_tp_matrix()
-        if f == 1.0:
-            block = tp_matrix[first.tag_path_ids[:, None], second.tag_path_ids[None, :]]
-        else:
-            row_classes = np.unique(first.content_ids)
-            column_classes = np.unique(second.content_ids)
-            content, row_remap, column_remap = self._content_maps(
-                row_classes, column_classes
-            )
-            contentpart = content[
-                row_remap[first.content_ids][:, None],
-                column_remap[second.content_ids][None, :],
-            ]
-            if f == 0.0:
-                block = contentpart
-            else:
-                structural = tp_matrix[
-                    first.tag_path_ids[:, None], second.tag_path_ids[None, :]
-                ]
-                block = f * structural + (1.0 - f) * contentpart
-
-        column_max = block.max(axis=0)
-        matched_rows = ((block == column_max[None, :]) & (column_max >= gamma)[None, :]).any(axis=1)
-        row_max = block.max(axis=1)
-        matched_columns = ((block == row_max[:, None]) & (row_max >= gamma)[:, None]).any(axis=0)
-        matched: Set[TreeTupleItem] = {
-            item for item, flag in zip(tr1.items, matched_rows.tolist()) if flag
-        }
-        matched.update(
-            item for item, flag in zip(tr2.items, matched_columns.tolist()) if flag
-        )
-        return matched
-
-    def transaction_similarity(self, tr1: Transaction, tr2: Transaction) -> float:
-        """Transaction similarity ``sim^gamma_J`` (Eq. 4) as a 1x1 batch;
-        the integer-ratio result matches the scalar loop exactly."""
-        return float(self._pair_similarities([tr1], [tr2])[0, 0])
-
     def pairwise_transaction_similarity(
         self, rows: Sequence[Transaction], columns: Sequence[Transaction]
     ) -> List[List[float]]:
         """Dense ``sim^gamma_J`` block evaluated by the vectorized batch
         kernel, returned as nested lists in row/column input order."""
         return self._pair_similarities(rows, columns).tolist()
-
-    def nearest_representative(
-        self, transaction: Transaction, representatives: Sequence[Transaction]
-    ) -> Tuple[int, float]:
-        """(index, similarity) of the best representative; ``np.argmax``
-        keeps the first maximum, reproducing the reference lowest-index
-        tie-break.  An empty representative list returns ``(-1, 0.0)``."""
-        if not representatives:
-            return -1, 0.0
-        row = self._pair_similarities([transaction], representatives)[0]
-        index = int(self._np.argmax(row))
-        return index, float(row[index])
 
     def assign_all(
         self,
@@ -1423,126 +1231,89 @@ class NumpyBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Registry
+# Backend specs
 # --------------------------------------------------------------------------- #
-_REGISTRY: Dict[str, Callable[..., SimilarityBackend]] = {}
+def parse_backend_spec(spec: Optional[str]) -> Tuple[str, Optional[int]]:
+    """Parse a ``python`` | ``numpy[:block=N]`` spec (case-insensitive).
 
+    Returns ``(name, block_items)``: the backend name and the tile budget
+    (``None`` when the spec carries no ``block=`` option, ``0`` for the
+    unbounded untiled path).  ``None`` selects :data:`DEFAULT_BACKEND`.
+    The one reader of specs, so :func:`create_backend` and
+    :func:`validate_backend_spec` (and through it ``ClusteringConfig`` and
+    the CLI) raise the same errors:
 
-def register_backend(name: str, factory: Callable[..., SimilarityBackend]) -> None:
-    """Register a backend *factory* under *name* (case-insensitive).
-
-    A factory is called as ``factory(engine)``; factories that support
-    backend-name options (``"name:options"``) must additionally accept the
-    option string as a second positional argument.
+    * an unknown name raises ``ValueError`` listing :data:`BACKEND_NAMES`;
+    * options on ``python`` raise ``ValueError``;
+    * ``numpy`` without numpy installed raises
+      :class:`BackendUnavailableError` with an actionable message;
+    * a duplicate, non-integer or negative ``block=`` budget, or any other
+      ``numpy`` option, raises ``ValueError`` naming the spec.
     """
-    _REGISTRY[name.lower()] = factory
-
-
-def create_backend(name: Optional[str], engine: "SimilarityEngine") -> SimilarityBackend:
-    """Instantiate the backend registered under *name* for *engine*.
-
-    ``None`` selects :data:`DEFAULT_BACKEND`.  A ``"name:options"`` spec
-    passes the option string to the factory (e.g. ``"numpy:block=64"``).
-    Unknown names raise a ``ValueError`` listing the registered
-    alternatives.
-    """
-    key = (name or DEFAULT_BACKEND).lower()
-    base, _, options = key.partition(":")
-    factory = _REGISTRY.get(base)
-    if factory is None:
-        raise ValueError(_unknown_backend_message(name))
-    if options:
-        if not _factory_accepts_options(factory):
+    key = (spec or DEFAULT_BACKEND).lower()
+    name, _, options = key.partition(":")
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown similarity backend: {spec!r} "
+            f"(registered: {', '.join(BACKEND_NAMES)})"
+        )
+    if name == "python":
+        if options:
             raise ValueError(
-                f"similarity backend {base!r} accepts no options (got {options!r})"
+                f"similarity backend {name!r} accepts no options (got {options!r})"
             )
-        return factory(engine, options)
-    return factory(engine)
+        return name, None
+    _load_numpy()
+    block: Optional[int] = None
+    unknown = False
+    for part in options.split(":"):
+        if not part.startswith("block="):
+            unknown = unknown or bool(part)
+            continue
+        if block is not None:
+            raise ValueError(f"duplicate 'block=' option in backend spec {key!r}")
+        value = part[len("block="):]
+        try:
+            block = int(value)
+        except ValueError:
+            raise ValueError(
+                f"invalid batch block size {value!r} in backend spec "
+                f"{key!r} (expected 'block=N' with an integer N >= 0; "
+                "0 selects the unbounded untiled path)"
+            ) from None
+        if block < 0:
+            raise ValueError(
+                f"batch block size must be >= 0 (0 = unbounded), got "
+                f"{block} in backend spec {key!r}"
+            )
+    if unknown:
+        raise ValueError(
+            f"invalid numpy backend options {options!r} "
+            "(expected 'numpy[:block=N]')"
+        )
+    return name, block
 
 
-def _factory_accepts_options(factory: Callable[..., SimilarityBackend]) -> bool:
-    """True when *factory* can be called with a second (options) argument.
+def create_backend(spec: Optional[str], engine: "SimilarityEngine") -> SimilarityBackend:
+    """Instantiate the backend *spec* selects for *engine*.
 
-    Decided from the signature rather than by catching ``TypeError`` around
-    the call, so a genuine ``TypeError`` raised *inside* an option-accepting
-    factory keeps its real traceback instead of being misreported as
-    "accepts no options".
+    ``None`` selects :data:`DEFAULT_BACKEND`; ``"numpy:block=64"`` passes
+    the tile budget to :class:`NumpyBackend`.  Malformed specs raise the
+    errors of :func:`parse_backend_spec`.
     """
-    import inspect
-
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return True
-    positional = [
-        parameter
-        for parameter in signature.parameters.values()
-        if parameter.kind
-        in (parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    has_var_positional = any(
-        parameter.kind is parameter.VAR_POSITIONAL
-        for parameter in signature.parameters.values()
-    )
-    return has_var_positional or len(positional) >= 2
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """Return every registered backend name, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Return the registered backends usable in this environment.
-
-    ``numpy`` is listed only when numpy imports; selecting it without numpy
-    still raises an actionable :class:`BackendUnavailableError` (see
-    :func:`validate_backend_spec`).
-    """
-    return tuple(
-        name
-        for name in registered_backends()
-        if name != "numpy" or _numpy_importable()
-    )
+    name, block_items = parse_backend_spec(spec)
+    if name == "python":
+        return PythonBackend(engine)
+    return NumpyBackend(engine, block_items)
 
 
 def validate_backend_spec(spec: Optional[str]) -> str:
-    """Validate a ``"name[:options]"`` backend spec without an engine.
+    """Validate a backend spec without an engine; return it lower-cased.
 
     The config-resolution-time gate used by
     :class:`~repro.core.config.ClusteringConfig` and the CLI so a broken
-    spec fails where the user wrote it, not deep inside a fit:
-
-    * unknown base names raise ``ValueError`` listing the registered
-      alternatives (same message as :func:`create_backend` -- the single
-      source of truth the CLI and ``ClusteringConfig`` both surface);
-    * options passed to an option-less backend raise ``ValueError``;
-    * malformed ``block=`` budgets raise ``ValueError`` naming the
-      offending part;
-    * ``numpy`` without numpy installed raises
-      :class:`BackendUnavailableError` with an actionable message.
-
-    Returns the normalised (lower-cased) spec.
+    spec fails where the user wrote it, not deep inside a fit, with the
+    errors of :func:`parse_backend_spec`.
     """
-    key = (spec or DEFAULT_BACKEND).lower()
-    base, _, options = key.partition(":")
-    factory = _REGISTRY.get(base)
-    if factory is None:
-        raise ValueError(_unknown_backend_message(spec))
-    if options and not _factory_accepts_options(factory):
-        raise ValueError(
-            f"similarity backend {base!r} accepts no options (got {options!r})"
-        )
-    if base == "numpy":
-        _load_numpy()
-        rest, _ = split_block_option(options or None, key)
-        if rest:
-            raise ValueError(
-                f"invalid numpy backend options {options!r} "
-                "(expected 'numpy[:block=N]')"
-            )
-    return key
-
-
-register_backend("python", PythonBackend)
-register_backend("numpy", NumpyBackend)
+    parse_backend_spec(spec)
+    return (spec or DEFAULT_BACKEND).lower()

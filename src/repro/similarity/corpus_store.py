@@ -343,11 +343,22 @@ class BlockCorpusStore:
         similarity_doc = manifest.get("similarity")
         if not isinstance(similarity_doc, dict):
             raise CorpusStoreError(f"block chain {directory} has no similarity config")
-        similarity = SimilarityConfig(
-            f=float(similarity_doc["f"]), gamma=float(similarity_doc["gamma"])
-        )
+        try:
+            similarity = SimilarityConfig(
+                f=float(similarity_doc["f"]), gamma=float(similarity_doc["gamma"])
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise CorpusStoreError(
+                f"block-chain manifest {manifest_path} has a bad similarity "
+                f"config {similarity_doc!r}: {error!r}"
+            ) from error
         for block in manifest["blocks"]:
-            block_dir = directory / str(block["name"])
+            if not isinstance(block, dict) or not isinstance(block.get("name"), str):
+                raise CorpusStoreError(
+                    f"block-chain manifest {manifest_path} lists a block "
+                    f"record without a name: {block!r}"
+                )
+            block_dir = directory / block["name"]
             if not (block_dir / BLOCK_MANIFEST_NAME).exists():
                 raise CorpusStoreError(
                     f"block chain {directory} lists {block['name']} but its "

@@ -67,6 +67,18 @@ class RegistryError(RuntimeError):
     """A registry operation failed (unknown model, invalid directory, IO)."""
 
 
+def _manifest_files(manifest, directory: Path) -> List[str]:
+    """The data files a manifest inventories, or :class:`RegistryError`."""
+    if not isinstance(manifest, dict):
+        raise RegistryError(f"model manifest in {directory} is not a JSON object")
+    files = manifest.get("files", list(MODEL_DATA_FILES))
+    if not isinstance(files, list):
+        raise RegistryError(
+            f"model manifest in {directory} has a bad 'files' value {files!r}"
+        )
+    return [str(name) for name in files]
+
+
 def model_fingerprint(directory) -> str:
     """Content fingerprint of a saved model directory (hex SHA-256).
 
@@ -84,7 +96,7 @@ def model_fingerprint(directory) -> str:
         names = [MODEL_MANIFEST_NAME]
         with open(manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        names += [str(name) for name in manifest.get("files", MODEL_DATA_FILES)]
+        names += _manifest_files(manifest, directory)
         for name in names:
             digest.update(name.encode("utf-8") + b"\x00")
             digest.update((directory / name).read_bytes())
@@ -106,15 +118,16 @@ def _read_manifest(directory: Path) -> Dict[str, object]:
             f"not a saved model directory (no readable manifest): "
             f"{directory}: {error}"
         ) from error
+    names = _manifest_files(manifest, directory)
     version = manifest.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise RegistryError(
             f"unsupported model format version {version!r} in {directory} "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
-    for name in manifest.get("files", list(MODEL_DATA_FILES)):
-        if not (directory / str(name)).exists():
-            raise RegistryError(f"model file missing: {directory / str(name)}")
+    for name in names:
+        if not (directory / name).exists():
+            raise RegistryError(f"model file missing: {directory / name}")
     return manifest
 
 

@@ -62,6 +62,7 @@ class TransactionDatasetBuilder:
         self,
         trees: Sequence[XMLTree],
         doc_labels: Optional[Dict[str, Dict[str, str]]] = None,
+        statistics: Optional[CorpusTermStatistics] = None,
     ) -> TransactionDataset:
         """Build the dataset for *trees*.
 
@@ -74,9 +75,17 @@ class TransactionDatasetBuilder:
             labelling name to ``{doc_id: class label}``.  Labels are projected
             onto every transaction derived from the document, matching the
             paper's evaluation protocol (Sec. 5.3 operates on ``S``).
+        statistics:
+            The term statistics every TCU of *trees* is registered with and
+            the ttf.itf weights are read from; a fresh
+            :class:`CorpusTermStatistics` (the collection is *trees*) by
+            default.  A served query passes statistics whose collection
+            scope is pinned to the fitted corpus.
         """
         tuples = self._extract_tuples(trees)
-        statistics, tuple_tcus = self._collect_statistics(tuples)
+        if statistics is None:
+            statistics = CorpusTermStatistics()
+        tuple_tcus = self._collect_statistics(tuples, statistics)
         dataset = self._assemble(tuples, statistics, tuple_tcus)
         if doc_labels:
             for labeling_name, per_doc in doc_labels.items():
@@ -103,10 +112,9 @@ class TransactionDatasetBuilder:
     # Pass 1: corpus statistics
     # ------------------------------------------------------------------ #
     def _collect_statistics(
-        self, tuples: Sequence[TreeTuple]
-    ) -> Tuple[CorpusTermStatistics, Dict[str, List[Tuple[XMLPath, str, Tuple[str, ...]]]]]:
-        """Register every TCU and return (statistics, per-tuple TCU lists)."""
-        statistics = CorpusTermStatistics()
+        self, tuples: Sequence[TreeTuple], statistics: CorpusTermStatistics
+    ) -> Dict[str, List[Tuple[XMLPath, str, Tuple[str, ...]]]]:
+        """Register every TCU with *statistics*; return per-tuple TCU lists."""
         tuple_tcus: Dict[str, List[Tuple[XMLPath, str, Tuple[str, ...]]]] = {}
         for tree_tuple in tuples:
             tcus: List[Tuple[XMLPath, str, Tuple[str, ...]]] = []
@@ -115,7 +123,7 @@ class TransactionDatasetBuilder:
                 statistics.add_tcu(tree_tuple.tuple_id, tree_tuple.source_doc_id, terms)
                 tcus.append((path, answer, terms))
             tuple_tcus[tree_tuple.tuple_id] = tcus
-        return statistics, tuple_tcus
+        return tuple_tcus
 
     # ------------------------------------------------------------------ #
     # Pass 2: items, vectors and transactions

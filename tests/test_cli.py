@@ -106,14 +106,14 @@ class TestBackendSpecErrors:
         alternatives the ClusteringConfig path raises -- one message,
         produced by ``validate_backend_spec``, surfaced by both."""
         from repro.core.config import ClusteringConfig
-        from repro.similarity.backend import registered_backends
+        from repro.similarity.backend import BACKEND_NAMES
 
         with pytest.raises(ValueError) as config_error:
             ClusteringConfig(k=2, backend="bogus")
         with pytest.raises(SystemExit) as cli_error:
             main(["cluster", "--corpus", "DBLP", "--backend", "bogus"])
         assert str(cli_error.value) == f"error: {config_error.value}"
-        for name in registered_backends():
+        for name in BACKEND_NAMES:
             assert name in str(cli_error.value)
 
     @pytest.mark.parametrize("spec", ["sharded:2", "torch", "torch:cuda"])

@@ -19,6 +19,7 @@ fingerprinted directory that later runs attach zero-copy via
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -244,6 +245,27 @@ class TestInvalidation:
         with pytest.raises(CorpusStoreError, match="format version"):
             CorpusStore.open(first["directory"])
 
+    @staticmethod
+    def chain_corruptions():
+        """``chain.json`` rewrites: unreadable JSON, then well-formed JSON
+        whose similarity config or block record is malformed."""
+
+        def edited(edit):
+            def corrupt(chain):
+                edit(chain)
+                return json.dumps(chain)
+
+            return corrupt
+
+        return {
+            "truncated": lambda chain: "{ truncated",
+            "similarity lacks f": edited(lambda chain: chain["similarity"].pop("f")),
+            "f is not a number": edited(
+                lambda chain: chain["similarity"].update(f="x")
+            ),
+            "block lacks a name": edited(lambda chain: chain["blocks"][0].pop("name")),
+        }
+
     def test_corrupted_manifest_recovers_by_recompiling(
         self, dblp_small, tmp_path
     ):
@@ -252,20 +274,23 @@ class TestInvalidation:
             make_engine(), transactions, cache_dir=tmp_path
         )
         directory = Path(first["directory"])
-        (directory / "chain.json").write_text("{ truncated", encoding="utf-8")
-        with pytest.raises(CorpusStoreError, match="manifest"):
-            CorpusStore.open(directory)
-        clear_store_cache()
-        second = prepare_engine_corpus(
-            make_engine(), transactions, cache_dir=tmp_path
-        )
-        assert second["store"] == "miss"
-        assert second["compiled"] == len(transactions)
-        clear_store_cache()
-        third = prepare_engine_corpus(
-            make_engine(), transactions, cache_dir=tmp_path
-        )
-        assert third["store"] == "hit"
+        chain_path = directory / "chain.json"
+        for case, corrupt in self.chain_corruptions().items():
+            chain = json.loads(chain_path.read_text(encoding="utf-8"))
+            chain_path.write_text(corrupt(chain), encoding="utf-8")
+            with pytest.raises(CorpusStoreError, match="manifest"):
+                CorpusStore.open(directory)
+            clear_store_cache()
+            second = prepare_engine_corpus(
+                make_engine(), transactions, cache_dir=tmp_path
+            )
+            assert second["store"] == "miss", case
+            assert second["compiled"] == len(transactions), case
+            clear_store_cache()
+            third = prepare_engine_corpus(
+                make_engine(), transactions, cache_dir=tmp_path
+            )
+            assert third["store"] == "hit", case
 
     def test_missing_manifest_marks_a_crash_truncated_save(
         self, dblp_small, tmp_path
@@ -607,10 +632,13 @@ class TestBlockChain:
         pairs = [
             (rng.choice(transactions), rng.choice(transactions)) for _ in range(25)
         ]
-        for left, right in pairs:
-            assert warm.transaction_similarity(
-                left, right
-            ) == fresh.transaction_similarity(left, right)
+        rows, columns = (list(side) for side in zip(*pairs))
+        # the batch kernel reads the attached arrays (the engine's scalar
+        # transaction_similarity is the python reference, which never does)
+        expected = fresh.pairwise_transaction_similarity(rows, columns)
+        assert warm.pairwise_transaction_similarity(rows, columns) == expected
+        assert any(value for row in expected for value in row)
+        assert warm.backend.corpus_compile_count == 0
 
     def test_refresh_adopts_blocks_appended_by_another_handle(
         self, dblp_small, tmp_path

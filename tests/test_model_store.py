@@ -318,24 +318,58 @@ class TestWarmStorePath:
 #: Malformed config sections -> the fragment naming the key in the error:
 #: a missing key, a value of the wrong type, and a well-typed value that
 #: ClusteringConfig rejects.
+#: Deletes the key instead of setting a value (see MALFORMED_CONFIGS).
+DROP = object()
+
+#: Malformed model directories: case -> (file, key path, new value, the
+#: text the error must carry).  An empty key path replaces the whole
+#: document.  First three config sections (a missing key, a value of the
+#: wrong type and a well-typed value ClusteringConfig rejects), then the
+#: other manifest sections and the data files holding the wrong shape.
 MALFORMED_CONFIGS = {
-    "missing-k": "lacks key 'k'",
-    "null-f": "bad 'f' value None",
-    "zero-k": "k must be positive",
+    "missing-k": ("model.json", ("config", "k"), DROP, "lacks key 'k'"),
+    "null-f": ("model.json", ("config", "f"), None, "bad 'f' value None"),
+    "zero-k": ("model.json", ("config", "k"), 0, "k must be positive"),
+    "int-stopwords": (
+        "model.json", ("preprocessing", "stopwords"), 5, "bad 'stopwords' value 5"
+    ),
+    "list-preprocessing": (
+        "model.json", ("preprocessing",), ["stem"], "bad 'preprocessing' value"
+    ),
+    "str-min-token-length": (
+        "model.json",
+        ("preprocessing", "min_token_length"),
+        "x",
+        "bad 'min_token_length' value 'x'",
+    ),
+    "int-store-dir": (
+        "model.json", ("corpus", "store_dir"), 5, "bad 'store_dir' value 5"
+    ),
+    "int-files": ("model.json", ("files",), 5, "bad 'files' value 5"),
+    "list-vocabulary": ("vocabulary.json", (), [], "vocabulary.json"),
+    "list-registries": ("registries.json", (), [], "registries.json"),
+    "list-term-tcus": (
+        "vocabulary.json", ("term_tcus",), [["term", 1]], "vocabulary.json"
+    ),
 }
 
 
 def break_config(directory: Path, case: str) -> None:
-    """Rewrite the manifest's config section into one malformed *case*."""
-    manifest_path = directory / MODEL_MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text())
-    if case == "missing-k":
-        del manifest["config"]["k"]
-    elif case == "null-f":
-        manifest["config"]["f"] = None
-    else:  # zero-k: well typed, but ClusteringConfig rejects it
-        manifest["config"]["k"] = 0
-    manifest_path.write_text(json.dumps(manifest))
+    """Rewrite one file of the model *directory* into malformed *case*."""
+    name, keys, value, _ = MALFORMED_CONFIGS[case]
+    path = directory / name
+    document = json.loads(path.read_text())
+    if not keys:
+        document = value
+    else:
+        parent = document
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    path.write_text(json.dumps(document))
 
 
 # --------------------------------------------------------------------------- #
@@ -402,7 +436,7 @@ class TestValidation:
         with pytest.raises(ModelStoreError) as failure:
             load_model(tmp_path / "model")
         assert str(tmp_path / "model") in str(failure.value)
-        assert MALFORMED_CONFIGS[case] in str(failure.value)
+        assert MALFORMED_CONFIGS[case][-1] in str(failure.value)
 
     def test_unwritable_directory_raises_model_store_error(
         self, dblp_small, tmp_path

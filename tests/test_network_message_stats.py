@@ -53,23 +53,6 @@ class TestMessage:
 
 
 class TestPeer:
-    def test_deliver_and_drain(self):
-        peer = Peer(0)
-        peer.deliver(Message(1, 0, MessageKind.FLAG))
-        peer.deliver(Message(2, 0, MessageKind.LOCAL_REPRESENTATIVES, []))
-        flags = peer.drain_inbox(MessageKind.FLAG)
-        assert len(flags) == 1
-        assert len(peer.inbox) == 1
-        assert len(peer.drain_inbox()) == 1
-        assert peer.inbox == []
-
-    def test_peek_does_not_remove(self):
-        peer = Peer(0)
-        peer.deliver(Message(1, 0, MessageKind.FLAG))
-        assert len(peer.peek_inbox()) == 1
-        assert len(peer.peek_inbox(MessageKind.FLAG)) == 1
-        assert len(peer.inbox) == 1
-
     def test_local_size(self):
         peer = Peer(0, transactions=[rep_transaction(), rep_transaction()])
         assert peer.local_size() == 2

@@ -28,7 +28,7 @@ from repro.core.cxkmeans import CXKMeans
 from repro.core.partition import partition_equally
 from repro.core.representatives import representatives_equal
 from repro.network.codec import FrameKind, encode_frame, encode_hello
-from repro.network.message import MessageKind
+from repro.network.message import Message, MessageKind
 from repro.network.peer import make_peers
 from repro.network.realnet import RealNetwork, RealNetworkError
 from repro.similarity.item import SimilarityConfig
@@ -191,6 +191,10 @@ class TestFaultInjection:
         network = _make_network(mini_dataset, "dead")
         with pytest.raises(RuntimeError, match="no open round"):
             network.broadcast(0, MessageKind.FLAG, {"state": "done"})
+        # as on the simulated network, a self-addressed send is dropped
+        # before the round check: it never reaches the wire
+        network.send(Message(0, 0, MessageKind.FLAG))
+        assert network.stats.total_messages() == 0
 
     def test_closed_network_refuses_restart(self, mini_dataset):
         network = _make_network(mini_dataset, "dead")

@@ -435,33 +435,63 @@ class TestCli:
         assert "serving   : http://127.0.0.1" in capsys.readouterr().out
 
 
-    #: Corruption cases -> the text the error line must carry.  Besides a
-    #: wrong-shaped representatives block, three malformed config sections:
-    #: a missing key, a value of the wrong type and a well-typed value
-    #: ClusteringConfig rejects.
+    #: Deletes the key instead of setting a value (see CORRUPTIONS).
+    DROP = object()
+
+    #: Corruption cases -> (file, key path, new value, the text the error
+    #: line must carry); an empty key path replaces the whole document.  Besides a wrong-shaped
+    #: representatives block, three malformed config sections (a missing
+    #: key, a value of the wrong type and a well-typed value
+    #: ClusteringConfig rejects), then the other manifest sections and the
+    #: data files holding the wrong shape.
     CORRUPTIONS = {
-        "representatives": "corrupt representatives",
-        "missing-k": "lacks key 'k'",
-        "null-f": "bad 'f' value None",
-        "zero-k": "k must be positive",
+        "representatives": (
+            "representatives.json",
+            ("representatives",),
+            7,
+            "corrupt representatives",
+        ),
+        "missing-k": ("model.json", ("config", "k"), DROP, "lacks key 'k'"),
+        "null-f": ("model.json", ("config", "f"), None, "bad 'f' value None"),
+        "zero-k": ("model.json", ("config", "k"), 0, "k must be positive"),
+        "int-stopwords": (
+            "model.json", ("preprocessing", "stopwords"), 5, "bad 'stopwords'"
+        ),
+        "list-preprocessing": (
+            "model.json", ("preprocessing",), ["stem"], "bad 'preprocessing'"
+        ),
+        "str-min-token-length": (
+            "model.json",
+            ("preprocessing", "min_token_length"),
+            "x",
+            "bad 'min_token_length'",
+        ),
+        "int-store-dir": ("model.json", ("corpus", "store_dir"), 5, "'store_dir'"),
+        "int-files": ("model.json", ("files",), 5, "bad 'files'"),
+        "list-vocabulary": ("vocabulary.json", (), [], "vocabulary.json"),
+        "list-registries": ("registries.json", (), [], "registries.json"),
+        "list-term-tcus": (
+            "vocabulary.json", ("term_tcus",), [["term", 1]], "vocabulary.json"
+        ),
     }
 
-    @staticmethod
-    def corrupt(model, case="representatives"):
+    @classmethod
+    def corrupt(cls, model, case="representatives"):
         """Apply one of :attr:`CORRUPTIONS` to the model directory *model*."""
-        if case == "representatives":
-            (model / "representatives.json").write_text(
-                json.dumps({"representatives": 7}), encoding="utf-8"
-            )
-            return
-        manifest = json.loads((model / "model.json").read_text())
-        if case == "missing-k":
-            del manifest["config"]["k"]
-        elif case == "null-f":
-            manifest["config"]["f"] = None
+        name, keys, value, _ = cls.CORRUPTIONS[case]
+        path = model / name
+        document = json.loads(path.read_text(encoding="utf-8"))
+        if not keys:
+            document = value
         else:
-            manifest["config"]["k"] = 0
-        (model / "model.json").write_text(json.dumps(manifest))
+            parent = document
+            for key in keys[:-1]:
+                parent = parent[key]
+            if value is cls.DROP:
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = value
+        path.write_text(json.dumps(document), encoding="utf-8")
 
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_serve_http_of_a_corrupt_model_exits_cleanly(
@@ -478,7 +508,7 @@ class TestCli:
             with pytest.raises(SystemExit) as failure:
                 main(command)
             assert str(failure.value).startswith("error: ")
-            assert self.CORRUPTIONS[case] in str(failure.value)
+            assert self.CORRUPTIONS[case][-1] in str(failure.value)
             assert str(model) in str(failure.value)
 
     def test_serve_registry_with_a_corrupt_active_model_exits_cleanly(
@@ -616,8 +646,27 @@ class TestStreamCommand:
         assert out.count(f"checkpoint: saved -> {model}") >= 2  # periodic + final
         assert "chunks    :" in out
         loaded = load_model(model)
-        assert loaded.config.streaming is True
         assert loaded.config.chunk_size == 16
+
+    def test_streamed_corpus_model_keeps_the_corpus_vocabulary(
+        self, tmp_path, capsys
+    ):
+        """A ``--corpus`` stream saves the vocabulary it streamed with, so
+        the model classifies its own documents: without it every query
+        vector is empty and (here) 21 of the 24 documents went to trash."""
+        model = tmp_path / "streamed"
+        args = self.stream_args(model)
+        args[args.index("--gamma") + 1] = "0.65"
+        assert main(args) == 0
+        capsys.readouterr()
+        loaded = load_model(model)
+        corpus = get_dataset("DBLP", scale=0.2, seed=0)
+        assert loaded.stats()["vocabulary"] > 0
+        assert loaded._vocabulary.terms() == corpus.statistics.vocabulary.terms()
+        trees = get_corpus("DBLP", scale=0.2, seed=0).trees
+        trash = sum(loaded.classify_tree(tree).cluster_id == -1 for tree in trees)
+        # bound: at most a quarter of its own documents (4 of 24 measured)
+        assert trash <= len(trees) // 4
 
     def test_streamed_model_serves_classify(self, tmp_path, xml_files, capsys):
         model = tmp_path / "streamed"

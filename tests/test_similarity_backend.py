@@ -2,10 +2,10 @@
 
 The numpy batch backend is designed to be *bit-exact* with the python
 reference (see ``repro/similarity/backend.py``); these tests assert exact
-(``==``) equality of item similarities, gamma-shared sets, transaction
-similarities, batched blocks, bulk assignments and complete clustering
-results -- not approximate agreement -- across hand-built edge cases,
-property-based random transactions and the synthetic generator corpora.
+(``==``) equality of transaction similarities, batched blocks, bulk
+assignments and complete clustering results -- not approximate agreement
+-- across hand-built edge cases, property-based random transactions and
+the synthetic generator corpora.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
 from repro.experiments.runner import precompute_similarity, run_configuration
 from repro.similarity.backend import (
+    BACKEND_NAMES,
     BackendUnavailableError,
     NumpyBackend,
     PythonBackend,
-    available_backends,
     create_backend,
-    register_backend,
-    registered_backends,
 )
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.item import SimilarityConfig
@@ -95,14 +93,14 @@ _CONFIGS = st.tuples(
 
 
 # --------------------------------------------------------------------------- #
-# Registry behaviour
+# Backend selection
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_both_builtin_backends_are_registered(self):
-        assert {"python", "numpy"} <= set(registered_backends())
-
-    def test_available_backends_include_numpy_when_importable(self):
-        assert "numpy" in available_backends()
+        assert BACKEND_NAMES == ("numpy", "python")
+        engine = SimilarityEngine(SimilarityConfig())
+        assert isinstance(create_backend("numpy", engine), NumpyBackend)
+        assert isinstance(create_backend("python", engine), PythonBackend)
 
     def test_unknown_backend_raises_with_alternatives(self):
         engine = SimilarityEngine(SimilarityConfig())
@@ -115,19 +113,6 @@ class TestRegistry:
         assert isinstance(engine.backend, NumpyBackend)
         engine = SimilarityEngine(SimilarityConfig())
         assert isinstance(engine.backend, PythonBackend)
-
-    def test_custom_backend_can_be_registered(self):
-        class Recording(PythonBackend):
-            name = "recording"
-
-        register_backend("recording", Recording)
-        try:
-            engine = SimilarityEngine(SimilarityConfig(), backend="recording")
-            assert isinstance(engine.backend, Recording)
-        finally:
-            from repro.similarity import backend as backend_module
-
-            backend_module._REGISTRY.pop("recording", None)
 
     def test_backend_unavailable_error_is_runtime_error(self):
         assert issubclass(BackendUnavailableError, RuntimeError)
@@ -174,25 +159,6 @@ class TestEdgeCaseParity:
         )
         assert actual == expected  # exact, not approximate
 
-    @pytest.mark.parametrize("f", [0.0, 0.5, 1.0])
-    def test_gamma_shared_items_parity_on_edge_cases(self, f):
-        python_engine, numpy_engine = engines(f=f, gamma=0.7)
-        transactions = self.edge_transactions()
-        for first in transactions:
-            for second in transactions:
-                assert numpy_engine.backend.gamma_shared_items(
-                    first, second
-                ) == python_engine.gamma_shared_items(first, second)
-
-    def test_item_similarity_parity_on_edge_cases(self):
-        python_engine, numpy_engine = engines(f=0.5, gamma=0.8)
-        items = [entry for tr in self.edge_transactions() for entry in tr.items]
-        for first in items:
-            for second in items:
-                assert numpy_engine.backend.item_similarity(
-                    first, second
-                ) == python_engine.item_similarity(first, second)
-
     def test_all_trash_corpus(self):
         """Disjoint transactions: zero similarity, everything assigned 0/0.0."""
         python_engine, numpy_engine = engines(f=0.5, gamma=0.8)
@@ -225,15 +191,12 @@ class TestPropertyParity:
         tr2=transactions_strategy(),
         config=_CONFIGS,
     )
-    def test_transaction_similarity_and_shared_items_parity(self, tr1, tr2, config):
+    def test_transaction_similarity_parity(self, tr1, tr2, config):
         f, gamma = config
         python_engine, numpy_engine = engines(f=f, gamma=gamma)
-        assert numpy_engine.backend.transaction_similarity(
-            tr1, tr2
-        ) == python_engine.transaction_similarity(tr1, tr2)
-        assert numpy_engine.backend.gamma_shared_items(
-            tr1, tr2
-        ) == python_engine.gamma_shared_items(tr1, tr2)
+        assert numpy_engine.pairwise_transaction_similarity([tr1], [tr2]) == [
+            [python_engine.transaction_similarity(tr1, tr2)]
+        ]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -247,21 +210,6 @@ class TestPropertyParity:
         assert numpy_engine.assign_all(
             transactions, representatives
         ) == python_engine.assign_all(transactions, representatives)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        tr1=transactions_strategy(),
-        tr2=transactions_strategy(),
-        config=_CONFIGS,
-    )
-    def test_item_similarity_parity(self, tr1, tr2, config):
-        f, gamma = config
-        python_engine, numpy_engine = engines(f=f, gamma=gamma)
-        for first in tr1.items:
-            for second in tr2.items:
-                assert numpy_engine.backend.item_similarity(
-                    first, second
-                ) == python_engine.item_similarity(first, second)
 
 
 # --------------------------------------------------------------------------- #
@@ -452,11 +400,7 @@ class TestEngineBehaviour:
             engine = SimilarityEngine(
                 SimilarityConfig(f=0.5, gamma=0.5), backend=backend
             )
-            index, similarity = engine.backend.nearest_representative(
-                target, [twin_a, twin_b]
-            )
-            assert index == 0
-            assert similarity == 1.0
+            assert engine.assign_all([target], [twin_a, twin_b]) == [(0, 1.0)]
 
     def test_similarity_matrix_diagonal_is_set_directly(self):
         """Non-empty transactions get 1.0, empty ones 0.0, without a full

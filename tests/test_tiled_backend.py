@@ -35,7 +35,7 @@ from repro.similarity.backend import (
     DEFAULT_BLOCK_ITEMS,
     NumpyBackend,
     create_backend,
-    split_block_option,
+    parse_backend_spec,
     validate_backend_spec,
 )
 from repro.similarity.cache import TagPathSimilarityCache
@@ -149,10 +149,10 @@ class TestTileSpans:
         default = NumpyBackend(shared)
         assert default.block_items is None
         assert default.effective_block_items == DEFAULT_BLOCK_ITEMS
-        untiled = NumpyBackend(shared, "block=0")
+        untiled = NumpyBackend(shared, 0)
         assert untiled.block_items == 0
         assert untiled.effective_block_items is None
-        tiled = NumpyBackend(shared, "block=5")
+        tiled = NumpyBackend(shared, 5)
         assert tiled.effective_block_items == 5
 
 
@@ -161,23 +161,19 @@ class TestTileSpans:
 # --------------------------------------------------------------------------- #
 class TestOptionGrammar:
     def test_split_block_option(self):
-        assert split_block_option(None, "numpy") == ([], None)
-        assert split_block_option("block=8", "numpy:block=8") == ([], 8)
-        assert split_block_option("cuda:block=8", "torch:cuda:block=8") == (
-            ["cuda"],
-            8,
-        )
-        assert split_block_option("block=8:cuda", "torch:block=8:cuda") == (
-            ["cuda"],
-            8,
-        )
+        """The parser splits the ``block=N`` budget out of a spec."""
+        assert parse_backend_spec(None) == ("python", None)
+        assert parse_backend_spec("numpy") == ("numpy", None)
+        assert parse_backend_spec("numpy:block=8") == ("numpy", 8)
+        assert parse_backend_spec("NumPy:Block=0") == ("numpy", 0)
+        assert parse_backend_spec("numpy::block=8:") == ("numpy", 8)
 
     @pytest.mark.parametrize(
         "options", ["block=", "block=abc", "block=-1", "block=1:block=2"]
     )
     def test_split_block_option_rejects_malformed_budgets(self, options):
         with pytest.raises(ValueError, match="block"):
-            split_block_option(options, f"numpy:{options}")
+            parse_backend_spec(f"numpy:{options}")
 
     def test_create_backend_parses_the_block_option(self):
         shared = SimilarityEngine(SimilarityConfig())
