@@ -1,19 +1,17 @@
 """Benchmark B4 -- warm-model serving throughput (queries/sec + latency).
 
 Measures the full serving path of :mod:`repro.core.model_store`: fit a
-clustering on a synthetic corpus, persist it with ``save_model`` (the
-compiled-corpus store attached, so reloads are warm), then time
+clustering on a synthetic corpus, persist it with ``save_model``, then time
 
-- ``load_model`` per benchmarked backend (cold JSON decode + store attach;
-  the record carries the resulting store status), and
+- ``load_model`` per benchmarked backend (JSON decode + tag-path cache
+  warm-up from the model directory), and
 - ``ClusterModel.classify`` over a query stream of serialized corpus
   documents -- reported as queries/sec with a latency histogram
   (p50/p90/p99 and fixed millisecond buckets), one record per backend.
 
 Classify parity is checked across backends before any timing is trusted:
 every backend must assign every query document to the same cluster as the
-pure-Python reference.  A store-hit load must also do zero corpus compile
-work (``corpus_compile_count == 0``) or the run fails.
+pure-Python reference, or the run fails.
 
 Run standalone (no pytest machinery needed)::
 
@@ -25,6 +23,7 @@ Run standalone (no pytest machinery needed)::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 import time
@@ -38,7 +37,7 @@ from repro.core.model_store import load_model, save_model
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
 from repro.similarity.backend import BackendUnavailableError
-from repro.similarity.corpus_store import clear_store_cache, prepare_engine_corpus
+from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 from repro.xmlmodel.serializer import serialize
 
@@ -85,6 +84,7 @@ def run_benchmark(args: argparse.Namespace) -> int:
         queries=queries,
         quick=args.quick,
         fit_backend=args.fit_backend,
+        cpus=os.cpu_count() or 1,
     )
 
     corpus = get_corpus(args.corpus, scale=scale, seed=args.seed)
@@ -99,16 +99,13 @@ def run_benchmark(args: argparse.Namespace) -> int:
     )
 
     with tempfile.TemporaryDirectory(prefix="bench-serving-") as tmp:
-        cache_dir = Path(tmp) / "corpus-cache"
         model_dir = Path(tmp) / "model"
         algorithm = XKMeans(config)
-        prepare_engine_corpus(
-            algorithm.engine, dataset.transactions, cache_dir=cache_dir
-        )
+        prepare_engine_corpus(algorithm.engine, dataset.transactions)
         fit_start = time.perf_counter()
         result = algorithm.fit(dataset.transactions)
         fit_seconds = time.perf_counter() - fit_start
-        save_model(model_dir, result, config, dataset=dataset, engine=algorithm.engine)
+        save_model(model_dir, result, config, dataset=dataset)
         print(
             f"fitted {args.corpus} scale={scale} "
             f"({len(dataset.transactions)} transactions, k={config.k}) "
@@ -119,7 +116,6 @@ def run_benchmark(args: argparse.Namespace) -> int:
         classify_seconds: Dict[str, float] = {}
         failures: List[str] = []
         for backend in args.backends:
-            clear_store_cache()
             try:
                 load_start = time.perf_counter()
                 model = load_model(model_dir, backend=backend)
@@ -134,14 +130,8 @@ def run_benchmark(args: argparse.Namespace) -> int:
                 size=len(dataset.transactions),
                 seconds=load_seconds,
                 parity=None,
-                store=stats["store"],
                 corpus_compile_count=stats["corpus_compile_count"],
             )
-            if stats["store"] == "hit" and stats["corpus_compile_count"] != 0:
-                failures.append(
-                    f"{backend}: store-hit load compiled "
-                    f"{stats['corpus_compile_count']} transactions (expected 0)"
-                )
 
             assignments: List[int] = []
             latencies: List[float] = []
@@ -175,21 +165,15 @@ def run_benchmark(args: argparse.Namespace) -> int:
                 speedup=reference_speedup(classify_seconds, backend),
                 parity=parity,
                 qps=qps,
-                store=stats["store"],
                 corpus_compile_count=stats["corpus_compile_count"],
                 latency_ms_p50=percentile(ordered, 0.50),
                 latency_ms_p90=percentile(ordered, 0.90),
                 latency_ms_p99=percentile(ordered, 0.99),
                 latency_histogram=latency_histogram(latencies),
             )
-            if stats["corpus_compile_count"] != 0 and stats["store"] == "hit":
-                failures.append(
-                    f"{backend}: classify compiled corpus transactions on a "
-                    "store hit"
-                )
             print(
-                f"{backend:>14}: load {load_seconds * 1000.0:7.1f}ms "
-                f"(store {stats['store']}), {qps:8.1f} q/s, "
+                f"{backend:>14}: load {load_seconds * 1000.0:7.1f}ms, "
+                f"{qps:8.1f} q/s, "
                 f"p50 {percentile(ordered, 0.50):.2f}ms "
                 f"p99 {percentile(ordered, 0.99):.2f}ms"
             )

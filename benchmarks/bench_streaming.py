@@ -202,8 +202,7 @@ def bench_delta_compile(args: argparse.Namespace, report: BenchReport) -> List[s
         # fresh engine, warm zero-copy attach: the base corpus is free
         engine = SimilarityEngine(config.similarity, backend="numpy")
         store = BlockCorpusStore.open(chain.directory)
-        store.bind_transactions(base)
-        if not store.attach(engine.backend):
+        if not engine.backend.attach_store(store, base):
             failures.append("warm chain attach was rejected by a pristine backend")
             return failures
         engine.backend.compile_corpus(base)

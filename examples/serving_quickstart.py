@@ -50,7 +50,7 @@ def fit_and_publish(registry, directory: Path, name: str, *, f: float, k: int):
     algorithm = XKMeans(config)
     result = algorithm.fit(dataset.transactions)
     manifest = save_model(
-        directory, result, config, dataset=dataset, engine=algorithm.engine,
+        directory, result, config, dataset=dataset,
         registry=registry, model_name=name,
     )
     published = manifest["registry"]

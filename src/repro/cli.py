@@ -280,7 +280,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 result,
                 config,
                 dataset=dataset,
-                engine=algorithm.engine,
                 registry=registry,
                 model_name=args.model_name,
             )
@@ -318,14 +317,8 @@ def _load_cluster_model(args: argparse.Namespace):
 
 def _print_model_header(model) -> None:
     """Print the shared model banner of ``classify`` / ``serve``."""
-    stats = model.stats()
     print(f"model     : {model.directory}")
     print(f"backend   : {model.engine.backend_name}")
-    print(
-        "store     : {store} (compiled {compiled} transactions)".format(
-            store=stats["store"], compiled=stats["corpus_compile_count"]
-        )
-    )
 
 
 def _iter_classify_paths(args: argparse.Namespace):
@@ -455,14 +448,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     )
 
     def save_checkpoint(result, label: str) -> None:
-        if store is not None:
-            # record the chain linkage (fingerprint + directory) in the
-            # manifest so `classify`/`serve` can warm-attach the blocks
-            clusterer.engine.backend.attach_store(store)
         try:
-            save_model(
-                args.model, result, config, dataset=dataset, engine=clusterer.engine
-            )
+            save_model(args.model, result, config, dataset=dataset)
             stats = clusterer.stats
             print(
                 f"checkpoint: saved -> {args.model} "
@@ -705,8 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-model",
         default=None,
         metavar="DIR",
-        help="persist the fitted model (representatives, config, registries, "
-        "corpus-store linkage) to DIR for later `cxk classify` / `cxk serve`",
+        help="persist the fitted model (representatives, config, vocabulary, "
+        "registries) to DIR for later `cxk classify` / `cxk serve`",
     )
     cluster_parser.add_argument(
         "--registry",

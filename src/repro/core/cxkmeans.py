@@ -43,16 +43,10 @@ from repro.core.results import ClusteringResult, build_result
 from repro.core.seeding import partition_cluster_ids, select_seed_transactions
 from repro.network.costmodel import CostModel
 from repro.network.message import Message, MessageKind, representative_payload
-from repro.network.mpengine import (
-    RefinementShard,
-    process_engine,
-    refine_clusters,
-    store_process_engine,
-)
+from repro.network.mpengine import RefinementShard, process_engine, refine_clusters
 from repro.network.peer import make_peers
 from repro.network.simnet import SimulatedNetwork
 from repro.similarity.cache import TagPathSimilarityCache
-from repro.similarity.corpus_store import CorpusStoreError
 from repro.similarity.transaction import SimilarityEngine
 from repro.transactions.transaction import Transaction
 
@@ -62,18 +56,12 @@ from repro.transactions.transaction import Transaction
 # --------------------------------------------------------------------------- #
 @dataclass
 class LocalPhaseInput:
-    """Input of one peer's local phase for one collaborative round.
-
-    ``store_dir`` names the persistent compiled-corpus store shared by the
-    network (None without one); peer worker processes executing the phase
-    attach it instead of recompiling their partition per process.
-    """
+    """Input of one peer's local phase for one collaborative round."""
 
     peer_id: int
     transactions: List[Transaction]
     global_representatives: List[Transaction]
     config: ClusteringConfig
-    store_dir: Optional[str] = None
 
 
 @dataclass
@@ -94,12 +82,6 @@ class LocalPhaseOutput:
     compute_seconds:
         Wall-clock time spent inside the phase (used by the simulated
         network's parallel-time model).
-    store_fallback:
-        1 when the phase was given a ``store_dir`` but attaching the
-        compiled-corpus store failed and the peer recompiled its partition
-        from scratch; 0 otherwise.  Aggregated into the fit metadata so a
-        broken store surfaces in run records instead of hiding as a quiet
-        slowdown.
     """
 
     peer_id: int
@@ -107,7 +89,6 @@ class LocalPhaseOutput:
     local_representatives: List[Transaction]
     cluster_sizes: List[int]
     compute_seconds: float
-    store_fallback: int = 0
 
 
 def run_local_phase(
@@ -126,29 +107,14 @@ def run_local_phase(
 
     When no *engine* is passed (the real transport's peer workers) the
     per-process engine for the phase's configuration is used, so a worker
-    keeps its tag-path cache and compiled backend corpus across
-    collaborative rounds.
+    compiles its own share once and keeps its tag-path cache and compiled
+    backend corpus across collaborative rounds.
     """
     start = time.perf_counter()
     config = phase_input.config
     local_engine = engine
-    store_fallback = 0
     if local_engine is None:
-        if phase_input.store_dir is not None:
-            # worker processes of a store-backed run share the on-disk
-            # compiled corpus instead of recompiling their partition; only
-            # expected store failures (corrupt/evicted/unreadable store)
-            # degrade to a local recompile -- anything else is a real bug
-            # and must propagate
-            try:
-                local_engine = store_process_engine(
-                    config.similarity, config.backend, phase_input.store_dir
-                )
-            except (CorpusStoreError, OSError):
-                store_fallback = 1
-                local_engine = None
-        if local_engine is None:
-            local_engine = process_engine(config.similarity, config.backend)
+        local_engine = process_engine(config.similarity, config.backend)
     representatives = phase_input.global_representatives
     k = len(representatives)
     transactions = phase_input.transactions
@@ -186,7 +152,6 @@ def run_local_phase(
         local_representatives=local_representatives,
         cluster_sizes=cluster_sizes,
         compute_seconds=time.perf_counter() - start,
-        store_fallback=store_fallback,
     )
 
 
@@ -227,7 +192,7 @@ class CXKMeans:
     # ------------------------------------------------------------------ #
     # Transport selection
     # ------------------------------------------------------------------ #
-    def _make_network(self, peers, store_dir: Optional[str]):
+    def _make_network(self, peers):
         """Build (and start) the transport selected by ``config.network``."""
         if self.config.network == "real":
             # imported lazily: realnet pulls the codec stack in, which only
@@ -238,7 +203,6 @@ class CXKMeans:
                 peers,
                 cost_model=self.cost_model,
                 phase_config=self.config,
-                store_dir=store_dir,
                 connect_timeout=self.config.network_timeout,
                 round_timeout=self.config.network_timeout,
             )
@@ -329,28 +293,22 @@ class CXKMeans:
 
         # --- N0 startup: partition cluster ids, create peers and network --- #
         responsibilities = partition_cluster_ids(k, m)
-        # one attached compiled-corpus store (when the runner prepared one)
-        # is shared by the whole network: simulated peers through the
-        # shared engine, real peer workers through its directory handle
-        store = getattr(self._engine.backend, "attached_store", None)
-        store_dir = str(store.directory) if store is not None else None
         use_real = self.config.network == "real"
         peers = make_peers(
             partitions,
             responsibilities,
-            # real-transport peers compute remotely; their driver-side
-            # objects carry no engine so nothing shadows the worker engines
+            # real-transport peers compute remotely on their own share; their
+            # driver-side objects carry no engine so nothing shadows the
+            # worker engines
             engine=None if use_real else self._engine,
-            store=store,
         )
-        network = self._make_network(peers, store_dir)
+        network = self._make_network(peers)
         try:
             return self._collaborate(
                 network=network,
                 peers=peers,
                 partitions=partitions,
                 responsibilities=responsibilities,
-                store_dir=store_dir,
                 rng=rng,
                 start=start,
             )
@@ -366,7 +324,6 @@ class CXKMeans:
         peers,
         partitions,
         responsibilities,
-        store_dir,
         rng,
         start,
     ) -> ClusteringResult:
@@ -403,7 +360,6 @@ class CXKMeans:
             [None] * k for _ in range(m)
         ]
         last_outputs: List[Optional[LocalPhaseOutput]] = [None] * m
-        store_fallbacks = 0
 
         iterations = 0
         converged = False
@@ -432,14 +388,12 @@ class CXKMeans:
                     transactions=peer.transactions,
                     global_representatives=ordered_representatives,
                     config=self.config,
-                    store_dir=store_dir,
                 )
                 for peer in peers
             ]
             outputs = network.run_local_phases(inputs, run_local_phase)
             for output in outputs:
                 last_outputs[output.peer_id] = output
-                store_fallbacks += output.store_fallback
 
             # -- flags and exchange of local representatives ------------------- #
             flags: List[str] = []
@@ -555,6 +509,5 @@ class CXKMeans:
                 "gamma": self.config.gamma,
                 "transactions": total_transactions,
                 "partition_sizes": [len(partition) for partition in partitions],
-                "store_fallback": store_fallbacks,
             },
         )

@@ -1,4 +1,4 @@
-"""Versioned persistence for fitted clustering models and a warm query path.
+"""Versioned persistence for fitted clustering models and their query path.
 
 A fitted clustering (XK / PK / CXK-means) is worth keeping: the expensive
 part of answering "which cluster does this XML document belong to?" is the
@@ -20,9 +20,10 @@ last so a crash mid-save leaves a directory that :func:`load_model`
 rejects instead of half-loading.  The manifest records the format version,
 the full :class:`~repro.core.config.ClusteringConfig` (backend spec, seed,
 ``f``/``gamma``, streaming options), the preprocessing
-configuration, fit metadata, and -- when the fitted engine had a compiled
-corpus store attached -- the corpus fingerprint and store directory so a
-reload can re-attach the mmap-backed arrays with **zero compile work**.
+configuration, fit metadata and the corpus size.  A model directory is
+self-contained: :func:`load_model` reads only its own files and never
+opens a compiled-corpus store, so a model keeps loading after the store
+its fit ran on is evicted.
 
 What is *not* persisted: the content-class and uid registries and the
 transient similarity caches.  Those are pure value functions of the items
@@ -47,6 +48,7 @@ from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult
 from repro.similarity.backend import validate_backend_spec
 from repro.similarity.item import SimilarityConfig
+from repro.similarity.transaction import SimilarityEngine
 from repro.text.preprocess import PreprocessingConfig
 from repro.text.vector import SparseVector
 from repro.text.vocabulary import Vocabulary
@@ -178,10 +180,8 @@ def save_model(
         statistics (required for content-aware ``classify``) and the
         corpus tag-path registry.
     engine:
-        Optional :class:`~repro.similarity.transaction.SimilarityEngine`
-        used by the fit.  When its backend has a compiled corpus store
-        attached, the store fingerprint + directory are recorded so
-        :func:`load_model` re-attaches it with zero compile work.
+        Ignored: the model records nothing engine-specific.  Accepted so
+        callers that pass the fit's engine keep working.
     preprocessing:
         The :class:`PreprocessingConfig` the corpus was built with
         (defaults to the standard configuration).
@@ -221,15 +221,7 @@ def save_model(
         "source": "corpus" if corpus_transactions else "representatives",
     }
 
-    # read the private slot instead of the lazy property so saving never
-    # forces the construction of a backend the fit did not use
-    backend = getattr(engine, "_backend", None) if engine is not None else None
-    store = getattr(backend, "attached_store", None)
-    corpus_doc = {
-        "fingerprint": store.fingerprint if store is not None else None,
-        "store_dir": str(store.directory) if store is not None else None,
-        "transactions": len(corpus_transactions),
-    }
+    corpus_doc = {"transactions": len(corpus_transactions)}
 
     stopwords = preprocessing.stopwords
     manifest: Dict[str, object] = {
@@ -430,13 +422,12 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     """Load a model directory into a query-ready :class:`ClusterModel`.
 
     Validates the manifest (format version, file inventory, config
-    section) before touching any data file.  When the manifest records a
-    compiled corpus store, the store is re-attached to the fresh engine
-    (``store: hit`` -- zero compile work); on any store failure or
-    fingerprint mismatch the model degrades to a cold load
-    (``store: cold``) that pre-warms the structural tag-path cache from
-    the persisted registry instead.  A data file that is not a JSON object
-    or a malformed manifest section raises :class:`ModelStoreError`
+    section) before touching any data file, then pre-warms the fresh
+    engine's structural tag-path cache from the persisted registry and the
+    representatives.  Only the model directory is read: the corpus store
+    linkage older manifests carry (``corpus.fingerprint`` /
+    ``corpus.store_dir``) is ignored.  A data file that is not a JSON
+    object or a malformed manifest section raises :class:`ModelStoreError`
     naming the directory and the file or key.
 
     Parameters
@@ -479,11 +470,6 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
         stem=read_pre("stem", bool, True),
         stopwords=read_pre("stopwords", _optional(frozenset), None),
     )
-    corpus_doc = read("corpus", _optional(_exactly(dict)), None) or {}
-    store_dir = _section_reader(
-        corpus_doc, f"model corpus section in {directory}"
-    )("store_dir", _optional(_exactly(str)), None)
-
     reps_doc = _read_json(directory, "representatives.json")
     try:
         representatives = [
@@ -515,26 +501,9 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
             f"corrupt registry block {directory / 'registries.json'}: {error}"
         ) from error
 
-    # local import: corpus_store pulls in the numpy-backed store machinery,
-    # which model saving/encoding must not depend on
-    from repro.similarity.corpus_store import CorpusStoreError, cached_store
-    from repro.similarity.transaction import SimilarityEngine
-
     engine = SimilarityEngine(config.similarity, backend=config.backend)
-    store_status = "off"
-    if store_dir is not None:
-        store_status = "cold"
-        try:
-            store = cached_store(store_dir)
-            if store.fingerprint == corpus_doc.get("fingerprint") and store.attach(
-                engine.backend
-            ):
-                store_status = "hit"
-        except (CorpusStoreError, OSError):
-            store_status = "cold"
-    if store_status != "hit":
-        rep_paths = _first_occurrence_tag_paths([representatives])
-        engine.cache.precompute(list(dict.fromkeys(tag_paths + rep_paths)))
+    rep_paths = _first_occurrence_tag_paths([representatives])
+    engine.cache.precompute(list(dict.fromkeys(tag_paths + rep_paths)))
 
     return ClusterModel(
         directory=directory,
@@ -548,7 +517,6 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
         builder=TransactionDatasetBuilder(
             "query", BuilderConfig(preprocessing=preprocessing)
         ),
-        store_status=store_status,
     )
 
 
@@ -628,10 +596,8 @@ class ClusterModel:
 
     ``classify`` is parse -> transact -> one warm-engine ``assign_all``
     row block.  Representatives are compiled once through the backend's
-    transient cache on first use; on a corpus-store hit the engine's
-    compiled registries are the attached mmap arrays, so no corpus
-    compile work happens at load or query time
-    (``backend.corpus_compile_count`` stays 0).
+    transient cache on first use; no corpus is compiled at load or query
+    time (``backend.corpus_compile_count`` stays 0).
     """
 
     def __init__(
@@ -645,7 +611,6 @@ class ClusterModel:
         total_tcus: int,
         term_tcus: Dict[str, int],
         builder: TransactionDatasetBuilder,
-        store_status: str,
     ) -> None:
         """Assemble a loaded model; use :func:`load_model` instead."""
         self.directory = Path(directory)
@@ -653,7 +618,6 @@ class ClusterModel:
         self.config = config
         self.representatives = representatives
         self.engine = engine
-        self.store_status = store_status
         self._vocabulary = vocabulary
         self._total_tcus = total_tcus
         self._term_tcus = term_tcus
@@ -755,9 +719,8 @@ class ClusterModel:
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Serving counters: store status, query count/time, compile count."""
+        """Serving counters: query count/time, compile count, model sizes."""
         return {
-            "store": self.store_status,
             "backend": self.engine.backend_name,
             "queries": self._queries,
             "query_seconds": self._query_seconds,

@@ -40,6 +40,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import ClusteringConfig
@@ -290,31 +291,36 @@ class StreamingClusterer:
     # ------------------------------------------------------------------ #
     def _re_refine(self) -> None:
         """Re-refine representatives from bounded samples, flush retained."""
-        shards: List[RefinementShard] = []
-        backend_name = self.engine.backend_name
-        for index, state in enumerate(self._clusters):
-            if not state.ids:
-                continue
-            # the most recent members -- the stream's active tail, whose
-            # drift triggered the round; the bound makes a re-refinement
-            # cost proportional to the retain capacity, never the corpus
-            cap = max(64, 4 * self.retain_capacity)
-            if self.store is not None:
-                # resolved block by block (transient loads), never through
-                # the cached full corpus, so memory stays flat
-                members = self.store.resolve_rows(state.rows[-cap:])
-            else:
-                members = state.members[-cap:]
-            shards.append(
-                RefinementShard(
-                    cluster_index=index,
-                    members=members,
-                    similarity=self.config.similarity,
-                    backend=backend_name,
-                    representative_id=f"rep:{index}",
-                    max_items=self.config.max_representative_items,
-                )
+        # the most recent members -- the stream's active tail, whose drift
+        # triggered the round; the bound makes a re-refinement cost
+        # proportional to the retain capacity, never the corpus
+        cap = max(64, 4 * self.retain_capacity)
+        sampled = [
+            (index, state) for index, state in enumerate(self._clusters) if state.ids
+        ]
+        if self.store is not None:
+            # every cluster's tail in one call, so each touched block is
+            # loaded once (transiently, never through the cached full
+            # corpus: memory stays flat), then split back in cluster order
+            tails = [state.rows[-cap:] for _, state in sampled]
+            resolved = iter(
+                self.store.resolve_rows([row for tail in tails for row in tail])
             )
+            samples = [list(islice(resolved, len(tail))) for tail in tails]
+        else:
+            samples = [state.members[-cap:] for _, state in sampled]
+        backend_name = self.engine.backend_name
+        shards = [
+            RefinementShard(
+                cluster_index=index,
+                members=members,
+                similarity=self.config.similarity,
+                backend=backend_name,
+                representative_id=f"rep:{index}",
+                max_items=self.config.max_representative_items,
+            )
+            for (index, _), members in zip(sampled, samples)
+        ]
         refined = refine_clusters(shards, self.engine)
         self._representatives = [
             refined.get(index, representative)

@@ -77,11 +77,6 @@ class RunRecord:
     #: ``hit`` / ``miss`` / ``error``; see
     #: :func:`repro.similarity.corpus_store.prepare_engine_corpus`).
     store: str = "off"
-    #: Number of worker local phases that were given a store but had to
-    #: recompile after a failed attach (CXK-means store-backed runs; a
-    #: nonzero count flags a broken store that would otherwise hide as a
-    #: quiet slowdown).
-    store_fallback: int = 0
     #: Fitted-model persistence outcome (``{"model": "off"}`` when auto-save
     #: was not requested, else ``saved``/``error`` with the directory).
     model: Dict[str, object] = field(default_factory=lambda: {"model": "off"})
@@ -179,7 +174,7 @@ def run_configuration(
     """Run one clustering configuration and score it against the ground truth.
 
     When *save_model_dir* is given, the fitted model (representatives,
-    config, registries, corpus-store linkage) is persisted there through
+    config, vocabulary, registries) is persisted there through
     :func:`repro.core.model_store.save_model`; persistence failures degrade
     to an ``error`` entry in the record's ``model`` field instead of
     failing the run.
@@ -219,9 +214,7 @@ def run_configuration(
         from repro.core.model_store import ModelStoreError, save_model
 
         try:
-            save_model(
-                save_model_dir, result, config, dataset=dataset, engine=algo.engine
-            )
+            save_model(save_model_dir, result, config, dataset=dataset)
             model_status = {"model": "saved", "directory": str(save_model_dir)}
         except ModelStoreError as error:
             model_status = {
@@ -266,7 +259,6 @@ def run_configuration(
         backend=backend,
         cache_stats=algo.engine.cache.stats(),
         store=str(store_status.get("store", "off")),
-        store_fallback=int(result.metadata.get("store_fallback", 0)),
         model=model_status,
         network=network,
         predicted_vs_measured=predicted_vs_measured,

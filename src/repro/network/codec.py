@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Dict, List, Tuple
 
@@ -52,7 +52,7 @@ from repro.xmlmodel.paths import XMLPath
 #: Protocol magic: every frame starts with these two bytes.
 MAGIC = b"CX"
 #: Wire-format revision; bump on any incompatible layout change.
-VERSION = 1
+VERSION = 2
 #: Upper bound on a frame payload (guards against garbage length prefixes).
 MAX_FRAME_PAYLOAD = 1 << 28  # 256 MiB
 
@@ -515,9 +515,6 @@ class LocalResult:
     local_representatives: List[Transaction]
     cluster_sizes: List[int]
     compute_seconds: float
-    store_fallback: int = 0
-    #: forward-compatible scalar extras (unused today)
-    extras: Dict[str, Any] = field(default_factory=dict)
 
 
 def encode_result(result: LocalResult) -> bytes:
@@ -526,7 +523,6 @@ def encode_result(result: LocalResult) -> bytes:
     writer.u32(result.peer_id)
     writer.u32(result.round_index)
     writer.f64(result.compute_seconds)
-    writer.u32(result.store_fallback)
     writer.u32(len(result.assignment))
     for transaction_id, cluster_index in result.assignment.items():
         writer.string(transaction_id)
@@ -537,7 +533,6 @@ def encode_result(result: LocalResult) -> bytes:
     writer.u32(len(result.cluster_sizes))
     for size in result.cluster_sizes:
         writer.i64(size)
-    _write_scalar_dict(writer, result.extras)
     return writer.getvalue()
 
 
@@ -547,11 +542,9 @@ def decode_result(payload: bytes) -> LocalResult:
     peer_id = reader.u32()
     round_index = reader.u32()
     compute_seconds = reader.f64()
-    store_fallback = reader.u32()
     assignment = {reader.string(): reader.i32() for _ in range(reader.u32())}
     local_representatives = [_read_transaction(reader) for _ in range(reader.u32())]
     cluster_sizes = [reader.i64() for _ in range(reader.u32())]
-    extras = _read_scalar_dict(reader)
     reader.ensure_exhausted()
     return LocalResult(
         peer_id=peer_id,
@@ -560,6 +553,4 @@ def decode_result(payload: bytes) -> LocalResult:
         local_representatives=local_representatives,
         cluster_sizes=cluster_sizes,
         compute_seconds=compute_seconds,
-        store_fallback=store_fallback,
-        extras=extras,
     )

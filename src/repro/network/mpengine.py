@@ -4,11 +4,10 @@ Similarity engines (tag-path cache plus a possibly compiled backend
 corpus) are expensive to rebuild and impossible to pickle cheaply, so
 every process that evaluates peer work materialises one engine per
 (similarity configuration, backend) pair and keeps it alive across rounds
-(:func:`process_engine`, or :func:`store_process_engine` when the corpus
-lives in an on-disk compiled store).  The real transport's peer workers
-build their engines here; on the simulated transport the algorithms pass
-their own shared engine instead, so every simulated node works against
-one compiled corpus.
+(:func:`process_engine`).  The real transport's peer workers build their
+engines here and compile their own share on them; on the simulated
+transport the algorithms pass their own shared engine instead, so every
+simulated node works against one compiled corpus.
 
 :class:`RefinementShard` carries one cluster's representative refinement
 (``ComputeLocalRepresentative`` or its global-phase equivalent);
@@ -48,48 +47,6 @@ def process_engine(similarity: SimilarityConfig, backend: str = "python") -> Sim
 def clear_process_engines() -> None:
     """Drop every cached per-process engine (used by tests)."""
     _PROCESS_ENGINES.clear()
-    _STORE_ENGINES.clear()
-
-
-#: Per-process *store-attached* engines, keyed by (similarity config,
-#: backend name, store directory).  Kept separate from
-#: :data:`_PROCESS_ENGINES` so storeless dispatch keeps its historical
-#: cache shape; a worker that serves both store-backed and inline shards
-#: holds one engine per cache.
-_STORE_ENGINES: Dict[Tuple[SimilarityConfig, str, str], SimilarityEngine] = {}
-
-
-def store_process_engine(
-    similarity: SimilarityConfig, backend: str, store_dir: str
-) -> SimilarityEngine:
-    """Return this process' shared engine attached to the store at
-    *store_dir*.
-
-    Built once per (similarity config, backend, store directory) and kept
-    alive across rounds, exactly like :func:`process_engine`; on first
-    construction the store is resolved through the process-wide store
-    cache and zero-copy attached to the engine's backend, so every worker
-    process maps the same on-disk pages instead of recompiling the corpus.
-    Backends without compiled corpora (the python reference) simply skip
-    the attach.
-    """
-    key = (similarity, backend, store_dir)
-    engine = _STORE_ENGINES.get(key)
-    if engine is None:
-        # imported lazily: corpus_store sits above this module (it imports
-        # the backend layer), so a top-level import would be circular for
-        # readers following the layer graph
-        from repro.similarity.corpus_store import cached_store
-
-        engine = SimilarityEngine(
-            similarity, cache=TagPathSimilarityCache(), backend=backend
-        )
-        store = cached_store(store_dir)
-        attach = getattr(engine.backend, "attach_store", None)
-        if attach is not None:
-            attach(store)
-        _STORE_ENGINES[key] = engine
-    return engine
 
 
 def _store_transactions(store_dir: str, rows: Sequence[int]) -> List[Transaction]:

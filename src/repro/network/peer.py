@@ -33,11 +33,6 @@ class Peer:
     #: compiled backend corpus; ``None`` means "let the execution engine
     #: pick a per-process engine".
     engine: Optional[SimilarityEngine] = field(default=None, repr=False, compare=False)
-    #: Handle of the persistent compiled-corpus store shared by the whole
-    #: simulated network (:mod:`repro.similarity.corpus_store`); peers whose
-    #: local phases run in worker processes attach it there instead of
-    #: recompiling their partition.  ``None`` when no store is configured.
-    store: Optional[object] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     def local_size(self) -> int:
@@ -55,16 +50,12 @@ def make_peers(
     partitions: Sequence[Sequence[Transaction]],
     responsibilities: Sequence[Sequence[int]],
     engine: Optional[SimilarityEngine] = None,
-    store: Optional[object] = None,
 ) -> List[Peer]:
     """Create one peer per data partition with the given responsibilities.
 
     When *engine* is provided every peer shares it (single-process
     simulation: one tag-path cache and one compiled similarity corpus for
-    the whole network).  When *store* is provided every peer additionally
-    carries the same persistent compiled-corpus handle, so local phases
-    dispatched into worker processes attach the shared on-disk corpus
-    instead of recompiling their partition per process.
+    the whole network).
     """
     if len(partitions) != len(responsibilities):
         raise ValueError(
@@ -77,7 +68,6 @@ def make_peers(
             transactions=list(partition),
             responsibilities=list(assigned),
             engine=engine,
-            store=store,
         )
         for index, (partition, assigned) in enumerate(zip(partitions, responsibilities))
     ]

@@ -123,11 +123,8 @@ async def write_frame(
 class PeerWorkerSpec:
     """Everything a peer worker process needs to join the network.
 
-    Exactly one of ``transactions`` / ``store_rows`` carries the peer's
-    partition: when the run is backed by the persistent compiled-corpus
-    store (PR 6) the spec ships row numbers and the worker attaches the
-    mmap'd store -- zero pickled transactions and zero compile work per
-    peer -- otherwise the partition travels pickled with the spec.
+    ``transactions`` is the peer's own share ``S_i``; it travels pickled
+    with the spec and the worker compiles it on its per-process engine.
     """
 
     peer_id: int
@@ -136,9 +133,7 @@ class PeerWorkerSpec:
     #: Per-phase :class:`~repro.core.config.ClusteringConfig` (duck-typed
     #: here: the network layer sits below the core layer).
     config: object
-    store_dir: Optional[str] = None
-    transactions: Optional[List[Transaction]] = None
-    store_rows: Optional[List[int]] = None
+    transactions: List[Transaction]
     connect_timeout: float = DEFAULT_CONNECT_TIMEOUT
 
 
@@ -157,16 +152,6 @@ def default_worker_factory(spec: PeerWorkerSpec) -> multiprocessing.Process:
     )
 
 
-def _resolve_partition(spec: PeerWorkerSpec) -> List[Transaction]:
-    """Materialise the worker's partition (store rows or pickled list)."""
-    if spec.transactions is not None:
-        return spec.transactions
-    from repro.similarity.corpus_store import cached_store
-
-    corpus = cached_store(spec.store_dir).transactions()
-    return [corpus[row] for row in (spec.store_rows or [])]
-
-
 async def _peer_worker(spec: PeerWorkerSpec) -> None:
     """Asyncio body of a peer worker process.
 
@@ -182,7 +167,6 @@ async def _peer_worker(spec: PeerWorkerSpec) -> None:
     # import must happen inside the worker process anyway
     from repro.core.cxkmeans import LocalPhaseInput, run_local_phase
 
-    transactions = _resolve_partition(spec)
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(spec.host, spec.port), spec.connect_timeout
     )
@@ -213,10 +197,9 @@ async def _peer_worker(spec: PeerWorkerSpec) -> None:
                     output = run_local_phase(
                         LocalPhaseInput(
                             peer_id=spec.peer_id,
-                            transactions=transactions,
+                            transactions=spec.transactions,
                             global_representatives=[bucket[j] for j in range(k)],
                             config=spec.config,
-                            store_dir=spec.store_dir,
                         )
                     )
                 except Exception:
@@ -237,7 +220,6 @@ async def _peer_worker(spec: PeerWorkerSpec) -> None:
                             local_representatives=output.local_representatives,
                             cluster_sizes=output.cluster_sizes,
                             compute_seconds=output.compute_seconds,
-                            store_fallback=output.store_fallback,
                         )
                     ),
                 )
@@ -294,10 +276,6 @@ class RealNetwork(SimulatedNetwork):
         yielding the *predicted* side of ``predicted_vs_measured``.
     phase_config:
         Per-phase clustering configuration shipped to the workers.
-    store_dir:
-        Directory of the attached compiled-corpus store; when the peers
-        carry a store handle, worker specs ship row numbers instead of
-        pickled transactions and the workers mmap-attach the store.
     connect_timeout / round_timeout:
         Deadlines for the worker handshake and for one round's results.
     worker_factory:
@@ -311,7 +289,6 @@ class RealNetwork(SimulatedNetwork):
         cost_model: Optional[CostModel] = None,
         *,
         phase_config: Optional[object] = None,
-        store_dir: Optional[str] = None,
         host: str = "127.0.0.1",
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         round_timeout: float = DEFAULT_ROUND_TIMEOUT,
@@ -321,7 +298,6 @@ class RealNetwork(SimulatedNetwork):
         self._round_started_at = 0.0
 
         self.phase_config = phase_config
-        self.store_dir = store_dir
         self.host = host
         self.port: Optional[int] = None
         self.connect_timeout = connect_timeout
@@ -457,25 +433,13 @@ class RealNetwork(SimulatedNetwork):
             ) from None
 
     def _make_spec(self, peer: Peer) -> PeerWorkerSpec:
-        """Build the worker spec for *peer* (store rows when possible)."""
-        transactions: Optional[List[Transaction]] = list(peer.transactions)
-        store_rows: Optional[List[int]] = None
-        if self.store_dir is not None and peer.store is not None:
-            try:
-                index = peer.store.row_index()
-                store_rows = [index[t] for t in peer.transactions]
-                transactions = None
-            except Exception:  # partition not fully store-resident: ship it
-                store_rows = None
-                transactions = list(peer.transactions)
+        """Build the worker spec for *peer*: its own share travels with it."""
         return PeerWorkerSpec(
             peer_id=peer.peer_id,
             host=self.host,
             port=self.port,
             config=self.phase_config,
-            store_dir=self.store_dir,
-            transactions=transactions,
-            store_rows=store_rows,
+            transactions=list(peer.transactions),
             connect_timeout=self.connect_timeout,
         )
 
@@ -674,7 +638,6 @@ class RealNetwork(SimulatedNetwork):
                 local_representatives=result.local_representatives,
                 cluster_sizes=result.cluster_sizes,
                 compute_seconds=result.compute_seconds,
-                store_fallback=result.store_fallback,
             )
             self.stats.record_compute(output.peer_id, output.compute_seconds)
             outputs.append(output)

@@ -227,7 +227,6 @@ class _RouteState:
             "version": self.target.version,
             "fingerprint": self.target.fingerprint,
             "directory": self.target.directory,
-            "store": self.model.store_status,
             "requests": self.requests,
             "errors": self.errors,
             "reloads": self.reloads,
@@ -246,8 +245,7 @@ class AsyncModelServer:
       one model is routed.
     - ``GET /models/<name>/stats`` -- per-model counters: requests,
       errors, reload count, p50/p99 latency over the last
-      :data:`LATENCY_WINDOW` calls, store status, routed version and
-      fingerprint.
+      :data:`LATENCY_WINDOW` calls, routed version and fingerprint.
     - ``GET /models`` -- the routing table; ``GET /healthz`` -- overall
       status (``ok`` | ``draining``) and per-model summary.
     - ``POST /reload`` -- re-resolve the router and swap every route
@@ -310,7 +308,7 @@ class AsyncModelServer:
             target=target, model=load_model(target.directory, backend=self.backend)
         )
 
-    def refresh_routes(self) -> Dict[str, object]:
+    def reload_routes(self) -> Dict[str, object]:
         """Re-resolve the router; swap fingerprint-changed routes.
 
         Returns ``{"swapped": [...], "added": [...], "removed": [...],
@@ -418,7 +416,7 @@ class AsyncModelServer:
         while True:
             await asyncio.sleep(self.poll_interval)
             try:
-                self.refresh_routes()
+                self.reload_routes()
             except Exception:  # noqa: BLE001 - keep serving on registry blips
                 # a transient registry error (locked file, mid-publish
                 # state) must not kill the server; the next tick retries
@@ -566,7 +564,7 @@ class AsyncModelServer:
             }
         if method == "POST" and path == "/reload":
             try:
-                return 200, {"reloaded": self.refresh_routes()}
+                return 200, {"reloaded": self.reload_routes()}
             except Exception as error:  # noqa: BLE001 - a 500, not a drop
                 # the routing table itself could not be resolved (registry
                 # unreadable, static directory unfingerprintable)
@@ -596,7 +594,6 @@ class AsyncModelServer:
                 name: {
                     "version": state.target.version,
                     "fingerprint": state.target.fingerprint,
-                    "store": state.model.store_status,
                     "requests": state.requests,
                     "errors": state.errors,
                 }
@@ -621,7 +618,6 @@ class AsyncModelServer:
             return 500, {"error": f"{type(error).__name__}: {error}"}
         state.requests += 1
         state.latencies_ms.append(float(payload.get("latency_ms", 0.0)))
-        payload["store"] = state.model.store_status
         payload["model"] = state.target.name
         payload["version"] = state.target.version
         return 200, payload

@@ -395,9 +395,6 @@ class NumpyBackend:
         self._pinned: Dict[Transaction, _CompiledTransaction] = {}
         self._transient: Dict[int, Tuple[Transaction, _CompiledTransaction]] = {}
         # --- persistent compiled-corpus store ------------------------------ #
-        #: Handle of the attached :class:`~repro.similarity.corpus_store.
-        #: CorpusStore` (None when running without a store).
-        self.attached_store = None
         #: Transactions compiled through :meth:`compile_corpus`; a warm
         #: store attach leaves this at 0 (asserted by tests / CI smoke).
         self.corpus_compile_count = 0
@@ -484,24 +481,24 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Persistent compiled-corpus store
     # ------------------------------------------------------------------ #
-    def attach_store(self, store, transactions=None) -> bool:
+    def attach_store(self, store, transactions: Sequence[Transaction]) -> bool:
         """Adopt a persistent compiled corpus instead of recompiling it.
 
-        On a pristine backend (nothing compiled yet) the store's array
-        blocks are attached zero-copy: the tag-path registry and the
-        read-only memmapped structural-similarity matrix become
-        authoritative immediately, per-transaction array views materialise
-        on first compile touch, and the uid/content registries hydrate
-        lazily on first use (:meth:`_ensure_hydrated`) -- so a warm attach
-        does no per-item work at all.  On a backend that already compiled
-        transactions, only the handle is kept (the shard dispatch still
-        uses it to address rows); returns True on a zero-copy attach.
+        *transactions* is the corpus *store* was compiled from, in store
+        row order; the caller already holds it, so no block's pickled
+        transactions are read.  On a pristine backend (nothing compiled
+        yet) the store's array blocks are attached zero-copy: the tag-path
+        registry and the read-only memmapped structural-similarity matrix
+        become authoritative immediately, per-transaction array views
+        materialise on first compile touch, and the uid/content registries
+        hydrate lazily on first use (:meth:`_ensure_hydrated`) -- so a warm
+        attach does no per-item work at all.  A backend that already
+        compiled transactions adopts nothing; returns True on an attach.
 
         Bit-exactness is preserved because the store records precisely the
         first-occurrence registries and cache floats a fresh compile of
         the same corpus produces.
         """
-        self.attached_store = store
         if self._pinned or self._tag_paths:
             return False
         np = self._np
@@ -511,11 +508,8 @@ class NumpyBackend:
             path: index for index, path in enumerate(self._tag_paths)
         }
         self._tp_matrix = arrays["tp_matrix"]
-        if transactions is not None:
-            store.bind_transactions(transactions)
-        corpus = store.transactions()
         self._attached = (
-            corpus,
+            list(transactions),
             arrays["item_tag_path_ids"].astype(np.intp, copy=False),
             arrays["item_content_ids"].astype(np.intp, copy=False),
             arrays["item_uids"].astype(np.intp, copy=False),

@@ -2,19 +2,20 @@
 
 Compiling a corpus into the :class:`~repro.similarity.backend.NumpyBackend`
 feature blocks (tag-path matrix, per-item id arrays, content-class
-registries) is the dominant fixed cost of every clustering run -- and
-historically it was paid once *per process, per run*: each multiprocessing
-worker rebuilt the compiled corpus from pickled ``Transaction`` lists.  The
-store exports one compilation to an on-disk layout that any number of
-later processes attach with ``np.load(mmap_mode="r")``, so N processes
-share one set of page-cache pages instead of holding N private
-compilations.
+registries) is the dominant fixed cost of a clustering run.  The store
+exports one compilation to an on-disk layout, so a later run over the same
+corpus (``--corpus-cache``) attaches it with ``np.load(mmap_mode="r")``
+instead of recompiling.  :func:`prepare_engine_corpus` is the one place a
+store is attached, and only to the engine of the process that prepared
+it: peer worker processes compile their own share and loaded models warm
+their tag-path cache from the model directory.
 
 Every store is an append-only chain of numbered immutable blocks
 (:class:`BlockCorpusStore`, also bound as :data:`CorpusStore`).  A
 ``--corpus-cache`` store is a one-block chain written by
 :meth:`BlockCorpusStore.save`; the streaming ingestion path
-(:mod:`repro.core.streaming`) grows a chain one block per chunk::
+(:mod:`repro.core.streaming`) grows a chain one block per chunk and reads
+back only the rows a re-refinement samples (:meth:`resolve_rows`)::
 
     <directory>/
         chain.json             # chain manifest, rewritten LAST per append
@@ -58,7 +59,7 @@ import os
 import pickle
 import shutil
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.similarity.backend import NumpyBackend, _load_numpy
 from repro.similarity.item import SimilarityConfig
@@ -195,19 +196,16 @@ class BlockCorpusStore:
     Write a whole corpus as a one-block chain with :meth:`save`, create an
     empty chain with :meth:`create`, reopen an existing one with
     :meth:`open`, grow it one immutable block at a time with
-    :meth:`append_block`.  Backends, refinement-shard workers and the
-    model store consume the handle through ``arrays`` / ``tag_paths`` /
-    ``transactions`` / ``row_index`` / ``attach`` / ``fingerprint`` /
-    ``directory`` -- without ever recompiling a block: an attach
-    re-assembles the full matrix from the per-block row strips and
-    concatenates the per-item id arrays (which were compiled exactly once,
-    when their block was appended).
+    :meth:`append_block`.  ``NumpyBackend.attach_store`` consumes the
+    handle through ``arrays`` / ``tag_paths`` without ever recompiling a
+    block: an attach re-assembles the full matrix from the per-block row
+    strips and concatenates the per-item id arrays (which were compiled
+    exactly once, when their block was appended).
 
-    Out-of-core friendliness: :meth:`iter_transaction_blocks` and
-    :meth:`resolve_rows` load one block's pickled transactions at a time
-    without caching the whole corpus on the handle, so a streaming caller
-    can keep only the active tail in process memory while older blocks
-    stay on disk.
+    Out-of-core friendliness: :meth:`resolve_rows` loads one block's
+    pickled transactions at a time without caching the whole corpus on
+    the handle, so a streaming caller can keep only the active tail in
+    process memory while older blocks stay on disk.
     """
 
     def __init__(self, directory, similarity: SimilarityConfig, manifest: Dict[str, object]) -> None:
@@ -224,7 +222,6 @@ class BlockCorpusStore:
         # lazily assembled full-corpus views (invalidated by append_block)
         self._arrays: Optional[Dict[str, object]] = None
         self._transactions: Optional[List[Transaction]] = None
-        self._row_index: Optional[Dict[Transaction, int]] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -282,14 +279,10 @@ class BlockCorpusStore:
         backend, whose registries may carry extra entries from
         representative compiles.  *fingerprint* is the corpus fingerprint
         when the caller already computed it (the corpus is then hashed
-        once, not twice).  The returned handle keeps *transactions* bound
-        and becomes this process' cached handle for *directory*.
+        once, not twice).
         """
-        transactions = list(transactions)
         store = cls.create(directory, similarity)
         store.append_block(transactions, cache, fingerprint=fingerprint)
-        store.bind_transactions(transactions)
-        _STORE_CACHE[str(store.directory)] = store
         return store
 
     @classmethod
@@ -375,60 +368,6 @@ class BlockCorpusStore:
                     f"block {block_dir} is missing {', '.join(missing)}"
                 )
         return cls(directory, similarity, manifest)
-
-    def refresh(self) -> bool:
-        """Adopt blocks appended to the chain by other handles/processes.
-
-        Re-reads ``chain.json`` (atomically replaced by every append, so
-        the read is always consistent) and, when the chain advanced,
-        extends this handle's registries and cached corpus by walking only
-        the *new* blocks; the assembled array view is invalidated.  A
-        no-op read costs one small JSON load -- cheap enough that
-        :func:`cached_store` refreshes on every lookup, which is how
-        long-lived worker handles see a streaming writer's appends.
-        Returns True when new blocks were adopted.
-        """
-        manifest_path = self._directory / CHAIN_MANIFEST_NAME
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            return False
-        if not isinstance(manifest, dict) or not isinstance(
-            manifest.get("blocks"), list
-        ):
-            return False
-        if manifest.get("fingerprint") == self._manifest.get("fingerprint"):
-            return False
-        old_blocks = self._manifest["blocks"]
-        old_count = len(old_blocks)
-        appended = (
-            len(manifest["blocks"]) > old_count
-            and [b["name"] for b in manifest["blocks"][:old_count]]
-            == [b["name"] for b in old_blocks]
-        )
-        self._manifest = manifest
-        self._arrays = None
-        if not appended:
-            # the chain diverged (rewritten from scratch); drop everything
-            self._tag_paths = self._tag_index = None
-            self._content_index = self._uid_index = None
-            self._transactions = None
-            self._row_index = None
-            return True
-        for index in range(old_count, len(manifest["blocks"])):
-            if self._tag_paths is not None:
-                for tag_path in self._block_tag_paths(index):
-                    self._tag_index[tag_path] = len(self._tag_paths)
-                    self._tag_paths.append(tag_path)
-            if self._uid_index is not None or self._transactions is not None:
-                block = self._load_block_transactions(index)
-                if self._uid_index is not None:
-                    self._index_items(block)
-                if self._transactions is not None:
-                    self._transactions.extend(block)
-        self._row_index = None
-        return True
 
     def _write_chain_manifest(self) -> None:
         """Rewrite ``chain.json`` atomically (temp file + rename, last step)."""
@@ -606,7 +545,6 @@ class BlockCorpusStore:
         self._arrays = None
         if self._transactions is not None:
             self._transactions = self._transactions + transactions
-            self._row_index = None
         return record
 
     # ------------------------------------------------------------------ #
@@ -651,19 +589,6 @@ class BlockCorpusStore:
                 ) from error
         return loaded
 
-    def iter_transaction_blocks(self) -> Iterator[Tuple[int, List[Transaction]]]:
-        """Yield ``(first_row, transactions)`` per block, one block at a time.
-
-        The out-of-core iteration primitive: each block is unpickled when
-        yielded and is free for collection once the consumer moves on --
-        the handle never caches the concatenated corpus here.
-        """
-        row = 0
-        for index, block in enumerate(self.blocks):
-            transactions = self._load_block_transactions(index)
-            yield row, transactions
-            row += int(block["transactions"])
-
     def resolve_rows(self, rows: Sequence[int]) -> List[Transaction]:
         """Resolve global row ids to transactions, loading blocks at most once.
 
@@ -707,8 +632,7 @@ class BlockCorpusStore:
         ``tp_matrix`` (P, P), the per-item ``item_*`` id arrays (I,) and
         ``tx_spans`` (T + 1,) -- the keys ``NumpyBackend.attach_store``
         consumes.  A one-block chain *is* the full corpus, so its memmaps
-        are returned as they are: every process attaching the same store
-        shares one set of page-cache pages.  A longer chain rebuilds the
+        are returned as they are.  A longer chain rebuilds the
         structural matrix from the per-block row strips (pure copies of
         stored floats -- no ``cache.similarity`` calls, so no block is
         recompiled), concatenates the per-item id arrays and shifts the
@@ -767,23 +691,12 @@ class BlockCorpusStore:
         self._ensure_tag_paths()
         return list(self._tag_paths)
 
-    def bind_transactions(self, transactions: Sequence[Transaction]) -> None:
-        """Adopt the caller's live corpus list instead of unpickling blocks.
-
-        Used on the attach path when the attaching process already holds
-        the corpus (the usual case outside real-transport peer workers), so
-        :meth:`transactions` / :meth:`row_index` never touch a block's
-        ``transactions.pkl`` there.
-        """
-        self._transactions = list(transactions)
-        self._row_index = None
-
     def transactions(self) -> List[Transaction]:
         """The full chained corpus, concatenated from the blocks and cached.
 
-        This materialises every block (refinement-shard workers need
-        arbitrary row access); out-of-core callers should prefer
-        :meth:`iter_transaction_blocks` / :meth:`resolve_rows`.
+        This materialises every block (store-backed refinement shards
+        need arbitrary row access); out-of-core callers should prefer
+        :meth:`resolve_rows`.
         """
         if self._transactions is None:
             corpus: List[Transaction] = []
@@ -791,27 +704,6 @@ class BlockCorpusStore:
                 corpus.extend(self._load_block_transactions(index))
             self._transactions = corpus
         return self._transactions
-
-    def row_index(self) -> Dict[Transaction, int]:
-        """Mapping from chained transaction (by value) to its global row."""
-        if self._row_index is None:
-            self._row_index = {
-                transaction: row
-                for row, transaction in enumerate(self.transactions())
-            }
-        return self._row_index
-
-    def attach(self, backend, transactions: Optional[Sequence[Transaction]] = None) -> bool:
-        """Attach this chain to *backend* (``backend.attach_store``).
-
-        Returns True when the backend zero-copy-attached the arrays, False
-        when it only kept the handle (already-compiled engines and
-        backends without compiled corpora).
-        """
-        attach = getattr(backend, "attach_store", None)
-        if attach is None:
-            return False
-        return bool(attach(self, transactions))
 
 
 #: The one store class under the name the cache path has always used
@@ -822,27 +714,20 @@ CorpusStore = BlockCorpusStore
 # --------------------------------------------------------------------------- #
 # Process-wide store cache
 # --------------------------------------------------------------------------- #
-#: Stores attached by this process, keyed by directory.  Worker processes
-#: resolve shard row ids through this cache, so the corpus is unpickled at
-#: most once per process no matter how many shards and rounds reference it.
+#: Stores opened by this process, keyed by directory.  Store-backed
+#: refinement shards resolve their member rows through this cache, so a
+#: corpus is unpickled at most once per process however many shards
+#: reference it.
 _STORE_CACHE: Dict[str, BlockCorpusStore] = {}
 
 
 def cached_store(directory) -> BlockCorpusStore:
-    """This process' shared handle for the store at *directory*.
-
-    A cached handle is refreshed on every lookup: chain handles go stale
-    while a streaming writer appends, and refreshing here is what lets
-    worker processes resolve rows of blocks appended after their handle
-    was first cached.
-    """
+    """This process' handle for the store at *directory*, opened once."""
     key = str(directory)
     store = _STORE_CACHE.get(key)
     if store is None:
         store = BlockCorpusStore.open(directory)
         _STORE_CACHE[key] = store
-    else:
-        store.refresh()
     return store
 
 
@@ -870,6 +755,9 @@ def prepare_engine_corpus(
 ) -> Dict[str, object]:
     """Prepare *engine* for *transactions*, through the store when enabled.
 
+    This is the one place a compiled-corpus store is attached, and only to
+    *engine*, the engine of the calling process.
+
     * ``cache_dir is None`` (the default-off configuration) or a backend
       without compiled corpora (the ``python`` reference): the historical
       precompute-and-compile path runs, status ``"off"`` /
@@ -879,10 +767,10 @@ def prepare_engine_corpus(
       O(paths^2) cache precompute and the per-item compilation are both
       skipped, status ``"hit"`` with ``compiled == 0``.
     * Store **miss** (absent, stale-format, corrupted or crash-truncated
-      directory): the corpus is compiled the historical way, exported with
-      :meth:`CorpusStore.save` (best effort -- an unwritable cache
-      directory degrades to status ``"error"`` without failing the run)
-      and the fresh store is attached as the handle workers will share.
+      directory): the corpus is compiled the historical way and exported
+      with :meth:`CorpusStore.save` for the next run (best effort -- an
+      unwritable cache directory degrades to status ``"error"`` without
+      failing the run); this run keeps its freshly compiled engine.
 
     The corpus is hashed once: *fingerprint* (computed here when not
     given) both names the directory and becomes the block fingerprint.
@@ -908,8 +796,6 @@ def prepare_engine_corpus(
         chain_base_fingerprint(engine.config), fingerprint
     )
     if store is not None and store.fingerprint == one_block:
-        store.bind_transactions(transactions)
-        _STORE_CACHE[str(directory)] = store
         backend.attach_store(store, transactions)
         return {
             "store": "hit",
@@ -919,7 +805,7 @@ def prepare_engine_corpus(
         }
     compiled = _precompute_and_compile(engine, transactions)
     try:
-        store = CorpusStore.save(
+        CorpusStore.save(
             directory,
             transactions,
             engine.config,
@@ -938,7 +824,6 @@ def prepare_engine_corpus(
             "fingerprint": fingerprint,
             "directory": str(directory),
         }
-    backend.attach_store(store, transactions)
     return {
         "store": "miss",
         "compiled": compiled,

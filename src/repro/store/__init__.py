@@ -1,12 +1,10 @@
-"""Durable registry layer for fitted models and compiled-corpus stores.
+"""Durable registry layer for fitted models.
 
-``repro.core.model_store`` persists one fitted model as one directory;
-``repro.similarity.corpus_store`` persists one compiled corpus as one
-fingerprinted directory.  Neither answers the operational questions a
-serving fleet asks: *which* models exist, which **version** of a name is
-live, what configuration and benchmark lineage a version carries, and
-which compiled-corpus store a model depends on.  This package is that
-catalog -- a small durable registry (sqlite first, behind the
+``repro.core.model_store`` persists one fitted model as one
+self-contained directory.  It does not answer the operational questions
+a serving fleet asks: *which* models exist, which **version** of a name
+is live, and what configuration and benchmark lineage a version carries.
+This package is that catalog -- a small durable registry (sqlite first, behind the
 :class:`~repro.store.registry.ModelRegistry` protocol so a PostgreSQL
 backend can slot in later) that the ``cxk models`` CLI and the async
 serving layer (:mod:`repro.serving`) read.

@@ -10,9 +10,6 @@ each version pointing at one model directory written by
 - the fitted :class:`~repro.core.config.ClusteringConfig` and fit
   metadata copied out of the manifest (so ``cxk models show`` answers
   without touching the model directory),
-- the compiled-corpus store linkage (fingerprint + directory) when the
-  fit ran store-backed, cataloged into a second table so operators can
-  see which corpus stores are still referenced,
 - optional **bench lineage**: the ``repro-bench/1`` records measured for
   this version (``cxk models publish --bench report.json``).
 
@@ -148,8 +145,6 @@ class ModelRecord:
     created_at: str
     config: Dict[str, object] = field(default_factory=dict)
     fit: Dict[str, object] = field(default_factory=dict)
-    corpus_fingerprint: Optional[str] = None
-    corpus_store_dir: Optional[str] = None
     bench: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
@@ -163,8 +158,6 @@ class ModelRecord:
             "created_at": self.created_at,
             "config": self.config,
             "fit": self.fit,
-            "corpus_fingerprint": self.corpus_fingerprint,
-            "corpus_store_dir": self.corpus_store_dir,
             "bench": self.bench,
         }
 
@@ -210,10 +203,6 @@ class ModelRegistry(Protocol):
         """Mark a version (default: the active one) retired."""
         ...
 
-    def corpus_stores(self) -> List[Dict[str, object]]:
-        """The compiled-corpus stores referenced by cataloged models."""
-        ...
-
 
 class SqliteModelRegistry:
     """Sqlite-backed :class:`ModelRegistry` (the first durable backend).
@@ -221,8 +210,11 @@ class SqliteModelRegistry:
     One registry is one sqlite file; every operation opens a short-lived
     connection, so a single file is safely shared by the CLI, a serving
     process polling for publishes and any number of readers.  The schema
-    (``models``, ``corpus_stores``, ``registry_meta``) is created on
-    first use and version-checked on every open.
+    (``models``, ``registry_meta``) is created on first use and
+    version-checked on every open.  Registry files written by earlier
+    releases also hold a catalog table of compiled-corpus stores and two
+    nullable corpus columns in ``models``; nothing reads them, so those
+    files keep working unchanged.
     """
 
     def __init__(self, path) -> None:
@@ -273,17 +265,8 @@ class SqliteModelRegistry:
             " created_at TEXT NOT NULL,"
             " config TEXT NOT NULL,"
             " fit TEXT NOT NULL,"
-            " corpus_fingerprint TEXT,"
-            " corpus_store_dir TEXT,"
             " bench TEXT,"
             " PRIMARY KEY (name, version))"
-        )
-        connection.execute(
-            "CREATE TABLE IF NOT EXISTS corpus_stores ("
-            " fingerprint TEXT PRIMARY KEY,"
-            " directory TEXT NOT NULL,"
-            " transactions INTEGER NOT NULL,"
-            " first_published TEXT NOT NULL)"
         )
 
     @staticmethod
@@ -298,8 +281,6 @@ class SqliteModelRegistry:
             created_at=row["created_at"],
             config=json.loads(row["config"]),
             fit=json.loads(row["fit"]),
-            corpus_fingerprint=row["corpus_fingerprint"],
-            corpus_store_dir=row["corpus_store_dir"],
             bench=json.loads(row["bench"]) if row["bench"] is not None else None,
         )
 
@@ -317,15 +298,13 @@ class SqliteModelRegistry:
         present), fingerprints its content, and appends a new version
         row -- unless the currently active version already has the same
         fingerprint, in which case that record is returned unchanged
-        (idempotent re-publish).  The model's corpus-store linkage, when
-        present, is upserted into the ``corpus_stores`` catalog.
+        (idempotent re-publish).
         """
         if not name or "/" in name:
             raise RegistryError(f"invalid model name {name!r}")
         directory = Path(directory).resolve()
         manifest = _read_manifest(directory)
         fingerprint = model_fingerprint(directory)
-        corpus = manifest.get("corpus") or {}
         now = datetime.now(timezone.utc).isoformat()
         try:
             with self._connect() as connection:
@@ -343,9 +322,8 @@ class SqliteModelRegistry:
                 version = (last["v"] or 0) + 1
                 connection.execute(
                     "INSERT INTO models (name, version, directory, fingerprint,"
-                    " status, created_at, config, fit, corpus_fingerprint,"
-                    " corpus_store_dir, bench)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    " status, created_at, config, fit, bench)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         name,
                         version,
@@ -355,23 +333,9 @@ class SqliteModelRegistry:
                         now,
                         json.dumps(manifest.get("config") or {}),
                         json.dumps(manifest.get("fit") or {}),
-                        corpus.get("fingerprint"),
-                        corpus.get("store_dir"),
                         json.dumps(bench) if bench is not None else None,
                     ),
                 )
-                if corpus.get("fingerprint") and corpus.get("store_dir"):
-                    connection.execute(
-                        "INSERT OR IGNORE INTO corpus_stores"
-                        " (fingerprint, directory, transactions,"
-                        "  first_published) VALUES (?, ?, ?, ?)",
-                        (
-                            corpus["fingerprint"],
-                            corpus["store_dir"],
-                            int(corpus.get("transactions") or 0),
-                            now,
-                        ),
-                    )
                 row = connection.execute(
                     "SELECT * FROM models WHERE name = ? AND version = ?",
                     (name, version),
@@ -478,17 +442,6 @@ class SqliteModelRegistry:
                 f"cannot retire {name} v{record.version} in {self.path}: {error}"
             ) from error
         return self.show(name, record.version)
-
-    def corpus_stores(self) -> List[Dict[str, object]]:
-        """The compiled-corpus stores referenced by cataloged models."""
-        try:
-            with self._connect() as connection:
-                rows = connection.execute(
-                    "SELECT * FROM corpus_stores ORDER BY first_published"
-                ).fetchall()
-        except sqlite3.Error as error:
-            raise RegistryError(f"cannot read {self.path}: {error}") from error
-        return [dict(row) for row in rows]
 
 
 def open_registry(path) -> SqliteModelRegistry:

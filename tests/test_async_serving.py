@@ -89,9 +89,7 @@ def fit_and_save(directory, *, k, max_iterations=2):
     algorithm = XKMeans(config)
     precompute_similarity(algorithm, dataset.transactions)
     result = algorithm.fit(dataset.transactions)
-    save_model(
-        directory, result, config, dataset=dataset, engine=algorithm.engine
-    )
+    save_model(directory, result, config, dataset=dataset)
     return directory
 
 
@@ -243,7 +241,6 @@ class TestRouting:
             assert stats["requests"] == 3
             assert stats["errors"] == 0
             assert stats["version"] == 1
-            assert stats["store"] in ("off", "cold", "hit")
             assert stats["latency_ms_p50"] > 0.0
             assert stats["latency_ms_p99"] >= stats["latency_ms_p50"]
             health = fetch_with_retry(f"{base}/healthz")

@@ -432,16 +432,19 @@ class TestWarmAttachSkipsCompilation:
         assert warm_result.partition() == fresh_result.partition()
         assert warm_result.iterations == fresh_result.iterations
 
-    def test_attach_is_handle_only_on_an_already_compiled_engine(
+    def test_attach_declines_a_compiled_engine(
         self, dblp_small, tmp_path
     ):
         transactions = dblp_small.transactions
         engine = make_engine()
         status = prepare_engine_corpus(engine, transactions, cache_dir=tmp_path)
-        # the miss path compiled first, so the save's attach kept the
-        # compiled registries and only recorded the handle
+        # the miss path compiled first and keeps its in-memory registries;
+        # attaching the exported store to that engine adopts nothing
         assert status["store"] == "miss"
-        assert engine.backend.attached_store is not None
+        assert engine.backend.corpus_compile_count == len(transactions)
+        store = CorpusStore.open(status["directory"])
+        assert not engine.backend.attach_store(store, transactions)
+        assert engine.backend.compile_corpus(transactions) == 0
         assert engine.backend.corpus_compile_count == len(transactions)
 
 
@@ -622,8 +625,7 @@ class TestBlockChain:
         build_chain(tmp_path / "chain", chunk3(transactions))
         warm = make_engine()
         store = BlockCorpusStore.open(tmp_path / "chain")
-        store.bind_transactions(transactions)
-        assert store.attach(warm.backend)
+        assert warm.backend.attach_store(store, transactions)
         assert warm.backend.compile_corpus(transactions) == 0
         assert warm.backend.corpus_compile_count == 0
         fresh = make_engine()
@@ -639,25 +641,6 @@ class TestBlockChain:
         assert warm.pairwise_transaction_similarity(rows, columns) == expected
         assert any(value for row in expected for value in row)
         assert warm.backend.corpus_compile_count == 0
-
-    def test_refresh_adopts_blocks_appended_by_another_handle(
-        self, dblp_small, tmp_path
-    ):
-        """A stale reader handle follows the chain after an append."""
-        chunks = chunk3(dblp_small.transactions)
-        cache = TagPathSimilarityCache()
-        chain = build_chain(tmp_path / "chain", chunks[:2], cache)
-        reader = BlockCorpusStore.open(tmp_path / "chain")
-        assert reader.refresh() is False  # up to date: no-op
-        chain.append_block(chunks[2], cache)
-        assert reader.refresh() is True
-        assert reader.fingerprint == chain.fingerprint
-        assert reader.transaction_count == chain.transaction_count
-        tail = reader.resolve_rows(
-            [chain.transaction_count - len(chunks[2]), chain.transaction_count - 1]
-        )
-        assert tail[0].transaction_id == chunks[2][0].transaction_id
-        assert tail[-1].transaction_id == chunks[2][-1].transaction_id
 
 
 class TestBlockChainCrashSafety:
@@ -680,8 +663,7 @@ class TestBlockChainCrashSafety:
         visible = chunks[0] + chunks[1]
         assert reopened.transaction_count == len(visible)
         engine = make_engine()
-        reopened.bind_transactions(visible)
-        assert reopened.attach(engine.backend)
+        assert engine.backend.attach_store(reopened, visible)
         assert engine.backend.compile_corpus(visible) == 0
 
     def test_next_append_repairs_the_torn_block(self, dblp_small, tmp_path):
@@ -786,9 +768,8 @@ class TestOneStoreFormat:
 
         monkeypatch.setattr(BlockCorpusStore, "_load_block_transactions", refuse)
         chain = BlockCorpusStore.open(tmp_path / "chain")
-        chain.bind_transactions(transactions)
         engine = make_engine()
-        assert chain.attach(engine.backend)
+        assert engine.backend.attach_store(chain, transactions)
         assert engine.backend.compile_corpus(transactions) == 0
         warm = prepare_engine_corpus(
             make_engine(), transactions, cache_dir=tmp_path / "cache"
@@ -832,10 +813,7 @@ class TestOneStoreFormat:
         )
         algorithm = XKMeans(config)
         result = algorithm.fit(transactions)
-        save_model(
-            tmp_path / "model", result, config, dataset=dblp_small,
-            engine=algorithm.engine,
-        )
+        save_model(tmp_path / "model", result, config, dataset=dblp_small)
         old_directory, old_fingerprint = write_pre_chain_store(
             tmp_path / "cache", transactions, monkeypatch
         )
@@ -848,7 +826,7 @@ class TestOneStoreFormat:
 
         model = load_model(tmp_path / "model")
         reference = load_model(tmp_path / "model", backend="python")
-        assert model.store_status == "cold"
+        assert corpus_store._STORE_CACHE == {}
         for tree in get_corpus("DBLP", scale=0.2, seed=0).trees[:6]:
             ours = model.classify(serialize(tree))
             theirs = reference.classify(serialize(tree))

@@ -3,12 +3,14 @@
 Pin the catalog's lifecycle invariants: append-only versioning with
 idempotent re-publish, content fingerprints that actually track content,
 retire-as-status-flip (never delete), durable rows across re-opens, the
-``save_model`` publish hook, and the ``cxk models`` CLI surface.
+``save_model`` publish hook, the ``cxk models`` CLI surface, and registry
+files written with the earlier schema that cataloged corpus stores.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.core.model_store import save_model
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
 from repro.experiments.runner import precompute_similarity
-from repro.similarity.corpus_store import clear_store_cache, prepare_engine_corpus
+from repro.serving import ModelRouter
 from repro.similarity.item import SimilarityConfig
 from repro.store import (
     ModelRegistry,
@@ -32,9 +34,8 @@ from repro.store import (
 from repro.store.registry import STATUS_PUBLISHED, STATUS_RETIRED
 
 
-def fit_and_save(directory, *, k=4, max_iterations=2, cache_dir=None, **save_kwargs):
+def fit_and_save(directory, *, k=4, max_iterations=2, **save_kwargs):
     """Fit a small XK-means model and persist it to *directory*."""
-    clear_store_cache()
     dataset = get_dataset("DBLP", scale=0.2, seed=0)
     config = ClusteringConfig(
         k=k,
@@ -42,20 +43,11 @@ def fit_and_save(directory, *, k=4, max_iterations=2, cache_dir=None, **save_kwa
         seed=0,
         max_iterations=max_iterations,
         backend="numpy",
-        corpus_cache_dir=str(cache_dir) if cache_dir else None,
     )
     algorithm = XKMeans(config)
-    if cache_dir is not None:
-        prepare_engine_corpus(
-            algorithm.engine, dataset.transactions, cache_dir=cache_dir
-        )
-    else:
-        precompute_similarity(algorithm, dataset.transactions)
+    precompute_similarity(algorithm, dataset.transactions)
     result = algorithm.fit(dataset.transactions)
-    return save_model(
-        directory, result, config, dataset=dataset, engine=algorithm.engine,
-        **save_kwargs,
-    )
+    return save_model(directory, result, config, dataset=dataset, **save_kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -190,18 +182,77 @@ class TestSaveModelHook:
         fit_and_save(tmp_path / "dblp-default", registry=registry)
         assert registry.active("dblp-default") is not None
 
-    def test_store_backed_model_catalogs_its_corpus_store(self, tmp_path):
-        registry = open_registry(tmp_path / "registry.db")
-        fit_and_save(
-            tmp_path / "model",
-            cache_dir=tmp_path / "cache",
-            registry=registry,
-            model_name="stored",
+
+
+def write_corpus_column_registry(path, directory) -> None:
+    """Hand-write a registry file in the schema that cataloged corpus stores.
+
+    Schema version 1 with two nullable ``corpus_*`` columns in ``models``
+    and a populated ``corpus_stores`` table, holding one published row
+    for the model *directory*.
+    """
+    connection = sqlite3.connect(str(path))
+    with connection:
+        connection.executescript(
+            "CREATE TABLE registry_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO registry_meta VALUES ('schema_version', '1');"
+            "CREATE TABLE models (name TEXT NOT NULL, version INTEGER NOT NULL,"
+            " directory TEXT NOT NULL, fingerprint TEXT NOT NULL,"
+            " status TEXT NOT NULL, created_at TEXT NOT NULL,"
+            " config TEXT NOT NULL, fit TEXT NOT NULL,"
+            " corpus_fingerprint TEXT, corpus_store_dir TEXT, bench TEXT,"
+            " PRIMARY KEY (name, version));"
+            "CREATE TABLE corpus_stores (fingerprint TEXT PRIMARY KEY,"
+            " directory TEXT NOT NULL, transactions INTEGER NOT NULL,"
+            " first_published TEXT NOT NULL);"
+            "INSERT INTO corpus_stores VALUES"
+            " ('c0ffee', '/cache/c0ffee', 42, '2026-01-01T00:00:00+00:00');"
         )
-        stores = registry.corpus_stores()
-        assert len(stores) == 1
-        assert stores[0]["transactions"] > 0
-        assert registry.active("stored").corpus_fingerprint == stores[0]["fingerprint"]
+        connection.execute(
+            "INSERT INTO models VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                "legacy",
+                1,
+                str(directory),
+                model_fingerprint(directory),
+                STATUS_PUBLISHED,
+                "2026-01-01T00:00:00+00:00",
+                json.dumps({"k": 4}),
+                json.dumps({"iterations": 2}),
+                "c0ffee",
+                "/cache/c0ffee",
+                None,
+            ),
+        )
+    connection.close()
+
+
+class TestCorpusColumnSchema:
+    def test_corpus_column_file_keeps_working(
+        self, tmp_path, model_dirs
+    ):
+        model_a, model_b = model_dirs
+        path = tmp_path / "registry.db"
+        write_corpus_column_registry(path, model_a)
+        registry = open_registry(path)
+
+        (listed,) = registry.list_models()
+        assert (listed.name, listed.version) == ("legacy", 1)
+        shown = registry.show("legacy")
+        assert shown.directory == str(model_a)
+        assert shown.config == {"k": 4}
+        assert "corpus_store_dir" not in shown.to_dict()
+
+        published = registry.publish("legacy", model_b)
+        assert published.version == 2
+        assert [r.version for r in registry.active_models()] == [2]
+        targets = ModelRouter(registry=registry).targets()
+        assert targets["legacy"].fingerprint == model_fingerprint(model_b)
+
+        retired = registry.retire("legacy")
+        assert (retired.version, retired.status) == (2, STATUS_RETIRED)
+        assert [r.version for r in registry.active_models()] == [1]
+        assert ModelRouter(registry=registry).targets()["legacy"].version == 1
 
 
 class TestModelsCli:

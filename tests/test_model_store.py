@@ -1,16 +1,18 @@
 """Round-trip, validation and warm-query tests for the fitted-model store.
 
 ``repro/core/model_store.py`` persists a fitted clustering (representatives,
-config, vocabulary + collection statistics, tag-path registry, corpus-store
-linkage) and serves classification queries from the reloaded model.  These
-tests pin its contract:
+config, vocabulary + collection statistics, tag-path registry) and serves
+classification queries from the reloaded model.  These tests pin its
+contract:
 
 * ``fit -> save_model -> load_model -> assign_all`` is **bit-exact** against
   the in-memory model on the python / numpy / tiled backends;
 * payload encoding round-trips values exactly (hypothesis property suite:
   ordered sparse vectors, items, transactions through JSON);
-* a reload of a store-backed model is a store **hit** that performs zero
-  corpus compile work through load *and* classify;
+* a model loads from its own directory: a manifest written with the
+  corpus-store linkage of earlier releases loads without opening any store
+  (intact, missing or corrupted) and classifies with zero corpus compile
+  work;
 * tampered manifests (format version, malformed config section),
   missing/corrupt blocks and unwritable directories are rejected with
   ``ModelStoreError`` (the CLI and runner degrade instead of failing the
@@ -20,10 +22,7 @@ tests pin its contract:
 * a manifest naming a backend that is no longer registered (models saved
   under the retired ``sharded`` / ``torch`` backends) fails with the
   unknown-backend ``ValueError`` before any data file is read, and still
-  loads with an explicit backend override;
-* the CXK local phase narrows store-attach failures to expected errors,
-  reports them as ``store_fallback`` and never recompiles an attached
-  corpus (``corpus_compile_count == 0`` on the store-backed worker path).
+  loads with an explicit backend override.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from hypothesis import strategies as st
 pytest.importorskip("numpy")
 
 from repro.core.config import ClusteringConfig
-from repro.core.cxkmeans import CXKMeans, LocalPhaseInput, run_local_phase
 from repro.core import model_store
 from repro.core.model_store import (
     MODEL_FORMAT_VERSION,
@@ -60,8 +58,10 @@ from repro.core.model_store import (
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
 from repro.experiments.runner import run_configuration
-from repro.network.mpengine import clear_process_engines, store_process_engine
+from repro.network.mpengine import clear_process_engines
+from repro.similarity import corpus_store
 from repro.similarity.corpus_store import (
+    BlockCorpusStore,
     clear_store_cache,
     prepare_engine_corpus,
 )
@@ -120,6 +120,8 @@ def fit_and_save(dataset, directory, backend="numpy", cache_dir=None, **override
     in_memory = algorithm.engine.assign_all(
         dataset.transactions, result.representatives()
     )
+    # the benchmark's model job passes the fit's engine, which save_model
+    # accepts and ignores: the call must keep working
     save_model(directory, result, config, dataset=dataset, engine=algorithm.engine)
     return config, result, in_memory
 
@@ -249,38 +251,53 @@ class TestRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
-# Warm store path: zero compile work through load and classify
+# Query path: a model loads from its own directory, never from a store
 # --------------------------------------------------------------------------- #
+def break_chain_manifest(store_dir: Path, state: str) -> None:
+    """Leave the store at *store_dir* intact, or delete / corrupt its chain."""
+    if state == "chain-deleted":
+        (store_dir / "chain.json").unlink()
+    elif state == "chain-corrupted":
+        (store_dir / "chain.json").write_text("{ truncated")
+
+
 class TestWarmStorePath:
-    def test_store_hit_load_and_classify_compile_nothing(
-        self, dblp_small, dblp_documents, tmp_path
+    @pytest.mark.parametrize(
+        "state", ["store-intact", "chain-deleted", "chain-corrupted"]
+    )
+    def test_model_ignores_its_recorded_store(
+        self, dblp_small, dblp_documents, tmp_path, monkeypatch, state
     ):
+        """Earlier releases recorded the fit's compiled-corpus store in the
+        manifest; such a model loads from its own directory in every store
+        state and assigns bit-exactly like the in-memory fit."""
         _, _, in_memory = fit_and_save(
             dblp_small, tmp_path / "model", cache_dir=tmp_path / "cache"
         )
+        # the fit exported its corpus as the cache's one store
+        (store_dir,) = (tmp_path / "cache").iterdir()
+        manifest_path = tmp_path / "model" / "model.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["corpus"]["fingerprint"] = BlockCorpusStore.open(
+            store_dir
+        ).fingerprint
+        manifest["corpus"]["store_dir"] = str(store_dir)
+        manifest_path.write_text(json.dumps(manifest))
+        break_chain_manifest(store_dir, state)
         clear_store_cache()
+
+        def refuse(directory):
+            raise AssertionError(f"load_model opened the store {directory}")
+
+        monkeypatch.setattr(BlockCorpusStore, "open", refuse)
         model = load_model(tmp_path / "model")
-        assert model.store_status == "hit"
         assert model.assign_all(dblp_small.transactions) == in_memory
         for document in dblp_documents[:5]:
             model.classify(document)
         stats = model.stats()
         assert stats["corpus_compile_count"] == 0
         assert stats["queries"] == 5
-
-    def test_missing_store_degrades_to_cold_with_exact_assignments(
-        self, dblp_small, tmp_path
-    ):
-        _, _, in_memory = fit_and_save(
-            dblp_small, tmp_path / "model", cache_dir=tmp_path / "cache"
-        )
-        clear_store_cache()
-        manifest = json.loads((tmp_path / "model" / "model.json").read_text())
-        store_dir = Path(manifest["corpus"]["store_dir"])
-        (store_dir / "chain.json").unlink()
-        model = load_model(tmp_path / "model")
-        assert model.store_status == "cold"
-        assert model.assign_all(dblp_small.transactions) == in_memory
+        assert corpus_store._STORE_CACHE == {}
 
     def test_classify_parity_python_vs_numpy(
         self, dblp_small, dblp_documents, tmp_path
@@ -341,9 +358,6 @@ MALFORMED_CONFIGS = {
         ("preprocessing", "min_token_length"),
         "x",
         "bad 'min_token_length' value 'x'",
-    ),
-    "int-store-dir": (
-        "model.json", ("corpus", "store_dir"), 5, "bad 'store_dir' value 5"
     ),
     "int-files": ("model.json", ("files",), 5, "bad 'files' value 5"),
     "list-vocabulary": ("vocabulary.json", (), [], "vocabulary.json"),
@@ -566,7 +580,7 @@ class TestRetiredBackendManifest:
 
 
 # --------------------------------------------------------------------------- #
-# Runner integration: auto-save + store/store_fallback run-record fields
+# Runner integration: auto-save + store run-record field
 # --------------------------------------------------------------------------- #
 class TestRunnerAutoSave:
     def test_run_configuration_saves_a_servable_model(
@@ -586,7 +600,6 @@ class TestRunnerAutoSave:
         )
         assert record.model["model"] == "saved"
         assert record.store == "off"
-        assert record.store_fallback == 0
         model = load_model(tmp_path / "model")
         assert isinstance(model, ClusterModel)
         assert len(model.assignment_representatives) == record.k
@@ -612,80 +625,3 @@ class TestRunnerAutoSave:
         assert "error" in record.model
         # the clustering itself succeeded regardless
         assert record.iterations >= 1
-
-
-# --------------------------------------------------------------------------- #
-# CXK store-fallback accounting + no-recompile on the worker path
-# --------------------------------------------------------------------------- #
-def make_phase_input(dataset, store_dir=None, backend="numpy"):
-    transactions = dataset.transactions
-    return LocalPhaseInput(
-        peer_id=0,
-        transactions=list(transactions),
-        global_representatives=list(transactions[:3]),
-        config=make_config(backend),
-        store_dir=str(store_dir) if store_dir is not None else None,
-    )
-
-
-class TestStoreFallback:
-    def test_poisoned_store_dir_counts_a_fallback_and_still_clusters(
-        self, dblp_small, tmp_path
-    ):
-        engine = XKMeans(make_config()).engine
-        status = prepare_engine_corpus(
-            engine, dblp_small.transactions, cache_dir=tmp_path
-        )
-        store_dir = Path(status["directory"])
-        (store_dir / "chain.json").write_text("{ truncated")
-        clear_store_cache()
-        clear_process_engines()
-
-        clean = run_local_phase(make_phase_input(dblp_small, store_dir=None))
-        poisoned = run_local_phase(
-            make_phase_input(dblp_small, store_dir=store_dir)
-        )
-        assert poisoned.store_fallback == 1
-        assert clean.store_fallback == 0
-        assert poisoned.assignment == clean.assignment
-        assert poisoned.local_representatives == clean.local_representatives
-
-    def test_unexpected_attach_errors_propagate(
-        self, dblp_small, tmp_path, monkeypatch
-    ):
-        import repro.core.cxkmeans as cxkmeans_module
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("not a store problem")
-
-        monkeypatch.setattr(cxkmeans_module, "store_process_engine", explode)
-        with pytest.raises(RuntimeError, match="not a store problem"):
-            run_local_phase(make_phase_input(dblp_small, store_dir=tmp_path))
-
-    def test_store_backed_worker_phase_compiles_nothing(
-        self, dblp_small, tmp_path
-    ):
-        engine = XKMeans(make_config()).engine
-        status = prepare_engine_corpus(
-            engine, dblp_small.transactions, cache_dir=tmp_path
-        )
-        store_dir = status["directory"]
-        clear_store_cache()
-        clear_process_engines()
-
-        output = run_local_phase(make_phase_input(dblp_small, store_dir=store_dir))
-        assert output.store_fallback == 0
-        worker_engine = store_process_engine(SIMILARITY, "numpy", store_dir)
-        assert worker_engine.backend.attached_store is not None
-        assert worker_engine.backend.corpus_compile_count == 0
-
-    def test_cxk_fit_metadata_reports_zero_fallbacks_on_a_healthy_run(
-        self, dblp_small
-    ):
-        from repro.core.partition import PartitioningScheme, partition
-
-        parts = partition(
-            dblp_small.transactions, 2, PartitioningScheme.EQUAL, seed=0
-        )
-        result = CXKMeans(make_config(max_iterations=2)).fit(parts)
-        assert result.metadata["store_fallback"] == 0

@@ -31,6 +31,7 @@ from repro.network.codec import FrameKind, encode_frame, encode_hello
 from repro.network.message import Message, MessageKind
 from repro.network.peer import make_peers
 from repro.network.realnet import RealNetwork, RealNetworkError
+from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 
 
@@ -206,8 +207,14 @@ class TestFaultInjection:
 # --------------------------------------------------------------------------- #
 # Sim-vs-real parity
 # --------------------------------------------------------------------------- #
-def _fit_both(dataset, peers: int, backend: str):
-    """Run the same seeded fit on both transports; returns (sim, real)."""
+def _fit_both(dataset, peers: int, backend: str, cache_dir=None):
+    """Run the same seeded fit on both transports; returns (sim, real).
+
+    With *cache_dir* each fit's engine is first prepared through the
+    compiled-corpus store there, as ``cluster --corpus-cache`` does: the
+    simulated fit exports the store (a miss), the real fit attaches it
+    (a hit) while its peer workers compile their own shares.
+    """
     parts = partition_equally(dataset.transactions, peers, seed=0)
     base = ClusteringConfig(
         k=4,
@@ -216,9 +223,15 @@ def _fit_both(dataset, peers: int, backend: str):
         max_iterations=5,
         backend=backend,
     )
-    sim_result = CXKMeans(base).fit(parts)
-    real_result = CXKMeans(base.with_network("real", 120.0)).fit(parts)
-    return sim_result, real_result
+    results = []
+    for config in (base, base.with_network("real", 120.0)):
+        algorithm = CXKMeans(config)
+        if cache_dir is not None:
+            prepare_engine_corpus(
+                algorithm.engine, dataset.transactions, cache_dir=cache_dir
+            )
+        results.append(algorithm.fit(parts))
+    return tuple(results)
 
 
 def _assert_bit_identical(sim_result, real_result) -> None:
@@ -241,10 +254,20 @@ def _assert_bit_identical(sim_result, real_result) -> None:
 
 class TestSimRealParity:
     @pytest.mark.parametrize(
-        "peers,backend", [(2, "numpy"), (4, "numpy"), (3, "numpy")]
+        "peers,backend,store",
+        [
+            pytest.param(2, "numpy", False, id="2-numpy"),
+            pytest.param(4, "numpy", False, id="4-numpy"),
+            pytest.param(3, "numpy", False, id="3-numpy"),
+            pytest.param(2, "numpy", True, id="2-numpy-store"),
+        ],
     )
-    def test_identical_clusterings(self, mini_dataset, peers, backend):
-        sim_result, real_result = _fit_both(mini_dataset, peers, backend)
+    def test_identical_clusterings(
+        self, mini_dataset, tmp_path, peers, backend, store
+    ):
+        sim_result, real_result = _fit_both(
+            mini_dataset, peers, backend, cache_dir=tmp_path if store else None
+        )
         _assert_bit_identical(sim_result, real_result)
 
     def test_accounting_predictions_match_and_measurements_exist(self, mini_dataset):
