@@ -22,14 +22,8 @@ report as per-tile-size records.
 A third mode, ``--size-sweep``, benchmarks across the named corpus scales
 of :data:`repro.datasets.registry.SIZE_SWEEP_SCALES` (``scale-1`` /
 ``scale-5`` / ``scale-20``): per (backend, size) it times the assignment
-step, reports where the python -> numpy crossover falls (one
-``crossover`` record per size names the fastest measured backend), and
-times the persistent compiled-corpus store
-(:mod:`repro.similarity.corpus_store`) -- cold compile + export vs warm
-zero-copy mmap attach, with the corpus fingerprint computed once outside
-both timed regions.  The full sweep fails unless the warm attach beats the
-cold compile by ``--min-store-speedup`` (default 5x) on the largest swept
-size.
+step and reports where the python -> numpy crossover falls (one
+``crossover`` record per size names the fastest measured backend).
 
 Run standalone (no pytest machinery needed)::
 
@@ -162,70 +156,8 @@ def bench_tile(
     return best, result, engine.backend.peak_scratch_entries
 
 
-def bench_store(dataset, k, f, gamma, seed, cache_dir) -> Tuple[float, float, bool]:
-    """Cold-compile vs warm-attach timings of the compiled-corpus store.
-
-    Cold: a fresh numpy engine precomputes the tag-path cache, compiles the
-    corpus and exports it to *cache_dir*.  Warm: another fresh engine (with
-    the in-process store handle cache cleared, so the timing pays the real
-    manifest load + ``np.load(mmap_mode="r")`` attach) prepares the same
-    corpus again.  The corpus fingerprint is computed once *outside* both
-    timed regions, so the two numbers compare exactly compile+save against
-    load+attach.  Returns ``(cold_seconds, warm_seconds, ok)`` where *ok*
-    asserts the store semantics: cold was a miss, warm was a hit, the warm
-    engine compiled **zero** transactions, and both engines produce
-    identical assignments.
-    """
-    from repro.similarity.corpus_store import (
-        clear_store_cache,
-        corpus_fingerprint,
-        prepare_engine_corpus,
-    )
-
-    similarity = SimilarityConfig(f=f, gamma=gamma)
-    transactions = dataset.transactions
-    fingerprint = corpus_fingerprint(transactions, similarity)
-
-    def fresh_engine():
-        return SimilarityEngine(
-            similarity, cache=TagPathSimilarityCache(), backend="numpy"
-        )
-
-    cold_engine = fresh_engine()
-    start = time.perf_counter()
-    cold_status = prepare_engine_corpus(
-        cold_engine, transactions, cache_dir=cache_dir, fingerprint=fingerprint
-    )
-    cold = time.perf_counter() - start
-
-    # drop the in-process store handle so the warm timing measures a real
-    # attach (manifest read + mmap), not a dictionary lookup
-    clear_store_cache()
-    warm_engine = fresh_engine()
-    start = time.perf_counter()
-    warm_status = prepare_engine_corpus(
-        warm_engine, transactions, cache_dir=cache_dir, fingerprint=fingerprint
-    )
-    warm = time.perf_counter() - start
-
-    representatives = select_seed_transactions(transactions, k, random.Random(seed))
-    parity = warm_engine.assign_all(
-        transactions, representatives
-    ) == cold_engine.assign_all(transactions, representatives)
-    ok = (
-        cold_status.get("store") == "miss"
-        and warm_status.get("store") == "hit"
-        and getattr(warm_engine.backend, "corpus_compile_count", None) == 0
-        and parity
-    )
-    return cold, warm, ok
-
-
 def run_size_sweep(args: argparse.Namespace) -> int:
-    """``--size-sweep`` mode: backends and the store across corpus scales."""
-    import os
-    import tempfile
-
+    """``--size-sweep`` mode: backend assignment timings across corpus scales."""
     from repro.datasets.registry import SIZE_SWEEP_SCALES
 
     labels = args.sweep_scales
@@ -254,119 +186,69 @@ def run_size_sweep(args: argparse.Namespace) -> int:
         speedup_baseline="python",
     )
     failures: List[str] = []
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as cache_root:
-        for label in labels:
-            scale = SIZE_SWEEP_SCALES[label]
-            dataset = get_dataset(args.corpus, scale=scale, seed=args.seed)
-            size = len(dataset.transactions)
-            print(f"[{label}] scale={scale} transactions={size} k={args.k}")
+    for label in labels:
+        scale = SIZE_SWEEP_SCALES[label]
+        dataset = get_dataset(args.corpus, scale=scale, seed=args.seed)
+        size = len(dataset.transactions)
+        print(f"[{label}] scale={scale} transactions={size} k={args.k}")
 
-            # --- persistent store: cold compile vs warm mmap attach -------- #
-            cold, warm, store_ok = bench_store(
-                dataset,
-                args.k,
-                args.f,
-                args.gamma,
-                args.seed,
-                os.path.join(cache_root, label),
-            )
-            ratio = (cold / warm) if warm > 0 else None
-            print(
-                f"[{label}] store: cold-compile {cold:.4f}s, "
-                f"warm-attach {warm:.4f}s"
-                + (f" ({ratio:.1f}x)" if ratio is not None else "")
-            )
+        # --- per-backend assignment timings + crossover ---------------- #
+        timings: Dict[str, float] = {}
+        reference_assignment = None
+        for backend in args.sweep_backends:
+            if (
+                backend == "python"
+                and size > args.python_max_transactions
+            ):
+                print(
+                    f"[{label}] note: python assign skipped at {size} "
+                    "transactions (over --python-max-transactions "
+                    f"{args.python_max_transactions}); its speedup "
+                    "column is null at this size"
+                )
+                continue
+            try:
+                seconds, assignment = bench_assign(
+                    dataset, backend, args.k, args.f, args.gamma,
+                    args.seed, repeats,
+                )
+            except BackendUnavailableError as error:
+                print(f"[{label}] note: {backend} skipped ({error})")
+                continue
+            first = not timings
+            if first:
+                reference_assignment = assignment
+            parity = None if first else assignment == reference_assignment
+            if parity is False:
+                failures.append(
+                    f"{label}: {backend} assignment disagrees with the "
+                    "sweep baseline"
+                )
+            timings[backend] = seconds
             report.record(
-                backend="numpy",
-                op="store_cold_compile",
+                backend=backend,
+                op="assign_all",
                 size=size,
-                seconds=cold,
-                speedup=None,
+                seconds=seconds,
+                speedup=reference_speedup(timings, backend),
+                parity=parity,
+                label=label,
+            )
+        for backend, seconds in timings.items():
+            print(f"[{label}] assign_all {backend:<12} {seconds:>10.4f}s")
+        if timings:
+            winner = min(timings, key=timings.get)
+            print(f"[{label}] crossover winner: {winner}")
+            report.record(
+                backend=winner,
+                op="crossover",
+                size=size,
+                seconds=timings[winner],
+                speedup=reference_speedup(timings, winner),
                 parity=None,
                 label=label,
+                contenders=timings,
             )
-            report.record(
-                backend="numpy",
-                op="store_warm_attach",
-                size=size,
-                seconds=warm,
-                speedup=ratio,
-                parity=store_ok,
-                label=label,
-            )
-            if not store_ok:
-                failures.append(
-                    f"{label}: warm store attach broke parity, was not a "
-                    "store hit, or did not skip compilation"
-                )
-            if (
-                label == labels[-1]
-                and not args.quick
-                and ratio is not None
-                and ratio < args.min_store_speedup
-            ):
-                failures.append(
-                    f"{label}: warm attach only {ratio:.1f}x faster than "
-                    f"cold compile (required {args.min_store_speedup:.1f}x)"
-                )
-
-            # --- per-backend assignment timings + crossover ---------------- #
-            timings: Dict[str, float] = {}
-            reference_assignment = None
-            for backend in args.sweep_backends:
-                if (
-                    backend == "python"
-                    and size > args.python_max_transactions
-                ):
-                    print(
-                        f"[{label}] note: python assign skipped at {size} "
-                        "transactions (over --python-max-transactions "
-                        f"{args.python_max_transactions}); its speedup "
-                        "column is null at this size"
-                    )
-                    continue
-                try:
-                    seconds, assignment = bench_assign(
-                        dataset, backend, args.k, args.f, args.gamma,
-                        args.seed, repeats,
-                    )
-                except BackendUnavailableError as error:
-                    print(f"[{label}] note: {backend} skipped ({error})")
-                    continue
-                first = not timings
-                if first:
-                    reference_assignment = assignment
-                parity = None if first else assignment == reference_assignment
-                if parity is False:
-                    failures.append(
-                        f"{label}: {backend} assignment disagrees with the "
-                        "sweep baseline"
-                    )
-                timings[backend] = seconds
-                report.record(
-                    backend=backend,
-                    op="assign_all",
-                    size=size,
-                    seconds=seconds,
-                    speedup=reference_speedup(timings, backend),
-                    parity=parity,
-                    label=label,
-                )
-            for backend, seconds in timings.items():
-                print(f"[{label}] assign_all {backend:<12} {seconds:>10.4f}s")
-            if timings:
-                winner = min(timings, key=timings.get)
-                print(f"[{label}] crossover winner: {winner}")
-                report.record(
-                    backend=winner,
-                    op="crossover",
-                    size=size,
-                    seconds=timings[winner],
-                    speedup=reference_speedup(timings, winner),
-                    parity=None,
-                    label=label,
-                    contenders=timings,
-                )
 
     if args.json:
         report.write(args.json)
@@ -490,8 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--size-sweep",
         action="store_true",
         help="run the corpus-size sweep instead of the standard benchmark: "
-        "per named scale, backend assignment crossovers plus cold-compile "
-        "vs warm-attach timings of the compiled-corpus store",
+        "per named scale, backend assignment crossovers",
     )
     parser.add_argument(
         "--sweep-scales",
@@ -508,13 +389,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="SPEC",
         help="backend specs timed per sweep size (unavailable backends are "
         "skipped with a note; the first measured one is the parity baseline)",
-    )
-    parser.add_argument(
-        "--min-store-speedup",
-        type=float,
-        default=5.0,
-        help="required warm-attach-over-cold-compile speedup of the "
-        "compiled-corpus store on the largest swept size (full sweep only)",
     )
     parser.add_argument(
         "--python-max-transactions",

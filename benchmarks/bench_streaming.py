@@ -16,10 +16,9 @@ tolerance of **0.7** is documented from measurement: DBLP at scale 1.0
 agrees at ~0.80 for chunk sizes 32/64/128.  Each chunk size also
 reports streamed throughput in docs/sec.
 
-**Delta-only compile.**  Appending a block to a chain a warm backend is
-attached to must compile only the new transactions: after a zero-copy
-attach the base corpus compiles for free (``corpus_compile_count == 0``)
-and :meth:`extend_corpus` over the appended chunk raises the counter by
+**Delta-only compile.**  Extending a compiled corpus must compile only
+the new transactions: after :meth:`compile_corpus` of the base corpus,
+:meth:`extend_corpus` over the appended chunk raises the counter by
 exactly the chunk size, never the corpus size.
 
 **Bounded RSS.**  Per scale in ``--scales`` the driver spools the corpus
@@ -182,10 +181,10 @@ def bench_replay(args: argparse.Namespace, report: BenchReport) -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# Section 2: delta-only compile on a warm chain
+# Section 2: delta-only compile on a compiled corpus
 # --------------------------------------------------------------------------- #
 def bench_delta_compile(args: argparse.Namespace, report: BenchReport) -> List[str]:
-    """Warm block-append must compile only the appended transactions."""
+    """Extending a compiled corpus must compile only the appended transactions."""
     failures: List[str] = []
     dataset = get_dataset(args.corpus, scale=args.scale, seed=args.seed)
     transactions = dataset.transactions
@@ -193,50 +192,30 @@ def bench_delta_compile(args: argparse.Namespace, report: BenchReport) -> List[s
     base, delta = transactions[:split], transactions[split:]
     config = _config(args)
 
-    work_dir = tempfile.mkdtemp(prefix="bench-stream-chain-")
-    try:
-        writer = SimilarityEngine(config.similarity, backend="numpy")
-        chain = BlockCorpusStore.create(os.path.join(work_dir, "chain"), config.similarity)
-        chain.append_block(base, writer.cache)
-
-        # fresh engine, warm zero-copy attach: the base corpus is free
-        engine = SimilarityEngine(config.similarity, backend="numpy")
-        store = BlockCorpusStore.open(chain.directory)
-        if not engine.backend.attach_store(store, base):
-            failures.append("warm chain attach was rejected by a pristine backend")
-            return failures
-        engine.backend.compile_corpus(base)
-        base_compiled = engine.backend.corpus_compile_count
-        if base_compiled != 0:
-            failures.append(
-                f"warm attach recompiled {base_compiled} base transactions "
-                "(expected 0)"
-            )
-
-        start = time.perf_counter()
-        extended = engine.backend.extend_corpus(delta)
-        seconds = time.perf_counter() - start
-        total = engine.backend.corpus_compile_count
-        if extended != len(delta) or total != len(delta):
-            failures.append(
-                f"extend_corpus compiled {extended} / counter {total} "
-                f"(expected exactly the {len(delta)}-transaction delta)"
-            )
-        report.record(
-            backend="numpy",
-            op="delta-compile",
-            size=len(delta),
-            seconds=seconds,
-            base_size=len(base),
-            base_compiled=base_compiled,
-            compiled=extended,
+    engine = SimilarityEngine(config.similarity, backend="numpy")
+    base_compiled = engine.backend.compile_corpus(base)
+    start = time.perf_counter()
+    extended = engine.backend.extend_corpus(delta)
+    seconds = time.perf_counter() - start
+    total = engine.backend.corpus_compile_count - base_compiled
+    if extended != len(delta) or total != len(delta):
+        failures.append(
+            f"extend_corpus compiled {extended} / counter {total} "
+            f"(expected exactly the {len(delta)}-transaction delta)"
         )
-        print(
-            f"delta compile    : base={len(base)} compiled={base_compiled}, "
-            f"append={len(delta)} compiled={extended}"
-        )
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
+    report.record(
+        backend="numpy",
+        op="delta-compile",
+        size=len(delta),
+        seconds=seconds,
+        base_size=len(base),
+        base_compiled=base_compiled,
+        compiled=extended,
+    )
+    print(
+        f"delta compile    : base={len(base)} compiled={base_compiled}, "
+        f"append={len(delta)} compiled={extended}"
+    )
     return failures
 
 

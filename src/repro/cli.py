@@ -39,7 +39,7 @@ from repro.evaluation.fmeasure import overall_f_measure
 from repro.evaluation.reporting import format_table
 from repro.experiments.figure7 import Figure7Config, run_figure7
 from repro.experiments.figure8 import Figure8Config, run_figure8
-from repro.experiments.runner import make_algorithm, precompute_similarity
+from repro.experiments.runner import make_algorithm
 from repro.experiments.table1 import AccuracyTableConfig, run_table1
 from repro.experiments.table2 import run_table2
 from repro.similarity.backend import (
@@ -48,6 +48,7 @@ from repro.similarity.backend import (
     BackendUnavailableError,
     validate_backend_spec,
 )
+from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 from repro.transactions.builder import build_dataset
 from repro.xmlmodel.errors import XMLError
@@ -64,16 +65,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         "'numpy:block=N' sets the tile budget of the batched kernels, "
         "0 = untiled, results are bit-exact for every budget; unknown "
         "specs list the registered alternatives)",
-    )
-    parser.add_argument(
-        "--corpus-cache",
-        default=None,
-        metavar="DIR",
-        help="directory of the persistent compiled-corpus store: the first "
-        "run exports the compiled corpus there and later runs of the same "
-        "corpus + similarity config attach it zero-copy (mmap) instead of "
-        "recompiling; stale entries are invalidated by content fingerprint "
-        "(default: off)",
     )
 
 
@@ -217,16 +208,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
         backend=backend,
-        corpus_cache_dir=args.corpus_cache,
         network=network,
         **({"network_timeout": network_timeout} if network_timeout is not None else {}),
     )
     algorithm = make_algorithm(args.algorithm, config)
     # populate the tag-path cache (and compile the backend corpus) up front,
-    # the strategy prescribed by the paper's complexity analysis (Sec. 4.3.2);
-    # with --corpus-cache the persistent store takes over and a warm attach
-    # skips compilation entirely
-    store_status = precompute_similarity(algorithm, dataset.transactions)
+    # the strategy prescribed by the paper's complexity analysis (Sec. 4.3.2)
+    prepare_engine_corpus(algorithm.engine, dataset.transactions)
     if args.algorithm.lower().startswith("xk"):
         result = algorithm.fit(dataset.transactions)
     else:
@@ -252,12 +240,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     print(
         "cache     : entries={entries} hits={hits} misses={misses} "
         "precomputed={precomputed}".format(**cache_stats)
-    )
-    print(
-        "store     : {store} (compiled {compiled} transactions)".format(
-            store=store_status.get("store", "off"),
-            compiled=store_status.get("compiled", 0),
-        )
     )
     print(f"clusters  : {result.k}  (trash: {result.trash_size()} transactions)")
     print(f"iterations: {result.iterations} (converged: {result.converged})")
@@ -620,7 +602,6 @@ def _cmd_figure7(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
         max_iterations=args.max_iterations,
         backend=_resolve_backend(args),
-        corpus_cache_dir=args.corpus_cache,
         network=getattr(args, "network", "sim"),
         network_timeout=_resolve_network_timeout(args),
     )
@@ -636,7 +617,6 @@ def _cmd_figure8(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
         max_iterations=args.max_iterations,
         backend=_resolve_backend(args),
-        corpus_cache_dir=args.corpus_cache,
     )
     print(run_figure8(config).report())
     return 0
@@ -651,7 +631,6 @@ def _cmd_table(args: argparse.Namespace, table_number: int) -> int:
         max_iterations=args.max_iterations,
         goals=tuple(args.goals),
         backend=_resolve_backend(args),
-        corpus_cache_dir=args.corpus_cache,
         network=getattr(args, "network", "sim"),
         network_timeout=_resolve_network_timeout(args),
     )
@@ -800,8 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-of-core",
         action="store_true",
         help="append each chunk to a block-structured corpus store under "
-        "<model>/blocks; older blocks stay mmap-resident on disk and only "
-        "the active tail is held in memory",
+        "<model>/blocks; older blocks stay on disk, a re-refinement "
+        "unpickles only the blocks holding its sampled rows, and only the "
+        "active tail is held in memory",
     )
     stream_parser.add_argument("files", nargs="*", metavar="FILE", help="XML files")
     _add_backend_argument(stream_parser)

@@ -41,17 +41,6 @@ class ClusteringConfig:
         (:func:`~repro.similarity.backend.validate_backend_spec`): unknown
         names and malformed options raise ``ValueError`` here rather than
         deep inside a fit.
-    corpus_cache_dir:
-        Directory of the persistent compiled-corpus store
-        (:mod:`repro.similarity.corpus_store`), default off (``None``).
-        When set, experiment runs export the compiled corpus (tag-path
-        matrix, item id arrays, content-class registries) to a
-        fingerprinted on-disk layout under this directory on the first
-        fit, and later fits of the same corpus + similarity configuration
-        attach the arrays zero-copy via ``np.load(mmap_mode="r")`` instead
-        of recompiling -- real-transport peer workers and simulated peers
-        then share one set of mapped pages.  Backends without compiled
-        corpora (the ``python`` reference) ignore the setting.
     network:
         Transport running the collaborative rounds of CXK-means:
         ``"sim"`` (default) executes the peers sequentially on the
@@ -97,7 +86,6 @@ class ClusteringConfig:
     seed: int = 0
     max_representative_items: Optional[int] = None
     backend: str = "python"
-    corpus_cache_dir: Optional[str] = None
     network: str = "sim"
     network_timeout: float = 120.0
     chunk_size: Optional[int] = None
@@ -164,12 +152,6 @@ class ClusteringConfig:
     def with_backend(self, backend: str) -> "ClusteringConfig":
         """Return a copy with a different similarity backend."""
         return replace(self, backend=backend)
-
-    def with_corpus_cache_dir(
-        self, corpus_cache_dir: Optional[str]
-    ) -> "ClusteringConfig":
-        """Return a copy with a different compiled-corpus store directory."""
-        return replace(self, corpus_cache_dir=corpus_cache_dir)
 
     def with_network(
         self, network: str, network_timeout: Optional[float] = None

@@ -22,8 +22,7 @@ the full :class:`~repro.core.config.ClusteringConfig` (backend spec, seed,
 ``f``/``gamma``, streaming options), the preprocessing
 configuration, fit metadata and the corpus size.  A model directory is
 self-contained: :func:`load_model` reads only its own files and never
-opens a compiled-corpus store, so a model keeps loading after the store
-its fit ran on is evicted.
+opens a corpus store.
 
 What is *not* persisted: the content-class and uid registries and the
 transient similarity caches.  Those are pure value functions of the items
@@ -234,11 +233,6 @@ def save_model(
             "max_iterations": config.max_iterations,
             "max_representative_items": config.max_representative_items,
             "backend": config.backend,
-            "corpus_cache_dir": (
-                str(config.corpus_cache_dir)
-                if config.corpus_cache_dir is not None
-                else None
-            ),
             "chunk_size": config.chunk_size,
             "retain_threshold": config.retain_threshold,
             "drift_threshold": config.drift_threshold,
@@ -386,9 +380,11 @@ def _config_from_manifest(
     naming *directory* and the key.  A recorded backend spec naming no
     registered backend keeps raising the unknown-backend ``ValueError``
     (see :func:`load_model`).  Unknown keys are ignored -- among them the
-    retired tile-budget, refinement-worker and ``streaming`` keys older
-    manifests carry: tiling is bit-exact, refinement always runs in process
-    and the streaming flag was advisory, so none changed a verdict.
+    retired tile-budget, refinement-worker, ``streaming`` and
+    ``corpus_cache_dir`` keys older manifests carry: tiling is bit-exact,
+    refinement always runs in process, the streaming flag was advisory and
+    the compiled-corpus cache only skipped a compile, so none changed a
+    verdict.
     """
 
     read = _section_reader(raw, f"model config in {directory}")
@@ -406,7 +402,6 @@ def _config_from_manifest(
                 "max_representative_items", _optional(int), None
             ),
             backend=spec,
-            corpus_cache_dir=read("corpus_cache_dir", _optional(str), None),
             # pre-streaming manifests simply fall back to the batch defaults
             chunk_size=read("chunk_size", _optional(int), None),
             retain_threshold=read("retain_threshold", float, 0.25),

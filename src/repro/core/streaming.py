@@ -29,10 +29,10 @@ compilation (:meth:`~repro.similarity.backend.NumpyBackend.extend_corpus`):
   never a full re-fit.
 * **Out of core.**  With a backing block store, each chunk is appended as
   an immutable block and cluster membership is tracked as global row ids;
-  older blocks stay mmap-resident on disk (a re-refinement resolves only
-  its bounded member sample from the chain), so process memory holds
-  only the representatives, the id-level bookkeeping and the active tail
-  of the stream.
+  older blocks stay on disk (a re-refinement unpickles only the blocks
+  holding its bounded member sample, transiently), so process memory
+  holds only the representatives, the id-level bookkeeping and the active
+  tail of the stream.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ class StreamingClusterer:
     store:
         Optional :class:`BlockCorpusStore` chain.  When given, every
         ingested chunk (bootstrap included) is appended as an immutable
-        block, membership is tracked as global row ids and a
+        block after the blocks the chain already holds, membership is
+        tracked as global row ids and a
         re-refinement resolves its member sample from the chain by row --
         the out-of-core mode.  Without a store, members are kept in
         memory (the small-corpus mode the property tests exercise).
@@ -157,7 +158,8 @@ class StreamingClusterer:
         self._clusters: List[_ClusterState] = []
         self._trash = _ClusterState()
         self._retained: "OrderedDict[str, _Retained]" = OrderedDict()
-        self._next_row = 0
+        # rows are numbered after the ones a reopened chain already holds
+        self._next_row = store.transaction_count if store is not None else 0
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -253,7 +255,7 @@ class StreamingClusterer:
         rows = list(range(self._next_row, self._next_row + len(chunk)))
         self._next_row += len(chunk)
         if self.store is not None:
-            self.store.append_block(chunk, self.engine.cache)
+            self.store.append_block(chunk)
             self.stats.blocks_appended += 1
         return rows
 

@@ -77,8 +77,7 @@ DATASET_NAMES: List[str] = ["DBLP", "IEEE", "Shakespeare", "Wikipedia"]
 #: Named corpus scales for the backend size-sweep benchmark
 #: (``bench_backend.py --size-sweep``): each maps a label to the ``scale``
 #: passed into :func:`get_dataset`, spanning roughly one decade of corpus
-#: sizes so the python -> numpy crossover (and the cold-compile vs
-#: warm-attach gap of the compiled-corpus store) are visible in one sweep.
+#: sizes so the python -> numpy crossover is visible in one sweep.
 SIZE_SWEEP_SCALES: Dict[str, float] = {
     "scale-1": 1.0,
     "scale-5": 5.0,

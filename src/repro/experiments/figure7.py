@@ -41,8 +41,6 @@ class Figure7Config:
     #: Similarity backend spec driving the clustering hot path
     #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
-    #: Directory of the persistent compiled-corpus store (``None`` = off).
-    corpus_cache_dir: Optional[str] = None
     #: Transport of the collaborative rounds (``"sim"`` / ``"real"``).
     network: str = "sim"
     #: Per-round deadline of the real transport (``None`` = config default).
@@ -101,7 +99,6 @@ def run_figure7(config: Optional[Figure7Config] = None) -> Figure7Result:
                 max_iterations=config.max_iterations,
                 cost_model=config.cost_model,
                 backend=config.backend,
-                corpus_cache_dir=config.corpus_cache_dir,
                 network=config.network,
                 network_timeout=config.network_timeout,
             )

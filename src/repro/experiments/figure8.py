@@ -36,8 +36,6 @@ class Figure8Config:
     #: Similarity backend spec driving the clustering hot path
     #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
-    #: Directory of the persistent compiled-corpus store (``None`` = off).
-    corpus_cache_dir: Optional[str] = None
 
 
 @dataclass
@@ -114,7 +112,6 @@ def run_figure8(config: Optional[Figure8Config] = None) -> Figure8Result:
             max_iterations=config.max_iterations,
             cost_model=config.cost_model,
             backend=config.backend,
-            corpus_cache_dir=config.corpus_cache_dir,
         )
         aggregates = sweep.run()
         for dataset, series in pivot(aggregates, value="simulated_seconds").items():

@@ -27,6 +27,7 @@ from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import cluster_count, get_dataset
 from repro.evaluation.fmeasure import overall_f_measure
 from repro.network.costmodel import CostModel
+from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 from repro.transactions.dataset import TransactionDataset
 
@@ -73,10 +74,6 @@ class RunRecord:
     #: with up-front precomputation the misses stay at their precompute
     #: level, which is the behaviour Sec. 4.3.2 prescribes.
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Compiled-corpus store status of the run (``off`` / ``unsupported`` /
-    #: ``hit`` / ``miss`` / ``error``; see
-    #: :func:`repro.similarity.corpus_store.prepare_engine_corpus`).
-    store: str = "off"
     #: Fitted-model persistence outcome (``{"model": "off"}`` when auto-save
     #: was not requested, else ``saved``/``error`` with the directory).
     model: Dict[str, object] = field(default_factory=lambda: {"model": "off"})
@@ -130,29 +127,6 @@ def make_algorithm(
     raise ValueError(f"unknown algorithm: {name}")
 
 
-def precompute_similarity(algo, transactions) -> Dict[str, object]:
-    """Prepare the algorithm engine's corpus up front (Sec. 4.3.2).
-
-    Without a configured corpus store this is the historical warm-up:
-    precompute every pairwise tag-path structural similarity over the
-    corpus' distinct maximal tag paths -- the strategy the paper's
-    complexity analysis prescribes instead of lazy filling -- and compile
-    the corpus into the similarity backend (a no-op for the reference
-    backend).  When the algorithm's configuration names a
-    ``corpus_cache_dir``, the persistent compiled-corpus store takes over
-    (:func:`repro.similarity.corpus_store.prepare_engine_corpus`): a warm
-    store attach skips both steps entirely.  Returns the store status
-    dictionary (``store`` is ``"off"`` on the historical path).
-    """
-    from repro.similarity.corpus_store import prepare_engine_corpus
-
-    return prepare_engine_corpus(
-        algo.engine,
-        transactions,
-        cache_dir=getattr(algo.config, "corpus_cache_dir", None),
-    )
-
-
 def run_configuration(
     dataset: TransactionDataset,
     goal: str,
@@ -166,7 +140,6 @@ def run_configuration(
     max_iterations: int = 8,
     cost_model: Optional[CostModel] = None,
     backend: str = "python",
-    corpus_cache_dir: Optional[str] = None,
     save_model_dir: Optional[str] = None,
     network: str = "sim",
     network_timeout: Optional[float] = None,
@@ -194,7 +167,6 @@ def run_configuration(
         seed=seed,
         max_iterations=max_iterations,
         backend=backend,
-        corpus_cache_dir=corpus_cache_dir,
         network=network,
         **(
             {"network_timeout": network_timeout}
@@ -203,7 +175,7 @@ def run_configuration(
         ),
     )
     algo = make_algorithm(algorithm, config, cost_model=cost_model)
-    store_status = precompute_similarity(algo, dataset.transactions)
+    prepare_engine_corpus(algo.engine, dataset.transactions)
     if isinstance(algo, XKMeans):
         result = algo.fit(dataset.transactions)
     else:
@@ -258,7 +230,6 @@ def run_configuration(
         messages=network_stats.get("messages", 0.0),
         backend=backend,
         cache_stats=algo.engine.cache.stats(),
-        store=str(store_status.get("store", "off")),
         model=model_status,
         network=network,
         predicted_vs_measured=predicted_vs_measured,
@@ -316,10 +287,6 @@ class ExperimentSweep:
     #: Similarity backend spec driving the clustering hot path
     #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
-    #: Directory of the persistent compiled-corpus store (``None`` = off);
-    #: every sweep cell over the same (dataset, scale, similarity) reuses
-    #: one exported compilation instead of recompiling per run.
-    corpus_cache_dir: Optional[str] = None
     #: Root directory for fitted-model auto-save (``None`` = off); each run
     #: persists its model under ``<root>/<dataset>-<algo>-n<nodes>-f<f>-s<seed>``
     #: for later serving (``repro serve`` / ``repro classify``).
@@ -371,7 +338,6 @@ class ExperimentSweep:
                                 max_iterations=self.max_iterations,
                                 cost_model=self.cost_model,
                                 backend=self.backend,
-                                corpus_cache_dir=self.corpus_cache_dir,
                                 save_model_dir=save_model_dir,
                                 network=self.network,
                                 network_timeout=self.network_timeout,

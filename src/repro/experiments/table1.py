@@ -53,8 +53,6 @@ class AccuracyTableConfig:
     #: Similarity backend spec driving the clustering hot path
     #: (``"python"`` or ``"numpy[:block=N]"``).
     backend: str = "python"
-    #: Directory of the persistent compiled-corpus store (``None`` = off).
-    corpus_cache_dir: Optional[str] = None
     #: Transport of the collaborative rounds (``"sim"`` / ``"real"``).
     network: str = "sim"
     #: Per-round deadline of the real transport (``None`` = config default).
@@ -118,7 +116,6 @@ def run_accuracy_table(config: Optional[AccuracyTableConfig] = None) -> Accuracy
             max_iterations=config.max_iterations,
             cost_model=config.cost_model,
             backend=config.backend,
-            corpus_cache_dir=config.corpus_cache_dir,
             network=config.network,
             network_timeout=config.network_timeout,
         )

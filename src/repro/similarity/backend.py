@@ -173,14 +173,13 @@ class SimilarityBackend(Protocol):
     ) -> int:
         """Delta-compile *transactions* on top of the existing corpus.
 
-        Only transactions the backend has not already compiled (pinned or
-        covered by an attached store) are processed; registries and
-        feature blocks grow by the delta with first-occurrence numbering
-        preserved, so fingerprints stay stable across chunked ingestion.
-        ``pin=True`` additionally pins the new compilations (batch-corpus
-        semantics); the default leaves them evictable so a streaming
-        caller's memory stays bounded.  Returns the number of newly
-        compiled transactions (0 for backends with nothing to precompute).
+        Only transactions the backend has not already pinned are
+        processed; registries and feature blocks grow by the delta with
+        first-occurrence numbering preserved.  ``pin=True`` additionally
+        pins the new compilations (batch-corpus semantics); the default
+        leaves them evictable so a streaming caller's memory stays
+        bounded.  Returns the number of newly compiled transactions (0
+        for backends with nothing to precompute).
         """
         ...
 
@@ -298,12 +297,7 @@ class _CompiledTransaction:
 
     @property
     def uid_set(self):
-        """Frozen uid set for the union counts, built lazily.
-
-        Store-attached views slice their uid arrays straight out of a
-        memmap; deferring the python-set materialisation keeps the attach
-        path free of per-item work until a kernel actually needs the set.
-        """
+        """Frozen uid set for the union counts, built on first use."""
         uid_set = self._uid_set
         if uid_set is None:
             uid_set = frozenset(self.uids.tolist())
@@ -394,18 +388,9 @@ class NumpyBackend:
         # pruned once it exceeds TRANSIENT_CAP.
         self._pinned: Dict[Transaction, _CompiledTransaction] = {}
         self._transient: Dict[int, Tuple[Transaction, _CompiledTransaction]] = {}
-        # --- persistent compiled-corpus store ------------------------------ #
-        #: Transactions compiled through :meth:`compile_corpus`; a warm
-        #: store attach leaves this at 0 (asserted by tests / CI smoke).
+        #: Transactions compiled through :meth:`compile_corpus` and
+        #: :meth:`extend_corpus` (a loaded model reports it in its stats).
         self.corpus_compile_count = 0
-        # (corpus list, tag-path ids, content ids, uids, spans) memmap
-        # views adopted by :meth:`attach_store`, plus the lazily built
-        # transaction -> row map over them.
-        self._attached = None
-        self._attached_rows: Optional[Dict[Transaction, int]] = None
-        # uid/content registries are rebuilt lazily after an attach; True
-        # means they are authoritative (fresh engines start hydrated).
-        self._hydrated = True
 
     # ------------------------------------------------------------------ #
     # Registries
@@ -426,9 +411,7 @@ class NumpyBackend:
         ordered (term, weight) sequences -- the dot product iterates dict
         insertion order, so the *ordered* tuple pins the float result
         exactly -- falling back to raw-answer equality when both vectors
-        are empty.  The key captures precisely that information.  Static
-        because the corpus store derives the identical content classes
-        when exporting a compiled corpus.
+        are empty.  The key captures precisely that information.
         """
         vector = item.vector
         if vector:
@@ -436,8 +419,6 @@ class NumpyBackend:
         return ("e", item.answer)
 
     def _content_id(self, item: TreeTupleItem) -> int:
-        if not self._hydrated:
-            self._ensure_hydrated()
         key = self._content_key(item)
         index = self._content_index.get(key)
         if index is None:
@@ -447,8 +428,6 @@ class NumpyBackend:
         return index
 
     def _uid(self, item: TreeTupleItem) -> int:
-        if not self._hydrated:
-            self._ensure_hydrated()
         uid = self._uid_index.get(item)
         if uid is None:
             uid = len(self._uid_index)
@@ -478,103 +457,14 @@ class NumpyBackend:
         self._tp_matrix = matrix
         return matrix
 
-    # ------------------------------------------------------------------ #
-    # Persistent compiled-corpus store
-    # ------------------------------------------------------------------ #
     def attach_store(self, store, transactions: Sequence[Transaction]) -> bool:
-        """Adopt a persistent compiled corpus instead of recompiling it.
+        """Adopt nothing and return False.
 
-        *transactions* is the corpus *store* was compiled from, in store
-        row order; the caller already holds it, so no block's pickled
-        transactions are read.  On a pristine backend (nothing compiled
-        yet) the store's array blocks are attached zero-copy: the tag-path
-        registry and the read-only memmapped structural-similarity matrix
-        become authoritative immediately, per-transaction array views
-        materialise on first compile touch, and the uid/content registries
-        hydrate lazily on first use (:meth:`_ensure_hydrated`) -- so a warm
-        attach does no per-item work at all.  A backend that already
-        compiled transactions adopts nothing; returns True on an attach.
-
-        Bit-exactness is preserved because the store records precisely the
-        first-occurrence registries and cache floats a fresh compile of
-        the same corpus produces.
+        The compiled-corpus cache this used to attach was deleted: a warm
+        attach was slower end to end than compiling.  The name stays
+        because the benchmark's tracer wraps it.
         """
-        if self._pinned or self._tag_paths:
-            return False
-        np = self._np
-        arrays = store.arrays()
-        self._tag_paths = list(store.tag_paths())
-        self._tag_path_index = {
-            path: index for index, path in enumerate(self._tag_paths)
-        }
-        self._tp_matrix = arrays["tp_matrix"]
-        self._attached = (
-            list(transactions),
-            arrays["item_tag_path_ids"].astype(np.intp, copy=False),
-            arrays["item_content_ids"].astype(np.intp, copy=False),
-            arrays["item_uids"].astype(np.intp, copy=False),
-            arrays["tx_spans"],
-        )
-        self._attached_rows = None
-        self._hydrated = False
-        return True
-
-    def _attached_compiled(self, transaction: Transaction):
-        """Store-backed compiled view of *transaction*, or None.
-
-        Resolves the transaction (by value) to its corpus row and slices
-        the shared id arrays -- views over the memmap, no copies.  The
-        row map over the attached corpus is built on first miss of the
-        pinned cache, i.e. never on the pure warm-attach path.
-        """
-        attached = self._attached
-        if attached is None:
-            return None
-        corpus, tag_path_ids, content_ids, uids, spans = attached
-        rows = self._attached_rows
-        if rows is None:
-            rows = {t: row for row, t in enumerate(corpus)}
-            self._attached_rows = rows
-        row = rows.get(transaction)
-        if row is None:
-            return None
-        start = int(spans[row])
-        stop = int(spans[row + 1])
-        return _CompiledTransaction(
-            length=stop - start,
-            tag_path_ids=tag_path_ids[start:stop],
-            content_ids=content_ids[start:stop],
-            uids=uids[start:stop],
-        )
-
-    def _ensure_hydrated(self) -> None:
-        """Rebuild the uid/content registries from the attached corpus.
-
-        Deferred until something actually needs them (compiling a *new*
-        transaction, content blocks, item ranks).  Walking the
-        corpus in order reproduces the exact fresh-compile registries:
-        uids were stored dense in first-occurrence order, and a content
-        id equal to the current exemplar count marks the first occurrence
-        of its class -- the same exemplar item a fresh compile would keep.
-        """
-        if self._hydrated:
-            return
-        self._hydrated = True
-        corpus, _, content_ids, uids, _ = self._attached
-        uid_index = self._uid_index
-        content_index = self._content_index
-        exemplars = self._content_exemplars
-        content_key = self._content_key
-        position = 0
-        for transaction in corpus:
-            for item in transaction.items:
-                if item not in uid_index:
-                    uid_index[item] = int(uids[position])
-                content_id = int(content_ids[position])
-                if content_id == len(exemplars):
-                    exemplars.append(item)
-                    content_index[content_key(item)] = content_id
-                position += 1
+        return False
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -587,10 +477,6 @@ class NumpyBackend:
         entry = self._transient.get(key)
         if entry is not None and entry[0] is transaction:
             return entry[1]
-        compiled = self._attached_compiled(transaction)
-        if compiled is not None:
-            self._pinned[transaction] = compiled
-            return compiled
         compiled = self._compile_items(transaction)
         if len(self._transient) >= self.TRANSIENT_CAP:
             self._transient.clear()
@@ -625,18 +511,12 @@ class NumpyBackend:
         Pins are keyed by transaction value, so re-presenting the same
         corpus -- even as freshly unpickled copies in a multiprocessing
         worker -- costs one dictionary probe per transaction and adds no
-        new entries.  Transactions covered by an attached store pin their
-        memmap-backed views without any compile work (and without
-        counting).  Returns the number of newly *compiled* transactions
+        new entries.  Returns the number of newly *compiled* transactions
         and accumulates it in :attr:`corpus_compile_count`.
         """
         count = 0
         for transaction in transactions:
             if transaction in self._pinned:
-                continue
-            attached = self._attached_compiled(transaction)
-            if attached is not None:
-                self._pinned[transaction] = attached
                 continue
             self._pinned[transaction] = self._compile_items(transaction)
             count += 1
@@ -650,15 +530,13 @@ class NumpyBackend:
         """Delta-compile *transactions* on top of the existing corpus.
 
         The incremental sibling of :meth:`compile_corpus`: transactions
-        already pinned or covered by an attached store are skipped, and
-        new ones extend the tag-path / content-class / uid registries in
-        first-occurrence order -- exactly the numbering a monolithic
-        compile of the concatenated corpus would assign, which is what
-        keeps store fingerprints stable under chunked ingestion.  The
-        structural matrix grows by the new paths' rows only
-        (:meth:`_ensure_tp_matrix` fills just the added entries from the
-        shared cache), so the cost of an append is proportional to the
-        delta, never the accumulated corpus.
+        already pinned are skipped, and new ones extend the tag-path /
+        content-class / uid registries in first-occurrence order --
+        exactly the numbering a monolithic compile of the concatenated
+        corpus would assign.  The structural matrix grows by the new
+        paths' rows only (:meth:`_ensure_tp_matrix` fills just the added
+        entries from the shared cache), so the cost of an append is
+        proportional to the delta, never the accumulated corpus.
 
         With ``pin=False`` (the default) new compilations land in the
         bounded transient cache instead of the pinned one, so a streaming
@@ -669,11 +547,6 @@ class NumpyBackend:
         count = 0
         for transaction in transactions:
             if transaction in self._pinned:
-                continue
-            attached = self._attached_compiled(transaction)
-            if attached is not None:
-                if pin:
-                    self._pinned[transaction] = attached
                 continue
             compiled = self._compile_items(transaction)
             count += 1
@@ -765,8 +638,6 @@ class NumpyBackend:
         smaller operand), and the reference code always evaluates
         ``sim(transaction item, representative item)`` in that order.
         """
-        if not self._hydrated:
-            self._ensure_hydrated()
         np = self._np
         block = np.zeros((len(row_classes), len(column_classes)), dtype=np.float64)
         rows, columns = self._sharing_pairs(row_classes, column_classes)

@@ -34,10 +34,9 @@ from repro.core.config import ClusteringConfig
 from repro.core.model_store import load_model, save_model
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
-from repro.experiments.runner import precompute_similarity
 from repro.network.mpengine import clear_process_engines
 from repro.serving import AsyncModelServer, ModelRouter
-from repro.similarity.corpus_store import clear_store_cache
+from repro.similarity.corpus_store import clear_store_cache, prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 from repro.store import RegistryError, model_fingerprint, open_registry
 from repro.xmlmodel.serializer import serialize
@@ -87,7 +86,7 @@ def fit_and_save(directory, *, k, max_iterations=2):
         backend="numpy",
     )
     algorithm = XKMeans(config)
-    precompute_similarity(algorithm, dataset.transactions)
+    prepare_engine_corpus(algorithm.engine, dataset.transactions)
     result = algorithm.fit(dataset.transactions)
     save_model(directory, result, config, dataset=dataset)
     return directory

@@ -21,8 +21,8 @@ from repro.core.config import ClusteringConfig
 from repro.core.model_store import save_model
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
-from repro.experiments.runner import precompute_similarity
 from repro.serving import ModelRouter
+from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 from repro.store import (
     ModelRegistry,
@@ -45,7 +45,7 @@ def fit_and_save(directory, *, k=4, max_iterations=2, **save_kwargs):
         backend="numpy",
     )
     algorithm = XKMeans(config)
-    precompute_similarity(algorithm, dataset.transactions)
+    prepare_engine_corpus(algorithm.engine, dataset.transactions)
     result = algorithm.fit(dataset.transactions)
     return save_model(directory, result, config, dataset=dataset, **save_kwargs)
 

@@ -17,8 +17,9 @@ contract:
   missing/corrupt blocks and unwritable directories are rejected with
   ``ModelStoreError`` (the CLI and runner degrade instead of failing the
   run);
-* manifests written before the tile-budget and refinement-worker options
-  were retired still load and classify bit-exactly;
+* manifests written before the tile-budget, refinement-worker and
+  compiled-corpus-cache options were retired still load and classify
+  bit-exactly;
 * a manifest naming a backend that is no longer registered (models saved
   under the retired ``sharded`` / ``torch`` backends) fails with the
   unknown-backend ``ValueError`` before any data file is read, and still
@@ -107,15 +108,11 @@ def make_config(backend: str = "numpy", **overrides) -> ClusteringConfig:
     return ClusteringConfig(**options)
 
 
-def fit_and_save(dataset, directory, backend="numpy", cache_dir=None, **overrides):
+def fit_and_save(dataset, directory, backend="numpy", **overrides):
     """Fit XK-means, save the model, return (config, result, in-memory rows)."""
-    config = make_config(
-        backend, corpus_cache_dir=str(cache_dir) if cache_dir else None, **overrides
-    )
+    config = make_config(backend, **overrides)
     algorithm = XKMeans(config)
-    prepare_engine_corpus(
-        algorithm.engine, dataset.transactions, cache_dir=cache_dir
-    )
+    prepare_engine_corpus(algorithm.engine, dataset.transactions)
     result = algorithm.fit(dataset.transactions)
     in_memory = algorithm.engine.assign_all(
         dataset.transactions, result.representatives()
@@ -253,10 +250,17 @@ class TestRoundTrip:
 # --------------------------------------------------------------------------- #
 # Query path: a model loads from its own directory, never from a store
 # --------------------------------------------------------------------------- #
-def break_chain_manifest(store_dir: Path, state: str) -> None:
-    """Leave the store at *store_dir* intact, or delete / corrupt its chain."""
-    if state == "chain-deleted":
-        (store_dir / "chain.json").unlink()
+def write_recorded_store(store_dir: Path, state: str) -> None:
+    """Hand-build the one-block store an earlier release exported next to
+    a fit, then leave it intact or delete / corrupt its chain manifest."""
+    block = store_dir / "block-00000"
+    block.mkdir(parents=True)
+    for name in ("block.json", "transactions.pkl", "tag_paths.json", "tp_rows.npy"):
+        (block / name).write_bytes(b"")
+    if state == "store-intact":
+        (store_dir / "chain.json").write_text(
+            json.dumps({"format_version": 2, "fingerprint": "ab" * 32, "blocks": []})
+        )
     elif state == "chain-corrupted":
         (store_dir / "chain.json").write_text("{ truncated")
 
@@ -271,20 +275,14 @@ class TestWarmStorePath:
         """Earlier releases recorded the fit's compiled-corpus store in the
         manifest; such a model loads from its own directory in every store
         state and assigns bit-exactly like the in-memory fit."""
-        _, _, in_memory = fit_and_save(
-            dblp_small, tmp_path / "model", cache_dir=tmp_path / "cache"
-        )
-        # the fit exported its corpus as the cache's one store
-        (store_dir,) = (tmp_path / "cache").iterdir()
+        _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model")
+        store_dir = tmp_path / "cache" / ("ab" * 8)
+        write_recorded_store(store_dir, state)
         manifest_path = tmp_path / "model" / "model.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["corpus"]["fingerprint"] = BlockCorpusStore.open(
-            store_dir
-        ).fingerprint
+        manifest["corpus"]["fingerprint"] = "ab" * 32
         manifest["corpus"]["store_dir"] = str(store_dir)
         manifest_path.write_text(json.dumps(manifest))
-        break_chain_manifest(store_dir, state)
-        clear_store_cache()
 
         def refuse(directory):
             raise AssertionError(f"load_model opened the store {directory}")
@@ -473,9 +471,10 @@ class TestRetiredOptionManifest:
     def test_retired_option_keys_load_and_classify_bit_exactly(
         self, dblp_small, dblp_documents, tmp_path, backend
     ):
-        """A manifest carrying the retired tile-budget and refinement-worker
-        keys (every manifest written before they were removed has both)
-        loads, ignores them and classifies like the python reference."""
+        """A manifest carrying the retired tile-budget, refinement-worker
+        and compiled-corpus-cache keys (every manifest written before they
+        were removed has them) loads, ignores them and classifies like the
+        python reference."""
         _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model", backend)
         manifest_path = tmp_path / "model" / MODEL_MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
@@ -485,6 +484,7 @@ class TestRetiredOptionManifest:
             if key == "backend":
                 config["batch_block_items"] = 64
                 config["refine_workers"] = 2
+                config["corpus_cache_dir"] = str(tmp_path / "cache")
         manifest["config"] = config
         manifest_path.write_text(json.dumps(manifest))
 
@@ -599,7 +599,6 @@ class TestRunnerAutoSave:
             save_model_dir=str(tmp_path / "model"),
         )
         assert record.model["model"] == "saved"
-        assert record.store == "off"
         model = load_model(tmp_path / "model")
         assert isinstance(model, ClusterModel)
         assert len(model.assignment_representatives) == record.k

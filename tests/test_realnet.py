@@ -207,13 +207,12 @@ class TestFaultInjection:
 # --------------------------------------------------------------------------- #
 # Sim-vs-real parity
 # --------------------------------------------------------------------------- #
-def _fit_both(dataset, peers: int, backend: str, cache_dir=None):
+def _fit_both(dataset, peers: int, backend: str, prepare: bool = False):
     """Run the same seeded fit on both transports; returns (sim, real).
 
-    With *cache_dir* each fit's engine is first prepared through the
-    compiled-corpus store there, as ``cluster --corpus-cache`` does: the
-    simulated fit exports the store (a miss), the real fit attaches it
-    (a hit) while its peer workers compile their own shares.
+    With *prepare* each fit's engine first precomputes and compiles the
+    whole corpus, as ``cluster`` does, while real-transport peer workers
+    compile their own shares.
     """
     parts = partition_equally(dataset.transactions, peers, seed=0)
     base = ClusteringConfig(
@@ -226,10 +225,8 @@ def _fit_both(dataset, peers: int, backend: str, cache_dir=None):
     results = []
     for config in (base, base.with_network("real", 120.0)):
         algorithm = CXKMeans(config)
-        if cache_dir is not None:
-            prepare_engine_corpus(
-                algorithm.engine, dataset.transactions, cache_dir=cache_dir
-            )
+        if prepare:
+            prepare_engine_corpus(algorithm.engine, dataset.transactions)
         results.append(algorithm.fit(parts))
     return tuple(results)
 
@@ -254,20 +251,16 @@ def _assert_bit_identical(sim_result, real_result) -> None:
 
 class TestSimRealParity:
     @pytest.mark.parametrize(
-        "peers,backend,store",
+        "peers,backend,prepare",
         [
             pytest.param(2, "numpy", False, id="2-numpy"),
             pytest.param(4, "numpy", False, id="4-numpy"),
             pytest.param(3, "numpy", False, id="3-numpy"),
-            pytest.param(2, "numpy", True, id="2-numpy-store"),
+            pytest.param(2, "numpy", True, id="2-numpy-prepared"),
         ],
     )
-    def test_identical_clusterings(
-        self, mini_dataset, tmp_path, peers, backend, store
-    ):
-        sim_result, real_result = _fit_both(
-            mini_dataset, peers, backend, cache_dir=tmp_path if store else None
-        )
+    def test_identical_clusterings(self, mini_dataset, peers, backend, prepare):
+        sim_result, real_result = _fit_both(mini_dataset, peers, backend, prepare)
         _assert_bit_identical(sim_result, real_result)
 
     def test_accounting_predictions_match_and_measurements_exist(self, mini_dataset):

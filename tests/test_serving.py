@@ -59,7 +59,7 @@ def isolated_caches():
 
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
-    """A fitted, store-backed model directory shared by the module."""
+    """A fitted model directory shared by the module."""
     root = tmp_path_factory.mktemp("serving")
     dataset = get_dataset("DBLP", scale=0.2, seed=0)
     config = ClusteringConfig(
@@ -68,12 +68,9 @@ def model_dir(tmp_path_factory):
         seed=0,
         max_iterations=3,
         backend="numpy",
-        corpus_cache_dir=str(root / "cache"),
     )
     algorithm = XKMeans(config)
-    prepare_engine_corpus(
-        algorithm.engine, dataset.transactions, cache_dir=root / "cache"
-    )
+    prepare_engine_corpus(algorithm.engine, dataset.transactions)
     result = algorithm.fit(dataset.transactions)
     save_model(root / "model", result, config, dataset=dataset)
     return root / "model"
@@ -348,8 +345,6 @@ class TestCli:
                 "numpy",
                 "--max-iterations",
                 "2",
-                "--corpus-cache",
-                str(tmp_path / "cache"),
                 "--save-model",
                 str(tmp_path / "model"),
             ]

@@ -21,7 +21,7 @@ from repro.core.cxkmeans import CXKMeans
 from repro.core.seeding import select_seed_transactions
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
-from repro.experiments.runner import precompute_similarity, run_configuration
+from repro.experiments.runner import run_configuration
 from repro.similarity.backend import (
     BACKEND_NAMES,
     BackendUnavailableError,
@@ -30,6 +30,7 @@ from repro.similarity.backend import (
     create_backend,
 )
 from repro.similarity.cache import TagPathSimilarityCache
+from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 from repro.similarity.transaction import SimilarityEngine
 from repro.text.vector import SparseVector
@@ -447,9 +448,8 @@ class TestExperimentWiring:
             backend="numpy",
         )
         algorithm = XKMeans(config)
-        status = precompute_similarity(algorithm, dblp_small.transactions)
-        assert status["store"] == "off"
-        assert status["compiled"] == len(dblp_small.transactions)
+        status = prepare_engine_corpus(algorithm.engine, dblp_small.transactions)
+        assert status == {"compiled": len(dblp_small.transactions)}
         assert algorithm.engine.cache.stats()["entries"] > 0
         algorithm.fit(dblp_small.transactions)
         # up-front precomputation means the clustering itself never misses

@@ -161,6 +161,35 @@ class TestChunkingProperties:
         )
         assert store.transaction_count == len(dblp_tiny.transactions)
 
+    def test_stream_into_a_reopened_chain_partitions_like_a_fresh_chain(
+        self, dblp_tiny, tmp_path
+    ):
+        """Rows are numbered after the transactions a reopened chain
+        already holds, so a re-refinement reads back this stream's rows."""
+        config = make_config(8)
+        held = get_dataset("IEEE", scale=0.2, seed=0).transactions
+        BlockCorpusStore.create(tmp_path / "held", config.similarity).append_block(
+            held
+        )
+        runs = []
+        for store in (
+            BlockCorpusStore.create(tmp_path / "fresh", config.similarity),
+            BlockCorpusStore.open(tmp_path / "held"),
+        ):
+            clusterer = StreamingClusterer(config, store=store, keep_members=False)
+            for chunk in stream_chunks(dblp_tiny.transactions, 8):
+                clusterer.ingest(chunk)
+            result = clusterer.finalize()
+            runs.append(
+                (
+                    canonical(clusterer.partition(include_trash=True)),
+                    result.metadata["streaming"]["re_refinements"],
+                )
+            )
+        assert runs[0][1] > 0
+        assert runs[1] == runs[0]
+        assert store.transaction_count == len(held) + len(dblp_tiny.transactions)
+
 
 # --------------------------------------------------------------------------- #
 # Drift and retention edges
