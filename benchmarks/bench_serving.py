@@ -5,13 +5,18 @@ clustering on a synthetic corpus, persist it with ``save_model``, then time
 
 - ``load_model`` per benchmarked backend (JSON decode + tag-path cache
   warm-up from the model directory), and
-- ``ClusterModel.classify`` over a query stream of serialized corpus
-  documents -- reported as queries/sec with a latency histogram
-  (p50/p90/p99 and fixed millisecond buckets), one record per backend.
+- ``ClusterModel.classify`` over a query stream of serialized documents
+  drawn from a corpus seed disjoint from the fit's, so every query is a
+  document the model never saw -- reported as queries/sec with a latency
+  histogram (p50/p90/p99 and fixed millisecond buckets), one record per
+  backend.
 
 Classify parity is checked across backends before any timing is trusted:
 every backend must assign every query document to the same cluster as the
-pure-Python reference, or the run fails.
+pure-Python reference, or the run fails.  Each classify record also
+carries the model's vocabulary and retained-state sizes
+(``ClusterModel.stats()``) and the process RSS after the first and after
+the last query; the run fails when the retained state grew in between.
 
 Run standalone (no pytest machinery needed)::
 
@@ -23,6 +28,7 @@ Run standalone (no pytest machinery needed)::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -44,6 +50,26 @@ from repro.xmlmodel.serializer import serialize
 #: Latency histogram bucket upper bounds in milliseconds (the last bucket
 #: is open-ended).
 LATENCY_BUCKETS_MS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+
+#: Added to the fit's corpus seed to draw the query documents, so that no
+#: query is a training document.
+QUERY_SEED_OFFSET = 1_000_003
+
+
+def process_rss_mb() -> Optional[float]:
+    """Resident set size of this process in MB (``None`` without /proc)."""
+    try:
+        with open("/proc/self/statm", "r", encoding="ascii") as handle:
+            pages = int(handle.read().split()[1])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def retained_state(model) -> Dict[str, int]:
+    """The model's vocabulary size and retained-state sizes."""
+    stats = model.stats()
+    return {"vocabulary": stats["vocabulary"], **stats["retained"]}
 
 
 def percentile(sorted_values: List[float], fraction: float) -> float:
@@ -77,18 +103,27 @@ def run_benchmark(args: argparse.Namespace) -> int:
     """Fit + save once, then benchmark load and classify per backend."""
     scale = 0.2 if args.quick else args.scale
     queries = 30 if args.quick else args.queries
+    corpus = get_corpus(args.corpus, scale=scale, seed=args.seed)
+    # enough unseen documents for every query (document counts grow with
+    # the scale), so a query is never a repeat of an earlier one
+    query_scale = scale * math.ceil(queries / len(corpus.trees))
+    query_seed = args.seed + QUERY_SEED_OFFSET
+    documents = [
+        serialize(tree)
+        for tree in get_corpus(args.corpus, scale=query_scale, seed=query_seed).trees
+    ]
     report = BenchReport(
         "bench_serving",
         corpus=args.corpus,
         scale=scale,
         queries=queries,
+        query_seed=query_seed,
+        query_documents=len(documents),
         quick=args.quick,
         fit_backend=args.fit_backend,
         cpus=os.cpu_count() or 1,
     )
 
-    corpus = get_corpus(args.corpus, scale=scale, seed=args.seed)
-    documents = [serialize(tree) for tree in corpus.trees]
     dataset = get_dataset(args.corpus, scale=scale, seed=args.seed)
     config = ClusteringConfig(
         k=args.k,
@@ -135,6 +170,8 @@ def run_benchmark(args: argparse.Namespace) -> int:
 
             assignments: List[int] = []
             latencies: List[float] = []
+            retained: List[Dict[str, int]] = []
+            rss_mb: List[Optional[float]] = []
             start = time.perf_counter()
             for index in range(queries):
                 document = documents[index % len(documents)]
@@ -142,8 +179,19 @@ def run_benchmark(args: argparse.Namespace) -> int:
                 outcome = model.classify(document)
                 latencies.append((time.perf_counter() - query_start) * 1000.0)
                 assignments.append(outcome.cluster_id)
+                if index in (0, queries - 1):
+                    retained.append(retained_state(model))
+                    rss_mb.append(process_rss_mb())
             total = time.perf_counter() - start
             classify_seconds[backend] = total
+            grown = sorted(
+                key for key, size in retained[-1].items() if size != retained[0][key]
+            )
+            if grown:
+                failures.append(
+                    f"{backend}: retained state grew between the first and the "
+                    f"last query: {', '.join(grown)}"
+                )
 
             parity: Optional[bool] = None
             if backend == "python":
@@ -170,12 +218,18 @@ def run_benchmark(args: argparse.Namespace) -> int:
                 latency_ms_p90=percentile(ordered, 0.90),
                 latency_ms_p99=percentile(ordered, 0.99),
                 latency_histogram=latency_histogram(latencies),
+                retained_first=retained[0],
+                retained_last=retained[-1],
+                rss_mb_first=rss_mb[0],
+                rss_mb_last=rss_mb[-1],
             )
             print(
                 f"{backend:>14}: load {load_seconds * 1000.0:7.1f}ms, "
                 f"{qps:8.1f} q/s, "
                 f"p50 {percentile(ordered, 0.50):.2f}ms "
-                f"p99 {percentile(ordered, 0.99):.2f}ms"
+                f"p99 {percentile(ordered, 0.99):.2f}ms, "
+                f"vocabulary {retained[0]['vocabulary']} -> "
+                f"{retained[-1]['vocabulary']}"
             )
             model.close()
 

@@ -24,11 +24,13 @@ configuration, fit metadata and the corpus size.  A model directory is
 self-contained: :func:`load_model` reads only its own files and never
 opens a corpus store.
 
-What is *not* persisted: the content-class and uid registries and the
-transient similarity caches.  Those are pure value functions of the items
-(rebuilt lazily by the backend on first use), so their identifier order
+What is *not* persisted: the backend's registries and similarity caches.
+Those are pure value functions of the items, so their identifier order
 cannot affect scores; persisting the tag-path registry alone is enough to
-warm the structural cache on a cold load.
+warm the structural cache on a cold load.  A loaded model compiles its
+representatives once, and a classify leaves nothing behind (see
+:meth:`ClusterModel.classify_tree`), so a server holds the loaded model
+and nothing else.
 
 Round-trip guarantee: ``fit -> save_model -> load_model -> assign_all``
 is bit-exact against the in-memory result on the python / numpy / tiled
@@ -307,11 +309,20 @@ def save_model(
 # Load
 # --------------------------------------------------------------------------- #
 def _read_json(directory: Path, name: str) -> Dict[str, object]:
-    """Read one JSON object of the model directory or raise."""
+    """Read one JSON object of the model directory or raise.
+
+    The ``NaN`` / ``Infinity`` literals ``json`` accepts by default are
+    rejected: a non-finite weight would load and then score every query
+    wrongly instead of failing.
+    """
     path = directory / name
+
+    def reject(constant: str):
+        raise ModelStoreError(f"model file {path} holds a non-finite number {constant}")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=reject)
     except FileNotFoundError as error:
         raise ModelStoreError(f"model file missing: {path}") from error
     except (OSError, json.JSONDecodeError) as error:
@@ -528,7 +539,9 @@ class ServingTermStatistics(CorpusTermStatistics):
     corpus' persisted statistics.  Terms unknown to the fitted collection
     have ``n_{j,T} == 0`` and therefore weight 0.0 -- they vanish from
     query vectors instead of polluting norms, matching how an unseen term
-    could never have entered a fitted representative.
+    could never have entered a fitted representative.  Such a term is
+    therefore never added to the shared vocabulary either: the weighter
+    skips a term without an id, which is the vector a zero weight gives.
     """
 
     def __init__(
@@ -550,6 +563,9 @@ class ServingTermStatistics(CorpusTermStatistics):
     def term_tcus_in_collection(self, term: str) -> int:
         """``n_{j,T}`` of the fitted corpus; 0 for terms it never saw."""
         return self._collection_term_tcus.get(term, 0)
+
+    def intern_term(self, term: str) -> None:
+        """Leave the model's vocabulary as it is (see the class doc)."""
 
 
 # --------------------------------------------------------------------------- #
@@ -590,9 +606,12 @@ class ClusterModel:
     """A loaded fitted model serving warm classification queries.
 
     ``classify`` is parse -> transact -> one warm-engine ``assign_all``
-    row block.  Representatives are compiled once through the backend's
-    transient cache on first use; no corpus is compiled at load or query
-    time (``backend.corpus_compile_count`` stays 0).
+    row block.  The representatives are compiled once, when the model is
+    built, into the state the engine retains; no corpus is compiled at load
+    or query time (``backend.corpus_compile_count`` stays 0).  Each
+    classify leaves the model as it found it (see :meth:`classify_tree`),
+    so the sizes :meth:`stats` reports under ``retained`` do not grow with
+    the queries served.
     """
 
     def __init__(
@@ -628,6 +647,7 @@ class ClusterModel:
             assignment_reps.append(rep)
         self._assignment_representatives = assignment_reps
         self._empty_representatives = empty
+        engine.backend.retain(assignment_reps)
 
     # ------------------------------------------------------------------ #
     @property
@@ -662,19 +682,27 @@ class ClusterModel:
 
     # ------------------------------------------------------------------ #
     def classify_tree(self, tree: XMLTree) -> ClassifyResult:
-        """Classify an already-parsed :class:`XMLTree`."""
+        """Classify an already-parsed :class:`XMLTree`.
+
+        The tag-path cache and the backend are marked before the
+        assignment and rolled back after it, also when it raises, so the
+        query leaves nothing behind.  Every dropped value is a pure
+        function of the items, so the verdict does not depend on the
+        queries served before.
+        """
         start = time.perf_counter()
         transactions = self.transact(tree)
-        doc_id = tree.doc_id or "doc"
-        if not transactions:
-            self._queries += 1
-            self._query_seconds += time.perf_counter() - start
-            return ClassifyResult(
-                doc_id=doc_id, cluster_id=-1, score=0.0, transactions=0
-            )
-        rows = self.engine.assign_all(
-            transactions, self._assignment_representatives
-        )
+        rows: List[Tuple[int, float]] = []
+        if transactions:
+            cache, backend = self.engine.cache, self.engine.backend
+            cache_mark, backend_mark = len(cache), backend.mark()
+            try:
+                rows = self.engine.assign_all(
+                    transactions, self._assignment_representatives
+                )
+            finally:
+                backend.rollback(backend_mark)
+                cache.rollback(cache_mark)
         assignments: List[Tuple[str, int, float]] = []
         best_cluster, best_score = -1, 0.0
         for transaction, (index, score) in zip(transactions, rows):
@@ -687,7 +715,7 @@ class ClusterModel:
         self._queries += 1
         self._query_seconds += time.perf_counter() - start
         return ClassifyResult(
-            doc_id=doc_id,
+            doc_id=tree.doc_id or "doc",
             cluster_id=best_cluster,
             score=best_score,
             transactions=len(transactions),
@@ -706,7 +734,8 @@ class ClusterModel:
         """Assign prepared *transactions* against the model's representatives.
 
         This is the round-trip parity surface: on a reloaded model it must
-        reproduce the fit-time assignment bit-exactly.
+        reproduce the fit-time assignment bit-exactly.  Unlike classify,
+        it keeps what it compiles: the engine's caches grow as in a fit.
         """
         return self.engine.assign_all(
             transactions, self._assignment_representatives
@@ -714,7 +743,12 @@ class ClusterModel:
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Serving counters: query count/time, compile count, model sizes."""
+        """Serving counters: query count/time, compile count, model sizes.
+
+        ``retained`` holds the tag-path cache size and the backend's
+        ``mark()`` sizes; they and ``vocabulary`` keep their after-load
+        values however many queries were served.
+        """
         return {
             "backend": self.engine.backend_name,
             "queries": self._queries,
@@ -725,6 +759,10 @@ class ClusterModel:
             "representatives": len(self.representatives),
             "empty_representatives": self._empty_representatives,
             "vocabulary": len(self._vocabulary),
+            "retained": {
+                "tag_path_cache": len(self.engine.cache),
+                **self.engine.backend.mark(),
+            },
         }
 
     def close(self) -> None:

@@ -220,8 +220,10 @@ class _RouteState:
     )
 
     def stats(self) -> Dict[str, object]:
-        """JSON-safe per-model counters (the ``/models/<name>/stats`` body)."""
+        """JSON-safe per-model counters (the ``/models/<name>/stats`` body),
+        with the model's vocabulary and retained-state sizes."""
         ordered = sorted(self.latencies_ms)
+        model = self.model.stats()
         return {
             "model": self.target.name,
             "version": self.target.version,
@@ -232,6 +234,8 @@ class _RouteState:
             "reloads": self.reloads,
             "latency_ms_p50": _percentile(ordered, 0.50) if ordered else None,
             "latency_ms_p99": _percentile(ordered, 0.99) if ordered else None,
+            "vocabulary": model["vocabulary"],
+            "retained": model["retained"],
         }
 
 
@@ -245,7 +249,9 @@ class AsyncModelServer:
       one model is routed.
     - ``GET /models/<name>/stats`` -- per-model counters: requests,
       errors, reload count, p50/p99 latency over the last
-      :data:`LATENCY_WINDOW` calls, routed version and fingerprint.
+      :data:`LATENCY_WINDOW` calls, routed version and fingerprint, and
+      the model's vocabulary and retained-state sizes
+      (:meth:`~repro.core.model_store.ClusterModel.stats`).
     - ``GET /models`` -- the routing table; ``GET /healthz`` -- overall
       status (``ok`` | ``draining``) and per-model summary.
     - ``POST /reload`` -- re-resolve the router and swap every route

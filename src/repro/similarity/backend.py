@@ -141,7 +141,9 @@ class SimilarityBackend(Protocol):
       representative refinement;
     * :meth:`compile_corpus` and :meth:`extend_corpus` prepare a corpus;
     * :meth:`pairwise_transaction_similarity` evaluates a block of
-      ``sim^gamma_J`` values -- the kernel's parity surface.
+      ``sim^gamma_J`` values -- the kernel's parity surface;
+    * :meth:`retain`, :meth:`mark` and :meth:`rollback` let a loaded
+      model's classify leave the backend as it found it.
     """
 
     name: str
@@ -202,6 +204,24 @@ class SimilarityBackend(Protocol):
         input order; sorting, tie-breaking and the global-case weights stay
         in :func:`repro.core.representatives.rank_items`.
         """
+        ...
+
+    def retain(self, transactions: Sequence[Transaction]) -> None:
+        """Compile *transactions* into the state every :meth:`rollback`
+        keeps, without counting them as corpus work."""
+        ...
+
+    def mark(self) -> Dict[str, int]:
+        """Size of every registry and cache the backend grows.
+
+        The rollback point of :meth:`rollback`, and what a loaded model
+        reports as its retained state.
+        """
+        ...
+
+    def rollback(self, mark: Dict[str, int]) -> None:
+        """Drop everything registered, memoised or compiled since *mark*
+        (a :meth:`mark` result) was taken."""
         ...
 
 
@@ -279,6 +299,17 @@ class PythonBackend:
 
         return reference_item_ranks(items, self.engine)
 
+    def retain(self, transactions: Sequence[Transaction]) -> None:
+        """No-op: the reference loops compile nothing."""
+
+    def mark(self) -> Dict[str, int]:
+        """Empty: the reference loops keep no registries (the engine's
+        tag-path cache has its own rollback)."""
+        return {}
+
+    def rollback(self, mark: Dict[str, int]) -> None:
+        """No-op: there is no backend state to drop."""
+
 
 # --------------------------------------------------------------------------- #
 # Vectorized backend
@@ -303,6 +334,12 @@ class _CompiledTransaction:
             uid_set = frozenset(self.uids.tolist())
             self._uid_set = uid_set
         return uid_set
+
+
+def _truncate(mapping: dict, size: int) -> None:
+    """Pop the newest entries of *mapping* until it holds *size*."""
+    while len(mapping) > size:
+        mapping.popitem()
 
 
 class NumpyBackend:
@@ -514,6 +551,13 @@ class NumpyBackend:
         new entries.  Returns the number of newly *compiled* transactions
         and accumulates it in :attr:`corpus_compile_count`.
         """
+        count = self._pin(transactions)
+        self.corpus_compile_count += count
+        return count
+
+    def _pin(self, transactions: Sequence[Transaction]) -> int:
+        """Compile the not yet pinned *transactions* into the pinned
+        cache and grow the structural matrix; return how many."""
         count = 0
         for transaction in transactions:
             if transaction in self._pinned:
@@ -521,7 +565,6 @@ class NumpyBackend:
             self._pinned[transaction] = self._compile_items(transaction)
             count += 1
         self._ensure_tp_matrix()
-        self.corpus_compile_count += count
         return count
 
     def extend_corpus(
@@ -559,6 +602,69 @@ class NumpyBackend:
         self._ensure_tp_matrix()
         self.corpus_compile_count += count
         return count
+
+    # ------------------------------------------------------------------ #
+    # Retained state and per-query rollback
+    # ------------------------------------------------------------------ #
+    def retain(self, transactions: Sequence[Transaction]) -> None:
+        """Pin *transactions* with their registry entries, structural
+        matrix rows and class-term arrays, without counting them in
+        :attr:`corpus_compile_count`.
+
+        A loaded model retains its representatives once, before its first
+        query marks the backend, so every rollback keeps their compiled
+        feature blocks and no query compiles them again.
+        """
+        self._pin(transactions)
+        self._class_terms()
+
+    def mark(self) -> Dict[str, int]:
+        """Size of every registry, memo, compiled-transaction cache and
+        derived array (structural-matrix side, classes with indexed
+        terms): the rollback point of :meth:`rollback`, and the retained
+        state a loaded model reports."""
+        return {
+            "tag_paths": len(self._tag_paths),
+            "tp_matrix": self._tp_matrix.shape[0],
+            "content_classes": len(self._content_exemplars),
+            "class_terms": len(self._class_term_offsets) - 1,
+            "item_uids": len(self._uid_index),
+            "content_memo": len(self._content_memo),
+            "cosine_memo": len(self._cosine_memo),
+            "pinned": len(self._pinned),
+            "transient": len(self._transient),
+        }
+
+    def rollback(self, mark: Dict[str, int]) -> None:
+        """Restore every size :meth:`mark` reported to its value in *mark*.
+
+        Every registry numbers its entries densely in first-occurrence
+        order and every dict keeps insertion order, so truncating each to
+        its marked size drops exactly what was added since -- the state a
+        backend that never saw the query holds.  Only what grew is
+        touched: the structural matrix and the class-term arrays are
+        copied only when they grew.
+        """
+        paths = mark["tag_paths"]
+        del self._tag_paths[paths:]
+        _truncate(self._tag_path_index, paths)
+        side = mark["tp_matrix"]
+        if self._tp_matrix.shape[0] > side:
+            self._tp_matrix = self._tp_matrix[:side, :side].copy()
+        classes = mark["content_classes"]
+        del self._content_exemplars[classes:]
+        _truncate(self._content_index, classes)
+        covered = mark["class_terms"]
+        if len(self._class_term_offsets) > covered + 1:
+            self._class_term_offsets = self._class_term_offsets[: covered + 1].copy()
+            self._class_term_ids = self._class_term_ids[
+                : self._class_term_offsets[-1]
+            ].copy()
+        _truncate(self._uid_index, mark["item_uids"])
+        _truncate(self._content_memo, mark["content_memo"])
+        _truncate(self._cosine_memo, mark["cosine_memo"])
+        _truncate(self._pinned, mark["pinned"])
+        _truncate(self._transient, mark["transient"])
 
     # ------------------------------------------------------------------ #
     # Content block

@@ -86,6 +86,17 @@ class TagPathSimilarityCache:
     def __len__(self) -> int:
         return len(self._cache)
 
+    def rollback(self, size: int) -> None:
+        """Drop the entries added since the cache held *size* entries.
+
+        Entries are only ever appended, and a dict keeps insertion order,
+        so popping the newest entries restores the earlier cache exactly.
+        A served query marks ``len(cache)`` before it runs and rolls back
+        to it afterwards, so the tag paths it brought leave no entries.
+        """
+        while len(self._cache) > size:
+            self._cache.popitem()
+
     def clear(self) -> None:
         self._cache.clear()
         self.hits = 0

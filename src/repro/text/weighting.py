@@ -76,7 +76,7 @@ class CorpusTermStatistics:
         self.tcus_per_tuple[tuple_id] = self.tcus_per_tuple.get(tuple_id, 0) + 1
         self.tcus_per_doc[doc_id] = self.tcus_per_doc.get(doc_id, 0) + 1
         for term in set(terms):
-            self.vocabulary.add(term)
+            self.intern_term(term)
             key_tuple = (tuple_id, term)
             key_doc = (doc_id, term)
             self._term_tcus_per_tuple[key_tuple] = (
@@ -89,6 +89,10 @@ class CorpusTermStatistics:
                 self._term_tcus_collection.get(term, 0) + 1
             )
         return record
+
+    def intern_term(self, term: str) -> None:
+        """Give *term* an identifier in :attr:`vocabulary`."""
+        self.vocabulary.add(term)
 
     # ------------------------------------------------------------------ #
     # Scope queries

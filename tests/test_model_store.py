@@ -70,6 +70,7 @@ from repro.similarity.item import SimilarityConfig
 from repro.text.vector import SparseVector
 from repro.transactions.items import TreeTupleItem
 from repro.transactions.transaction import Transaction
+from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.paths import XMLPath
 from repro.xmlmodel.serializer import serialize
 
@@ -330,6 +331,104 @@ class TestWarmStorePath:
         )
 
 
+# --------------------------------------------------------------------------- #
+# A classify leaves the loaded model as it found it
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def unseen_documents():
+    """40 documents of a corpus seed the model was not fitted on."""
+    trees = get_corpus("DBLP", scale=0.35, seed=7).trees[:40]
+    assert len(trees) == 40
+    return [serialize(tree) for tree in trees]
+
+
+#: One article with 300 tags no fitted document has.
+WIDE_DOCUMENT = (
+    "<dblp><article>"
+    + "".join(f"<tag{index}>word{index} data</tag{index}>" for index in range(300))
+    + "</article></dblp>"
+)
+
+
+def retained_state(model):
+    """The vocabulary and retained-state sizes ``stats()`` reports."""
+    stats = model.stats()
+    return stats["vocabulary"], stats["retained"]
+
+
+def verdict(model, documents, index):
+    """``(cluster, score, assignments)`` of classifying ``documents[index]``."""
+    outcome = model.classify(documents[index], doc_id=f"query-{index}")
+    return outcome.cluster_id, outcome.score, outcome.assignments
+
+
+class TestQueriesLeaveNothingBehind:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_retained_state_does_not_grow_with_unseen_queries(
+        self, dblp_small, unseen_documents, tmp_path, backend
+    ):
+        fit_and_save(dblp_small, tmp_path / "model")
+        model = load_model(tmp_path / "model", backend=backend)
+        loaded = retained_state(model)
+        model.classify(unseen_documents[0])
+        assert retained_state(model) == loaded
+        for document in unseen_documents[1:]:
+            model.classify(document)
+        assert retained_state(model) == loaded
+        assert model.classify(WIDE_DOCUMENT).transactions == 1
+        assert retained_state(model) == loaded
+        # the same documents assigned outside classify do intern state,
+        # so the bound above is not vacuous
+        for document in (WIDE_DOCUMENT, *unseen_documents):
+            model.assign_all(model.transact(parse_xml(document)))
+        grown = retained_state(model)[1]
+        assert grown["tag_path_cache"] > loaded[1]["tag_path_cache"]
+        if backend == "numpy":
+            for key in ("tag_paths", "content_classes", "item_uids", "transient"):
+                assert grown[key] > loaded[1][key]
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_a_classify_that_raises_also_rolls_back(
+        self, dblp_small, tmp_path, backend
+    ):
+        fit_and_save(dblp_small, tmp_path / "model")
+        model = load_model(tmp_path / "model", backend=backend)
+        loaded = retained_state(model)
+        backend_object = model.engine.backend
+        assign = backend_object.assign_all
+
+        def assign_then_fail(transactions, representatives):
+            assign(transactions, representatives)
+            raise RuntimeError("injected after the assignment")
+
+        backend_object.assign_all = assign_then_fail
+        with pytest.raises(RuntimeError, match="injected"):
+            model.classify(WIDE_DOCUMENT)
+        assert retained_state(model) == loaded
+
+    def test_verdicts_do_not_depend_on_the_queries_served_before(
+        self, dblp_small, unseen_documents, tmp_path
+    ):
+        """Forward, reversed and fresh-model runs on both backends give
+        equal verdicts, scores and per-transaction assignments."""
+        fit_and_save(dblp_small, tmp_path / "model")
+        indices = range(len(unseen_documents))
+        runs = []
+        for backend in ("python", "numpy"):
+            model = load_model(tmp_path / "model", backend=backend)
+            runs.append([verdict(model, unseen_documents, i) for i in indices])
+            backward = [verdict(model, unseen_documents, i) for i in reversed(indices)]
+            runs.append(backward[::-1])
+        reference = runs[0]
+        assert any(cluster >= 0 for cluster, _, _ in reference)
+        for run in runs[1:]:
+            assert run == reference
+        for index in (0, len(indices) // 2, len(indices) - 1):
+            for backend in ("python", "numpy"):
+                fresh = load_model(tmp_path / "model", backend=backend)
+                assert verdict(fresh, unseen_documents, index) == reference[index]
+
+
 #: Malformed config sections -> the fragment naming the key in the error:
 #: a missing key, a value of the wrong type, and a well-typed value that
 #: ClusteringConfig rejects.
@@ -362,6 +461,13 @@ MALFORMED_CONFIGS = {
     "list-registries": ("registries.json", (), [], "registries.json"),
     "list-term-tcus": (
         "vocabulary.json", ("term_tcus",), [["term", 1]], "vocabulary.json"
+    ),
+    # json.dumps writes NaN as a bare literal, which json.load accepts
+    "nan-weight": (
+        "representatives.json",
+        ("representatives", 0, "items", 0, "vector", 0, 1),
+        float("nan"),
+        "representatives.json holds a non-finite number NaN",
     ),
 }
 

@@ -189,6 +189,26 @@ class TestStaticRoute:
         assert payload["latency_ms"] >= 0.0
         assert payload["assignments"]
 
+    def test_stats_route_reports_a_retained_state_queries_leave_alone(
+        self, served
+    ):
+        server, port = served
+        status, before = http_call(port, "GET", "/models/model/stats")
+        assert status == 200
+        model = server.routes["model"].model
+        assert before["retained"] == model.stats()["retained"]
+        assert before["retained"]["tag_paths"] > 0
+        assert before["vocabulary"] > 0
+        for tree in get_corpus("DBLP", scale=0.2, seed=7).trees[:5]:
+            body = serialize(tree).encode("utf-8")
+            assert http_call(port, "POST", "/classify", body)[0] == 200
+        status, after = http_call(port, "GET", "/models/model/stats")
+        assert after["requests"] == before["requests"] + 5
+        assert (after["vocabulary"], after["retained"]) == (
+            before["vocabulary"],
+            before["retained"],
+        )
+
     def test_malformed_xml_answers_400(self, served):
         _, port = served
         status, payload = http_call(port, "POST", "/classify", b"<broken")
