@@ -4,22 +4,11 @@ Measures the assignment step (``SimilarityEngine.assign_all``: every
 transaction against every cluster representative, the inner loop of
 XK-means / PK-means / CXK-means) and a full XK-means ``fit`` on a synthetic
 generator corpus, once per benchmarked backend (``--backends``, default
-``python numpy``; tiled specs like ``numpy:block=64`` work too), and
-reports the speedup of each backend over
-the pure-Python reference.  All backends are verified to produce
-*identical* assignments before any timing is trusted.
+``python numpy``), and reports the speedup of each backend over the
+pure-Python reference.  All backends are verified to produce *identical*
+assignments before any timing is trusted.
 
-A second section sweeps the batch-kernel **tile budget**
-(``--tile-sizes``, items per tile side; 0 = unbounded/untiled): per tile
-size it times ``assign_all`` on ``numpy:block=N``, asserts bit-exact
-parity with the untiled path, reads the backend's peak scratch-block size
-(``peak_scratch_entries``) and -- in a fresh subprocess per tile size, so
-the measurement is not polluted by earlier allocations -- the process'
-peak RSS, demonstrating that peak memory is bounded by the configured
-tile size regardless of corpus scale.  All of it lands in the ``--json``
-report as per-tile-size records.
-
-A third mode, ``--size-sweep``, benchmarks across the named corpus scales
+A second mode, ``--size-sweep``, benchmarks across the named corpus scales
 of :data:`repro.datasets.registry.SIZE_SWEEP_SCALES` (``scale-1`` /
 ``scale-5`` / ``scale-20``): per (backend, size) it times the assignment
 step and reports where the python -> numpy crossover falls (one
@@ -40,9 +29,7 @@ the assignment step; the quick run shrinks the corpus and only reports.
 from __future__ import annotations
 
 import argparse
-import json
 import random
-import subprocess
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -120,40 +107,6 @@ def bench_fit(dataset, backend: str, k: int, f: float, gamma: float, seed: int):
     result = algorithm.fit(dataset.transactions)
     elapsed = time.perf_counter() - start
     return elapsed, result
-
-
-def bench_tile(
-    dataset,
-    block: int,
-    k: int,
-    f: float,
-    gamma: float,
-    seed: int,
-    repeats: int,
-) -> Tuple[float, List[Tuple[int, float]], int]:
-    """Time the assignment step on ``numpy:block=<block>`` (warm).
-
-    Returns ``(best seconds, assignment, peak_scratch_entries)``; the
-    scratch high-water mark is reset after warm-up so it reflects the
-    steady-state assignment kernel alone.
-    """
-    engine = SimilarityEngine(
-        SimilarityConfig(f=f, gamma=gamma),
-        cache=TagPathSimilarityCache(),
-        backend=f"numpy:block={block}",
-    )
-    transactions = dataset.transactions
-    engine.cache.precompute(
-        {item.tag_path for transaction in transactions for item in transaction.items}
-    )
-    engine.backend.compile_corpus(transactions)
-    representatives = select_seed_transactions(transactions, k, random.Random(seed))
-    engine.assign_all(transactions, representatives)  # warm-up
-    engine.backend.peak_scratch_entries = 0
-    best, result = _time_best(
-        lambda: engine.assign_all(transactions, representatives), repeats
-    )
-    return best, result, engine.backend.peak_scratch_entries
 
 
 def run_size_sweep(args: argparse.Namespace) -> int:
@@ -257,70 +210,6 @@ def run_size_sweep(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _peak_rss_kb() -> int:
-    """This process' peak resident set size in KB (ru_maxrss)."""
-    import resource
-
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KB on Linux but bytes on macOS
-    return usage // 1024 if sys.platform == "darwin" else usage
-
-
-def run_rss_probe(args: argparse.Namespace) -> int:
-    """``--rss-probe`` mode: one tiled assignment in this fresh process.
-
-    Prints a single JSON line with the timing, the kernel's scratch
-    high-water mark and this process' peak RSS.  Launched once per tile
-    size by :func:`probe_peak_rss`, so every measurement starts from a
-    clean high-water mark instead of inheriting the largest earlier
-    allocation (``ru_maxrss`` is monotonic within a process).
-    """
-    dataset = get_dataset(args.corpus, scale=args.scale, seed=args.seed)
-    seconds, _, scratch = bench_tile(
-        dataset, args.rss_probe, args.k, args.f, args.gamma, args.seed, repeats=1
-    )
-    print(
-        json.dumps(
-            {
-                "seconds": seconds,
-                "scratch_entries": scratch,
-                "peak_rss_kb": _peak_rss_kb(),
-            }
-        )
-    )
-    return 0
-
-
-def probe_peak_rss(
-    args: argparse.Namespace, scale: float, block: int
-) -> Optional[int]:
-    """Peak RSS (KB) of one tiled assignment, measured in a fresh process.
-
-    Returns ``None`` when the probe subprocess cannot run (e.g. sandboxed
-    environments); the caller records an explicit null instead of a bogus
-    number.
-    """
-    command = [
-        sys.executable,
-        __file__,
-        "--corpus", args.corpus,
-        "--scale", str(scale),
-        "--k", str(args.k),
-        "--f", str(args.f),
-        "--gamma", str(args.gamma),
-        "--seed", str(args.seed),
-        "--rss-probe", str(block),
-    ]
-    try:
-        completed = subprocess.run(
-            command, capture_output=True, text=True, timeout=900, check=True
-        )
-        probe = json.loads(completed.stdout.strip().splitlines()[-1])
-        return int(probe["peak_rss_kb"])
-    except Exception:
-        return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus", default="DBLP", help="synthetic corpus name")
@@ -354,21 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write a machine-readable report (benchjson schema) to PATH",
     )
     parser.add_argument(
-        "--tile-sizes",
-        type=int,
-        nargs="+",
-        default=[64, 1024, 0],
-        metavar="N",
-        help="tile budgets (items per side) for the tiled-kernel section; "
-        "0 = unbounded/untiled (always measured as the parity baseline)",
-    )
-    parser.add_argument(
-        "--rss-probe",
-        type=int,
-        default=None,
-        help=argparse.SUPPRESS,  # internal: fresh-process peak-RSS probe
-    )
-    parser.add_argument(
         "--size-sweep",
         action="store_true",
         help="run the corpus-size sweep instead of the standard benchmark: "
@@ -399,8 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "size (its speedup columns become null rather than waiting minutes)",
     )
     args = parser.parse_args(argv)
-    if args.rss_probe is not None:
-        return run_rss_probe(args)
     if args.size_sweep:
         return run_size_sweep(args)
 
@@ -414,9 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if not args.quick and (transactions < 200 or args.k < 5):
         print("error: the full benchmark requires >= 200 transactions and k >= 5")
-        return 2
-    if any(size < 0 for size in args.tile_sizes):
-        print("error: --tile-sizes must be >= 0 (0 = unbounded/untiled)")
         return 2
 
     backends = list(args.backends)
@@ -442,42 +311,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         == fit_results[reference].partition()
         for backend in backends[1:]
     }
-
-    # --- tiled kernels: per-tile-size timing, parity, peak memory --------- #
-    # the untiled path (block=0) is always measured first as the parity
-    # baseline; every other budget must reproduce its assignment bit for
-    # bit, and the per-tile scratch high-water mark plus a fresh-process
-    # peak-RSS probe demonstrate the memory bound of the tile size
-    tile_sizes = [0] + [size for size in dict.fromkeys(args.tile_sizes) if size != 0]
-    tile_rows: List[Dict[str, object]] = []
-    untiled_assignment = None
-    try:
-        # only a missing numpy skips the section; any other failure (a
-        # kernel crash, a malformed tile size) must propagate so the CI
-        # smoke fails instead of silently dropping the tiling gate
-        for block in tile_sizes:
-            seconds, assignment, scratch = bench_tile(
-                dataset, block, args.k, args.f, args.gamma, args.seed, repeats
-            )
-            if untiled_assignment is None:
-                untiled_assignment = assignment
-            spec = f"numpy:block={block}"
-            tile_rows.append(
-                {
-                    "backend": spec,
-                    "block": block,
-                    "seconds": seconds,
-                    "parity": assignment == untiled_assignment,
-                    "scratch_entries": scratch,
-                    "peak_rss_kb": probe_peak_rss(args, scale, block),
-                    "speedup": reference_speedup(
-                        {**assign_times, spec: seconds}, spec
-                    ),
-                }
-            )
-    except BackendUnavailableError as error:  # pragma: no cover - numpy in CI
-        print(f"note: tiled-kernel section skipped ({error})")
-        tile_rows = []
 
     # the JSON artifact is written before any parity gate fires, so CI
     # uploads a report (with parity=false rows) even for failing runs
@@ -513,18 +346,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 speedup=reference_speedup(fit_times, backend),
                 parity=None if is_reference else fit_parity[backend],
             )
-        for row in tile_rows:
-            report.record(
-                backend=row["backend"],
-                op="assign_all_tiled",
-                size=transactions,
-                seconds=row["seconds"],
-                speedup=row["speedup"],
-                parity=row["parity"],
-                block=row["block"],
-                scratch_entries=row["scratch_entries"],
-                peak_rss_kb=row["peak_rss_kb"],
-            )
         report.write(args.json)
 
     for backend in backends[1:]:
@@ -535,32 +356,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"FAIL: {backend} disagrees with {reference} on the fitted clustering")
             return 1
     print("parity    : identical assignments and identical fitted clusterings")
-
-    tile_mismatches = [row["block"] for row in tile_rows if not row["parity"]]
-    if tile_mismatches:
-        print(
-            "FAIL: tiled kernels disagree with the untiled path at "
-            f"tile sizes {tile_mismatches}"
-        )
-        return 1
-    if tile_rows:
-        print(
-            "tiled     : bit-exact with the untiled path at every tile size"
-        )
-        print(
-            f"{'tile size':>10}{'seconds':>12}{'scratch':>12}{'peak RSS':>12}"
-        )
-        for row in tile_rows:
-            label = "unbounded" if row["block"] == 0 else str(row["block"])
-            rss = (
-                f"{row['peak_rss_kb']}K"
-                if row["peak_rss_kb"] is not None
-                else "n/a"
-            )
-            print(
-                f"{label:>10}{row['seconds']:>11.4f}s"
-                f"{row['scratch_entries']:>12}{rss:>12}"
-            )
 
     print(f"{'step':<12}" + "".join(f"{backend:>16}" for backend in backends))
     print(

@@ -32,7 +32,7 @@ from repro import ClusteringConfig, SimilarityConfig, XKMeans
 from repro.core.model_store import save_model
 from repro.datasets.registry import get_corpus, get_dataset
 from repro.serving import AsyncModelServer, ModelRouter
-from repro.store import open_registry
+from repro.store import SqliteModelRegistry
 from repro.xmlmodel.serializer import serialize
 
 SCALE = 0.2  # raise for a bigger corpus (and a slower example)
@@ -79,7 +79,7 @@ def main() -> None:
         base = Path(tmp)
 
         # 1-2. fit two blends of the same corpus, publish both ------------- #
-        registry = open_registry(base / "registry.db")
+        registry = SqliteModelRegistry(base / "registry.db")
         fit_and_publish(registry, base / "content-model", "dblp-content",
                         f=0.2, k=4)
         fit_and_publish(registry, base / "structure-model", "dblp-structure",
@@ -90,7 +90,7 @@ def main() -> None:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         server = AsyncModelServer(
-            ModelRouter(registry=open_registry(base / "registry.db")),
+            ModelRouter(registry=SqliteModelRegistry(base / "registry.db")),
             port=port,
         )
         thread = threading.Thread(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -55,16 +56,48 @@ from repro.xmlmodel.errors import XMLError
 from repro.xmlmodel.parser import parse_xml_file
 
 
+def _checked(cast, accept, wanted: str):
+    """An argparse ``type``: *cast* the text, then require ``accept(value)``.
+
+    A bad value exits with argparse's one ``error:`` line before any corpus
+    is built, instead of failing deep inside a run.
+    """
+
+    def parse(text: str):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda value: value >= 1, "a positive integer")
+_POSITIVE = _checked(float, lambda value: 0 < value < math.inf, "positive and finite")
+_FRACTION = _checked(float, lambda value: 0 <= value <= 1, "in [0, 1]")
+_PORT = _checked(int, lambda value: 1 <= value <= 65535, "a TCP port in [1, 65535]")
+
+
+def _corpus_name(text: str) -> str:
+    """A synthetic corpus name (case-insensitive), as registered."""
+    for name in DATASET_NAMES:
+        if name.lower() == text.lower():
+            return name
+    raise argparse.ArgumentTypeError(
+        f"unknown corpus {text!r} (available: {', '.join(DATASET_NAMES)})"
+    )
+
+
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=DEFAULT_BACKEND,
-        metavar="NAME[:OPTIONS]",
+        metavar="NAME",
         help="similarity backend for the clustering hot path "
-        f"(registered: {', '.join(BACKEND_NAMES)}; "
-        "'numpy:block=N' sets the tile budget of the batched kernels, "
-        "0 = untiled, results are bit-exact for every budget; unknown "
-        "specs list the registered alternatives)",
+        f"(registered: {', '.join(BACKEND_NAMES)}; both give bit-identical "
+        "results; unknown specs list the registered alternatives)",
     )
 
 
@@ -81,7 +114,7 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--network-timeout",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help="per-round deadline of the real transport: a stalled or dead "
@@ -89,16 +122,6 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
         "instead of hanging (default: %(default)s -> the ClusteringConfig "
         "default)",
     )
-
-
-def _resolve_network_timeout(args: argparse.Namespace) -> Optional[float]:
-    """Validate and return ``--network-timeout`` (None = config default)."""
-    network_timeout = getattr(args, "network_timeout", None)
-    if network_timeout is not None and network_timeout <= 0:
-        raise SystemExit(
-            f"--network-timeout must be positive, got {network_timeout}"
-        )
-    return network_timeout
 
 
 def _resolve_backend(args: argparse.Namespace) -> str:
@@ -120,19 +143,22 @@ def _resolve_backend(args: argparse.Namespace) -> str:
 
 
 def _add_common_experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.5, help="corpus scale factor")
+    parser.add_argument("--scale", type=_POSITIVE, default=0.5, help="corpus scale factor")
     _add_backend_argument(parser)
-    parser.add_argument("--gamma", type=float, default=0.85, help="gamma threshold")
+    parser.add_argument("--gamma", type=_FRACTION, default=0.85, help="gamma threshold")
     parser.add_argument(
         "--nodes",
-        type=int,
+        type=_POSITIVE_INT,
         nargs="+",
         default=[1, 3, 5, 7, 9],
         help="node counts to sweep",
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
-        "--max-iterations", type=int, default=6, help="maximum collaborative rounds"
+        "--max-iterations",
+        type=_POSITIVE_INT,
+        default=6,
+        help="maximum collaborative rounds",
     )
 
 
@@ -186,8 +212,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     backend = _resolve_backend(args)
     if args.registry and not args.save_model:
         raise SystemExit("--registry requires --save-model DIR")
-    network = getattr(args, "network", "sim")
-    network_timeout = _resolve_network_timeout(args)
+    network = args.network
+    network_timeout = args.network_timeout
     if network == "real" and args.algorithm != "cxk":
         raise SystemExit(
             "--network real is implemented for CXK-means only; drop the "
@@ -253,9 +279,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
         registry = None
         if args.registry:
-            from repro.store import open_registry
+            from repro.store import SqliteModelRegistry
 
-            registry = open_registry(args.registry)
+            registry = SqliteModelRegistry(args.registry)
         try:
             manifest = save_model(
                 args.save_model,
@@ -349,11 +375,12 @@ def _iter_stream_chunks(args: argparse.Namespace, chunk_size: int, dataset=None)
     Corpus mode (``--corpus``) replays *dataset*, the synthetic corpus, in
     order with its frozen whole-corpus term statistics, so the streamed
     clustering is comparable to (and at one big chunk bit-exact with) the
-    batch fit.  File/stdin mode parses XML documents chunk by chunk and builds each
-    chunk's transactions with :func:`build_dataset` -- content weighting is
-    then per-chunk rather than corpus-wide (a documented approximation of
-    the collection statistics a batch build would use); paths stream
-    through bounded memory, one chunk of parsed trees at a time.
+    batch fit.  File/stdin mode parses XML documents chunk by chunk and
+    builds each chunk's transactions with its own :func:`build_dataset`,
+    so each chunk numbers its terms afresh and the same term id names
+    different terms in different chunks: an open defect (ROADMAP item 1),
+    not an approximation.  Paths stream through bounded memory, one chunk
+    of parsed trees at a time.
     """
     if dataset is not None:
         transactions = dataset.transactions
@@ -389,10 +416,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         raise SystemExit("stream needs --corpus NAME, FILE arguments or --stdin")
     if args.corpus and (args.files or args.stdin):
         raise SystemExit("--corpus replaces FILE/--stdin input; use one or the other")
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        raise SystemExit(
-            f"--checkpoint-every must be positive, got {args.checkpoint_every}"
-        )
     from repro.core.model_store import ModelStoreError, save_model
     from repro.core.streaming import StreamingClusterer
 
@@ -532,11 +555,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _open_cli_registry(args: argparse.Namespace):
     """Open the registry named by ``--registry`` for a ``models`` command."""
-    from repro.store import open_registry
-    from repro.store.registry import RegistryError
+    from repro.store import RegistryError, SqliteModelRegistry
 
     try:
-        return open_registry(args.registry)
+        return SqliteModelRegistry(args.registry)
     except RegistryError as error:
         raise SystemExit(f"error: {error}") from error
 
@@ -602,8 +624,8 @@ def _cmd_figure7(args: argparse.Namespace) -> int:
         seeds=(args.seed,),
         max_iterations=args.max_iterations,
         backend=_resolve_backend(args),
-        network=getattr(args, "network", "sim"),
-        network_timeout=_resolve_network_timeout(args),
+        network=args.network,
+        network_timeout=args.network_timeout,
     )
     print(run_figure7(config).report())
     return 0
@@ -631,8 +653,8 @@ def _cmd_table(args: argparse.Namespace, table_number: int) -> int:
         max_iterations=args.max_iterations,
         goals=tuple(args.goals),
         backend=_resolve_backend(args),
-        network=getattr(args, "network", "sim"),
-        network_timeout=_resolve_network_timeout(args),
+        network=args.network,
+        network_timeout=args.network_timeout,
     )
     if table_number == 1:
         result = run_table1(config)
@@ -650,23 +672,34 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     datasets_parser = subparsers.add_parser("datasets", help="describe the synthetic corpora")
-    datasets_parser.add_argument("--scale", type=float, default=0.5)
+    datasets_parser.add_argument("--scale", type=_POSITIVE, default=0.5)
     datasets_parser.add_argument("--seed", type=int, default=0)
     datasets_parser.set_defaults(handler=_cmd_datasets)
 
     cluster_parser = subparsers.add_parser("cluster", help="cluster XML documents")
-    cluster_parser.add_argument("--corpus", default="DBLP", help="synthetic corpus name")
+    cluster_parser.add_argument(
+        "--corpus", type=_corpus_name, default="DBLP", help="synthetic corpus name"
+    )
     cluster_parser.add_argument("--xml-dir", default=None, help="directory of .xml files to cluster instead")
     cluster_parser.add_argument("--algorithm", default="cxk", choices=["cxk", "pk", "xk"])
     cluster_parser.add_argument("--goal", default="hybrid", choices=["content", "hybrid", "structure"])
-    cluster_parser.add_argument("--k", type=int, default=None, help="number of clusters")
-    cluster_parser.add_argument("--peers", type=int, default=3, help="number of peers")
+    cluster_parser.add_argument(
+        "--k",
+        type=_POSITIVE_INT,
+        default=None,
+        help="number of clusters (default: the corpus's class count, else 4)",
+    )
+    cluster_parser.add_argument(
+        "--peers", type=_POSITIVE_INT, default=3, help="number of peers"
+    )
     cluster_parser.add_argument("--partitioning", default="equal", choices=["equal", "unequal"])
-    cluster_parser.add_argument("--f", type=float, default=0.5, help="structure/content blend factor")
-    cluster_parser.add_argument("--gamma", type=float, default=0.85)
-    cluster_parser.add_argument("--scale", type=float, default=0.5)
+    cluster_parser.add_argument(
+        "--f", type=_FRACTION, default=0.5, help="structure/content blend factor"
+    )
+    cluster_parser.add_argument("--gamma", type=_FRACTION, default=0.85)
+    cluster_parser.add_argument("--scale", type=_POSITIVE, default=0.5)
     cluster_parser.add_argument("--seed", type=int, default=0)
-    cluster_parser.add_argument("--max-iterations", type=int, default=6)
+    cluster_parser.add_argument("--max-iterations", type=_POSITIVE_INT, default=6)
     cluster_parser.add_argument(
         "--save-model",
         default=None,
@@ -701,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify_parser.add_argument(
         "--backend",
         default=None,
-        metavar="NAME[:OPTIONS]",
+        metavar="NAME",
         help="override the backend spec recorded in the model manifest",
     )
     classify_parser.add_argument(
@@ -728,11 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--corpus",
+        type=_corpus_name,
         default=None,
         metavar="NAME",
         help="replay a synthetic corpus in chunks instead of reading files",
     )
-    stream_parser.add_argument("--scale", type=float, default=0.5)
+    stream_parser.add_argument("--scale", type=_POSITIVE, default=0.5)
     stream_parser.add_argument("--seed", type=int, default=0)
     stream_parser.add_argument(
         "--stdin",
@@ -740,20 +774,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally read XML file paths from standard input, one "
         "per line, ingesting chunk by chunk with bounded memory",
     )
-    stream_parser.add_argument("--k", type=int, default=4, help="number of clusters")
-    stream_parser.add_argument("--f", type=float, default=0.5)
-    stream_parser.add_argument("--gamma", type=float, default=0.85)
-    stream_parser.add_argument("--max-iterations", type=int, default=6)
+    stream_parser.add_argument(
+        "--k", type=_POSITIVE_INT, default=4, help="number of clusters"
+    )
+    stream_parser.add_argument("--f", type=_FRACTION, default=0.5)
+    stream_parser.add_argument("--gamma", type=_FRACTION, default=0.85)
+    stream_parser.add_argument("--max-iterations", type=_POSITIVE_INT, default=6)
     stream_parser.add_argument(
         "--chunk-size",
-        type=int,
+        type=_POSITIVE_INT,
         default=32,
         metavar="N",
         help="transactions per ingested chunk (default: %(default)s)",
     )
     stream_parser.add_argument(
         "--retain-threshold",
-        type=float,
+        type=_FRACTION,
         default=0.25,
         metavar="S",
         help="similarity below which a transaction is parked in the "
@@ -761,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--drift-threshold",
-        type=float,
+        type=_checked(float, lambda value: 0 < value <= 1, "in (0, 1]"),
         default=0.5,
         metavar="D",
         help="retained-set fill fraction that triggers a bounded "
@@ -769,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream_parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="persist a light checkpoint of the model every N chunks "
@@ -827,12 +863,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--backend",
         default=None,
-        metavar="NAME[:OPTIONS]",
+        metavar="NAME",
         help="override the backend spec recorded in the model manifest",
     )
     serve_parser.add_argument(
         "--port",
-        type=int,
+        type=_PORT,
         default=None,
         metavar="N",
         help="serve HTTP on this port (default: stdin line protocol)",

@@ -34,12 +34,11 @@ class ClusteringConfig:
     backend:
         Name of the similarity backend driving the assignment and
         representative-refinement hot paths (``"python"`` for the reference
-        loops, ``"numpy[:block=N]"`` for the vectorized batch engine, whose
-        ``block=N`` option sets the tile budget of its batched kernels; see
+        loops, ``"numpy"`` for the vectorized batch engine; see
         :mod:`repro.similarity.backend`).  The spec is validated at
         construction time
         (:func:`~repro.similarity.backend.validate_backend_spec`): unknown
-        names and malformed options raise ``ValueError`` here rather than
+        names and any ``name:options`` spec raise ``ValueError`` here rather than
         deep inside a fit.
     network:
         Transport running the collaborative rounds of CXK-means:

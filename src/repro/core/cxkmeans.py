@@ -136,8 +136,6 @@ def run_local_phase(
         RefinementShard(
             cluster_index=cluster_index,
             members=members,
-            similarity=config.similarity,
-            backend=local_engine.backend_name,
             representative_id=f"rep:local:{phase_input.peer_id}:{cluster_index}",
             max_items=config.max_representative_items,
         )
@@ -462,8 +460,6 @@ class CXKMeans:
                                 cluster_index=cluster_id,
                                 members=[rep for rep, _ in weighted],
                                 weights=[weight for _, weight in weighted],
-                                similarity=self.config.similarity,
-                                backend=self._engine.backend_name,
                                 representative_id=f"rep:global:{cluster_id}",
                                 max_items=self.config.max_representative_items,
                             )

@@ -33,13 +33,14 @@ representatives once, and a classify leaves nothing behind (see
 and nothing else.
 
 Round-trip guarantee: ``fit -> save_model -> load_model -> assign_all``
-is bit-exact against the in-memory result on the python / numpy / tiled
-numpy backends, pinned by ``tests/test_model_store.py``.
+is bit-exact against the in-memory result on the python and numpy
+backends, pinned by ``tests/test_model_store.py``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +58,7 @@ from repro.text.weighting import CorpusTermStatistics
 from repro.transactions.builder import BuilderConfig, TransactionDatasetBuilder
 from repro.transactions.items import TreeTupleItem
 from repro.transactions.transaction import Transaction, make_transaction
+from repro.xmlmodel.errors import XMLError
 from repro.xmlmodel.parser import parse_xml, parse_xml_file
 from repro.xmlmodel.paths import XMLPath
 from repro.xmlmodel.tree import XMLTree
@@ -88,9 +90,29 @@ def vector_payload(vector: SparseVector) -> List[List[float]]:
     return [[int(term), float(weight)] for term, weight in vector.items()]
 
 
+#: Term ids are compiled into int64 index arrays, so a stored id must fit.
+_TERM_ID_LIMIT = 2**63
+
+
 def vector_from_payload(pairs: Sequence[Sequence[float]]) -> SparseVector:
-    """Rebuild a :class:`SparseVector` from :func:`vector_payload` output."""
-    return SparseVector({int(term): float(weight) for term, weight in pairs})
+    """Rebuild a :class:`SparseVector` from :func:`vector_payload` output.
+
+    A term id outside int64 or a non-finite weight raises ``ValueError``.
+    """
+    weights: Dict[int, float] = {}
+    for term, weight in pairs:
+        term, weight = int(term), float(weight)
+        if not -_TERM_ID_LIMIT <= term < _TERM_ID_LIMIT or not math.isfinite(weight):
+            raise ValueError(f"bad vector entry [{term}, {weight}]")
+        weights[term] = weight
+    return SparseVector(weights)
+
+
+def _strings(value) -> Tuple[str, ...]:
+    """*value* as a tuple, or ``TypeError`` unless it is a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(entry, str) for entry in value):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def item_payload(item: TreeTupleItem) -> Dict[str, object]:
@@ -105,12 +127,16 @@ def item_payload(item: TreeTupleItem) -> Dict[str, object]:
 
 
 def item_from_payload(payload: Dict[str, object]) -> TreeTupleItem:
-    """Rebuild one :class:`TreeTupleItem` from :func:`item_payload` output."""
+    """Rebuild one :class:`TreeTupleItem` from :func:`item_payload` output.
+
+    Malformed payloads raise ``KeyError``, ``TypeError``, ``ValueError`` or
+    an :class:`~repro.xmlmodel.errors.XMLError` (an invalid path).
+    """
     return TreeTupleItem(
         item_id=int(payload["item_id"]),
-        path=XMLPath(tuple(payload["path"])),
+        path=XMLPath(_strings(payload["path"])),
         answer=str(payload["answer"]),
-        terms=tuple(payload["terms"]),
+        terms=_strings(payload["terms"]),
         vector=vector_from_payload(payload["vector"]),
     )
 
@@ -187,7 +213,7 @@ def save_model(
         The :class:`PreprocessingConfig` the corpus was built with
         (defaults to the standard configuration).
     registry:
-        Optional :class:`~repro.store.registry.ModelRegistry`.  After a
+        Optional :class:`~repro.store.registry.SqliteModelRegistry`.  After a
         successful save the directory is published to it as the next
         version of *model_name*, making the saved model visible to
         ``cxk models`` and routable by the async server in one step.
@@ -392,14 +418,19 @@ def _config_from_manifest(
     registered backend keeps raising the unknown-backend ``ValueError``
     (see :func:`load_model`).  Unknown keys are ignored -- among them the
     retired tile-budget, refinement-worker, ``streaming`` and
-    ``corpus_cache_dir`` keys older manifests carry: tiling is bit-exact,
+    ``corpus_cache_dir`` keys older manifests carry, and a recorded
+    ``numpy:block=N`` spec loads as ``numpy``: tiling is bit-exact,
     refinement always runs in process, the streaming flag was advisory and
     the compiled-corpus cache only skipped a compile, so none changed a
     verdict.
     """
 
     read = _section_reader(raw, f"model config in {directory}")
-    spec = backend if backend is not None else read("backend", str)
+    spec = backend
+    if spec is None:
+        spec = read("backend", str)
+        if spec.lower().startswith("numpy:block="):
+            spec = "numpy"
     validate_backend_spec(spec)
     try:
         return ClusteringConfig(
@@ -482,17 +513,26 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
             transaction_from_payload(payload) if payload is not None else None
             for payload in reps_doc["representatives"]
         ]
-    except (KeyError, TypeError, ValueError) as error:
+        # every item is scored by its tag path; a lone "S" step has none
+        rep_paths = _first_occurrence_tag_paths([representatives])
+    except (KeyError, TypeError, ValueError, XMLError) as error:
         raise ModelStoreError(
-            f"corrupt representatives block in {directory}: {error}"
+            f"corrupt representatives block {directory / 'representatives.json'}: "
+            f"{error}"
         ) from error
 
     vocab_doc = _read_json(directory, "vocabulary.json")
     try:
-        vocabulary = Vocabulary(vocab_doc.get("terms", ()))
+        terms = _strings(vocab_doc.get("terms", []))
+        vocabulary = Vocabulary(terms)
+        # a repeated term would shift every later term id
+        if len(vocabulary) != len(terms):
+            raise ValueError("the term list repeats a term")
         total_tcus = int(vocab_doc.get("total_tcus", 0))
         term_tcus = _exactly(dict)(vocab_doc.get("term_tcus") or {})
         term_tcus = {str(term): int(count) for term, count in term_tcus.items()}
+        if total_tcus < 0 or any(count < 0 for count in term_tcus.values()):
+            raise ValueError("TCU counts must be non-negative")
     except (TypeError, ValueError) as error:
         raise ModelStoreError(
             f"corrupt vocabulary block {directory / 'vocabulary.json'}: {error}"
@@ -500,15 +540,14 @@ def load_model(directory, *, backend: Optional[str] = None) -> "ClusterModel":
     registries_doc = _read_json(directory, "registries.json")
     try:
         tag_paths = [
-            XMLPath(tuple(steps)) for steps in registries_doc.get("tag_paths", ())
+            XMLPath(_strings(steps)) for steps in registries_doc.get("tag_paths", ())
         ]
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, XMLError) as error:
         raise ModelStoreError(
             f"corrupt registry block {directory / 'registries.json'}: {error}"
         ) from error
 
     engine = SimilarityEngine(config.similarity, backend=config.backend)
-    rep_paths = _first_occurrence_tag_paths([representatives])
     engine.cache.precompute(list(dict.fromkeys(tag_paths + rep_paths)))
 
     return ClusterModel(

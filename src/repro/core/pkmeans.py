@@ -219,8 +219,6 @@ class PKMeans:
                                 cluster_index=cluster_id,
                                 members=[rep for rep, _ in weighted],
                                 weights=[weight for _, weight in weighted],
-                                similarity=self.config.similarity,
-                                backend=self._engine.backend_name,
                                 representative_id=f"rep:global:{cluster_id}",
                                 max_items=self.config.max_representative_items,
                             )

@@ -115,10 +115,8 @@ class StreamingClusterer:
     config:
         The clustering configuration; ``k``, similarity, backend and the
         streaming knobs (``chunk_size``, ``retain_threshold``,
-        ``drift_threshold``) all apply.
-    engine:
-        Optional pre-built engine (shared tag-path cache); built from the
-        configuration otherwise, exactly like :class:`XKMeans`.
+        ``drift_threshold``) all apply.  The engine is built from it,
+        exactly like :class:`XKMeans`'s.
     store:
         Optional :class:`BlockCorpusStore` chain.  When given, every
         ingested chunk (bootstrap included) is appended as an immutable
@@ -137,12 +135,11 @@ class StreamingClusterer:
     def __init__(
         self,
         config: ClusteringConfig,
-        engine: Optional[SimilarityEngine] = None,
         store: Optional[BlockCorpusStore] = None,
         keep_members: Optional[bool] = None,
     ) -> None:
         self.config = config
-        self.engine = engine or SimilarityEngine(
+        self.engine = SimilarityEngine(
             config.similarity,
             cache=TagPathSimilarityCache(),
             backend=config.backend,
@@ -311,13 +308,10 @@ class StreamingClusterer:
             samples = [list(islice(resolved, len(tail))) for tail in tails]
         else:
             samples = [state.members[-cap:] for _, state in sampled]
-        backend_name = self.engine.backend_name
         shards = [
             RefinementShard(
                 cluster_index=index,
                 members=members,
-                similarity=self.config.similarity,
-                backend=backend_name,
                 representative_id=f"rep:{index}",
                 max_items=self.config.max_representative_items,
             )

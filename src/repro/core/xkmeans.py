@@ -130,8 +130,6 @@ class XKMeans:
                 RefinementShard(
                     cluster_index=index,
                     members=members,
-                    similarity=self.config.similarity,
-                    backend=self.engine.backend_name,
                     representative_id=f"rep:{index}",
                     max_items=self.config.max_representative_items,
                 )

@@ -39,7 +39,7 @@ class Figure7Config:
     #: documents per scale unit than DBLP or Wikipedia).
     dataset_scale_multipliers: Dict[str, float] = field(default_factory=dict)
     #: Similarity backend spec driving the clustering hot path
-    #: (``"python"`` or ``"numpy[:block=N]"``).
+    #: (``"python"`` or ``"numpy"``).
     backend: str = "python"
     #: Transport of the collaborative rounds (``"sim"`` / ``"real"``).
     network: str = "sim"

@@ -34,7 +34,7 @@ class Figure8Config:
     max_iterations: int = 6
     cost_model: CostModel = field(default_factory=CostModel)
     #: Similarity backend spec driving the clustering hot path
-    #: (``"python"`` or ``"numpy[:block=N]"``).
+    #: (``"python"`` or ``"numpy"``).
     backend: str = "python"
 
 

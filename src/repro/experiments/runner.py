@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import ClusteringConfig
@@ -74,9 +73,6 @@ class RunRecord:
     #: with up-front precomputation the misses stay at their precompute
     #: level, which is the behaviour Sec. 4.3.2 prescribes.
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Fitted-model persistence outcome (``{"model": "off"}`` when auto-save
-    #: was not requested, else ``saved``/``error`` with the directory).
-    model: Dict[str, object] = field(default_factory=lambda: {"model": "off"})
     #: Transport the collaborative rounds ran on (``sim`` / ``real``).
     network: str = "sim"
     #: Cost-model predictions next to transport measurements (real-transport
@@ -140,17 +136,10 @@ def run_configuration(
     max_iterations: int = 8,
     cost_model: Optional[CostModel] = None,
     backend: str = "python",
-    save_model_dir: Optional[str] = None,
     network: str = "sim",
     network_timeout: Optional[float] = None,
 ) -> RunRecord:
     """Run one clustering configuration and score it against the ground truth.
-
-    When *save_model_dir* is given, the fitted model (representatives,
-    config, vocabulary, registries) is persisted there through
-    :func:`repro.core.model_store.save_model`; persistence failures degrade
-    to an ``error`` entry in the record's ``model`` field instead of
-    failing the run.
 
     *network* selects the transport of the collaborative rounds (``"sim"``
     / ``"real"``; CXK-means only for ``"real"``); real runs additionally
@@ -181,19 +170,6 @@ def run_configuration(
     else:
         parts = partition(dataset.transactions, nodes, scheme=scheme, seed=seed)
         result = algo.fit(parts)
-    model_status: Dict[str, object] = {"model": "off"}
-    if save_model_dir is not None:
-        from repro.core.model_store import ModelStoreError, save_model
-
-        try:
-            save_model(save_model_dir, result, config, dataset=dataset)
-            model_status = {"model": "saved", "directory": str(save_model_dir)}
-        except ModelStoreError as error:
-            model_status = {
-                "model": "error",
-                "directory": str(save_model_dir),
-                "error": str(error),
-            }
     f_measure = overall_f_measure(result.partition(), reference)
     network_stats = result.network or {}
     predicted_vs_measured: Dict[str, float] = {}
@@ -230,7 +206,6 @@ def run_configuration(
         messages=network_stats.get("messages", 0.0),
         backend=backend,
         cache_stats=algo.engine.cache.stats(),
-        model=model_status,
         network=network,
         predicted_vs_measured=predicted_vs_measured,
     )
@@ -285,12 +260,8 @@ class ExperimentSweep:
     cost_model: CostModel = field(default_factory=CostModel)
     dataset_seed: int = 0
     #: Similarity backend spec driving the clustering hot path
-    #: (``"python"`` or ``"numpy[:block=N]"``).
+    #: (``"python"`` or ``"numpy"``).
     backend: str = "python"
-    #: Root directory for fitted-model auto-save (``None`` = off); each run
-    #: persists its model under ``<root>/<dataset>-<algo>-n<nodes>-f<f>-s<seed>``
-    #: for later serving (``repro serve`` / ``repro classify``).
-    save_model_dir: Optional[str] = None
     #: Transport of the collaborative rounds (``"sim"`` / ``"real"``; the
     #: real transport is CXK-means only and fills each record's
     #: ``predicted_vs_measured`` fields).
@@ -315,15 +286,6 @@ class ExperimentSweep:
                 records: List[RunRecord] = []
                 for f in self.effective_f_values():
                     for seed in self.seeds:
-                        save_model_dir = None
-                        if self.save_model_dir is not None:
-                            cell = (
-                                f"{dataset_name}-{self.algorithm}"
-                                f"-n{nodes}-f{f}-s{seed}"
-                            )
-                            save_model_dir = str(
-                                Path(self.save_model_dir) / cell
-                            )
                         records.append(
                             run_configuration(
                                 dataset,
@@ -338,7 +300,6 @@ class ExperimentSweep:
                                 max_iterations=self.max_iterations,
                                 cost_model=self.cost_model,
                                 backend=self.backend,
-                                save_model_dir=save_model_dir,
                                 network=self.network,
                                 network_timeout=self.network_timeout,
                             )

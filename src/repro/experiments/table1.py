@@ -51,7 +51,7 @@ class AccuracyTableConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     datasets: Optional[Sequence[str]] = None
     #: Similarity backend spec driving the clustering hot path
-    #: (``"python"`` or ``"numpy[:block=N]"``).
+    #: (``"python"`` or ``"numpy"``).
     backend: str = "python"
     #: Transport of the collaborative rounds (``"sim"`` / ``"real"``).
     network: str = "sim"

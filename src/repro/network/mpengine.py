@@ -72,10 +72,6 @@ class RefinementShard:
     members:
         Local shard: the cluster's member transactions.  Global shard: the
         local representatives received from the peers.
-    similarity:
-        The :class:`~repro.similarity.item.SimilarityConfig` of the run.
-    backend:
-        Name of the backend of the engine the shard is refined on.
     representative_id:
         Identifier given to the refined representative transaction.
     max_items:
@@ -93,8 +89,6 @@ class RefinementShard:
 
     cluster_index: int
     members: Optional[List[Transaction]]
-    similarity: SimilarityConfig
-    backend: str
     representative_id: str
     max_items: Optional[int] = None
     weights: Optional[List[int]] = None

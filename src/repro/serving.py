@@ -654,9 +654,9 @@ def serve_async(
     """
     registry = None
     if registry_path is not None:
-        from repro.store.registry import open_registry
+        from repro.store.registry import SqliteModelRegistry
 
-        registry = open_registry(registry_path)
+        registry = SqliteModelRegistry(registry_path)
     router = ModelRouter(
         registry=registry, names=model_names, model_dirs=model_dirs
     )

@@ -23,10 +23,9 @@ architecture:
   structural-similarity matrix, content-class id arrays indexing a memoised
   content-similarity block, item-uid arrays for the union counts) and
   evaluates the two directed gamma-match passes as vectorized row/column
-  reductions over ``(row_tile x column_tile)`` blocks of bounded item
-  budget (``"numpy[:block=N]"``, default :data:`DEFAULT_BLOCK_ITEMS`;
-  ``block=0`` = unbounded), so peak scratch memory never grows with the
-  corpus.
+  reductions over ``(row_tile x column_tile)`` blocks of at most
+  :data:`TILE_ITEMS` items per side, so peak scratch memory never grows
+  with the corpus.
 
 Since this PR the protocol also covers the CXK-means *summarisation*
 machinery: :meth:`SimilarityBackend.score_candidates` evaluates every
@@ -62,8 +61,8 @@ clustering run with a fixed seed produces identical assignments under
 either backend.  The parity suite in ``tests/test_similarity_backend.py``
 asserts this property.
 
-A backend is selected by a spec string, ``python`` or ``numpy[:block=N]``,
-which :func:`parse_backend_spec` reads for both :func:`create_backend` and
+A backend is selected by a spec string, ``python`` or ``numpy``, which
+:func:`parse_backend_spec` reads for both :func:`create_backend` and
 :func:`validate_backend_spec`.
 """
 
@@ -95,14 +94,14 @@ DEFAULT_BACKEND = "python"
 #: list them.
 BACKEND_NAMES = ("numpy", "python")
 
-#: Default item budget per tile side of the batched kernels.  Every batch
-#: backend evaluates its similarity blocks in ``(row_tile x column_tile)``
-#: tiles whose row-item and column-item totals each stay within this
-#: budget, so peak scratch memory is bounded by roughly
-#: ``budget**2 * 8`` bytes per scratch array regardless of corpus size.
-#: Overridable per backend spec (``numpy:block=N``); ``block=0`` selects
-#: the unbounded single-tile (untiled) path.
-DEFAULT_BLOCK_ITEMS = 2048
+#: Item budget per tile side of the batched kernels.  The numpy backend
+#: evaluates its similarity blocks in ``(row_tile x column_tile)`` tiles
+#: whose row-item and column-item totals each stay within this budget, so
+#: peak scratch memory is bounded by roughly ``TILE_ITEMS**2 * 8`` bytes
+#: per scratch array regardless of corpus size.  A fixed constant: every
+#: budget gives the same bits, and on DBLP scale 5 no budget from 256 to
+#: untiled changed peak RSS (see ``BENCH_backend.json``).
+TILE_ITEMS = 2048
 
 
 class BackendUnavailableError(RuntimeError):
@@ -170,18 +169,15 @@ class SimilarityBackend(Protocol):
         """
         ...
 
-    def extend_corpus(
-        self, transactions: Sequence[Transaction], *, pin: bool = False
-    ) -> int:
+    def extend_corpus(self, transactions: Sequence[Transaction]) -> int:
         """Delta-compile *transactions* on top of the existing corpus.
 
         Only transactions the backend has not already pinned are
         processed; registries and feature blocks grow by the delta with
-        first-occurrence numbering preserved.  ``pin=True`` additionally
-        pins the new compilations (batch-corpus semantics); the default
-        leaves them evictable so a streaming caller's memory stays
-        bounded.  Returns the number of newly compiled transactions (0
-        for backends with nothing to precompute).
+        first-occurrence numbering preserved, and the new compilations
+        stay evictable so a streaming caller's memory stays bounded.
+        Returns the number of newly compiled transactions (0 for backends
+        with nothing to precompute).
         """
         ...
 
@@ -272,9 +268,7 @@ class PythonBackend:
         """No-op: the reference loops have nothing to precompute (returns 0)."""
         return 0
 
-    def extend_corpus(
-        self, transactions: Sequence[Transaction], *, pin: bool = False
-    ) -> int:
+    def extend_corpus(self, transactions: Sequence[Transaction]) -> int:
         """No-op: there is no compiled state to extend (returns 0)."""
         return 0
 
@@ -361,17 +355,16 @@ class NumpyBackend:
     The two directed gamma-match passes of Eq. 2 then become masked
     row/column max-reductions over the gathered item-similarity block.
     The batch kernels evaluate in *tiles*: contiguous groups of row and
-    column transactions whose item totals each stay within the configured
-    budget (``"numpy:block=N"``, default :data:`DEFAULT_BLOCK_ITEMS`,
-    ``block=0`` = unbounded), so several column transactions are fused
-    into one set of array reductions per tile -- fewer Python-loop
-    iterations than the historical one-column-at-a-time pass -- while peak
-    scratch memory stays bounded by the tile size instead of growing with
-    the corpus.  Tiling never changes a result: the fused reductions are
-    segment-wise max/any passes over the exact same gathered floats, so
-    every tile size is bit-exact with every other (and with the scalar
-    reference); :attr:`peak_scratch_entries` records the high-water scratch
-    block size actually materialised.
+    column transactions whose item totals each stay within
+    :data:`TILE_ITEMS`, so several column transactions are fused into one
+    set of array reductions per tile -- fewer Python-loop iterations than
+    the historical one-column-at-a-time pass -- while peak scratch memory
+    stays bounded by the tile size instead of growing with the corpus.
+    Tiling never changes a result: the fused reductions are segment-wise
+    max/any passes over the exact same gathered floats, so every tile size
+    is bit-exact with every other (and with the scalar reference);
+    :attr:`peak_scratch_entries` records the high-water scratch block size
+    actually materialised.
     """
 
     name = "numpy"
@@ -380,21 +373,11 @@ class NumpyBackend:
     #: (representative candidates churn quickly during refinement).
     TRANSIENT_CAP = 8192
 
-    #: Default tile budget (items per tile side) when the spec carries no
-    #: ``block=`` option; see :data:`DEFAULT_BLOCK_ITEMS`.
-    DEFAULT_BLOCK_ITEMS = DEFAULT_BLOCK_ITEMS
-
-    def __init__(
-        self, engine: "SimilarityEngine", block_items: Optional[int] = None
-    ) -> None:
+    def __init__(self, engine: "SimilarityEngine") -> None:
         self._np = _load_numpy()
-        #: Configured tile budget: ``None`` = backend default, ``0`` =
-        #: unbounded (untiled single-tile path), ``N`` = at most N row
-        #: items x N column items of scratch per tile.
-        self.block_items = block_items
         #: High-water mark of batch-kernel scratch entries (elements of the
-        #: largest item-similarity block materialised so far); benchmarks
-        #: read this to demonstrate the tile-size memory bound.
+        #: largest item-similarity block materialised so far); the tests
+        #: read this to check the tile-size memory bound.
         self.peak_scratch_entries = 0
         self.engine = engine
         self.config = engine.config
@@ -567,9 +550,7 @@ class NumpyBackend:
         self._ensure_tp_matrix()
         return count
 
-    def extend_corpus(
-        self, transactions: Sequence[Transaction], *, pin: bool = False
-    ) -> int:
+    def extend_corpus(self, transactions: Sequence[Transaction]) -> int:
         """Delta-compile *transactions* on top of the existing corpus.
 
         The incremental sibling of :meth:`compile_corpus`: transactions
@@ -581,11 +562,11 @@ class NumpyBackend:
         entries from the shared cache), so the cost of an append is
         proportional to the delta, never the accumulated corpus.
 
-        With ``pin=False`` (the default) new compilations land in the
-        bounded transient cache instead of the pinned one, so a streaming
-        caller can ingest an unbounded corpus without the backend holding
-        every transaction alive.  Returns the newly compiled count and
-        accumulates it in :attr:`corpus_compile_count`.
+        New compilations land in the bounded transient cache instead of
+        the pinned one, so a streaming caller can ingest an unbounded
+        corpus without the backend holding every transaction alive.
+        Returns the newly compiled count and accumulates it in
+        :attr:`corpus_compile_count`.
         """
         count = 0
         for transaction in transactions:
@@ -593,12 +574,9 @@ class NumpyBackend:
                 continue
             compiled = self._compile_items(transaction)
             count += 1
-            if pin:
-                self._pinned[transaction] = compiled
-            else:
-                if len(self._transient) >= self.TRANSIENT_CAP:
-                    self._transient.clear()
-                self._transient[id(transaction)] = (transaction, compiled)
+            if len(self._transient) >= self.TRANSIENT_CAP:
+                self._transient.clear()
+            self._transient[id(transaction)] = (transaction, compiled)
         self._ensure_tp_matrix()
         self.corpus_compile_count += count
         return count
@@ -823,36 +801,18 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Batch kernel (tiled)
     # ------------------------------------------------------------------ #
-    @property
-    def effective_block_items(self) -> Optional[int]:
-        """Resolved tile budget: ``None`` means unbounded (single tile).
-
-        The configured :attr:`block_items` with ``None`` resolved to the
-        backend default and the explicit ``0`` (untiled) selection resolved
-        to an unbounded budget.
-        """
-        block = (
-            self.DEFAULT_BLOCK_ITEMS
-            if self.block_items is None
-            else self.block_items
-        )
-        return None if block == 0 else block
-
     @staticmethod
-    def _tile_spans(lengths: Sequence[int], budget: Optional[int]):
+    def _tile_spans(lengths: Sequence[int], budget: int):
         """Contiguous ``(start, stop)`` spans with item totals within *budget*.
 
         Transactions are atomic -- a span always holds at least one, so a
         single transaction larger than the budget forms its own span --
         and consecutive, so every tiled reduction visits rows and columns
-        in exactly the input order.  ``budget=None`` returns one span
-        covering everything (the unbounded single-tile path).
+        in exactly the input order.
         """
         count = len(lengths)
         if not count:
             return []
-        if budget is None:
-            return [(0, count)]
         spans = []
         start = 0
         total = 0
@@ -870,7 +830,7 @@ class NumpyBackend:
 
         Evaluated in ``(row_tile x column_tile)`` blocks: contiguous
         groups of transactions whose item totals stay within
-        :attr:`effective_block_items` per side.  Several column
+        :data:`TILE_ITEMS` per side.  Several column
         transactions are fused into one set of segment-wise reductions
         per tile (``np.maximum.reduceat`` / ``np.logical_or.reduceat``
         over the per-transaction item segments), which generalises the
@@ -908,10 +868,9 @@ class NumpyBackend:
                 row_classes, column_classes
             )
 
-        budget = self.effective_block_items
-        row_spans = self._tile_spans([c.length for c in active_rows], budget)
+        row_spans = self._tile_spans([c.length for c in active_rows], TILE_ITEMS)
         column_spans = self._tile_spans(
-            [c.length for c in active_columns], budget
+            [c.length for c in active_columns], TILE_ITEMS
         )
 
         # per-column-tile data is row-independent: build it once instead of
@@ -1077,7 +1036,7 @@ class NumpyBackend:
         member-order sum bit-for-bit.
 
         The cluster rows are processed in contiguous member-order tiles
-        (item totals within :attr:`effective_block_items`), so only one
+        (item totals within :data:`TILE_ITEMS`), so only one
         ``(row_tile x candidates)`` similarity block is alive at a time --
         peak memory stays bounded for arbitrarily large clusters -- while
         the row-major accumulation order (hence every float) is identical
@@ -1091,8 +1050,7 @@ class NumpyBackend:
         totals = np.zeros(len(candidates), dtype=np.float64)
         if cluster:
             spans = self._tile_spans(
-                [len(member.items) for member in cluster],
-                self.effective_block_items,
+                [len(member.items) for member in cluster], TILE_ITEMS
             )
             for start, stop in spans:
                 sims = self._pair_similarities(cluster[start:stop], candidates)
@@ -1109,7 +1067,7 @@ class NumpyBackend:
         memoised per-class cosine block.
 
         Both gathers are evaluated in ``(row_tile x column_tile)`` blocks
-        of at most :attr:`effective_block_items` items per side, so peak
+        of at most :data:`TILE_ITEMS` items per side, so peak
         scratch stays bounded for arbitrarily large pools.  The structural
         sums are integer-valued (path multiplicities), hence exact under
         any tiling; the content accumulation walks the column tiles left
@@ -1123,8 +1081,7 @@ class NumpyBackend:
         np = self._np
         f = self.config.f
         gamma = self.config.gamma
-        budget = self.effective_block_items
-        item_spans = self._tile_spans([1] * n, budget)
+        item_spans = self._tile_spans([1] * n, TILE_ITEMS)
 
         # --- structural ranking (per distinct complete path) --------------- #
         if f != 0.0:
@@ -1143,7 +1100,7 @@ class NumpyBackend:
             counts = np.array(
                 [path_counts[path] for path in distinct_paths], dtype=np.float64
             )
-            path_spans = self._tile_spans([1] * len(distinct_paths), budget)
+            path_spans = self._tile_spans([1] * len(distinct_paths), TILE_ITEMS)
             rank_s = np.zeros(n, dtype=np.float64)
             for row_start, row_stop in item_spans:
                 partial = np.zeros(row_stop - row_start, dtype=np.float64)
@@ -1204,22 +1161,18 @@ class NumpyBackend:
 # --------------------------------------------------------------------------- #
 # Backend specs
 # --------------------------------------------------------------------------- #
-def parse_backend_spec(spec: Optional[str]) -> Tuple[str, Optional[int]]:
-    """Parse a ``python`` | ``numpy[:block=N]`` spec (case-insensitive).
+def parse_backend_spec(spec: Optional[str]) -> str:
+    """Parse a ``python`` | ``numpy`` spec (case-insensitive); return the name.
 
-    Returns ``(name, block_items)``: the backend name and the tile budget
-    (``None`` when the spec carries no ``block=`` option, ``0`` for the
-    unbounded untiled path).  ``None`` selects :data:`DEFAULT_BACKEND`.
-    The one reader of specs, so :func:`create_backend` and
-    :func:`validate_backend_spec` (and through it ``ClusteringConfig`` and
-    the CLI) raise the same errors:
+    ``None`` selects :data:`DEFAULT_BACKEND`.  The one reader of specs, so
+    :func:`create_backend` and :func:`validate_backend_spec` (and through
+    it ``ClusteringConfig`` and the CLI) raise the same errors:
 
     * an unknown name raises ``ValueError`` listing :data:`BACKEND_NAMES`;
-    * options on ``python`` raise ``ValueError``;
+    * any option (``name:...``, the retired ``numpy:block=N`` tile budget
+      among them) raises ``ValueError`` naming the spec;
     * ``numpy`` without numpy installed raises
-      :class:`BackendUnavailableError` with an actionable message;
-    * a duplicate, non-integer or negative ``block=`` budget, or any other
-      ``numpy`` option, raises ``ValueError`` naming the spec.
+      :class:`BackendUnavailableError` with an actionable message.
     """
     key = (spec or DEFAULT_BACKEND).lower()
     name, _, options = key.partition(":")
@@ -1228,54 +1181,25 @@ def parse_backend_spec(spec: Optional[str]) -> Tuple[str, Optional[int]]:
             f"unknown similarity backend: {spec!r} "
             f"(registered: {', '.join(BACKEND_NAMES)})"
         )
-    if name == "python":
-        if options:
-            raise ValueError(
-                f"similarity backend {name!r} accepts no options (got {options!r})"
-            )
-        return name, None
-    _load_numpy()
-    block: Optional[int] = None
-    unknown = False
-    for part in options.split(":"):
-        if not part.startswith("block="):
-            unknown = unknown or bool(part)
-            continue
-        if block is not None:
-            raise ValueError(f"duplicate 'block=' option in backend spec {key!r}")
-        value = part[len("block="):]
-        try:
-            block = int(value)
-        except ValueError:
-            raise ValueError(
-                f"invalid batch block size {value!r} in backend spec "
-                f"{key!r} (expected 'block=N' with an integer N >= 0; "
-                "0 selects the unbounded untiled path)"
-            ) from None
-        if block < 0:
-            raise ValueError(
-                f"batch block size must be >= 0 (0 = unbounded), got "
-                f"{block} in backend spec {key!r}"
-            )
-    if unknown:
+    if options:
         raise ValueError(
-            f"invalid numpy backend options {options!r} "
-            "(expected 'numpy[:block=N]')"
+            f"similarity backend {name!r} accepts no options (got {options!r} "
+            f"in backend spec {key!r})"
         )
-    return name, block
+    if name == "numpy":
+        _load_numpy()
+    return name
 
 
 def create_backend(spec: Optional[str], engine: "SimilarityEngine") -> SimilarityBackend:
     """Instantiate the backend *spec* selects for *engine*.
 
-    ``None`` selects :data:`DEFAULT_BACKEND`; ``"numpy:block=64"`` passes
-    the tile budget to :class:`NumpyBackend`.  Malformed specs raise the
+    ``None`` selects :data:`DEFAULT_BACKEND`.  Malformed specs raise the
     errors of :func:`parse_backend_spec`.
     """
-    name, block_items = parse_backend_spec(spec)
-    if name == "python":
+    if parse_backend_spec(spec) == "python":
         return PythonBackend(engine)
-    return NumpyBackend(engine, block_items)
+    return NumpyBackend(engine)
 
 
 def validate_backend_spec(spec: Optional[str]) -> str:
@@ -1286,5 +1210,4 @@ def validate_backend_spec(spec: Optional[str]) -> str:
     spec fails where the user wrote it, not deep inside a fit, with the
     errors of :func:`parse_backend_spec`.
     """
-    parse_backend_spec(spec)
-    return (spec or DEFAULT_BACKEND).lower()
+    return parse_backend_spec(spec)

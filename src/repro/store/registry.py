@@ -9,15 +9,10 @@ each version pointing at one model directory written by
   checks),
 - the fitted :class:`~repro.core.config.ClusteringConfig` and fit
   metadata copied out of the manifest (so ``cxk models show`` answers
-  without touching the model directory),
-- optional **bench lineage**: the ``repro-bench/1`` records measured for
-  this version (``cxk models publish --bench report.json``).
+  without touching the model directory).
 
-The :class:`ModelRegistry` protocol is deliberately small -- ``publish``
-/ ``active`` / ``list_models`` / ``show`` / ``retire`` -- so the sqlite
-backend here can later be joined by a PostgreSQL one (the
-store/preprocessor/clusterizator split of the related-work pipeline)
-without the serving layer changing.  :class:`SqliteModelRegistry` opens
+:class:`SqliteModelRegistry` answers ``publish`` / ``active`` /
+``active_models`` / ``list_models`` / ``show`` / ``retire``.  It opens
 one short-lived connection per operation, which makes a single registry
 file safe to share between the CLI, a polling server and worker
 processes (sqlite serialises writers; readers never block readers).
@@ -44,7 +39,7 @@ import sqlite3
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional
 
 from repro.core.model_store import (
     MODEL_DATA_FILES,
@@ -133,8 +128,8 @@ class ModelRecord:
     """One published version of one model name, as cataloged.
 
     The record is a *pointer plus provenance*: the serving layer resolves
-    ``directory`` and compares ``fingerprint``; operators read ``config``,
-    ``fit`` and ``bench`` without opening the model directory.
+    ``directory`` and compares ``fingerprint``; operators read ``config``
+    and ``fit`` without opening the model directory.
     """
 
     name: str
@@ -145,7 +140,6 @@ class ModelRecord:
     created_at: str
     config: Dict[str, object] = field(default_factory=dict)
     fit: Dict[str, object] = field(default_factory=dict)
-    bench: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe encoding (used by ``cxk models`` and ``/models``)."""
@@ -158,63 +152,23 @@ class ModelRecord:
             "created_at": self.created_at,
             "config": self.config,
             "fit": self.fit,
-            "bench": self.bench,
         }
 
 
-@runtime_checkable
-class ModelRegistry(Protocol):
-    """The protocol every registry backend implements.
-
-    Kept intentionally small so alternative durable backends (PostgreSQL,
-    a cloud object catalog) can slot in behind the same serving and CLI
-    surfaces; :class:`SqliteModelRegistry` is the first implementation.
-    """
-
-    def publish(
-        self,
-        name: str,
-        directory,
-        *,
-        bench: Optional[Dict[str, object]] = None,
-    ) -> ModelRecord:
-        """Catalog *directory* as the next version of *name*."""
-        ...
-
-    def active(self, name: str) -> Optional[ModelRecord]:
-        """The highest published (non-retired) version of *name*, if any."""
-        ...
-
-    def active_models(self) -> List[ModelRecord]:
-        """One active record per non-retired name (the routing table)."""
-        ...
-
-    def list_models(
-        self, name: Optional[str] = None, *, include_retired: bool = False
-    ) -> List[ModelRecord]:
-        """All cataloged versions, optionally filtered to one name."""
-        ...
-
-    def show(self, name: str, version: Optional[int] = None) -> ModelRecord:
-        """One specific version (default: the active one) or raise."""
-        ...
-
-    def retire(self, name: str, version: Optional[int] = None) -> ModelRecord:
-        """Mark a version (default: the active one) retired."""
-        ...
-
-
 class SqliteModelRegistry:
-    """Sqlite-backed :class:`ModelRegistry` (the first durable backend).
+    """The sqlite-backed model registry.
 
     One registry is one sqlite file; every operation opens a short-lived
     connection, so a single file is safely shared by the CLI, a serving
     process polling for publishes and any number of readers.  The schema
     (``models``, ``registry_meta``) is created on first use and
-    version-checked on every open.  Registry files written by earlier
-    releases also hold a catalog table of compiled-corpus stores and two
-    nullable corpus columns in ``models``; nothing reads them, so those
-    files keep working unchanged.
+    version-checked on every open.  The nullable ``bench`` column of
+    ``models`` is no longer written or read.  Registry files written by
+    earlier releases also hold a catalog table of compiled-corpus stores
+    and two nullable corpus columns in ``models``; nothing reads them, so
+    those files keep working unchanged.  A damaged file (a
+    non-integer schema version, a ``config`` or ``fit`` column that is not
+    a JSON object) raises :class:`RegistryError`.
     """
 
     def __init__(self, path) -> None:
@@ -250,7 +204,7 @@ class SqliteModelRegistry:
                 "INSERT INTO registry_meta (key, value) VALUES (?, ?)",
                 ("schema_version", str(REGISTRY_SCHEMA_VERSION)),
             )
-        elif int(row["value"]) != REGISTRY_SCHEMA_VERSION:
+        elif str(row["value"]) != str(REGISTRY_SCHEMA_VERSION):
             raise RegistryError(
                 f"registry {self.path} has schema version {row['value']} "
                 f"(this build expects {REGISTRY_SCHEMA_VERSION})"
@@ -265,13 +219,29 @@ class SqliteModelRegistry:
             " created_at TEXT NOT NULL,"
             " config TEXT NOT NULL,"
             " fit TEXT NOT NULL,"
+            # always NULL now; kept so builds that read it open new files
             " bench TEXT,"
             " PRIMARY KEY (name, version))"
         )
 
-    @staticmethod
-    def _record(row: sqlite3.Row) -> ModelRecord:
-        """Decode one ``models`` row into a :class:`ModelRecord`."""
+    def _record(self, row: sqlite3.Row) -> ModelRecord:
+        """Decode one ``models`` row into a :class:`ModelRecord`.
+
+        A ``config`` or ``fit`` column that does not hold a JSON object
+        raises :class:`RegistryError` naming the row and the registry.
+        """
+        columns = {}
+        for column in ("config", "fit"):
+            try:
+                value = json.loads(row[column])
+            except (TypeError, ValueError):
+                value = None
+            if not isinstance(value, dict):
+                raise RegistryError(
+                    f"registry {self.path} holds a damaged {column!r} column "
+                    f"for {row['name']} v{row['version']}: {row[column]!r}"
+                )
+            columns[column] = value
         return ModelRecord(
             name=row["name"],
             version=row["version"],
@@ -279,19 +249,11 @@ class SqliteModelRegistry:
             fingerprint=row["fingerprint"],
             status=row["status"],
             created_at=row["created_at"],
-            config=json.loads(row["config"]),
-            fit=json.loads(row["fit"]),
-            bench=json.loads(row["bench"]) if row["bench"] is not None else None,
+            **columns,
         )
 
     # ------------------------------------------------------------------ #
-    def publish(
-        self,
-        name: str,
-        directory,
-        *,
-        bench: Optional[Dict[str, object]] = None,
-    ) -> ModelRecord:
+    def publish(self, name: str, directory) -> ModelRecord:
         """Catalog *directory* as the next version of *name*.
 
         Validates the directory (complete manifest, inventoried files
@@ -322,8 +284,8 @@ class SqliteModelRegistry:
                 version = (last["v"] or 0) + 1
                 connection.execute(
                     "INSERT INTO models (name, version, directory, fingerprint,"
-                    " status, created_at, config, fit, bench)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    " status, created_at, config, fit)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         name,
                         version,
@@ -333,7 +295,6 @@ class SqliteModelRegistry:
                         now,
                         json.dumps(manifest.get("config") or {}),
                         json.dumps(manifest.get("fit") or {}),
-                        json.dumps(bench) if bench is not None else None,
                     ),
                 )
                 row = connection.execute(
@@ -443,11 +404,3 @@ class SqliteModelRegistry:
             ) from error
         return self.show(name, record.version)
 
-
-def open_registry(path) -> SqliteModelRegistry:
-    """Open the registry at *path* (the single CLI/serving entry point).
-
-    Exists so call sites select a backend by configuration in one place
-    once more than sqlite is supported.
-    """
-    return SqliteModelRegistry(path)

@@ -38,7 +38,7 @@ from repro.network.mpengine import clear_process_engines
 from repro.serving import AsyncModelServer, ModelRouter
 from repro.similarity.corpus_store import clear_store_cache, prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
-from repro.store import RegistryError, model_fingerprint, open_registry
+from repro.store import RegistryError, SqliteModelRegistry, model_fingerprint
 from repro.xmlmodel.serializer import serialize
 
 
@@ -103,7 +103,7 @@ def registry_path(tmp_path_factory):
     fit_and_save(root / "alpha", k=4)
     fit_and_save(root / "beta", k=3)
     fit_and_save(root / "spare", k=5)
-    registry = open_registry(root / "registry.db")
+    registry = SqliteModelRegistry(root / "registry.db")
     registry.publish("alpha", root / "alpha")
     registry.publish("beta", root / "beta")
     return root / "registry.db"
@@ -121,7 +121,7 @@ def running_server(registry_path=None, *, router=None, **kwargs):
     registry at *registry_path* unless a *router* is given)."""
     port = free_port()
     server = AsyncModelServer(
-        router or ModelRouter(registry=open_registry(registry_path)),
+        router or ModelRouter(registry=SqliteModelRegistry(registry_path)),
         port=port,
         **kwargs,
     )
@@ -143,7 +143,7 @@ class TestRouting:
     def test_parallel_clients_match_direct_classify_bit_exactly(
         self, registry_path, documents
     ):
-        registry = open_registry(registry_path)
+        registry = SqliteModelRegistry(registry_path)
         expected = {}
         for name in ("alpha", "beta"):
             model = load_model(registry.active(name).directory)
@@ -179,7 +179,7 @@ class TestRouting:
 
     def test_single_route_exposes_bare_classify(self, tmp_path, documents):
         fit_and_save(tmp_path / "solo", k=4)
-        registry = open_registry(tmp_path / "solo.db")
+        registry = SqliteModelRegistry(tmp_path / "solo.db")
         registry.publish("solo", tmp_path / "solo")
         with running_server(tmp_path / "solo.db") as (server, base):
             payload = fetch_with_retry(
@@ -248,7 +248,7 @@ class TestRouting:
 
     def test_router_rejects_unknown_requested_names(self, registry_path):
         router = ModelRouter(
-            registry=open_registry(registry_path), names=["alpha", "ghost"]
+            registry=SqliteModelRegistry(registry_path), names=["alpha", "ghost"]
         )
         with pytest.raises(RegistryError, match="ghost"):
             router.targets()
@@ -282,7 +282,7 @@ class TestRouting:
             ModelRouter()
         with pytest.raises(ValueError, match="exactly one source"):
             ModelRouter(
-                registry=open_registry(registry_path), model_dirs={"a": "b"}
+                registry=SqliteModelRegistry(registry_path), model_dirs={"a": "b"}
             )
 
 
@@ -291,7 +291,7 @@ class TestHotReload:
         self, registry_path, documents
     ):
         """A publish + reload under live traffic drops zero requests."""
-        registry = open_registry(registry_path)
+        registry = SqliteModelRegistry(registry_path)
         spare = Path(registry_path).parent / "spare"
         with running_server(registry_path) as (server, base):
             stop = threading.Event()
@@ -337,7 +337,7 @@ class TestHotReload:
         registry.retire("alpha", 2)
 
     def test_identical_fingerprint_republish_swaps_nothing(self, registry_path):
-        registry = open_registry(registry_path)
+        registry = SqliteModelRegistry(registry_path)
         with running_server(registry_path) as (server, base):
             registry.publish("beta", registry.active("beta").directory)
             reloaded = fetch_with_retry(f"{base}/reload", data=b"", method="POST")
@@ -384,7 +384,7 @@ class TestHotReload:
     def test_poll_interval_reloads_without_a_call(
         self, registry_path, documents
     ):
-        registry = open_registry(registry_path)
+        registry = SqliteModelRegistry(registry_path)
         spare = Path(registry_path).parent / "spare"
         with running_server(registry_path, poll_interval=0.1) as (server, base):
             before = fetch_with_retry(f"{base}/models/alpha/stats")
@@ -439,7 +439,7 @@ class TestDrain:
     def test_max_requests_drains_the_server(self, registry_path, documents):
         port = free_port()
         server = AsyncModelServer(
-            ModelRouter(registry=open_registry(registry_path)),
+            ModelRouter(registry=SqliteModelRegistry(registry_path)),
             port=port,
             max_requests=2,
         )

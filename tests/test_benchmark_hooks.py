@@ -20,7 +20,6 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import pbtrace  # noqa: E402
 
 from repro.network.mpengine import RefinementShard  # noqa: E402
-from repro.similarity.item import SimilarityConfig  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -42,19 +41,16 @@ def test_refine_counter_reads_the_shard_fields():
     """The ``refine`` counter sizes each shard by ``members`` or
     ``member_rows``; both kinds of shard must still carry them."""
     tracer = pbtrace.Tracer()
-    common = dict(
-        similarity=SimilarityConfig(),
-        backend="python",
-        representative_id="rep",
-    )
     shards = [
-        RefinementShard(cluster_index=0, members=[object()] * 3, **common),
+        RefinementShard(
+            cluster_index=0, members=[object()] * 3, representative_id="rep"
+        ),
         RefinementShard(
             cluster_index=1,
             members=None,
+            representative_id="rep",
             store_dir="store",
             member_rows=[4, 5],
-            **common,
         ),
     ]
     pbtrace._count_refine(tracer, (shards,), {}, {}, None)

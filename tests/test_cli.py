@@ -147,9 +147,9 @@ class TestBackendSpecErrors:
             )
 
     def test_batch_block_items_must_be_non_negative(self):
-        """A negative tile budget exits cleanly; the ``block=N`` spec option
-        is the one way to set the budget."""
-        with pytest.raises(SystemExit, match="block size must be >= 0"):
+        """A negative tile budget exits cleanly, like every ``block=N``
+        spec option: the budget is a fixed constant."""
+        with pytest.raises(SystemExit, match="accepts no options"):
             main(
                 [
                     "cluster",
@@ -176,8 +176,8 @@ class TestBackendSpecErrors:
 
 
 class TestBatchBlockItemsFlag:
-    """The tile budget on the CLI, set through ``--backend numpy:block=N``
-    (the one way to set it)."""
+    """The tile budget is a constant of the numpy backend: no CLI spelling
+    sets it, and no budget changes a clustering."""
 
     def _cluster_output(self, capsys, extra):
         arguments = [
@@ -200,26 +200,68 @@ class TestBatchBlockItemsFlag:
             if not line.startswith(("elapsed", "simulated", "backend"))
         ]
 
-    def test_tiled_runs_are_bit_exact_with_untiled(self, capsys):
-        untiled = self._cluster_output(capsys, ["--backend", "numpy:block=0"])
-        tiled = self._cluster_output(capsys, ["--backend", "numpy:block=7"])
-        default = self._cluster_output(capsys, [])
-        assert tiled == untiled
-        assert default == untiled
+    def test_tiled_runs_are_bit_exact_with_untiled(self, capsys, monkeypatch):
+        from repro.similarity import backend
 
-    def test_backend_spec_block_option_accepted(self, capsys):
-        arguments = [
-            "cluster",
-            "--corpus", "DBLP",
-            "--goal", "content",
-            "--algorithm", "xk",
-            "--scale", "0.15",
-            "--gamma", "0.7",
-            "--max-iterations", "3",
-            "--backend", "numpy:block=16",
-        ]
-        assert main(arguments) == 0
-        assert "numpy:block=16" in capsys.readouterr().out
+        default = self._cluster_output(capsys, [])
+        python = self._cluster_output(capsys, ["--backend", "python"])
+        # a budget above every corpus is one tile: the untiled path
+        monkeypatch.setattr(backend, "TILE_ITEMS", 10**9)
+        untiled = self._cluster_output(capsys, [])
+        monkeypatch.setattr(backend, "TILE_ITEMS", 7)
+        tiled = self._cluster_output(capsys, [])
+        assert tiled == untiled == default
+
+        # the reference loops probe the tag-path cache more often
+        def clustering(lines):
+            return [line for line in lines if not line.startswith("cache")]
+
+        assert clustering(python) == clustering(default)
+
+    def test_backend_spec_block_option_is_rejected(self, monkeypatch):
+        from repro import cli
+
+        def fail_dataset(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the corpus must not be loaded")
+
+        monkeypatch.setattr(cli, "get_dataset", fail_dataset)
+        with pytest.raises(SystemExit, match="^error: .*accepts no options"):
+            main(["cluster", "--corpus", "DBLP", "--backend", "numpy:block=64"])
+
+
+#: Arguments each command rejects while parsing, before any corpus is built.
+BAD_ARGUMENTS = [
+    ["cluster", "--gamma", "1.5"],
+    ["cluster", "--f", "2"],
+    ["cluster", "--max-iterations", "0"],
+    ["cluster", "--scale", "-1"],
+    ["cluster", "--peers", "0"],
+    ["cluster", "--corpus", "NOPE"],
+    ["cluster", "--k", "0"],
+    ["stream", "--model", "m", "--corpus", "DBLP", "--chunk-size", "0"],
+    ["stream", "--model", "m", "--corpus", "DBLP", "--retain-threshold", "2"],
+    ["serve", "--model", "m", "--port", "70000"],
+    ["figure8", "--nodes", "0"],
+]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("arguments", BAD_ARGUMENTS, ids="_".join)
+    def test_bad_argument_exits_with_one_error_line(
+        self, arguments, capsys, monkeypatch
+    ):
+        from repro import cli
+
+        def fail_dataset(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the corpus must not be loaded")
+
+        monkeypatch.setattr(cli, "get_dataset", fail_dataset)
+        with pytest.raises(SystemExit) as failure:
+            main(arguments)
+        assert failure.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert f"argument {arguments[-2]}:" in lines[-1]
 
 
 class TestExperimentCommands:

@@ -3,8 +3,9 @@
 Pin the catalog's lifecycle invariants: append-only versioning with
 idempotent re-publish, content fingerprints that actually track content,
 retire-as-status-flip (never delete), durable rows across re-opens, the
-``save_model`` publish hook, the ``cxk models`` CLI surface, and registry
-files written with the earlier schema that cataloged corpus stores.
+``save_model`` publish hook, the ``cxk models`` CLI surface, registry
+files written with the earlier schema that cataloged corpus stores, and
+typed errors for files damaged through raw SQL.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from repro.datasets.registry import get_dataset
 from repro.serving import ModelRouter
 from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
-from repro.store import (
-    ModelRegistry,
-    RegistryError,
-    SqliteModelRegistry,
-    model_fingerprint,
-    open_registry,
-)
+from repro.store import RegistryError, SqliteModelRegistry, model_fingerprint
 from repro.store.registry import STATUS_PUBLISHED, STATUS_RETIRED
 
 
@@ -75,7 +70,7 @@ class TestFingerprint:
 
 class TestPublish:
     def test_first_publish_is_version_one(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         record = registry.publish("dblp", model_dirs[0])
         assert record.version == 1
         assert record.status == STATUS_PUBLISHED
@@ -84,14 +79,14 @@ class TestPublish:
         assert record.fit
 
     def test_republish_same_content_is_idempotent(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         first = registry.publish("dblp", model_dirs[0])
         second = registry.publish("dblp", model_dirs[0])
         assert second.version == first.version
         assert len(registry.list_models("dblp")) == 1
 
     def test_new_content_appends_a_version(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         registry.publish("dblp", model_dirs[0])
         second = registry.publish("dblp", model_dirs[1])
         assert second.version == 2
@@ -101,33 +96,28 @@ class TestPublish:
         assert registry.active("dblp").version == 2
 
     def test_invalid_names_are_rejected(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         for bad in ("", "a/b"):
             with pytest.raises(RegistryError, match="invalid model name"):
                 registry.publish(bad, model_dirs[0])
 
     def test_non_model_directory_is_rejected(self, tmp_path):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         with pytest.raises(RegistryError, match="no readable manifest"):
             registry.publish("dblp", tmp_path)
 
     def test_rows_survive_reopen(self, tmp_path, model_dirs):
         path = tmp_path / "registry.db"
-        open_registry(path).publish("dblp", model_dirs[0])
-        reopened = open_registry(path)
+        SqliteModelRegistry(path).publish("dblp", model_dirs[0])
+        reopened = SqliteModelRegistry(path)
         assert reopened.active("dblp").fingerprint == model_fingerprint(
             model_dirs[0]
         )
 
-    def test_sqlite_backend_satisfies_the_protocol(self, tmp_path):
-        registry = open_registry(tmp_path / "registry.db")
-        assert isinstance(registry, SqliteModelRegistry)
-        assert isinstance(registry, ModelRegistry)
-
 
 class TestLifecycle:
     def test_retire_flips_status_and_promotes_previous(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         registry.publish("dblp", model_dirs[0])
         registry.publish("dblp", model_dirs[1])
         retired = registry.retire("dblp")
@@ -139,26 +129,26 @@ class TestLifecycle:
         assert registry.active("dblp").version == 1
 
     def test_show_unknown_name_names_the_catalog(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         registry.publish("dblp", model_dirs[0])
         with pytest.raises(RegistryError, match="cataloged names: dblp"):
             registry.show("nope")
 
     def test_show_unknown_version_raises(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         registry.publish("dblp", model_dirs[0])
         with pytest.raises(RegistryError, match="no version 9"):
             registry.show("dblp", 9)
 
     def test_active_models_is_one_record_per_name(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         registry.publish("beta", model_dirs[1])
         registry.publish("alpha", model_dirs[0])
         records = registry.active_models()
         assert [record.name for record in records] == ["alpha", "beta"]
 
     def test_record_round_trips_to_json(self, tmp_path, model_dirs):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         record = registry.publish("dblp", model_dirs[0])
         encoded = json.loads(json.dumps(record.to_dict()))
         assert encoded["name"] == "dblp"
@@ -168,7 +158,7 @@ class TestLifecycle:
 
 class TestSaveModelHook:
     def test_save_model_publishes_into_the_registry(self, tmp_path):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         manifest = fit_and_save(
             tmp_path / "model", registry=registry, model_name="hooked"
         )
@@ -178,7 +168,7 @@ class TestSaveModelHook:
         assert record.fingerprint == manifest["registry"]["fingerprint"]
 
     def test_save_model_defaults_the_name_to_the_directory(self, tmp_path):
-        registry = open_registry(tmp_path / "registry.db")
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
         fit_and_save(tmp_path / "dblp-default", registry=registry)
         assert registry.active("dblp-default") is not None
 
@@ -187,9 +177,10 @@ class TestSaveModelHook:
 def write_corpus_column_registry(path, directory) -> None:
     """Hand-write a registry file in the schema that cataloged corpus stores.
 
-    Schema version 1 with two nullable ``corpus_*`` columns in ``models``
-    and a populated ``corpus_stores`` table, holding one published row
-    for the model *directory*.
+    Schema version 1 with two nullable ``corpus_*`` columns and the
+    retired ``bench`` lineage column in ``models`` and a populated
+    ``corpus_stores`` table, holding one published row for the model
+    *directory*.
     """
     connection = sqlite3.connect(str(path))
     with connection:
@@ -221,7 +212,7 @@ def write_corpus_column_registry(path, directory) -> None:
                 json.dumps({"iterations": 2}),
                 "c0ffee",
                 "/cache/c0ffee",
-                None,
+                json.dumps({"schema": "repro-bench/1"}),
             ),
         )
     connection.close()
@@ -234,7 +225,7 @@ class TestCorpusColumnSchema:
         model_a, model_b = model_dirs
         path = tmp_path / "registry.db"
         write_corpus_column_registry(path, model_a)
-        registry = open_registry(path)
+        registry = SqliteModelRegistry(path)
 
         (listed,) = registry.list_models()
         assert (listed.name, listed.version) == ("legacy", 1)
@@ -242,6 +233,7 @@ class TestCorpusColumnSchema:
         assert shown.directory == str(model_a)
         assert shown.config == {"k": 4}
         assert "corpus_store_dir" not in shown.to_dict()
+        assert "bench" not in shown.to_dict()
 
         published = registry.publish("legacy", model_b)
         assert published.version == 2
@@ -253,6 +245,46 @@ class TestCorpusColumnSchema:
         assert (retired.version, retired.status) == (2, STATUS_RETIRED)
         assert [r.version for r in registry.active_models()] == [1]
         assert ModelRouter(registry=registry).targets()["legacy"].version == 1
+
+
+def damage_registry(path, statement) -> None:
+    """Run one raw SQL *statement* against the registry file at *path*."""
+    connection = sqlite3.connect(str(path))
+    with connection:
+        connection.execute(statement)
+    connection.close()
+
+
+#: Raw SQL that damages a registry holding one published ``dblp`` row.
+DAMAGES = {
+    "schema-version": "UPDATE registry_meta SET value = 'one'"
+    " WHERE key = 'schema_version'",
+    "config-column": "UPDATE models SET config = '{not json'",
+    "config-not-an-object": "UPDATE models SET config = '[1, 2]'",
+    "fit-column": "UPDATE models SET fit = ''",
+}
+
+
+class TestDamagedRegistry:
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_file_raises_registry_error(
+        self, tmp_path, model_dirs, damage
+    ):
+        path = tmp_path / "registry.db"
+        SqliteModelRegistry(path).publish("dblp", model_dirs[0])
+        damage_registry(path, DAMAGES[damage])
+        with pytest.raises(RegistryError, match=str(path)):
+            SqliteModelRegistry(path).list_models()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_models_list_exits_with_one_error_line(
+        self, tmp_path, model_dirs, damage
+    ):
+        path = tmp_path / "registry.db"
+        SqliteModelRegistry(path).publish("dblp", model_dirs[0])
+        damage_registry(path, DAMAGES[damage])
+        with pytest.raises(SystemExit, match=f"^error: registry {path}"):
+            main(["models", "--registry", str(path), "list"])
 
 
 class TestModelsCli:
@@ -304,7 +336,7 @@ class TestModelsCli:
         out = capsys.readouterr().out
         assert status == 0
         assert "registry  : published cli-published v1" in out
-        assert open_registry(tmp_path / "registry.db").active("cli-published")
+        assert SqliteModelRegistry(tmp_path / "registry.db").active("cli-published")
 
     def test_cluster_registry_requires_save_model(self):
         with pytest.raises(SystemExit, match="--registry requires --save-model"):

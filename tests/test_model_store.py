@@ -6,7 +6,7 @@ classification queries from the reloaded model.  These tests pin its
 contract:
 
 * ``fit -> save_model -> load_model -> assign_all`` is **bit-exact** against
-  the in-memory model on the python / numpy / tiled backends;
+  the in-memory model on the python and numpy backends;
 * payload encoding round-trips values exactly (hypothesis property suite:
   ordered sparse vectors, items, transactions through JSON);
 * a model loads from its own directory: a manifest written with the
@@ -14,12 +14,12 @@ contract:
   (intact, missing or corrupted) and classifies with zero corpus compile
   work;
 * tampered manifests (format version, malformed config section),
-  missing/corrupt blocks and unwritable directories are rejected with
-  ``ModelStoreError`` (the CLI and runner degrade instead of failing the
-  run);
+  missing/corrupt blocks, seeded single-value mutants of the data files
+  and unwritable directories are rejected with ``ModelStoreError`` (the
+  CLI degrades instead of failing the run);
 * manifests written before the tile-budget, refinement-worker and
-  compiled-corpus-cache options were retired still load and classify
-  bit-exactly;
+  compiled-corpus-cache options were retired (a ``numpy:block=N`` spec
+  among them) still load and classify bit-exactly;
 * a manifest naming a backend that is no longer registered (models saved
   under the retired ``sharded`` / ``torch`` backends) fails with the
   unknown-backend ``ValueError`` before any data file is read, and still
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,9 +45,9 @@ pytest.importorskip("numpy")
 from repro.core.config import ClusteringConfig
 from repro.core import model_store
 from repro.core.model_store import (
+    MODEL_DATA_FILES,
     MODEL_FORMAT_VERSION,
     MODEL_MANIFEST_NAME,
-    ClusterModel,
     ModelStoreError,
     item_from_payload,
     item_payload,
@@ -58,7 +60,6 @@ from repro.core.model_store import (
 )
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
-from repro.experiments.runner import run_configuration
 from repro.network.mpengine import clear_process_engines
 from repro.similarity import corpus_store
 from repro.similarity.corpus_store import (
@@ -200,10 +201,15 @@ class TestRoundTrip:
     def test_reloaded_model_assigns_bit_exactly(
         self, dblp_small, tmp_path, backend
     ):
+        """*backend* is the spec the manifest records; ``numpy:block=64``
+        (a retired tile budget older builds wrote) loads on ``numpy``."""
+        name = backend.partition(":")[0]
         config, result, in_memory = fit_and_save(
-            dblp_small, tmp_path / "model", backend=backend
+            dblp_small, tmp_path / "model", backend=name
         )
+        record_backend(tmp_path / "model", backend)
         model = load_model(tmp_path / "model")
+        assert model.engine.backend_name == name
         try:
             assert model.assign_all(dblp_small.transactions) == in_memory
             assert model.representatives == result.representatives()
@@ -214,15 +220,14 @@ class TestRoundTrip:
         config, _, _ = fit_and_save(
             dblp_small,
             tmp_path / "model",
-            backend="numpy:block=64",
+            backend="numpy",
             max_representative_items=11,
         )
         model = load_model(tmp_path / "model")
         loaded = model.config
         assert loaded == config
-        assert loaded.backend == "numpy:block=64"
+        assert loaded.backend == "numpy"
         assert loaded.max_representative_items == 11
-        assert model.engine.backend.block_items == 64
 
     def test_backend_override_serves_bit_exactly(self, dblp_small, tmp_path):
         _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model")
@@ -469,7 +474,72 @@ MALFORMED_CONFIGS = {
         float("nan"),
         "representatives.json holds a non-finite number NaN",
     ),
+    # a string weight float() turns into infinity
+    "inf-string-weight": (
+        "representatives.json",
+        ("representatives", 0, "items", 0, "vector", 0, 1),
+        "inf",
+        "representatives.json",
+    ),
+    "bool-path-step": (
+        "representatives.json",
+        ("representatives", 0, "items", 0, "path", 0),
+        False,
+        "representatives.json",
+    ),
+    "empty-item-path": (
+        "representatives.json",
+        ("representatives", 0, "items", 0, "path"),
+        [],
+        "representatives.json",
+    ),
+    "lone-text-step-path": (
+        "representatives.json",
+        ("representatives", 0, "items", 0, "path"),
+        ["S"],
+        "representatives.json",
+    ),
+    "int-terms": (
+        "representatives.json",
+        ("representatives", 0, "items", 0, "terms"),
+        [[1]],
+        "representatives.json",
+    ),
+    # beyond int64: the numpy backend's term-id arrays cannot hold it
+    "huge-term-id": (
+        "representatives.json",
+        ("representatives", 0, "items", 0, "vector", 0, 0),
+        2**70,
+        "representatives.json",
+    ),
+    "bool-tag-path-step": (
+        "registries.json", ("tag_paths", 0, 0), True, "registries.json"
+    ),
+    "empty-tag-path": ("registries.json", ("tag_paths", 0), [], "registries.json"),
+    "negative-term-tcus": (
+        "vocabulary.json", ("term_tcus",), {"data": -1}, "vocabulary.json"
+    ),
+    "repeated-vocabulary-term": (
+        "vocabulary.json", ("terms",), ["data", "data"], "repeats a term"
+    ),
 }
+
+#: Values a seeded mutant writes in place of one value of a data file.
+MUTANT_VALUES = (
+    None, True, 0, -1, 7, 2**63, 2**70, 1.5, 1e308, "", "x", "S", "@id",
+    "nan", "1e400", [], {}, [[]], [""], ["a", 1], [1, 2], {"a": 1},
+)
+
+
+def value_positions(node, position=()):
+    """Key path of *node* itself and of every value nested inside it."""
+    yield position
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from value_positions(value, position + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from value_positions(value, position + (index,))
 
 
 def break_config(directory: Path, case: str) -> None:
@@ -556,6 +626,39 @@ class TestValidation:
         assert str(tmp_path / "model") in str(failure.value)
         assert MALFORMED_CONFIGS[case][-1] in str(failure.value)
 
+    @pytest.mark.parametrize("name", MODEL_DATA_FILES)
+    def test_seeded_mutants_load_and_classify_or_raise_model_store_error(
+        self, dblp_small, dblp_documents, tmp_path, name
+    ):
+        """Each single-value mutant of a data file either loads and
+        classifies, on both backends, or raises :class:`ModelStoreError`."""
+        fit_and_save(dblp_small, tmp_path / "base")
+        original = json.loads((tmp_path / "base" / name).read_text())
+        positions = list(value_positions(original))
+        rng = random.Random(f"mutants:{name}")
+        for index in range(100):
+            position = rng.choice(positions)
+            value = rng.choice(MUTANT_VALUES)
+            directory = shutil.copytree(tmp_path / "base", tmp_path / f"m{index}")
+            document = json.loads(json.dumps(original))
+            if position:
+                parent = document
+                for key in position[:-1]:
+                    parent = parent[key]
+                parent[position[-1]] = value
+            else:
+                document = value
+            (directory / name).write_text(json.dumps(document))
+            backend = ("python", "numpy")[index % 2]
+            try:
+                model = load_model(directory, backend=backend)
+            except ModelStoreError:
+                continue
+            try:
+                model.classify(dblp_documents[index % len(dblp_documents)])
+            finally:
+                model.close()
+
     def test_unwritable_directory_raises_model_store_error(
         self, dblp_small, tmp_path
     ):
@@ -579,14 +682,15 @@ class TestRetiredOptionManifest:
     ):
         """A manifest carrying the retired tile-budget, refinement-worker
         and compiled-corpus-cache keys (every manifest written before they
-        were removed has them) loads, ignores them and classifies like the
-        python reference."""
-        _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model", backend)
+        were removed has them), or a backend spec with the retired
+        ``block=N`` tile budget, loads on ``numpy``, ignores them and
+        classifies like the python reference."""
+        _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model", "numpy")
         manifest_path = tmp_path / "model" / MODEL_MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         config = {}
         for key, value in manifest["config"].items():
-            config[key] = value
+            config[key] = backend if key == "backend" else value
             if key == "backend":
                 config["batch_block_items"] = 64
                 config["refine_workers"] = 2
@@ -597,7 +701,7 @@ class TestRetiredOptionManifest:
         model = load_model(tmp_path / "model")
         reference = load_model(tmp_path / "model", backend="python")
         try:
-            assert model.config.backend == backend
+            assert model.config.backend == "numpy"
             assert model.assign_all(dblp_small.transactions) == in_memory
             for document in dblp_documents[:8]:
                 ours = model.classify(document)
@@ -683,50 +787,3 @@ class TestRetiredBackendManifest:
                 theirs.score,
             )
             assert ours.assignments == theirs.assignments
-
-
-# --------------------------------------------------------------------------- #
-# Runner integration: auto-save + store run-record field
-# --------------------------------------------------------------------------- #
-class TestRunnerAutoSave:
-    def test_run_configuration_saves_a_servable_model(
-        self, dblp_small, tmp_path
-    ):
-        record = run_configuration(
-            dblp_small,
-            goal="hybrid",
-            nodes=1,
-            f=0.5,
-            gamma=0.8,
-            seed=0,
-            algorithm="xk",
-            max_iterations=2,
-            backend="numpy",
-            save_model_dir=str(tmp_path / "model"),
-        )
-        assert record.model["model"] == "saved"
-        model = load_model(tmp_path / "model")
-        assert isinstance(model, ClusterModel)
-        assert len(model.assignment_representatives) == record.k
-
-    def test_run_configuration_degrades_on_unwritable_model_dir(
-        self, dblp_small, tmp_path
-    ):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("file in the way", encoding="utf-8")
-        record = run_configuration(
-            dblp_small,
-            goal="hybrid",
-            nodes=1,
-            f=0.5,
-            gamma=0.8,
-            seed=0,
-            algorithm="xk",
-            max_iterations=2,
-            backend="numpy",
-            save_model_dir=str(blocker / "model"),
-        )
-        assert record.model["model"] == "error"
-        assert "error" in record.model
-        # the clustering itself succeeded regardless
-        assert record.iterations >= 1

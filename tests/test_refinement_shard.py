@@ -81,8 +81,6 @@ def local_shards(clusters):
         RefinementShard(
             cluster_index=index,
             members=list(members),
-            similarity=SIMILARITY,
-            backend="python",
             representative_id=f"rep:{index}",
         )
         for index, members in enumerate(clusters)
@@ -140,13 +138,11 @@ def clusters_strategy(draw, min_clusters: int = 2, max_clusters: int = 4):
 class TestShardModel:
     def test_kind_is_derived_from_weights(self):
         local = RefinementShard(
-            cluster_index=0, members=[], similarity=SIMILARITY,
-            backend="python", representative_id="rep",
+            cluster_index=0, members=[], representative_id="rep"
         )
         assert local.kind == "local"
         global_shard = RefinementShard(
-            cluster_index=0, members=[], similarity=SIMILARITY,
-            backend="python", representative_id="rep", weights=[3],
+            cluster_index=0, members=[], representative_id="rep", weights=[3]
         )
         assert global_shard.kind == "global"
 
@@ -185,8 +181,6 @@ class TestRefinementParity:
                 cluster_index=index,
                 members=[representative],
                 weights=[weight],
-                similarity=SIMILARITY,
-                backend="python",
                 representative_id=f"rep:global:{index}",
             )
             for index, (representative, weight) in enumerate(locals_per_cluster)

@@ -484,6 +484,21 @@ class TestCli:
         "list-term-tcus": (
             "vocabulary.json", ("term_tcus",), [["term", 1]], "vocabulary.json"
         ),
+        "bool-path-step": (
+            "representatives.json",
+            ("representatives", 0, "items", 0, "path", 0),
+            False,
+            "corrupt representatives",
+        ),
+        "huge-term-id": (
+            "representatives.json",
+            ("representatives", 0, "items", 0, "vector", 0, 0),
+            2**70,
+            "corrupt representatives",
+        ),
+        "empty-tag-path": (
+            "registries.json", ("tag_paths", 0), [], "corrupt registry block"
+        ),
     }
 
     @classmethod
@@ -525,10 +540,10 @@ class TestCli:
     def test_serve_registry_with_a_corrupt_active_model_exits_cleanly(
         self, model_dir, tmp_path
     ):
-        from repro.store import open_registry
+        from repro.store import SqliteModelRegistry
 
         model = shutil.copytree(model_dir, tmp_path / "model")
-        open_registry(tmp_path / "registry.db").publish("dblp", model)
+        SqliteModelRegistry(tmp_path / "registry.db").publish("dblp", model)
         self.corrupt(model)
         with pytest.raises(SystemExit, match="error: corrupt representatives"):
             main(

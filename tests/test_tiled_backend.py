@@ -1,24 +1,25 @@
 """Parity and behaviour tests for the tiled batch kernels.
 
-The numpy batch engine evaluates its
-similarity blocks in ``(row_tile x column_tile)`` tiles bounded by a
-configurable item budget (``block=N`` in the backend option grammar, the
-one way to set it).  Tiling is a
-pure memory/throughput knob: every budget must produce **bit-identical**
-results -- the fused segment-wise reductions consume the same gathered
-floats as the untiled pass -- so this suite asserts exact ``==`` equality
-against the untiled path (``block=0``) and the python reference across
+The numpy batch engine evaluates its similarity blocks in
+``(row_tile x column_tile)`` tiles bounded by the module constant
+:data:`repro.similarity.backend.TILE_ITEMS`.  Tiling bounds memory only:
+every budget must produce **bit-identical** results -- the fused
+segment-wise reductions consume the same gathered floats as a single
+tile -- so this suite monkeypatches the constant and asserts exact ``==``
+equality against the python reference across
 
 * hypothesis-random transactions (including empty rows and columns),
 * the synthetic generator corpus,
 * full XK-means / CXK-means fits,
 
-for tile sizes ``{1, 2, 7, >= corpus}``, plus the option grammar, the
-``ClusteringConfig`` threading and the peak-scratch memory bound itself.
+for tile sizes ``{1, 2, 7, >= corpus}``, plus the spec grammar (which
+rejects the retired ``numpy:block=N`` option) and the peak-scratch memory
+bound itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -30,9 +31,8 @@ from repro.core.cxkmeans import CXKMeans
 from repro.core.seeding import select_seed_transactions
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
-from repro.network.mpengine import clear_process_engines
+from repro.similarity import backend
 from repro.similarity.backend import (
-    DEFAULT_BLOCK_ITEMS,
     NumpyBackend,
     create_backend,
     parse_backend_spec,
@@ -52,6 +52,14 @@ numpy = pytest.importorskip("numpy")
 #: tiles, tiny tiles, a prime that misaligns with transaction sizes, and a
 #: budget far above any test corpus (>= corpus == single tile).
 TILE_SIZES = (1, 2, 7, 10_000)
+
+
+@contextlib.contextmanager
+def tile_budget(items: int):
+    """Run the block with the numpy kernels tiling by *items* per side."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend, "TILE_ITEMS", items)
+        yield
 
 
 # --------------------------------------------------------------------------- #
@@ -113,11 +121,7 @@ def dblp_small():
 # Tile-span partitioning
 # --------------------------------------------------------------------------- #
 class TestTileSpans:
-    def test_unbounded_budget_is_a_single_span(self):
-        assert NumpyBackend._tile_spans([3, 1, 4], None) == [(0, 3)]
-
     def test_empty_input_has_no_spans(self):
-        assert NumpyBackend._tile_spans([], None) == []
         assert NumpyBackend._tile_spans([], 4) == []
 
     def test_spans_respect_the_budget(self):
@@ -144,46 +148,43 @@ class TestTileSpans:
             # within budget unless the span is a single oversized transaction
             assert total <= budget or stop - start == 1
 
-    def test_effective_block_items_resolution(self):
-        shared = SimilarityEngine(SimilarityConfig())
-        default = NumpyBackend(shared)
-        assert default.block_items is None
-        assert default.effective_block_items == DEFAULT_BLOCK_ITEMS
-        untiled = NumpyBackend(shared, 0)
-        assert untiled.block_items == 0
-        assert untiled.effective_block_items is None
-        tiled = NumpyBackend(shared, 5)
-        assert tiled.effective_block_items == 5
-
 
 # --------------------------------------------------------------------------- #
 # Option grammar and spec validation
 # --------------------------------------------------------------------------- #
 class TestOptionGrammar:
-    def test_split_block_option(self):
-        """The parser splits the ``block=N`` budget out of a spec."""
-        assert parse_backend_spec(None) == ("python", None)
-        assert parse_backend_spec("numpy") == ("numpy", None)
-        assert parse_backend_spec("numpy:block=8") == ("numpy", 8)
-        assert parse_backend_spec("NumPy:Block=0") == ("numpy", 0)
-        assert parse_backend_spec("numpy::block=8:") == ("numpy", 8)
+    def test_parse_accepts_only_the_backend_names(self):
+        """A spec is a backend name, case-insensitive; the parser returns it."""
+        assert parse_backend_spec(None) == "python"
+        assert parse_backend_spec("numpy") == "numpy"
+        assert parse_backend_spec("NumPy") == "numpy"
+        assert parse_backend_spec("PYTHON") == "python"
 
     @pytest.mark.parametrize(
         "options", ["block=", "block=abc", "block=-1", "block=1:block=2"]
     )
     def test_split_block_option_rejects_malformed_budgets(self, options):
+        """Malformed budgets are rejected, like every ``block=`` option."""
         with pytest.raises(ValueError, match="block"):
             parse_backend_spec(f"numpy:{options}")
 
     def test_create_backend_parses_the_block_option(self):
+        """``create_backend`` reads a ``block=N`` option and rejects it:
+        the tile budget is the constant ``TILE_ITEMS``."""
         shared = SimilarityEngine(SimilarityConfig())
-        backend = create_backend("numpy:block=16", shared)
-        assert isinstance(backend, NumpyBackend)
-        assert backend.block_items == 16
+        with pytest.raises(ValueError, match="accepts no options"):
+            create_backend("numpy:block=16", shared)
+        assert isinstance(create_backend("numpy", shared), NumpyBackend)
 
     @pytest.mark.parametrize(
         "spec",
-        ["numpy:block=abc", "numpy:block=-3", "numpy:bogus", "numpy:block=1:block=2"],
+        [
+            "numpy:block=abc",
+            "numpy:block=-3",
+            "numpy:bogus",
+            "numpy:block=1:block=2",
+            "numpy:block=0",
+        ],
     )
     def test_bad_numpy_specs_fail_at_validation_and_creation(self, spec):
         shared = SimilarityEngine(SimilarityConfig())
@@ -198,12 +199,16 @@ class TestOptionGrammar:
 # --------------------------------------------------------------------------- #
 class TestConfigThreading:
     def test_negative_budget_is_rejected(self):
-        with pytest.raises(ValueError, match="block size must be >= 0"):
+        with pytest.raises(ValueError, match="accepts no options"):
             ClusteringConfig(k=2, backend="numpy:block=-1")
+
+    def test_a_tile_budget_is_an_unknown_option(self):
+        with pytest.raises(ValueError, match="accepts no options"):
+            ClusteringConfig(k=2, backend="numpy:block=64")
 
 
 # --------------------------------------------------------------------------- #
-# Hypothesis parity: tiled vs. untiled vs. python reference
+# Hypothesis parity: every tile size vs. the python reference
 # --------------------------------------------------------------------------- #
 class TestPropertyParity:
     @given(
@@ -216,19 +221,17 @@ class TestPropertyParity:
         self, rows, columns, config
     ):
         f, gamma = config
-        untiled = engine("numpy:block=0", f=f, gamma=gamma)
         reference = engine("python", f=f, gamma=gamma)
-        expected = untiled.pairwise_transaction_similarity(rows, columns)
-        assert expected == reference.pairwise_transaction_similarity(
-            rows, columns
-        )
-        expected_assign = untiled.assign_all(rows, columns)
+        expected = reference.pairwise_transaction_similarity(rows, columns)
+        expected_assign = reference.assign_all(rows, columns)
         for block in TILE_SIZES:
-            tiled = engine(f"numpy:block={block}", f=f, gamma=gamma)
-            assert (
-                tiled.pairwise_transaction_similarity(rows, columns) == expected
-            )
-            assert tiled.assign_all(rows, columns) == expected_assign
+            with tile_budget(block):
+                tiled = engine("numpy", f=f, gamma=gamma)
+                assert (
+                    tiled.pairwise_transaction_similarity(rows, columns)
+                    == expected
+                )
+                assert tiled.assign_all(rows, columns) == expected_assign
 
     @given(
         cluster=st.lists(transactions_strategy(), max_size=6),
@@ -240,13 +243,12 @@ class TestPropertyParity:
         self, cluster, candidates, config
     ):
         f, gamma = config
-        untiled = engine("numpy:block=0", f=f, gamma=gamma)
         reference = engine("python", f=f, gamma=gamma)
-        expected = untiled.score_candidates(cluster, candidates)
-        assert expected == reference.score_candidates(cluster, candidates)
+        expected = reference.score_candidates(cluster, candidates)
         for block in TILE_SIZES:
-            tiled = engine(f"numpy:block={block}", f=f, gamma=gamma)
-            assert tiled.score_candidates(cluster, candidates) == expected
+            with tile_budget(block):
+                tiled = engine("numpy", f=f, gamma=gamma)
+                assert tiled.score_candidates(cluster, candidates) == expected
 
     @given(
         transactions=st.lists(transactions_strategy(), max_size=5),
@@ -256,13 +258,12 @@ class TestPropertyParity:
     def test_rank_items_parity_across_tile_sizes(self, transactions, config):
         f, gamma = config
         pool = [entry for tr in transactions for entry in tr.items]
-        untiled = engine("numpy:block=0", f=f, gamma=gamma)
         reference = engine("python", f=f, gamma=gamma)
-        expected = untiled.rank_items_batch(pool)
-        assert expected == reference.rank_items_batch(pool)
+        expected = reference.rank_items_batch(pool)
         for block in TILE_SIZES:
-            tiled = engine(f"numpy:block={block}", f=f, gamma=gamma)
-            assert tiled.rank_items_batch(pool) == expected
+            with tile_budget(block):
+                tiled = engine("numpy", f=f, gamma=gamma)
+                assert tiled.rank_items_batch(pool) == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -286,21 +287,23 @@ class TestEmptyEdges:
         ]
 
     @pytest.mark.parametrize("block", TILE_SIZES)
-    def test_empty_rows_and_columns_survive_tiling(self, block):
+    def test_empty_rows_and_columns_survive_tiling(self, block, monkeypatch):
         transactions = self.mixed_transactions()
-        untiled = engine("numpy:block=0")
-        tiled = engine(f"numpy:block={block}")
-        expected = untiled.pairwise_transaction_similarity(
+        expected = engine("python").pairwise_transaction_similarity(
             transactions, transactions
         )
+        monkeypatch.setattr(backend, "TILE_ITEMS", block)
         assert (
-            tiled.pairwise_transaction_similarity(transactions, transactions)
+            engine("numpy").pairwise_transaction_similarity(
+                transactions, transactions
+            )
             == expected
         )
 
     @pytest.mark.parametrize("block", TILE_SIZES)
-    def test_all_empty_inputs(self, block):
-        tiled = engine(f"numpy:block={block}")
+    def test_all_empty_inputs(self, block, monkeypatch):
+        monkeypatch.setattr(backend, "TILE_ITEMS", block)
+        tiled = engine("numpy")
         empties = [make_transaction("e", []), make_transaction("f", [])]
         assert tiled.pairwise_transaction_similarity(empties, empties) == [
             [0.0, 0.0],
@@ -315,22 +318,24 @@ class TestEmptyEdges:
 # --------------------------------------------------------------------------- #
 class TestCorpusParity:
     @pytest.mark.parametrize("block", TILE_SIZES)
-    def test_assign_all_parity_on_generator_corpus(self, dblp_small, block):
+    def test_assign_all_parity_on_generator_corpus(
+        self, dblp_small, block, monkeypatch
+    ):
         transactions = dblp_small.transactions
         representatives = select_seed_transactions(
             transactions, 5, random.Random(0)
         )
-        untiled = engine("numpy:block=0")
-        tiled = engine(f"numpy:block={block}")
+        expected = engine("python").assign_all(transactions, representatives)
+        monkeypatch.setattr(backend, "TILE_ITEMS", block)
+        tiled = engine("numpy")
         tiled.backend.compile_corpus(transactions)
-        assert tiled.assign_all(
-            transactions, representatives
-        ) == untiled.assign_all(transactions, representatives)
+        assert tiled.assign_all(transactions, representatives) == expected
 
     def test_xkmeans_fit_parity_across_tile_sizes(self, dblp_small):
         """Same seed -> identical clustering for every tile budget."""
         results = {}
-        for spec in ("python", "numpy:block=0", "numpy:block=7"):
+        default = backend.TILE_ITEMS
+        for spec, block in (("python", default), ("numpy", default), ("numpy", 7)):
             config = ClusteringConfig(
                 k=4,
                 similarity=SimilarityConfig(f=0.5, gamma=0.8),
@@ -338,11 +343,12 @@ class TestCorpusParity:
                 max_iterations=5,
                 backend=spec,
             )
-            results[spec] = XKMeans(config).fit(dblp_small.transactions)
-        reference = results["python"]
-        for spec, result in results.items():
-            assert result.partition() == reference.partition(), spec
-            assert result.iterations == reference.iterations, spec
+            with tile_budget(block):
+                results[spec, block] = XKMeans(config).fit(dblp_small.transactions)
+        reference = results["python", default]
+        for key, result in results.items():
+            assert result.partition() == reference.partition(), key
+            assert result.iterations == reference.iterations, key
             for rep_reference, rep_result in zip(
                 reference.representatives(), result.representatives()
             ):
@@ -355,26 +361,29 @@ class TestCorpusParity:
                 )
 
     def test_cxkmeans_fit_parity_via_batch_block_items(self, dblp_small):
-        """A tiled budget (set through the ``block=N`` spec option, the one
-        way to set it) produces the same clustering as untiled."""
+        """A small tile budget produces the same clustering as a single tile
+        and as the fixed default budget."""
         partitions = [
             dblp_small.transactions[0::2],
             dblp_small.transactions[1::2],
         ]
-        results = {}
-        for spec in ("numpy:block=0", "numpy:block=7", "numpy"):
-            config = ClusteringConfig(
-                k=3,
-                similarity=SimilarityConfig(f=0.5, gamma=0.8),
-                seed=3,
-                max_iterations=4,
-                backend=spec,
-            )
-            results[spec] = CXKMeans(config).fit(partitions)
+        config = ClusteringConfig(
+            k=3,
+            similarity=SimilarityConfig(f=0.5, gamma=0.8),
+            seed=3,
+            max_iterations=4,
+            backend="numpy",
+        )
+        partitions_by_budget = {}
+        for block in (10**9, 7, backend.TILE_ITEMS):
+            with tile_budget(block):
+                partitions_by_budget[block] = (
+                    CXKMeans(config).fit(partitions).partition()
+                )
         assert (
-            results["numpy:block=7"].partition()
-            == results["numpy:block=0"].partition()
-            == results["numpy"].partition()
+            partitions_by_budget[7]
+            == partitions_by_budget[10**9]
+            == partitions_by_budget[backend.TILE_ITEMS]
         )
 
 
@@ -396,30 +405,22 @@ class TestScratchBound:
             for index in range(transaction_count)
         ]
 
-    def test_peak_scratch_is_bounded_by_the_tile_budget(self):
+    def test_peak_scratch_is_bounded_by_the_tile_budget(self, monkeypatch):
         budget = 6
+        monkeypatch.setattr(backend, "TILE_ITEMS", budget)
         for count in (10, 40):
-            tiled = engine(f"numpy:block={budget}")
+            tiled = engine("numpy")
             transactions = self.corpus(count)
             tiled.pairwise_transaction_similarity(transactions, transactions)
             # corpus-size independent: every scratch block stays within
             # budget x budget items no matter how many transactions
             assert tiled.backend.peak_scratch_entries <= budget * budget
 
-    def test_untiled_scratch_grows_with_the_corpus(self):
-        peaks = {}
-        for count in (10, 40):
-            untiled = engine("numpy:block=0")
-            transactions = self.corpus(count)
-            untiled.pairwise_transaction_similarity(transactions, transactions)
-            peaks[count] = untiled.backend.peak_scratch_entries
-        assert peaks[40] > peaks[10]
-        assert peaks[40] == (40 * 3) ** 2
-
-    def test_score_candidates_scratch_is_bounded(self):
+    def test_score_candidates_scratch_is_bounded(self, monkeypatch):
         budget = 6
+        monkeypatch.setattr(backend, "TILE_ITEMS", budget)
         transactions = self.corpus(30)
-        tiled = engine(f"numpy:block={budget}")
+        tiled = engine("numpy")
         tiled.score_candidates(transactions, transactions[:3])
         # row tiles bounded by the budget, column side by the candidates
         assert (
