@@ -10,7 +10,8 @@ end to end, entirely in-process:
    first chunks, then ingest the rest incrementally -- each chunk is
    delta-compiled onto the warm engine and appended to an on-disk
    **block chain** (:class:`~repro.similarity.corpus_store.BlockCorpusStore`),
-   so earlier chunks never recompile and older blocks stay on disk,
+   so earlier chunks never recompile; the stream keeps no member
+   transactions, only each cluster's newest members for re-refinement,
 3. watch the drift signal trigger bounded re-refinements as the stream's
    population shifts,
 4. finalize, and compare the streamed partition against a one-shot batch

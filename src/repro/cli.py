@@ -489,7 +489,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"refine    : {stats.re_refinements} re-refinements "
         f"(churn {stats.churn:.2f}, retained peak {stats.retained_peak})"
     )
-    print(f"clusters  : {result.k}  (trash: {result.trash_size()} transactions)")
+    # an out-of-core result keeps no members, so count the tracked trash ids
+    trash = len(clusterer.partition()[-1])
+    print(f"clusters  : {result.k}  (trash: {trash} transactions)")
     print(f"elapsed   : {result.elapsed_seconds:.2f}s")
     return 0
 
@@ -814,10 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream_parser.add_argument(
         "--out-of-core",
         action="store_true",
-        help="append each chunk to a block-structured corpus store under "
-        "<model>/blocks; older blocks stay on disk, a re-refinement "
-        "unpickles only the blocks holding its sampled rows, and only the "
-        "active tail is held in memory",
+        help="append each chunk as a block to a corpus store under "
+        "<model>/blocks and hold in memory only each cluster's newest "
+        "members (what a re-refinement reads), not every member",
     )
     stream_parser.add_argument("files", nargs="*", metavar="FILE", help="XML files")
     _add_backend_argument(stream_parser)
@@ -846,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--poll-interval",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help="async server: re-read the registry this often and hot-reload "
@@ -854,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--timeout",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help="per-connection request timeout; a stalled client is dropped "
@@ -876,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1", help="HTTP bind host")
     serve_parser.add_argument(
         "--max-requests",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="stop after N HTTP requests (smoke runs; default: serve forever)",

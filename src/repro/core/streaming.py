@@ -28,20 +28,18 @@ compilation (:meth:`~repro.similarity.backend.NumpyBackend.extend_corpus`):
   events a chunk costs one delta compile plus one bulk assignment --
   never a full re-fit.
 * **Out of core.**  With a backing block store, each chunk is appended as
-  an immutable block and cluster membership is tracked as global row ids;
-  older blocks stay on disk (a re-refinement unpickles only the blocks
-  holding its bounded member sample, transiently), so process memory
-  holds only the representatives, the id-level bookkeeping and the active
-  tail of the stream.
+  an immutable block, and member transactions are not kept: process
+  memory holds the representatives, the member ids and each cluster's
+  newest ``max(64, 4 x retain capacity)`` members -- the tail a
+  re-refinement reads.  Nothing reads the chain back.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult, build_result
@@ -90,21 +88,27 @@ class StreamingStats:
 
 @dataclass
 class _Retained:
-    """One parked transaction: the object, its best match so far, its row."""
+    """One parked transaction and its best match so far."""
 
     transaction: Transaction
     best_index: int
     best_similarity: float
-    row: Optional[int] = None
 
 
 @dataclass
 class _ClusterState:
-    """Bookkeeping for one cluster: member ids, and rows in store mode."""
+    """Bookkeeping for one cluster: member ids and its newest members."""
 
+    tail: Deque[Transaction]
     ids: List[str] = field(default_factory=list)
-    rows: List[int] = field(default_factory=list)
     members: List[Transaction] = field(default_factory=list)
+
+    def add(self, transaction: Transaction, keep_member: bool) -> None:
+        """Record *transaction* as this cluster's newest member."""
+        self.ids.append(transaction.transaction_id)
+        self.tail.append(transaction)
+        if keep_member:
+            self.members.append(transaction)
 
 
 class StreamingClusterer:
@@ -120,11 +124,9 @@ class StreamingClusterer:
     store:
         Optional :class:`BlockCorpusStore` chain.  When given, every
         ingested chunk (bootstrap included) is appended as an immutable
-        block after the blocks the chain already holds, membership is
-        tracked as global row ids and a
-        re-refinement resolves its member sample from the chain by row --
-        the out-of-core mode.  Without a store, members are kept in
-        memory (the small-corpus mode the property tests exercise).
+        block after the blocks the chain already holds -- the out-of-core
+        mode.  Either way a re-refinement reads only each cluster's
+        newest members, which the clusterer holds in memory.
     keep_members:
         Whether :meth:`finalize` materialises member transactions in the
         result.  Defaults to the in-memory behaviour (True without a
@@ -152,11 +154,12 @@ class StreamingClusterer:
         self._bootstrap_result: Optional[ClusteringResult] = None
         self._post_bootstrap_activity = False
         self._representatives: List[Transaction] = []
+        # each cluster's tail bound: a re-refinement costs in proportion to
+        # the retain capacity, never the corpus
+        self._tail_size = max(64, 4 * self.retain_capacity)
         self._clusters: List[_ClusterState] = []
-        self._trash = _ClusterState()
+        self._trash = _ClusterState(deque(maxlen=0))  # never re-refined
         self._retained: "OrderedDict[str, _Retained]" = OrderedDict()
-        # rows are numbered after the ones a reopened chain already holds
-        self._next_row = store.transaction_count if store is not None else 0
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -208,16 +211,14 @@ class StreamingClusterer:
         self._post_bootstrap_activity = True
         self.stats.chunks_ingested += 1
         self.stats.transactions_ingested += len(chunk)
-        rows = self._register_chunk(chunk)
+        self._register_chunk(chunk)
         self.engine.backend.extend_corpus(chunk)
         assignments = self.engine.assign_all(chunk, self._representatives)
-        for transaction, row, (best_index, best_similarity) in zip(
-            chunk, rows, assignments
-        ):
+        for transaction, (best_index, best_similarity) in zip(chunk, assignments):
             if best_similarity > 0.0 and best_similarity >= self.config.retain_threshold:
-                self._commit(transaction, best_index, row)
+                self._commit(transaction, best_index)
             else:
-                self._retain(transaction, best_index, best_similarity, row)
+                self._retain(transaction, best_index, best_similarity)
         self.stats.retained = len(self._retained)
         self.stats.retained_peak = max(self.stats.retained_peak, self.stats.retained)
         if self.drift >= self.config.drift_threshold:
@@ -227,95 +228,62 @@ class StreamingClusterer:
     def _bootstrap(self) -> None:
         """Fit the buffered prefix with batch XK-means and adopt its state."""
         pending, self._pending = self._pending, []
-        rows = self._register_chunk(pending)
-        row_of = dict(zip((t.transaction_id for t in pending), rows))
+        self._register_chunk(pending)
         result = XKMeans(self.config, engine=self.engine).fit(pending)
         self._bootstrap_result = result
         self.stats.transactions_ingested += len(pending)
         self._representatives = [cluster.representative for cluster in result.clusters]
-        self._clusters = [_ClusterState() for _ in result.clusters]
-        for index, cluster in enumerate(result.clusters):
-            state = self._clusters[index]
+        self._clusters = [
+            _ClusterState(deque(maxlen=self._tail_size)) for _ in result.clusters
+        ]
+        for state, cluster in zip(self._clusters, result.clusters):
             for member in cluster.members:
-                state.ids.append(member.transaction_id)
-                state.rows.append(row_of[member.transaction_id])
-                if self.keep_members:
-                    state.members.append(member)
+                state.add(member, self.keep_members)
         for member in result.trash.members:
-            self._trash.ids.append(member.transaction_id)
-            self._trash.rows.append(row_of[member.transaction_id])
-            if self.keep_members:
-                self._trash.members.append(member)
+            self._trash.add(member, self.keep_members)
 
-    def _register_chunk(self, chunk: List[Transaction]) -> List[int]:
-        """Append *chunk* to the block chain (if any) and assign row ids."""
-        rows = list(range(self._next_row, self._next_row + len(chunk)))
-        self._next_row += len(chunk)
+    def _register_chunk(self, chunk: List[Transaction]) -> None:
+        """Append *chunk* to the block chain, if the stream has one."""
         if self.store is not None:
             self.store.append_block(chunk)
             self.stats.blocks_appended += 1
-        return rows
 
-    def _commit(self, transaction: Transaction, index: int, row: Optional[int]) -> None:
+    def _commit(self, transaction: Transaction, index: int) -> None:
         state = self._clusters[index] if index >= 0 else self._trash
-        state.ids.append(transaction.transaction_id)
-        if row is not None:
-            state.rows.append(row)
-        if self.keep_members:
-            state.members.append(transaction)
+        state.add(transaction, self.keep_members)
         if index < 0:
             self.stats.flushed_to_trash += 1
 
     def _retain(
-        self,
-        transaction: Transaction,
-        best_index: int,
-        best_similarity: float,
-        row: Optional[int],
+        self, transaction: Transaction, best_index: int, best_similarity: float
     ) -> None:
         """Park a poorly-matched transaction, evicting the oldest on overflow."""
         self._retained[transaction.transaction_id] = _Retained(
-            transaction, best_index, best_similarity, row
+            transaction, best_index, best_similarity
         )
         while len(self._retained) > self.retain_capacity:
             _, oldest = self._retained.popitem(last=False)
             self._commit(
                 oldest.transaction,
                 oldest.best_index if oldest.best_similarity > 0.0 else -1,
-                oldest.row,
             )
 
     # ------------------------------------------------------------------ #
     # Drift-triggered re-refinement
     # ------------------------------------------------------------------ #
     def _re_refine(self) -> None:
-        """Re-refine representatives from bounded samples, flush retained."""
-        # the most recent members -- the stream's active tail, whose drift
-        # triggered the round; the bound makes a re-refinement cost
-        # proportional to the retain capacity, never the corpus
-        cap = max(64, 4 * self.retain_capacity)
-        sampled = [
-            (index, state) for index, state in enumerate(self._clusters) if state.ids
-        ]
-        if self.store is not None:
-            # every cluster's tail in one call, so each touched block is
-            # loaded once (transiently, never through the cached full
-            # corpus: memory stays flat), then split back in cluster order
-            tails = [state.rows[-cap:] for _, state in sampled]
-            resolved = iter(
-                self.store.resolve_rows([row for tail in tails for row in tail])
-            )
-            samples = [list(islice(resolved, len(tail))) for tail in tails]
-        else:
-            samples = [state.members[-cap:] for _, state in sampled]
+        """Re-refine representatives from each cluster's tail, flush retained."""
+        # the newest members are the stream's active tail, whose drift
+        # triggered the round
         shards = [
             RefinementShard(
                 cluster_index=index,
-                members=members,
+                members=list(state.tail),
                 representative_id=f"rep:{index}",
                 max_items=self.config.max_representative_items,
             )
-            for (index, _), members in zip(sampled, samples)
+            for index, state in enumerate(self._clusters)
+            if state.tail
         ]
         refined = refine_clusters(shards, self.engine)
         self._representatives = [
@@ -341,7 +309,7 @@ class StreamingClusterer:
             index = best_index if best_similarity > 0.0 else -1
             if index != (entry.best_index if entry.best_similarity > 0.0 else -1):
                 moved += 1
-            self._commit(entry.transaction, index, entry.row)
+            self._commit(entry.transaction, index)
         if measure_churn:
             self.stats.churn = moved / len(parked)
         self.stats.retained = 0

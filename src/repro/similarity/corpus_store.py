@@ -1,9 +1,8 @@
-"""Append-only block log of the transactions a stream reads back.
+"""Append-only block log of the transactions a stream ingests.
 
 The streaming ingestion path (:mod:`repro.core.streaming`) appends each
 chunk to a :class:`BlockCorpusStore` (also bound as :data:`CorpusStore`)
-as one numbered immutable block, and a re-refinement reads back only the
-rows it samples (:meth:`BlockCorpusStore.resolve_rows`)::
+as one numbered immutable block; the stream never reads the chain back::
 
     <directory>/
         chain.json             # chain manifest, rewritten LAST per append
@@ -71,10 +70,8 @@ class BlockCorpusStore:
     :meth:`append_block`.  Global row ``r`` is the ``r``-th transaction
     appended to the chain.
 
-    Out-of-core friendliness: :meth:`resolve_rows` loads one block's
-    pickled transactions at a time without caching the whole corpus on
-    the handle, so a streaming caller can keep only the active tail in
-    process memory while older blocks stay on disk.
+    :meth:`resolve_rows` loads one block's pickled transactions at a time
+    without caching the whole corpus on the handle.
     """
 
     def __init__(self, directory, similarity: SimilarityConfig, manifest: Dict[str, object]) -> None:

@@ -10,12 +10,7 @@ from repro.text.stopwords import DOMAIN_STOPWORDS, ENGLISH_STOPWORDS, default_st
 from repro.text.tokenize import character_ngrams, tokenize
 from repro.text.vector import SparseVector, centroid_vector, merge_vectors
 from repro.text.vocabulary import FrozenVocabulary, Vocabulary
-from repro.text.weighting import (
-    CorpusTermStatistics,
-    TCURecord,
-    TfIdfWeighter,
-    TtfItfWeighter,
-)
+from repro.text.weighting import CorpusTermStatistics, TfIdfWeighter, TtfItfWeighter
 
 __all__ = [
     "tokenize",
@@ -35,7 +30,6 @@ __all__ = [
     "TextPreprocessor",
     "DEFAULT_PREPROCESSOR",
     "CorpusTermStatistics",
-    "TCURecord",
     "TtfItfWeighter",
     "TfIdfWeighter",
 ]

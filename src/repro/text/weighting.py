@@ -24,21 +24,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.text.vector import SparseVector
 from repro.text.vocabulary import Vocabulary
-
-
-@dataclass
-class TCURecord:
-    """A preprocessed TCU together with its owning tuple and document."""
-
-    tcu_id: int
-    tuple_id: str
-    doc_id: str
-    terms: Tuple[str, ...]
 
 
 class CorpusTermStatistics:
@@ -52,7 +41,6 @@ class CorpusTermStatistics:
 
     def __init__(self) -> None:
         self.vocabulary = Vocabulary()
-        self.records: List[TCURecord] = []
         # number of TCUs per scope
         self.tcus_per_tuple: Dict[str, int] = {}
         self.tcus_per_doc: Dict[str, int] = {}
@@ -63,15 +51,8 @@ class CorpusTermStatistics:
         self._term_tcus_collection: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
-    def add_tcu(self, tuple_id: str, doc_id: str, terms: Sequence[str]) -> TCURecord:
-        """Register one preprocessed TCU and return its record."""
-        record = TCURecord(
-            tcu_id=len(self.records),
-            tuple_id=tuple_id,
-            doc_id=doc_id,
-            terms=tuple(terms),
-        )
-        self.records.append(record)
+    def add_tcu(self, tuple_id: str, doc_id: str, terms: Sequence[str]) -> None:
+        """Register one preprocessed TCU."""
         self.total_tcus += 1
         self.tcus_per_tuple[tuple_id] = self.tcus_per_tuple.get(tuple_id, 0) + 1
         self.tcus_per_doc[doc_id] = self.tcus_per_doc.get(doc_id, 0) + 1
@@ -88,7 +69,6 @@ class CorpusTermStatistics:
             self._term_tcus_collection[term] = (
                 self._term_tcus_collection.get(term, 0) + 1
             )
-        return record
 
     def intern_term(self, term: str) -> None:
         """Give *term* an identifier in :attr:`vocabulary`."""

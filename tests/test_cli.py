@@ -241,6 +241,10 @@ BAD_ARGUMENTS = [
     ["stream", "--model", "m", "--corpus", "DBLP", "--chunk-size", "0"],
     ["stream", "--model", "m", "--corpus", "DBLP", "--retain-threshold", "2"],
     ["serve", "--model", "m", "--port", "70000"],
+    ["serve", "--model", "m", "--poll-interval", "-1"],
+    ["serve", "--model", "m", "--timeout", "0"],
+    ["serve", "--model", "m", "--timeout", "-5"],
+    ["serve", "--model", "m", "--max-requests", "0"],
     ["figure8", "--nodes", "0"],
 ]
 

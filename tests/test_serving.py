@@ -706,13 +706,21 @@ class TestStreamCommand:
     def test_out_of_core_stream_builds_a_block_chain(
         self, tmp_path, xml_files, capsys
     ):
+        """The chain-backed stream reports the same clusters and trash
+        count as the in-memory one, though its result keeps no members."""
         from repro.similarity.corpus_store import BlockCorpusStore
 
+        def clusters_lines(out):
+            return [line for line in out.splitlines() if line.startswith("clusters")]
+
+        assert main(self.stream_args(tmp_path / "in-memory")) == 0
+        in_memory = capsys.readouterr().out
         model = tmp_path / "streamed"
         status = main(self.stream_args(model, ["--out-of-core"]))
         out = capsys.readouterr().out
         assert status == 0
         assert "blocks    : out-of-core ->" in out
+        assert clusters_lines(out) == clusters_lines(in_memory)
         chain = BlockCorpusStore.open(model / "blocks")
         assert chain.transaction_count > 0
         clear_store_cache()

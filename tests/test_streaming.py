@@ -51,14 +51,14 @@ def dblp_tiny():
 
 
 def make_config(
-    chunk_size=None, retain_threshold=0.25, drift_threshold=0.5
+    chunk_size=None, retain_threshold=0.25, drift_threshold=0.5, backend="numpy"
 ) -> ClusteringConfig:
     return ClusteringConfig(
         k=4,
         similarity=SimilarityConfig(f=0.5, gamma=0.8),
         seed=0,
         max_iterations=4,
-        backend="numpy",
+        backend=backend,
     ).with_streaming(
         chunk_size=chunk_size,
         retain_threshold=retain_threshold,
@@ -89,6 +89,17 @@ def batch_reference(dblp_tiny):
 
 def canonical(partition):
     return sorted(tuple(sorted(cluster)) for cluster in partition)
+
+
+def representative_items(representatives):
+    """Every representative's items, in order, with their exact vectors."""
+    return [
+        [
+            (item.item_id, item.path, item.answer, item.terms, list(item.vector.items()))
+            for item in representative.items
+        ]
+        for representative in representatives
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -143,18 +154,33 @@ class TestChunkingProperties:
         )
         assert agreement >= 0.65
 
-    def test_out_of_core_replay_matches_in_memory(self, dblp_tiny, tmp_path):
-        """A block-chain-backed replay partitions exactly like in-memory."""
-        in_memory = replay(dblp_tiny.transactions, 8)
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_out_of_core_replay_matches_in_memory(
+        self, dblp_tiny, tmp_path, monkeypatch, backend
+    ):
+        """A block-chain-backed replay partitions and refines exactly like
+        in-memory, and never reads its chain back: a re-refinement reads
+        each cluster's newest members from memory."""
+        in_memory = replay(dblp_tiny.transactions, 8, backend=backend)
         in_memory.finalize()
-        config = make_config(8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stream must not read its block chain")
+
+        monkeypatch.setattr(BlockCorpusStore, "resolve_rows", refuse)
+        monkeypatch.setattr(BlockCorpusStore, "_load_block_transactions", refuse)
+        config = make_config(8, backend=backend)
         store = BlockCorpusStore.create(tmp_path / "chain", config.similarity)
         out_of_core = StreamingClusterer(config, store=store, keep_members=False)
         for chunk in stream_chunks(dblp_tiny.transactions, 8):
             out_of_core.ingest(chunk)
         result = out_of_core.finalize()
-        assert canonical(out_of_core.partition(include_trash=True)) == canonical(
-            in_memory.partition(include_trash=True)
+        assert result.metadata["streaming"]["re_refinements"] > 0
+        assert out_of_core.partition(include_trash=True) == in_memory.partition(
+            include_trash=True
+        )
+        assert representative_items(out_of_core.representatives) == (
+            representative_items(in_memory.representatives)
         )
         assert result.metadata["streaming"]["blocks_appended"] == len(
             stream_chunks(dblp_tiny.transactions, 8)
@@ -164,8 +190,8 @@ class TestChunkingProperties:
     def test_stream_into_a_reopened_chain_partitions_like_a_fresh_chain(
         self, dblp_tiny, tmp_path
     ):
-        """Rows are numbered after the transactions a reopened chain
-        already holds, so a re-refinement reads back this stream's rows."""
+        """A stream appends its blocks after the ones a reopened chain
+        already holds, and clusters as if the chain were fresh."""
         config = make_config(8)
         held = get_dataset("IEEE", scale=0.2, seed=0).transactions
         BlockCorpusStore.create(tmp_path / "held", config.similarity).append_block(
