@@ -199,11 +199,22 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_or_exit(path: str):
+    """Parse the XML file at *path*; a missing, unreadable, non-UTF-8 or
+    malformed file ends the command with one ``error: PATH: ...`` line."""
+    try:
+        return parse_xml_file(path)
+    except OSError as error:
+        raise SystemExit(f"error: {path}: {error.strerror or error}") from error
+    except XMLError as error:
+        raise SystemExit(f"error: {path}: {error}") from error
+
+
 def _load_xml_directory(path: str) -> List:
     files = sorted(glob.glob(os.path.join(path, "**", "*.xml"), recursive=True))
     if not files:
         raise SystemExit(f"no .xml files found under {path}")
-    return [parse_xml_file(file) for file in files]
+    return [_parse_or_exit(file) for file in files]
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -330,16 +341,16 @@ def _print_model_header(model) -> None:
 
 
 def _iter_classify_paths(args: argparse.Namespace):
-    """Yield the file paths to classify, one at a time.
+    """Yield the file paths to classify or stream, one at a time.
 
     With ``--stdin``, paths are read from standard input *line by line* --
-    each path is yielded (and classified) as soon as its line arrives, so
+    each path is yielded (and processed) as soon as its line arrives, so
     an arbitrarily long pipe is processed with bounded memory instead of
     being slurped up front.  Blank lines are skipped.
     """
     for path in args.files:
         yield path
-    if getattr(args, "stdin", False):
+    if args.stdin:
         for line in sys.stdin:
             path = line.strip()
             if path:
@@ -353,12 +364,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         _print_model_header(model)
         for path in _iter_classify_paths(args):
-            try:
-                result = model.classify_file(path)
-            except OSError as error:
-                raise SystemExit(f"error: {error}") from error
-            except XMLError as error:
-                raise SystemExit(f"error: {path}: {error}") from error
+            result = model.classify_tree(_parse_or_exit(path))
             print(
                 f"{path}: cluster={result.cluster_id} "
                 f"score={result.score:.4f} transactions={result.transactions}",
@@ -388,25 +394,16 @@ def _iter_stream_chunks(args: argparse.Namespace, chunk_size: int, dataset=None)
             yield args.corpus, transactions[start : start + chunk_size]
         return
 
-    def paths():
-        for path in args.files:
-            yield path
-        if args.stdin:
-            for line in sys.stdin:
-                path = line.strip()
-                if path:
-                    yield path
-
     pending: List[str] = []
     index = 0
-    for path in paths():
+    for path in _iter_classify_paths(args):
         pending.append(path)
         if len(pending) >= chunk_size:
-            trees = [parse_xml_file(file) for file in pending]
+            trees = [_parse_or_exit(file) for file in pending]
             yield f"chunk-{index}", build_dataset(f"chunk-{index}", trees).transactions
             pending, index = [], index + 1
     if pending:
-        trees = [parse_xml_file(file) for file in pending]
+        trees = [_parse_or_exit(file) for file in pending]
         yield f"chunk-{index}", build_dataset(f"chunk-{index}", trees).transactions
 
 

@@ -28,9 +28,6 @@ class ClusteringConfig:
     seed:
         Seed of the pseudo-random generator used for selecting the initial
         representatives (reproducibility of experiments).
-    max_representative_items:
-        Optional cap on the number of items a representative may contain, in
-        addition to the ``|tr_max|`` bound imposed by GenerateTreeTuple.
     backend:
         Name of the similarity backend driving the assignment and
         representative-refinement hot paths (``"python"`` for the reference
@@ -83,7 +80,6 @@ class ClusteringConfig:
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
     max_iterations: int = 20
     seed: int = 0
-    max_representative_items: Optional[int] = None
     backend: str = "python"
     network: str = "sim"
     network_timeout: float = 120.0

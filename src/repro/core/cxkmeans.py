@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ClusteringConfig
@@ -42,8 +43,13 @@ from repro.core.representatives import representatives_equal
 from repro.core.results import ClusteringResult, build_result
 from repro.core.seeding import partition_cluster_ids, select_seed_transactions
 from repro.network.costmodel import CostModel
-from repro.network.message import Message, MessageKind, representative_payload
-from repro.network.mpengine import RefinementShard, process_engine, refine_clusters
+from repro.network.message import (
+    LocalPhaseOutput,
+    Message,
+    MessageKind,
+    representative_payload,
+)
+from repro.network.mpengine import RefinementShard, refine_clusters
 from repro.network.peer import make_peers
 from repro.network.simnet import SimulatedNetwork
 from repro.similarity.cache import TagPathSimilarityCache
@@ -56,44 +62,18 @@ from repro.transactions.transaction import Transaction
 # --------------------------------------------------------------------------- #
 @dataclass
 class LocalPhaseInput:
-    """Input of one peer's local phase for one collaborative round."""
+    """Input of one peer's local phase for one collaborative round.
+
+    The phase's settings live in the engine that runs it.
+    """
 
     peer_id: int
     transactions: List[Transaction]
     global_representatives: List[Transaction]
-    config: ClusteringConfig
-
-
-@dataclass
-class LocalPhaseOutput:
-    """Output of one peer's local phase.
-
-    Attributes
-    ----------
-    peer_id:
-        The peer that produced this output.
-    assignment:
-        Mapping transaction_id -> cluster index (``-1`` for trash).
-    local_representatives:
-        One local representative per cluster (empty transactions for local
-        clusters with no members).
-    cluster_sizes:
-        ``|C^i_j|`` for every cluster ``j``.
-    compute_seconds:
-        Wall-clock time spent inside the phase (used by the simulated
-        network's parallel-time model).
-    """
-
-    peer_id: int
-    assignment: Dict[str, int]
-    local_representatives: List[Transaction]
-    cluster_sizes: List[int]
-    compute_seconds: float
 
 
 def run_local_phase(
-    phase_input: LocalPhaseInput,
-    engine: Optional[SimilarityEngine] = None,
+    phase_input: LocalPhaseInput, engine: SimilarityEngine
 ) -> LocalPhaseOutput:
     """Execute the local clustering phase of one peer (Fig. 5, inner loop).
 
@@ -105,24 +85,20 @@ def run_local_phase(
     representatives stay fixed during the phase, so a second pass would
     recompute the first: the phase makes exactly one ``assign_all`` pass.
 
-    When no *engine* is passed (the real transport's peer workers) the
-    per-process engine for the phase's configuration is used, so a worker
-    compiles its own share once and keeps its tag-path cache and compiled
-    backend corpus across collaborative rounds.
+    *engine* is the caller's one engine for the whole run: the algorithm's
+    on the simulated transport, the peer worker's own on the real one.  It
+    compiles the share on the first round and keeps its tag-path cache and
+    compiled corpus across rounds.
     """
     start = time.perf_counter()
-    config = phase_input.config
-    local_engine = engine
-    if local_engine is None:
-        local_engine = process_engine(config.similarity, config.backend)
     representatives = phase_input.global_representatives
     k = len(representatives)
     transactions = phase_input.transactions
-    local_engine.backend.compile_corpus(transactions)
+    engine.backend.compile_corpus(transactions)
 
     assignment: Dict[str, int] = {}
     clusters: List[List[Transaction]] = [[] for _ in range(k)]
-    results = local_engine.assign_all(transactions, representatives)
+    results = engine.assign_all(transactions, representatives)
     for transaction, (best_index, best_similarity) in zip(transactions, results):
         if best_similarity <= 0.0:
             assignment[transaction.transaction_id] = -1
@@ -137,11 +113,10 @@ def run_local_phase(
             cluster_index=cluster_index,
             members=members,
             representative_id=f"rep:local:{phase_input.peer_id}:{cluster_index}",
-            max_items=config.max_representative_items,
         )
         for cluster_index, members in enumerate(clusters)
     ]
-    refined = refine_clusters(shards, local_engine)
+    refined = refine_clusters(shards, engine)
     local_representatives = [refined[cluster_index] for cluster_index in range(k)]
 
     return LocalPhaseOutput(
@@ -291,15 +266,7 @@ class CXKMeans:
 
         # --- N0 startup: partition cluster ids, create peers and network --- #
         responsibilities = partition_cluster_ids(k, m)
-        use_real = self.config.network == "real"
-        peers = make_peers(
-            partitions,
-            responsibilities,
-            # real-transport peers compute remotely on their own share; their
-            # driver-side objects carry no engine so nothing shadows the
-            # worker engines
-            engine=None if use_real else self._engine,
-        )
+        peers = make_peers(partitions, responsibilities)
         network = self._make_network(peers)
         try:
             return self._collaborate(
@@ -385,11 +352,14 @@ class CXKMeans:
                     peer_id=peer.peer_id,
                     transactions=peer.transactions,
                     global_representatives=ordered_representatives,
-                    config=self.config,
                 )
                 for peer in peers
             ]
-            outputs = network.run_local_phases(inputs, run_local_phase)
+            # the real transport's workers run on their own engines and
+            # ignore the runner
+            outputs = network.run_local_phases(
+                inputs, partial(run_local_phase, engine=self._engine)
+            )
             for output in outputs:
                 last_outputs[output.peer_id] = output
 
@@ -461,7 +431,6 @@ class CXKMeans:
                                 members=[rep for rep, _ in weighted],
                                 weights=[weight for _, weight in weighted],
                                 representative_id=f"rep:global:{cluster_id}",
-                                max_items=self.config.max_representative_items,
                             )
                         )
                     if shards:

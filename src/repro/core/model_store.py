@@ -259,7 +259,6 @@ def save_model(
             "gamma": config.similarity.gamma,
             "seed": config.seed,
             "max_iterations": config.max_iterations,
-            "max_representative_items": config.max_representative_items,
             "backend": config.backend,
             "chunk_size": config.chunk_size,
             "retain_threshold": config.retain_threshold,
@@ -417,12 +416,12 @@ def _config_from_manifest(
     naming *directory* and the key.  A recorded backend spec naming no
     registered backend keeps raising the unknown-backend ``ValueError``
     (see :func:`load_model`).  Unknown keys are ignored -- among them the
-    retired tile-budget, refinement-worker, ``streaming`` and
-    ``corpus_cache_dir`` keys older manifests carry, and a recorded
-    ``numpy:block=N`` spec loads as ``numpy``: tiling is bit-exact,
-    refinement always runs in process, the streaming flag was advisory and
-    the compiled-corpus cache only skipped a compile, so none changed a
-    verdict.
+    retired tile-budget, refinement-worker, ``streaming``,
+    ``corpus_cache_dir`` and representative-size-cap keys older manifests
+    carry, and a recorded ``numpy:block=N`` spec loads as ``numpy``: tiling
+    is bit-exact, refinement always runs in process, the streaming flag was
+    advisory, the compiled-corpus cache only skipped a compile and the cap
+    shaped a fit's representatives, so none changed a verdict.
     """
 
     read = _section_reader(raw, f"model config in {directory}")
@@ -440,9 +439,6 @@ def _config_from_manifest(
             ),
             max_iterations=read("max_iterations", int),
             seed=read("seed", int),
-            max_representative_items=read(
-                "max_representative_items", _optional(int), None
-            ),
             backend=spec,
             # pre-streaming manifests simply fall back to the batch defaults
             chunk_size=read("chunk_size", _optional(int), None),

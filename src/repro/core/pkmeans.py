@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ClusteringConfig
@@ -115,7 +116,7 @@ class PKMeans:
 
         # PK-means has no notion of per-cluster responsibility; peers are
         # created with empty responsibility lists.
-        peers = make_peers(partitions, [[] for _ in range(m)], engine=self._engine)
+        peers = make_peers(partitions, [[] for _ in range(m)])
         network = SimulatedNetwork(peers, cost_model=self.cost_model)
 
         # Initial representatives: the same fair protocol as the paper's
@@ -172,11 +173,12 @@ class PKMeans:
                     peer_id=peer.peer_id,
                     transactions=peer.transactions,
                     global_representatives=ordered_representatives,
-                    config=self.config,
                 )
                 for peer in peers
             ]
-            outputs = network.run_local_phases(inputs, run_local_phase)
+            outputs = network.run_local_phases(
+                inputs, partial(run_local_phase, engine=self._engine)
+            )
             for output in outputs:
                 last_outputs[output.peer_id] = output
 
@@ -220,7 +222,6 @@ class PKMeans:
                                 members=[rep for rep, _ in weighted],
                                 weights=[weight for _, weight in weighted],
                                 representative_id=f"rep:global:{cluster_id}",
-                                max_items=self.config.max_representative_items,
                             )
                         )
                     computed.update(refine_clusters(shards, self._engine))

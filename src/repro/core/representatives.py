@@ -276,7 +276,6 @@ def generate_tree_tuple(
     cluster: Sequence[Transaction],
     engine: SimilarityEngine,
     representative_id: str = "rep",
-    max_items: Optional[int] = None,
 ) -> Transaction:
     """Greedy assembly of a representative transaction (Fig. 6, GenerateTreeTuple).
 
@@ -303,8 +302,6 @@ def generate_tree_tuple(
         return make_transaction(representative_id, [], sort_items=True)
 
     max_member_length = max(len(transaction) for transaction in cluster)
-    if max_items is not None:
-        max_member_length = min(max_member_length, max_items)
 
     chain = refinement_candidates(ranked_items, max_member_length)
     candidates = [
@@ -340,7 +337,6 @@ def compute_local_representative(
     cluster: Sequence[Transaction],
     engine: SimilarityEngine,
     representative_id: str = "rep:local",
-    max_items: Optional[int] = None,
 ) -> Transaction:
     """``ComputeLocalRepresentative(C)``: summarise a local cluster.
 
@@ -357,7 +353,7 @@ def compute_local_representative(
         return make_transaction(representative_id, [], sort_items=True)
     ranked = rank_items(items, engine)
     return generate_tree_tuple(
-        ranked, cluster, engine, representative_id=representative_id, max_items=max_items
+        ranked, cluster, engine, representative_id=representative_id
     )
 
 
@@ -365,7 +361,6 @@ def compute_global_representative(
     weighted_locals: Sequence[Tuple[Transaction, int]],
     engine: SimilarityEngine,
     representative_id: str = "rep:global",
-    max_items: Optional[int] = None,
 ) -> Transaction:
     """``ComputeGlobalRepresentative(T)``: merge local representatives.
 
@@ -409,7 +404,6 @@ def compute_global_representative(
         local_transactions,
         engine,
         representative_id=representative_id,
-        max_items=max_items,
     )
 
 

@@ -280,7 +280,6 @@ class StreamingClusterer:
                 cluster_index=index,
                 members=list(state.tail),
                 representative_id=f"rep:{index}",
-                max_items=self.config.max_representative_items,
             )
             for index, state in enumerate(self._clusters)
             if state.tail

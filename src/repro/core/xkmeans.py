@@ -131,7 +131,6 @@ class XKMeans:
                     cluster_index=index,
                     members=members,
                     representative_id=f"rep:{index}",
-                    max_items=self.config.max_representative_items,
                 )
                 for index, members in enumerate(clusters)
                 if members

@@ -2,12 +2,7 @@
 
 from repro.network.costmodel import CostModel, saturation_point, speedup_curve
 from repro.network.message import Message, MessageKind, representative_payload
-from repro.network.mpengine import (
-    RefinementShard,
-    clear_process_engines,
-    process_engine,
-    refine_clusters,
-)
+from repro.network.mpengine import RefinementShard, refine_clusters
 from repro.network.peer import Peer, make_peers
 from repro.network.simnet import SimulatedNetwork
 from repro.network.stats import NetworkStats, RoundStats
@@ -26,6 +21,4 @@ __all__ = [
     "speedup_curve",
     "RefinementShard",
     "refine_clusters",
-    "process_engine",
-    "clear_process_engines",
 ]

@@ -17,8 +17,10 @@ Frame layout (all integers big-endian)::
 * ``version`` pins the codec revision (:data:`VERSION`) so incompatible
   processes fail the handshake instead of mis-parsing payloads;
 * ``kind`` is a :class:`FrameKind`: the algorithm messages travel as
-  :attr:`FrameKind.MESSAGE`, while ``HELLO`` / ``RESULT`` / ``ERROR`` /
-  ``SHUTDOWN`` are transport-control frames of the driver topology;
+  :attr:`FrameKind.MESSAGE`, while ``HELLO`` / ``SHARE`` / ``RESULT`` /
+  ``ERROR`` / ``SHUTDOWN`` are transport-control frames of the driver
+  topology (``SHARE`` carries a peer's data share, sent once after its
+  ``HELLO``);
 * ``payload length`` bounds the read (:data:`MAX_FRAME_PAYLOAD` guards
   against garbage lengths) and the trailing CRC32 -- computed over the
   header *and* payload bytes, so a flipped kind or length byte that still
@@ -26,9 +28,9 @@ Frame layout (all integers big-endian)::
   corruption.
 
 Payload encodings are hand-rolled ``struct`` compositions -- **no pickle
-ever crosses the wire** -- and are bit-exact: floats travel as IEEE-754
-doubles, so an encode/decode round trip reproduces every
-:class:`~repro.transactions.transaction.Transaction`,
+ever crosses the wire**, the peers' shares included -- and are bit-exact:
+floats travel as IEEE-754 doubles, so an encode/decode round trip
+reproduces every :class:`~repro.transactions.transaction.Transaction`,
 :class:`~repro.text.vector.SparseVector` weight and representative payload
 exactly (locked in by the hypothesis suite in ``tests/test_wire_codec.py``).
 Every decoder raises :class:`CodecError` with an actionable message on
@@ -41,9 +43,9 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.network.message import Message, MessageKind
+from repro.network.message import LocalPhaseOutput, Message, MessageKind
 from repro.text.vector import SparseVector
 from repro.transactions.items import TreeTupleItem
 from repro.transactions.transaction import Transaction
@@ -52,7 +54,7 @@ from repro.xmlmodel.paths import XMLPath
 #: Protocol magic: every frame starts with these two bytes.
 MAGIC = b"CX"
 #: Wire-format revision; bump on any incompatible layout change.
-VERSION = 2
+VERSION = 3
 #: Upper bound on a frame payload (guards against garbage length prefixes).
 MAX_FRAME_PAYLOAD = 1 << 28  # 256 MiB
 
@@ -81,12 +83,14 @@ class FrameKind(IntEnum):
     HELLO = 1
     #: An algorithm :class:`~repro.network.message.Message`.
     MESSAGE = 2
-    #: A peer's local-phase result for one round (:class:`LocalResult`).
+    #: A peer's local-phase output for one round, with the round index.
     RESULT = 3
     #: A remote failure: carries the peer id and its traceback text.
     ERROR = 4
     #: Driver-initiated orderly shutdown (empty payload).
     SHUTDOWN = 5
+    #: A peer's data share ``S_i``: the driver's answer to its HELLO.
+    SHARE = 6
 
 
 _MESSAGE_KIND_CODES: Dict[MessageKind, int] = {
@@ -500,44 +504,46 @@ def decode_error(payload: bytes) -> Tuple[int, str]:
     return peer_id, text
 
 
-@dataclass
-class LocalResult:
-    """A peer's local-phase outcome for one round, as carried by RESULT frames.
-
-    Mirrors :class:`repro.core.cxkmeans.LocalPhaseOutput` field by field
-    (plus the round index, so the driver can reject stale results) without
-    importing the core layer -- the codec sits below it in the layer graph.
-    """
-
-    peer_id: int
-    round_index: int
-    assignment: Dict[str, int]
-    local_representatives: List[Transaction]
-    cluster_sizes: List[int]
-    compute_seconds: float
-
-
-def encode_result(result: LocalResult) -> bytes:
-    """Encode a :class:`LocalResult` as a RESULT-frame payload."""
+def encode_share(transactions: Sequence[Transaction]) -> bytes:
+    """Encode a peer's data share as a SHARE-frame payload."""
     writer = _Writer()
-    writer.u32(result.peer_id)
-    writer.u32(result.round_index)
-    writer.f64(result.compute_seconds)
-    writer.u32(len(result.assignment))
-    for transaction_id, cluster_index in result.assignment.items():
+    writer.u32(len(transactions))
+    for transaction in transactions:
+        _write_transaction(writer, transaction)
+    return writer.getvalue()
+
+
+def decode_share(payload: bytes) -> List[Transaction]:
+    """Decode a SHARE-frame payload back into the peer's transactions."""
+    reader = _Reader(payload, "share payload")
+    transactions = [_read_transaction(reader) for _ in range(reader.u32())]
+    reader.ensure_exhausted()
+    return transactions
+
+
+def encode_result(round_index: int, output: LocalPhaseOutput) -> bytes:
+    """Encode a peer's round-*round_index* :class:`LocalPhaseOutput` as a
+    RESULT-frame payload (the round index lets the driver reject stale
+    results)."""
+    writer = _Writer()
+    writer.u32(output.peer_id)
+    writer.u32(round_index)
+    writer.f64(output.compute_seconds)
+    writer.u32(len(output.assignment))
+    for transaction_id, cluster_index in output.assignment.items():
         writer.string(transaction_id)
         writer.i32(cluster_index)
-    writer.u32(len(result.local_representatives))
-    for transaction in result.local_representatives:
+    writer.u32(len(output.local_representatives))
+    for transaction in output.local_representatives:
         _write_transaction(writer, transaction)
-    writer.u32(len(result.cluster_sizes))
-    for size in result.cluster_sizes:
+    writer.u32(len(output.cluster_sizes))
+    for size in output.cluster_sizes:
         writer.i64(size)
     return writer.getvalue()
 
 
-def decode_result(payload: bytes) -> LocalResult:
-    """Decode a RESULT-frame payload back into a :class:`LocalResult`."""
+def decode_result(payload: bytes) -> Tuple[int, LocalPhaseOutput]:
+    """Decode a RESULT-frame payload; returns ``(round_index, output)``."""
     reader = _Reader(payload, "result payload")
     peer_id = reader.u32()
     round_index = reader.u32()
@@ -546,9 +552,8 @@ def decode_result(payload: bytes) -> LocalResult:
     local_representatives = [_read_transaction(reader) for _ in range(reader.u32())]
     cluster_sizes = [reader.i64() for _ in range(reader.u32())]
     reader.ensure_exhausted()
-    return LocalResult(
+    return round_index, LocalPhaseOutput(
         peer_id=peer_id,
-        round_index=round_index,
         assignment=assignment,
         local_representatives=local_representatives,
         cluster_sizes=cluster_sizes,

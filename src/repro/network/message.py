@@ -1,5 +1,8 @@
 """Messages exchanged between peers of the (simulated) P2P network.
 
+It also defines :class:`LocalPhaseOutput`, what a peer's local phase
+returns to the driver on either transport.
+
 CXK-means peers exchange three kinds of payloads (Fig. 5):
 
 * ``GLOBAL_REPRESENTATIVES`` -- a node broadcasts the global representatives
@@ -104,3 +107,33 @@ def representative_payload(
 ) -> List[Tuple[int, Transaction, int]]:
     """Normalise a representative payload to a list of (cluster, rep, weight)."""
     return [(int(cluster), transaction, int(weight)) for cluster, transaction, weight in entries]
+
+
+@dataclass
+class LocalPhaseOutput:
+    """Output of one peer's local phase (Fig. 5's per-peer loop).
+
+    The algorithms read it in the driver, and the real transport's
+    ``RESULT`` frames carry it from a peer worker.
+
+    Attributes
+    ----------
+    peer_id:
+        The peer that produced this output.
+    assignment:
+        Mapping transaction_id -> cluster index (``-1`` for trash).
+    local_representatives:
+        One local representative per cluster (empty transactions for local
+        clusters with no members).
+    cluster_sizes:
+        ``|C^i_j|`` for every cluster ``j``.
+    compute_seconds:
+        Wall-clock time spent inside the phase (used by the simulated
+        network's parallel-time model).
+    """
+
+    peer_id: int
+    assignment: Dict[str, int]
+    local_representatives: List[Transaction]
+    cluster_sizes: List[int]
+    compute_seconds: float

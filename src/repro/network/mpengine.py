@@ -1,52 +1,20 @@
-"""Per-process similarity engines and per-cluster representative refinement.
-
-Similarity engines (tag-path cache plus a possibly compiled backend
-corpus) are expensive to rebuild and impossible to pickle cheaply, so
-every process that evaluates peer work materialises one engine per
-(similarity configuration, backend) pair and keeps it alive across rounds
-(:func:`process_engine`).  The real transport's peer workers build their
-engines here and compile their own share on them; on the simulated
-transport the algorithms pass their own shared engine instead, so every
-simulated node works against one compiled corpus.
+"""Per-cluster representative refinement.
 
 :class:`RefinementShard` carries one cluster's representative refinement
 (``ComputeLocalRepresentative`` or its global-phase equivalent);
 :func:`refine_clusters` refines a list of them on the caller's engine and
-returns the representatives keyed by cluster index.
+returns the representatives keyed by cluster index.  The caller is an
+algorithm, on its own engine, or a real-transport peer worker, on the one
+engine it builds for its share (:mod:`repro.network.realnet`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.similarity.cache import TagPathSimilarityCache
-from repro.similarity.item import SimilarityConfig
 from repro.similarity.transaction import SimilarityEngine
 from repro.transactions.transaction import Transaction
-
-#: Per-process engines keyed by (similarity config, backend name).  Worker
-#: processes populate this lazily on their first local phase or shard and
-#: then reuse the engine -- including its tag-path cache and compiled
-#: corpus blocks -- for every subsequent round.
-_PROCESS_ENGINES: Dict[Tuple[SimilarityConfig, str], SimilarityEngine] = {}
-
-
-def process_engine(similarity: SimilarityConfig, backend: str = "python") -> SimilarityEngine:
-    """Return this process' shared engine for the given configuration."""
-    key = (similarity, backend)
-    engine = _PROCESS_ENGINES.get(key)
-    if engine is None:
-        engine = SimilarityEngine(
-            similarity, cache=TagPathSimilarityCache(), backend=backend
-        )
-        _PROCESS_ENGINES[key] = engine
-    return engine
-
-
-def clear_process_engines() -> None:
-    """Drop every cached per-process engine (used by tests)."""
-    _PROCESS_ENGINES.clear()
 
 
 def _store_transactions(store_dir: str, rows: Sequence[int]) -> List[Transaction]:
@@ -74,9 +42,6 @@ class RefinementShard:
         local representatives received from the peers.
     representative_id:
         Identifier given to the refined representative transaction.
-    max_items:
-        Optional cap on the representative size
-        (:attr:`~repro.core.config.ClusteringConfig.max_representative_items`).
     weights:
         ``None`` for a local shard (``ComputeLocalRepresentative``); for a
         global shard the per-member weights ``|C^i_j|``, parallel to
@@ -90,7 +55,6 @@ class RefinementShard:
     cluster_index: int
     members: Optional[List[Transaction]]
     representative_id: str
-    max_items: Optional[int] = None
     weights: Optional[List[int]] = None
     store_dir: Optional[str] = None
     member_rows: Optional[List[int]] = None
@@ -135,14 +99,12 @@ def refine_clusters(
                 members,
                 engine,
                 representative_id=shard.representative_id,
-                max_items=shard.max_items,
             )
         else:
             representative = compute_global_representative(
                 list(zip(members, shard.weights)),
                 engine,
                 representative_id=shard.representative_id,
-                max_items=shard.max_items,
             )
         refined[shard.cluster_index] = representative
     return refined

@@ -2,7 +2,10 @@
 
 A :class:`Peer` owns a local portion of the transaction set and the
 responsibilities assigned by the startup process (the subset ``Z_i`` of
-cluster identifiers whose global representatives it must compute).
+cluster identifiers whose global representatives it must compute).  It
+holds no engine: on the simulated transport the algorithm runs every
+peer's local phase on its own engine, and the real transport ships the
+share to a worker that builds its own.
 
 The peer object is intentionally algorithm-agnostic: both CXK-means and the
 PK-means baseline exchange their messages through the same
@@ -13,9 +16,8 @@ their communication volumes directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.similarity.transaction import SimilarityEngine
 from repro.transactions.transaction import Transaction
 
 
@@ -27,12 +29,6 @@ class Peer:
     transactions: List[Transaction] = field(default_factory=list)
     #: Cluster identifiers whose *global* representative this peer computes.
     responsibilities: List[int] = field(default_factory=list)
-    #: Similarity engine used for the peer's local phases.  When several
-    #: simulated nodes run in one process the algorithms attach the *same*
-    #: engine to every peer, so all nodes share one tag-path cache and one
-    #: compiled backend corpus; ``None`` means "let the execution engine
-    #: pick a per-process engine".
-    engine: Optional[SimilarityEngine] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     def local_size(self) -> int:
@@ -49,14 +45,8 @@ class Peer:
 def make_peers(
     partitions: Sequence[Sequence[Transaction]],
     responsibilities: Sequence[Sequence[int]],
-    engine: Optional[SimilarityEngine] = None,
 ) -> List[Peer]:
-    """Create one peer per data partition with the given responsibilities.
-
-    When *engine* is provided every peer shares it (single-process
-    simulation: one tag-path cache and one compiled similarity corpus for
-    the whole network).
-    """
+    """Create one peer per data partition with the given responsibilities."""
     if len(partitions) != len(responsibilities):
         raise ValueError(
             "partitions and responsibilities must have the same length "
@@ -67,7 +57,6 @@ def make_peers(
             peer_id=index,
             transactions=list(partition),
             responsibilities=list(assigned),
-            engine=engine,
         )
         for index, (partition, assigned) in enumerate(zip(partitions, responsibilities))
     ]

@@ -11,13 +11,19 @@ Topology -- physical star, logical mesh
 ---------------------------------------
 The driving process (the algorithm's ``N0``) binds a listening socket and
 runs an asyncio event loop on a background thread; each worker process
-connects to it and identifies itself with a ``HELLO`` frame.  Algorithm
-messages keep their peer-to-peer ``sender``/``recipient`` semantics, but
-physically every frame is relayed through the driver -- the classic
-coordinator star.  The driver also keeps the algorithm state (flags,
-convergence, the global merge), which is what guarantees *bit-exact parity*
-with the simulated network: the two transports execute the identical
-control flow and differ only in where the local phases run.
+connects to it and identifies itself with a ``HELLO`` frame, which the
+driver answers with the peer's data share ``S_i`` as a ``SHARE`` frame.
+The worker decodes it and builds the one
+:class:`~repro.similarity.transaction.SimilarityEngine` it runs every
+local phase on.  A spawn spec therefore carries only addresses and the
+configuration, so ``Process.start()`` returns at once and the workers
+start up side by side.  Algorithm messages keep their peer-to-peer
+``sender``/``recipient`` semantics, but physically every frame is relayed
+through the driver -- the classic coordinator star.  The driver also keeps
+the algorithm state (flags, convergence, the global merge), which is what
+guarantees *bit-exact parity* with the simulated network: the two
+transports execute the identical control flow and differ only in where
+the local phases run.
 
 Accounting
 ----------
@@ -27,18 +33,20 @@ are the simulation's own, so the cost-model *predictions* are computed
 exactly as in a simulated run.  On top of that it records what
 actually happened on the wire: encoded frame bytes per round
 (``wire_bytes`` for algorithm messages, ``control_bytes`` for the
-HELLO/RESULT/SHUTDOWN frames and the driver-relay self-copies) and measured
-wall-clock per round -- surfaced through :meth:`RealNetwork.summary` and,
-further up, the ``predicted_vs_measured`` fields of experiment records.
+HELLO/SHARE/RESULT/SHUTDOWN frames and the driver-relay self-copies) and
+measured wall-clock per round -- surfaced through
+:meth:`RealNetwork.summary` and, further up, the ``predicted_vs_measured``
+fields of experiment records.
 
 Failure semantics
 -----------------
 Every blocking interaction has a deadline: peers that never complete the
-handshake (refused port, startup crash), die mid-round (EOF) or stall past
-the round timeout surface as :class:`RealNetworkError` with an actionable
-message -- the driver never hangs.  :meth:`RealNetwork.close` is idempotent
-and best-effort: it sends ``SHUTDOWN`` frames, joins the worker processes
-and escalates to ``terminate()``/``kill()`` for the unresponsive ones.
+handshake (refused port, startup crash, a failed or stalled share write),
+die mid-round (EOF) or stall past the round timeout surface as
+:class:`RealNetworkError` with an actionable message -- the driver never
+hangs.  :meth:`RealNetwork.close` is idempotent and best-effort: it sends
+``SHUTDOWN`` frames, joins the worker processes and escalates to
+``terminate()``/``kill()`` for the unresponsive ones.
 """
 
 from __future__ import annotations
@@ -58,27 +66,30 @@ from repro.network.codec import (
     CodecError,
     FrameKind,
     HEADER_SIZE,
-    LocalResult,
     TRAILER_SIZE,
     check_frame_payload,
     decode_error,
     decode_hello,
     decode_message,
     decode_result,
+    decode_share,
     encode_error,
     encode_frame,
     encode_hello,
     encode_message,
     encode_result,
+    encode_share,
     parse_frame_header,
 )
 from repro.network.costmodel import CostModel
-from repro.network.message import Message, MessageKind
+from repro.network.message import LocalPhaseOutput, Message, MessageKind
 from repro.network.peer import Peer
 from repro.network.simnet import SimulatedNetwork
+from repro.similarity.cache import TagPathSimilarityCache
+from repro.similarity.transaction import SimilarityEngine
 from repro.transactions.transaction import Transaction
 
-#: Default deadline for the worker handshake (socket connect + HELLO).
+#: Default deadline for the worker handshake (socket connect, HELLO, share).
 DEFAULT_CONNECT_TIMEOUT = 30.0
 #: Default deadline for one collaborative round's local-phase results.
 DEFAULT_ROUND_TIMEOUT = 120.0
@@ -123,8 +134,8 @@ async def write_frame(
 class PeerWorkerSpec:
     """Everything a peer worker process needs to join the network.
 
-    ``transactions`` is the peer's own share ``S_i``; it travels pickled
-    with the spec and the worker compiles it on its per-process engine.
+    The peer's share ``S_i`` is not part of it: the driver sends it as the
+    ``SHARE`` frame answering the worker's ``HELLO``.
     """
 
     peer_id: int
@@ -133,7 +144,6 @@ class PeerWorkerSpec:
     #: Per-phase :class:`~repro.core.config.ClusteringConfig` (duck-typed
     #: here: the network layer sits below the core layer).
     config: object
-    transactions: List[Transaction]
     connect_timeout: float = DEFAULT_CONNECT_TIMEOUT
 
 
@@ -155,11 +165,12 @@ def default_worker_factory(spec: PeerWorkerSpec) -> multiprocessing.Process:
 async def _peer_worker(spec: PeerWorkerSpec) -> None:
     """Asyncio body of a peer worker process.
 
-    Connects to the driver, handshakes, then serves rounds until a
-    ``SHUTDOWN`` frame (or EOF -- a vanished driver) arrives: it
-    accumulates the ``GLOBAL_REPRESENTATIVES`` messages of the current
-    round and, once all ``k`` clusters are covered, runs the local phase
-    and answers with a ``RESULT`` frame.  ``FLAG`` and
+    Connects to the driver, handshakes, receives its share (the ``SHARE``
+    frame answering its ``HELLO``) and builds its one engine, then serves
+    rounds until a ``SHUTDOWN`` frame (or EOF -- a vanished driver)
+    arrives: it accumulates the ``GLOBAL_REPRESENTATIVES`` messages of the
+    current round and, once all ``k`` clusters are covered, runs the local
+    phase and answers with a ``RESULT`` frame.  ``FLAG`` and
     ``LOCAL_REPRESENTATIVES`` frames are received for wire fidelity; the
     driver-resident algorithm state consumes their content.
     """
@@ -172,6 +183,15 @@ async def _peer_worker(spec: PeerWorkerSpec) -> None:
     )
     try:
         await write_frame(writer, FrameKind.HELLO, encode_hello(spec.peer_id))
+        kind, payload = await read_frame(reader)
+        if kind is not FrameKind.SHARE:
+            raise CodecError(f"expected a SHARE frame after HELLO, got {kind.name}")
+        transactions = decode_share(payload)
+        engine = SimilarityEngine(
+            spec.config.similarity,
+            cache=TagPathSimilarityCache(),
+            backend=spec.config.backend,
+        )
         k: Optional[int] = None
         pending: Dict[int, Dict[int, Transaction]] = {}
         while True:
@@ -197,10 +217,10 @@ async def _peer_worker(spec: PeerWorkerSpec) -> None:
                     output = run_local_phase(
                         LocalPhaseInput(
                             peer_id=spec.peer_id,
-                            transactions=spec.transactions,
+                            transactions=transactions,
                             global_representatives=[bucket[j] for j in range(k)],
-                            config=spec.config,
-                        )
+                        ),
+                        engine,
                     )
                 except Exception:
                     await write_frame(
@@ -210,18 +230,7 @@ async def _peer_worker(spec: PeerWorkerSpec) -> None:
                     )
                     raise
                 await write_frame(
-                    writer,
-                    FrameKind.RESULT,
-                    encode_result(
-                        LocalResult(
-                            peer_id=spec.peer_id,
-                            round_index=message.round_index,
-                            assignment=output.assignment,
-                            local_representatives=output.local_representatives,
-                            cluster_sizes=output.cluster_sizes,
-                            compute_seconds=output.compute_seconds,
-                        )
-                    ),
+                    writer, FrameKind.RESULT, encode_result(message.round_index, output)
                 )
     finally:
         writer.close()
@@ -250,7 +259,8 @@ class _PeerLink:
         self.peer_id = peer_id
         self.writer: Optional[asyncio.StreamWriter] = None
         self.connected = asyncio.Event()
-        #: Queue of ("result", LocalResult) / ("error", text) / ("closed", text)
+        #: Queue of ("result", (round index, LocalPhaseOutput)) /
+        #: ("error", text) / ("closed", text)
         self.results: asyncio.Queue = asyncio.Queue()
         self.failure: Optional[str] = None
 
@@ -433,13 +443,12 @@ class RealNetwork(SimulatedNetwork):
             ) from None
 
     def _make_spec(self, peer: Peer) -> PeerWorkerSpec:
-        """Build the worker spec for *peer*: its own share travels with it."""
+        """Build the worker spec for *peer* (its share follows its HELLO)."""
         return PeerWorkerSpec(
             peer_id=peer.peer_id,
             host=self.host,
             port=self.port,
             config=self.phase_config,
-            transactions=list(peer.transactions),
             connect_timeout=self.connect_timeout,
         )
 
@@ -483,7 +492,13 @@ class RealNetwork(SimulatedNetwork):
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one worker connection: handshake, then collect its frames."""
+        """Serve one worker connection: handshake and share, then collect
+        its frames.
+
+        The handshake completes (``link.connected``) only once the peer's
+        ``SHARE`` frame is written; a share write that fails or stalls past
+        ``connect_timeout`` is a broken connection.
+        """
         link: Optional[_PeerLink] = None
         try:
             kind, payload = await asyncio.wait_for(
@@ -497,6 +512,12 @@ class RealNetwork(SimulatedNetwork):
             if link is None or link.writer is not None:
                 raise CodecError(f"unexpected or duplicate HELLO from peer {peer_id}")
             link.writer = writer
+            share = encode_frame(
+                FrameKind.SHARE, encode_share(self.peer(peer_id).transactions)
+            )
+            writer.write(share)
+            await asyncio.wait_for(writer.drain(), self.connect_timeout)
+            self.control_bytes += len(share)
             link.connected.set()
             while True:
                 kind, payload = await read_frame(reader)
@@ -511,7 +532,7 @@ class RealNetwork(SimulatedNetwork):
                     link.failure = failure
                     await link.results.put(("error", failure))
                 # other frame kinds from a worker are ignored
-        except (asyncio.IncompleteReadError, ConnectionResetError):
+        except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             if link is not None and link.failure is None and not self._closed:
                 link.failure = (
                     f"peer {link.peer_id} connection closed unexpectedly "
@@ -614,40 +635,30 @@ class RealNetwork(SimulatedNetwork):
         The *runner* argument of the simulated network's signature is
         accepted and ignored -- the phases already run inside the worker
         processes, fed by the ``GLOBAL_REPRESENTATIVES`` frames
-        broadcast earlier in the round.  Results are returned in the input
-        order as :class:`~repro.core.cxkmeans.LocalPhaseOutput` objects and
-        their compute time is recorded into the round statistics (matching
-        the simulated path).  Raises :class:`RealNetworkError` on worker
-        death, remote failure or a round-timeout expiry.
+        broadcast earlier in the round.  The decoded
+        :class:`~repro.network.message.LocalPhaseOutput` objects are
+        returned in the input order and their compute time is recorded into
+        the round statistics (matching the simulated path).  Raises
+        :class:`RealNetworkError` on worker death, remote failure or a
+        round-timeout expiry.
         """
         if not self._started:
             raise RealNetworkError("run_local_phases() before start()")
-        from repro.core.cxkmeans import LocalPhaseOutput
-
         round_index = max(self._round_index, 0)
         expected = [phase_input.peer_id for phase_input in inputs]
-        results = self._call(
+        outputs = self._call(
             self._collect_results(round_index, expected),
             timeout=self.round_timeout + 10.0,
         )
-        outputs = []
-        for result in results:
-            output = LocalPhaseOutput(
-                peer_id=result.peer_id,
-                assignment=result.assignment,
-                local_representatives=result.local_representatives,
-                cluster_sizes=result.cluster_sizes,
-                compute_seconds=result.compute_seconds,
-            )
+        for output in outputs:
             self.stats.record_compute(output.peer_id, output.compute_seconds)
-            outputs.append(output)
         return outputs
 
     async def _collect_results(
         self, round_index: int, expected: Sequence[int]
-    ) -> List[LocalResult]:
+    ) -> List[LocalPhaseOutput]:
         """Await one RESULT per expected peer, under the round deadline."""
-        results: List[LocalResult] = []
+        results: List[LocalPhaseOutput] = []
         deadline = self._loop.time() + self.round_timeout
         for peer_id in expected:
             link = self._links[peer_id]
@@ -670,9 +681,10 @@ class RealNetwork(SimulatedNetwork):
                 except asyncio.TimeoutError:
                     continue  # re-enters the deadline check above
                 if tag == "result":
-                    if value.round_index != round_index:
+                    result_round, output = value
+                    if result_round != round_index:
                         continue  # stale result from an aborted round
-                    results.append(value)
+                    results.append(output)
                     break
                 raise RealNetworkError(
                     value

@@ -173,13 +173,11 @@ class SimulatedNetwork:
         :class:`~repro.network.realnet.RealNetwork`: the algorithm drivers
         hand over the phase inputs and get one output per peer back, with
         ``compute_seconds`` recorded into the round statistics.  On the
-        simulated transport the phases run serially in this process, each
-        on its peer's shared engine.
+        simulated transport the phases run serially in this process:
+        *runner* maps one phase input to its output, on the algorithm's
+        engine.
         """
-        outputs = [
-            runner(phase_input, engine=self.peer(phase_input.peer_id).engine)
-            for phase_input in inputs
-        ]
+        outputs = [runner(phase_input) for phase_input in inputs]
         for output in outputs:
             self.stats.record_compute(output.peer_id, output.compute_seconds)
         return outputs

@@ -399,13 +399,13 @@ class NumpyBackend:
         self._uid_index: Dict[TreeTupleItem, int] = {}
         # --- compiled transactions ---------------------------------------- #
         # The pinned cache is keyed by transaction *value* (transactions are
-        # frozen dataclasses hashing by content): multiprocessing workers
-        # that unpickle a fresh copy of their partition every round, and
-        # serial runs where several peers share one engine, all land on the
-        # same entries, so the cache size stays bounded by the number of
-        # distinct corpus transactions.  The transient cache (representative
-        # candidates churning through refinement) is identity-keyed and
-        # pruned once it exceeds TRANSIENT_CAP.
+        # frozen dataclasses hashing by content): the share every local
+        # phase re-presents, and serial runs where several peers share one
+        # engine, all land on the same entries, so the cache size stays
+        # bounded by the number of distinct corpus transactions.  The
+        # transient cache (representative candidates churning through
+        # refinement) is identity-keyed and pruned once it exceeds
+        # TRANSIENT_CAP.
         self._pinned: Dict[Transaction, _CompiledTransaction] = {}
         self._transient: Dict[int, Tuple[Transaction, _CompiledTransaction]] = {}
         #: Transactions compiled through :meth:`compile_corpus` and
@@ -529,10 +529,10 @@ class NumpyBackend:
         iteration reuses the same feature blocks.
 
         Pins are keyed by transaction value, so re-presenting the same
-        corpus -- even as freshly unpickled copies in a multiprocessing
-        worker -- costs one dictionary probe per transaction and adds no
-        new entries.  Returns the number of newly *compiled* transactions
-        and accumulates it in :attr:`corpus_compile_count`.
+        corpus -- as every local phase does with its peer's share -- costs
+        one dictionary probe per transaction and adds no new entries.
+        Returns the number of newly *compiled* transactions and accumulates
+        it in :attr:`corpus_compile_count`.
         """
         count = self._pin(transactions)
         self.corpus_compile_count += count

@@ -10,7 +10,7 @@ from repro.text.stopwords import DOMAIN_STOPWORDS, ENGLISH_STOPWORDS, default_st
 from repro.text.tokenize import character_ngrams, tokenize
 from repro.text.vector import SparseVector, centroid_vector, merge_vectors
 from repro.text.vocabulary import FrozenVocabulary, Vocabulary
-from repro.text.weighting import CorpusTermStatistics, TfIdfWeighter, TtfItfWeighter
+from repro.text.weighting import CorpusTermStatistics, TtfItfWeighter
 
 __all__ = [
     "tokenize",
@@ -31,5 +31,4 @@ __all__ = [
     "DEFAULT_PREPROCESSOR",
     "CorpusTermStatistics",
     "TtfItfWeighter",
-    "TfIdfWeighter",
 ]

@@ -16,8 +16,7 @@ the document tree (``XT``) and the whole collection of tree tuples (``T``).
 
 The weight therefore rewards terms that are frequent inside the TCU, popular
 across the TCUs of the same transaction and of the same document, and rare
-across the collection.  A classic ``tf.idf`` weighter is also provided for
-ablation experiments.
+across the collection.
 """
 
 from __future__ import annotations
@@ -140,33 +139,4 @@ class TtfItfWeighter:
             value = self.weight(term, tf, tuple_id, doc_id)
             if value > 0.0:
                 weights[term_id] = value
-        return SparseVector(weights)
-
-
-class TfIdfWeighter:
-    """Classic tf.idf weighter over TCUs, provided for ablation experiments.
-
-    ``idf(term) = ln(N_T / n_{j,T})`` with the same TCU-containment counters
-    used by ttf.itf; the tuple- and document-level popularity factors are
-    simply dropped.
-    """
-
-    def __init__(self, statistics: CorpusTermStatistics) -> None:
-        self.statistics = statistics
-
-    def vector(self, terms: Sequence[str], tuple_id: str = "", doc_id: str = "") -> SparseVector:
-        counts = Counter(terms)
-        n_coll = self.statistics.tcus_in_collection()
-        weights: Dict[int, float] = {}
-        for term, tf in counts.items():
-            term_id = self.statistics.vocabulary.id_of(term)
-            if term_id is None:
-                continue
-            n_j = self.statistics.term_tcus_in_collection(term)
-            if n_j == 0 or n_coll <= n_j:
-                idf = 0.0
-            else:
-                idf = math.log(n_coll / n_j)
-            if tf * idf > 0.0:
-                weights[term_id] = tf * idf
         return SparseVector(weights)

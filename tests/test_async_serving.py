@@ -34,7 +34,6 @@ from repro.core.config import ClusteringConfig
 from repro.core.model_store import load_model, save_model
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
-from repro.network.mpengine import clear_process_engines
 from repro.serving import AsyncModelServer, ModelRouter
 from repro.similarity.corpus_store import clear_store_cache, prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
@@ -66,11 +65,9 @@ def free_port():
 
 @pytest.fixture(autouse=True)
 def isolated_caches():
-    """Start and end every test with empty engine and store caches."""
-    clear_process_engines()
+    """Start and end every test with an empty store cache."""
     clear_store_cache()
     yield
-    clear_process_engines()
     clear_store_cache()
 
 

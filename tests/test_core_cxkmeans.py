@@ -28,7 +28,7 @@ class TestLocalPhase:
         transactions = mini_dataset.transactions[:6]
         representatives = [transactions[0], transactions[1]]
         output = run_local_phase(
-            LocalPhaseInput(0, transactions, representatives, config), engine=engine
+            LocalPhaseInput(0, transactions, representatives), engine=engine
         )
         assert set(output.assignment) == {t.transaction_id for t in transactions}
         assert len(output.local_representatives) == 2
@@ -44,7 +44,7 @@ class TestLocalPhase:
         # two identical representatives: the second cluster will stay empty
         representatives = [transactions[0], transactions[0]]
         output = run_local_phase(
-            LocalPhaseInput(0, transactions, representatives, config), engine=engine
+            LocalPhaseInput(0, transactions, representatives), engine=engine
         )
         assert output.cluster_sizes[1] == 0
         assert output.local_representatives[1].is_empty()
@@ -64,7 +64,7 @@ class TestLocalPhase:
         engine.assign_all = counting  # type: ignore[method-assign]
         transactions = mini_dataset.transactions[:6]
         output = run_local_phase(
-            LocalPhaseInput(0, transactions, transactions[:2], config), engine=engine
+            LocalPhaseInput(0, transactions, transactions[:2]), engine=engine
         )
         assert calls == [len(transactions)]
         assert output.assignment == {

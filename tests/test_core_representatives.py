@@ -129,18 +129,6 @@ class TestGenerateTreeTuple:
         rep = generate_tree_tuple(rank_items(pool, hybrid_engine), members, hybrid_engine)
         assert len(rep) <= 2
 
-    def test_max_items_cap(self, hybrid_engine):
-        members = [
-            make_transaction(
-                "t1", [item(f"r.p{i}.S", f"v{i}", {i: 1.0}) for i in range(5)]
-            )
-        ]
-        pool = list(members[0].items)
-        rep = generate_tree_tuple(
-            rank_items(pool, hybrid_engine), members, hybrid_engine, max_items=2
-        )
-        assert len(rep) <= 2
-
     def test_representative_has_at_most_one_item_per_path(self, hybrid_engine):
         members = [
             make_transaction("t1", [item("r.a.S", "x", {1: 1.0}), item("r.b.S", "y", {2: 1.0})]),

@@ -28,7 +28,6 @@ pytest.importorskip("numpy")
 from repro.core.config import ClusteringConfig
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
-from repro.network.mpengine import clear_process_engines
 from repro.similarity import corpus_store
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.corpus_store import (
@@ -44,11 +43,9 @@ from repro.similarity.transaction import SimilarityEngine
 
 @pytest.fixture(autouse=True)
 def isolated_caches():
-    """Every test starts and ends with empty engine and store caches."""
-    clear_process_engines()
+    """Every test starts and ends with an empty store cache."""
     clear_store_cache()
     yield
-    clear_process_engines()
     clear_store_cache()
 
 

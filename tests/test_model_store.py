@@ -60,7 +60,6 @@ from repro.core.model_store import (
 )
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
-from repro.network.mpengine import clear_process_engines
 from repro.similarity import corpus_store
 from repro.similarity.corpus_store import (
     BlockCorpusStore,
@@ -78,11 +77,9 @@ from repro.xmlmodel.serializer import serialize
 
 @pytest.fixture(autouse=True)
 def isolated_caches():
-    """Start and end every test with empty engine and store caches."""
-    clear_process_engines()
+    """Start and end every test with an empty store cache."""
     clear_store_cache()
     yield
-    clear_process_engines()
     clear_store_cache()
 
 
@@ -217,17 +214,11 @@ class TestRoundTrip:
             model.close()
 
     def test_manifest_round_trips_the_config(self, dblp_small, tmp_path):
-        config, _, _ = fit_and_save(
-            dblp_small,
-            tmp_path / "model",
-            backend="numpy",
-            max_representative_items=11,
-        )
+        config, _, _ = fit_and_save(dblp_small, tmp_path / "model", backend="numpy")
         model = load_model(tmp_path / "model")
         loaded = model.config
         assert loaded == config
         assert loaded.backend == "numpy"
-        assert loaded.max_representative_items == 11
 
     def test_backend_override_serves_bit_exactly(self, dblp_small, tmp_path):
         _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model")
@@ -680,11 +671,11 @@ class TestRetiredOptionManifest:
     def test_retired_option_keys_load_and_classify_bit_exactly(
         self, dblp_small, dblp_documents, tmp_path, backend
     ):
-        """A manifest carrying the retired tile-budget, refinement-worker
-        and compiled-corpus-cache keys (every manifest written before they
-        were removed has them), or a backend spec with the retired
-        ``block=N`` tile budget, loads on ``numpy``, ignores them and
-        classifies like the python reference."""
+        """A manifest carrying the retired tile-budget, refinement-worker,
+        compiled-corpus-cache and representative-size-cap keys (every
+        manifest written before they were removed has them), or a backend
+        spec with the retired ``block=N`` tile budget, loads on ``numpy``,
+        ignores them and classifies like the python reference."""
         _, _, in_memory = fit_and_save(dblp_small, tmp_path / "model", "numpy")
         manifest_path = tmp_path / "model" / MODEL_MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
@@ -695,6 +686,7 @@ class TestRetiredOptionManifest:
                 config["batch_block_items"] = 64
                 config["refine_workers"] = 2
                 config["corpus_cache_dir"] = str(tmp_path / "cache")
+                config["max_representative_items"] = 11
         manifest["config"] = config
         manifest_path.write_text(json.dumps(manifest))
 

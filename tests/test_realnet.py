@@ -16,6 +16,7 @@ deadline -- the driver must never hang.
 
 from __future__ import annotations
 
+import pickle
 import socket
 import threading
 import time
@@ -27,6 +28,7 @@ from repro.core.config import ClusteringConfig
 from repro.core.cxkmeans import CXKMeans
 from repro.core.partition import partition_equally
 from repro.core.representatives import representatives_equal
+from repro.datasets.registry import get_dataset
 from repro.network.codec import FrameKind, encode_frame, encode_hello
 from repro.network.message import Message, MessageKind
 from repro.network.peer import make_peers
@@ -202,6 +204,24 @@ class TestFaultInjection:
         network.close()
         with pytest.raises(RealNetworkError, match="already closed"):
             network.start()
+
+
+# --------------------------------------------------------------------------- #
+# Spawn spec
+# --------------------------------------------------------------------------- #
+class TestSpawnSpec:
+    def test_spawn_spec_carries_no_share(self):
+        """A peer's share follows its HELLO as a SHARE frame, so the spec
+        pickled into the spawned worker stays small, however large the
+        share: ``Process.start()`` returns without waiting for it."""
+        dataset = get_dataset("DBLP", scale=1, seed=0)
+        parts = partition_equally(dataset.transactions, 2, seed=0)
+        network = RealNetwork(
+            make_peers(parts, [[0], [1]]), phase_config=ClusteringConfig(k=4)
+        )
+        for peer in network.peers:
+            assert peer.transactions
+            assert len(pickle.dumps(network._make_spec(peer))) < 2048
 
 
 # --------------------------------------------------------------------------- #

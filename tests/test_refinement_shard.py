@@ -5,8 +5,8 @@
 refines a list of them on the caller's engine, keyed by cluster index.
 These tests pin that the refined representatives are *identical* to calling
 the representative functions directly (including a hypothesis property
-suite), that empty clusters yield empty representatives, that repeat runs
-agree, and the per-process engine cache real-transport peers run on.
+suite), that empty clusters yield empty representatives, and that repeat
+runs agree.
 """
 
 from __future__ import annotations
@@ -18,20 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ClusteringConfig
-from repro.core.cxkmeans import CXKMeans, LocalPhaseInput, run_local_phase
+from repro.core.cxkmeans import CXKMeans
 from repro.core.representatives import (
     compute_global_representative,
     compute_local_representative,
 )
 from repro.core.seeding import select_seed_transactions
 from repro.datasets.registry import get_dataset
-from repro.network.mpengine import (
-    _PROCESS_ENGINES,
-    RefinementShard,
-    clear_process_engines,
-    process_engine,
-    refine_clusters,
-)
+from repro.network.mpengine import RefinementShard, refine_clusters
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.item import SimilarityConfig
 from repro.similarity.transaction import SimilarityEngine
@@ -39,15 +33,6 @@ from repro.text.vector import SparseVector
 from repro.transactions.items import make_synthetic_item
 from repro.transactions.transaction import make_transaction
 from repro.xmlmodel.paths import XMLPath
-
-
-@pytest.fixture(autouse=True)
-def isolated_engine_cache():
-    """Each test starts and ends with an empty per-process engine cache, so
-    compiled corpora never leak between tests."""
-    clear_process_engines()
-    yield
-    clear_process_engines()
 
 
 @pytest.fixture(scope="module")
@@ -252,49 +237,3 @@ class TestFitParity:
                 [rep_key(rep) for rep in result.representatives()],
             )
         assert results["numpy"] == results["python"]
-
-
-# --------------------------------------------------------------------------- #
-# Per-process engine cache
-# --------------------------------------------------------------------------- #
-class TestLifecycleAndIsolation:
-    def test_refinement_shards_share_engine_cache(self, dblp_small):
-        """Engine-less local phases (the real transport's peer workers)
-        refine their shards on the per-process engine: phases with the
-        same (similarity, backend) key reuse one cached engine, and
-        different backends get isolated engines."""
-        transactions = dblp_small.transactions[:10]
-        representatives = select_seed_transactions(
-            transactions, 2, random.Random(0)
-        )
-
-        def phase(backend):
-            run_local_phase(
-                LocalPhaseInput(
-                    peer_id=0,
-                    transactions=list(transactions),
-                    global_representatives=list(representatives),
-                    config=ClusteringConfig(
-                        k=2, similarity=SIMILARITY, backend=backend
-                    ),
-                )
-            )
-
-        phase("python")
-        assert len(_PROCESS_ENGINES) == 1
-        phase("python")
-        # same key -> same engine, no second entry
-        assert len(_PROCESS_ENGINES) == 1
-        phase("numpy")
-        assert len(_PROCESS_ENGINES) == 2
-        assert (SIMILARITY, "python") in _PROCESS_ENGINES
-        assert (SIMILARITY, "numpy") in _PROCESS_ENGINES
-
-    def test_clear_process_engines_empties_the_cache(self):
-        process_engine(SIMILARITY, "python")
-        assert _PROCESS_ENGINES
-        clear_process_engines()
-        assert not _PROCESS_ENGINES
-
-    def test_autouse_isolation_left_no_state_behind(self):
-        assert not _PROCESS_ENGINES

@@ -208,17 +208,12 @@ class TestRefinementParity:
     @given(
         cluster=st.lists(transactions_strategy(), max_size=5),
         config=_CONFIGS,
-        max_items=st.sampled_from([None, 1, 2]),
     )
-    def test_local_representative_parity(self, cluster, config, max_items):
+    def test_local_representative_parity(self, cluster, config):
         f, gamma = config
         python_engine, numpy_engine = engines(f=f, gamma=gamma)
-        rep_python = compute_local_representative(
-            cluster, python_engine, max_items=max_items
-        )
-        rep_numpy = compute_local_representative(
-            cluster, numpy_engine, max_items=max_items
-        )
+        rep_python = compute_local_representative(cluster, python_engine)
+        rep_numpy = compute_local_representative(cluster, numpy_engine)
         assert rep_numpy.items == rep_python.items
 
     @settings(max_examples=20, deadline=None)

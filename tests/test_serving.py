@@ -32,7 +32,6 @@ from repro.core.config import ClusteringConfig
 from repro.core.model_store import load_model, save_model
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
-from repro.network.mpengine import clear_process_engines
 from repro.serving import (
     MAX_HEADER_LINES,
     MAX_LINE_BYTES,
@@ -49,11 +48,9 @@ from repro.xmlmodel.serializer import serialize
 
 @pytest.fixture(autouse=True)
 def isolated_caches():
-    """Start and end every test with empty engine and store caches."""
-    clear_process_engines()
+    """Start and end every test with an empty store cache."""
     clear_store_cache()
     yield
-    clear_process_engines()
     clear_store_cache()
 
 
@@ -611,32 +608,53 @@ class TestClassifyStdin:
         assert status == 0
         assert out.index(str(xml_files[0])) < out.index(f"{xml_files[1]}: cluster=")
 
-    @pytest.mark.parametrize("stdin", [False, True])
+    @pytest.mark.parametrize(
+        "command,stdin",
+        [
+            ("classify", False),
+            ("classify", True),
+            ("stream", False),
+            ("stream", True),
+            ("cluster", False),
+        ],
+        ids=["classify", "classify-stdin", "stream", "stream-stdin", "cluster-xml-dir"],
+    )
     @pytest.mark.parametrize(
         "content",
-        [b"<a><b></a>", "<a>caf\u00e9</a>".encode("latin-1")],
-        ids=["malformed", "latin-1"],
+        [b"<a><b></a>", "<a>caf\u00e9</a>".encode("latin-1"), None],
+        ids=["malformed", "latin-1", "missing"],
     )
     def test_bad_document_exits_with_an_error_line(
-        self, model_dir, tmp_path, monkeypatch, content, stdin
+        self, model_dir, tmp_path, monkeypatch, content, command, stdin
     ):
-        """A malformed or non-UTF-8 document ends classify like an
-        unreadable file: an ``error:`` message, not a traceback."""
+        """A malformed, non-UTF-8 or missing document ends classify,
+        stream and ``cluster --xml-dir`` alike: one ``error: PATH: ...``
+        message, not a traceback."""
         import sys
 
         from repro.xmlmodel.errors import XMLError
 
-        bad = tmp_path / "bad.xml"
-        bad.write_bytes(content)
-        argv = ["classify", "--model", str(model_dir)]
+        bad = tmp_path / "docs" / "bad.xml"
+        bad.parent.mkdir()
+        if content is None:
+            # a dangling link: listed like any document, but it cannot be opened
+            bad.symlink_to(tmp_path / "gone.xml")
+        else:
+            bad.write_bytes(content)
+        argv = {
+            "classify": ["classify", "--model", str(model_dir)],
+            "stream": ["stream", "--model", str(tmp_path / "streamed")],
+            "cluster": ["cluster", "--xml-dir", str(bad.parent)],
+        }[command]
         if stdin:
             monkeypatch.setattr(sys, "stdin", _LazyStdin([f"{bad}\n"]))
             argv.append("--stdin")
-        else:
+        elif command != "cluster":
             argv.append(str(bad))
         with pytest.raises(SystemExit, match=f"^error: {bad}: ") as raised:
             main(argv)
-        assert isinstance(raised.value.__cause__, XMLError)
+        expected = OSError if content is None else XMLError
+        assert isinstance(raised.value.__cause__, expected)
 
     def test_classify_without_files_or_stdin_exits(self, model_dir):
         with pytest.raises(SystemExit, match="--stdin"):

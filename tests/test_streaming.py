@@ -30,18 +30,15 @@ from repro.core.streaming import StreamingClusterer, stream_chunks, stream_corpu
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
 from repro.evaluation.fmeasure import overall_f_measure
-from repro.network.mpengine import clear_process_engines
 from repro.similarity.corpus_store import BlockCorpusStore, clear_store_cache
 from repro.similarity.item import SimilarityConfig
 
 
 @pytest.fixture(autouse=True)
 def isolated_caches():
-    """Engine and store caches never leak between streaming tests."""
-    clear_process_engines()
+    """The store cache never leaks between streaming tests."""
     clear_store_cache()
     yield
-    clear_process_engines()
     clear_store_cache()
 
 

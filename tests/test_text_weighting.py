@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.text.vocabulary import FrozenVocabulary, Vocabulary
-from repro.text.weighting import CorpusTermStatistics, TfIdfWeighter, TtfItfWeighter
+from repro.text.weighting import CorpusTermStatistics, TtfItfWeighter
 
 
 class TestVocabulary:
@@ -132,20 +132,3 @@ class TestTtfItfWeighter:
         assert weighter.weight("rare", 1, "t1", "d1") > weighter.weight(
             "frequent", 1, "t1", "d1"
         )
-
-
-class TestTfIdfWeighter:
-    def test_idf_discounts_common_terms(self):
-        stats = build_statistics()
-        weighter = TfIdfWeighter(stats)
-        vector = weighter.vector(["xml", "peer"])
-        xml_id = stats.vocabulary.id_of("xml")
-        peer_id = stats.vocabulary.id_of("peer")
-        # 'peer' occurs in one TCU out of five, 'xml' in two
-        assert vector.get(peer_id) > vector.get(xml_id) > 0.0
-
-    def test_term_in_every_tcu_gets_zero(self):
-        stats = CorpusTermStatistics()
-        stats.add_tcu("t1", "d1", ["common"])
-        stats.add_tcu("t2", "d1", ["common"])
-        assert not TfIdfWeighter(stats).vector(["common"])

@@ -16,7 +16,7 @@ mis-parsing.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.codec import (
@@ -26,20 +26,21 @@ from repro.network.codec import (
     VERSION,
     CodecError,
     FrameKind,
-    LocalResult,
     decode_error,
     decode_frame,
     decode_hello,
     decode_message,
     decode_result,
+    decode_share,
     encode_error,
     encode_frame,
     encode_hello,
     encode_message,
     encode_result,
+    encode_share,
     parse_frame_header,
 )
-from repro.network.message import Message, MessageKind
+from repro.network.message import LocalPhaseOutput, Message, MessageKind
 from repro.text.vector import SparseVector
 from repro.transactions.items import TreeTupleItem
 from repro.transactions.transaction import Transaction
@@ -258,10 +259,10 @@ class TestControlRoundTrip:
         assert decode_error(encode_error(peer_id, text)) == (peer_id, text)
 
     @given(
+        round_index=round_indexes,
         result=st.builds(
-            LocalResult,
+            LocalPhaseOutput,
             peer_id=st.integers(min_value=0, max_value=2**31 - 1),
-            round_index=round_indexes,
             assignment=st.dictionaries(
                 st.text(max_size=12), st.integers(min_value=-1, max_value=2**31 - 1), max_size=5
             ),
@@ -270,13 +271,13 @@ class TestControlRoundTrip:
                 st.integers(min_value=0, max_value=2**62), max_size=4
             ),
             compute_seconds=finite_floats,
-        )
+        ),
     )
     @settings(max_examples=50, deadline=None)
-    def test_local_result(self, result):
-        decoded = decode_result(encode_result(result))
+    def test_local_result(self, round_index, result):
+        decoded_round, decoded = decode_result(encode_result(round_index, result))
+        assert decoded_round == round_index
         assert decoded.peer_id == result.peer_id
-        assert decoded.round_index == result.round_index
         assert decoded.assignment == result.assignment
         assert decoded.cluster_sizes == result.cluster_sizes
         assert decoded.compute_seconds == result.compute_seconds
@@ -284,6 +285,16 @@ class TestControlRoundTrip:
         for got, expected in zip(
             decoded.local_representatives, result.local_representatives
         ):
+            assert_transactions_bit_exact(expected, got)
+
+    @given(share=st.lists(transactions, max_size=5))
+    @example(share=[])
+    @settings(max_examples=50, deadline=None)
+    def test_share(self, share):
+        """A peer's share round-trips bit-exactly, the empty share too."""
+        decoded = decode_share(encode_share(share))
+        assert len(decoded) == len(share)
+        for got, expected in zip(decoded, share):
             assert_transactions_bit_exact(expected, got)
 
 
@@ -414,6 +425,25 @@ class TestPayloadFailures:
         full = encode_message(Message(sender=0, recipient=1, kind=MessageKind.FLAG))
         try:
             decode_message(full + b"\x00")
+        except CodecError as error:
+            assert "trailing" in str(error)
+        else:  # pragma: no cover - defensive
+            raise AssertionError("expected CodecError")
+
+    @given(share=st.lists(transactions, min_size=1, max_size=3), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_truncated_share_payload(self, share, data):
+        full = encode_share(share)
+        cut = data.draw(st.integers(min_value=0, max_value=len(full) - 1))
+        try:
+            decode_share(full[:cut])
+        except CodecError:
+            return
+        raise AssertionError(f"share truncated at {cut} was not rejected")
+
+    def test_trailing_share_bytes(self):
+        try:
+            decode_share(encode_share([]) + b"\x00")
         except CodecError as error:
             assert "trailing" in str(error)
         else:  # pragma: no cover - defensive
