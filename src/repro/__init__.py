@@ -11,8 +11,8 @@ The package is organised as a layered system:
   the transactional gamma-Jaccard similarity.
 * :mod:`repro.core` -- XK-means (centralized), CXK-means (collaborative
   distributed) and PK-means (non-collaborative parallel baseline).
-* :mod:`repro.network` -- simulated P2P network, cost model and a
-  multiprocessing execution engine.
+* :mod:`repro.network` -- simulated P2P network, cost model and a real
+  localhost-TCP transport with one process per peer.
 * :mod:`repro.datasets` -- synthetic re-creations of the DBLP, IEEE,
   Shakespeare and Wikipedia evaluation corpora.
 * :mod:`repro.evaluation` -- F-measure and other external validity indices.

@@ -39,6 +39,7 @@ truncated, corrupted or trailing bytes.
 
 from __future__ import annotations
 
+import socket
 import struct
 import zlib
 from dataclasses import dataclass
@@ -272,10 +273,7 @@ def decode_frame(data: bytes) -> Tuple[FrameKind, bytes]:
 
     The buffer must contain the complete frame and nothing else --
     truncation, corruption and trailing garbage all raise
-    :class:`CodecError`.  Stream consumers (the asyncio transport) instead
-    read :data:`HEADER_SIZE` bytes, call :func:`parse_frame_header`, then
-    read ``payload_length + TRAILER_SIZE`` more and call
-    :func:`check_frame_payload` with the raw header bytes.
+    :class:`CodecError`.  Socket readers use :func:`read_frame` instead.
     """
     header = parse_frame_header(data)
     end = HEADER_SIZE + header.payload_length
@@ -291,6 +289,36 @@ def decode_frame(data: bytes) -> Tuple[FrameKind, bytes]:
             f"{len(data) - end - TRAILER_SIZE} trailing bytes after the frame"
         )
     return header.kind, payload
+
+
+def read_frame(sock: socket.socket) -> Tuple[FrameKind, bytes]:
+    """Read one complete frame from the blocking socket *sock*.
+
+    Returns ``(kind, payload)``.  Raises :class:`EOFError` when the remote
+    end closes the connection, between frames or mid-frame,
+    :class:`CodecError` on a malformed header or a corrupted payload, and
+    the socket's own :class:`OSError` otherwise (:class:`TimeoutError`
+    once the socket's timeout expires).
+    """
+    header = _receive(sock, HEADER_SIZE)
+    parsed = parse_frame_header(header)
+    body = _receive(sock, parsed.payload_length + TRAILER_SIZE)
+    payload = bytes(memoryview(body)[: parsed.payload_length])
+    check_frame_payload(header, payload, body[parsed.payload_length :])
+    return parsed.kind, payload
+
+
+def _receive(sock: socket.socket, size: int) -> bytearray:
+    """Read exactly *size* bytes from *sock* (:class:`EOFError` if it closes)."""
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    received = 0
+    while received < size:
+        count = sock.recv_into(view[received:])
+        if not count:
+            raise EOFError(f"connection closed after {received} of {size} bytes")
+        received += count
+    return buffer
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@
 :func:`refine_clusters` refines a list of them on the caller's engine and
 returns the representatives keyed by cluster index.  The caller is an
 algorithm, on its own engine, or a real-transport peer worker, on the one
-engine it builds for its share (:mod:`repro.network.realnet`).
+engine it builds for its share (:mod:`repro.network.worker`).
 """
 
 from __future__ import annotations

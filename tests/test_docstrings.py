@@ -18,6 +18,8 @@ Covered modules (the ISSUE's documented public API):
 * ``repro.core.model_store`` -- fitted-model persistence + warm queries
 * ``repro.serving`` -- the stdin line protocol and the async HTTP server
 * ``repro.store`` / ``repro.store.registry`` -- the durable model registry
+* ``repro.network.codec`` / ``.realnet`` / ``.worker`` -- the real peer
+  transport: wire codec, driver and peer process
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import repro.core.streaming
 import repro.network.codec
 import repro.network.mpengine
 import repro.network.realnet
+import repro.network.worker
 import repro.serving
 import repro.similarity.backend
 import repro.similarity.corpus_store
@@ -47,6 +50,7 @@ DOCUMENTED_MODULES = [
     repro.network.mpengine,
     repro.network.codec,
     repro.network.realnet,
+    repro.network.worker,
     repro.core.config,
     repro.core.streaming,
     repro.similarity.corpus_store,

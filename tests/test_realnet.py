@@ -9,30 +9,40 @@ identical control flow).
 The fault-injection tests replace the worker factory with
 :class:`FaultyTransport`, a reusable helper whose fake "processes" misbehave
 in controlled ways (never start, never connect, die or stall after the
-handshake), and assert that every failure surfaces as a
-:class:`RealNetworkError` with an actionable message within the configured
-deadline -- the driver must never hang.
+handshake, die during their share), and assert that every failure surfaces
+as a :class:`RealNetworkError` with an actionable message within the
+configured deadline -- the driver must never hang.
+
+The worker tests run the worker's serving loop on a thread of this process
+(what a coverage run can follow) and a fit from a script without an
+``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
 
-import pickle
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.core.config import ClusteringConfig
 from repro.core.cxkmeans import CXKMeans
 from repro.core.partition import partition_equally
 from repro.core.representatives import representatives_equal
 from repro.datasets.registry import get_dataset
-from repro.network.codec import FrameKind, encode_frame, encode_hello
+from repro.network import realnet, worker
+from repro.network.codec import FrameKind, encode_frame, encode_hello, encode_share
 from repro.network.message import Message, MessageKind
 from repro.network.peer import make_peers
-from repro.network.realnet import RealNetwork, RealNetworkError
+from repro.network.realnet import RealNetwork, RealNetworkError, WorkerProcess
 from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
 
@@ -41,7 +51,7 @@ from repro.similarity.item import SimilarityConfig
 # FaultyTransport: a reusable worker-factory for failure testing
 # --------------------------------------------------------------------------- #
 class _FakeProcess:
-    """Thread-backed stand-in for a worker ``multiprocessing.Process``.
+    """Thread-backed stand-in for a :class:`WorkerProcess`.
 
     Implements exactly the surface :class:`RealNetwork` uses (``start`` /
     ``join`` / ``is_alive`` / ``terminate`` / ``kill``).  ``join`` and
@@ -87,6 +97,10 @@ class FaultyTransport:
     ``"stall-after-hello"``
         The worker completes the handshake, keeps the connection open and
         never answers (a stalled peer: the round deadline must fire).
+    ``"die-during-share"``
+        The worker closes right after its HELLO, as ``"die-after-hello"``;
+        given a share larger than the socket buffers, the driver's share
+        write fails (a peer dying during the handshake).
 
     Use as ``RealNetwork(..., worker_factory=FaultyTransport("dead"))``.
     """
@@ -113,7 +127,7 @@ class FaultyTransport:
             connection.sendall(
                 encode_frame(FrameKind.HELLO, encode_hello(spec.peer_id))
             )
-            if self.mode == "die-after-hello":
+            if self.mode in ("die-after-hello", "die-during-share"):
                 return
             if self.mode == "stall-after-hello":
                 self._stop.wait()
@@ -134,13 +148,34 @@ def _make_network(mini_dataset, mode: str, **kwargs) -> RealNetwork:
 # --------------------------------------------------------------------------- #
 class TestFaultInjection:
     def test_dead_worker_fails_handshake_with_exit_hint(self, mini_dataset):
-        network = _make_network(mini_dataset, "dead", connect_timeout=1.0)
+        # at once: the handshake does not wait out the connect timeout
+        network = _make_network(mini_dataset, "dead", connect_timeout=30.0)
         started = time.perf_counter()
         with pytest.raises(RealNetworkError) as excinfo:
             network.start()
-        assert time.perf_counter() - started < 30.0
+        assert time.perf_counter() - started < 5.0
         assert "never completed the HELLO handshake" in str(excinfo.value)
         assert "already exited" in str(excinfo.value)
+
+    def test_worker_dying_during_its_share_fails_handshake_at_once(
+        self, mini_dataset
+    ):
+        # a share larger than the socket buffers (4 MiB at most by default):
+        # the write cannot finish once the worker has closed the connection
+        copies = 320
+        transactions = list(mini_dataset.transactions) * copies
+        assert len(encode_share(mini_dataset.transactions)) * copies > 4 << 20
+        network = RealNetwork(
+            make_peers([transactions, transactions], [[0], [1]]),
+            worker_factory=FaultyTransport("die-during-share"),
+            connect_timeout=30.0,
+        )
+        started = time.perf_counter()
+        with pytest.raises(RealNetworkError) as excinfo:
+            network.start()
+        assert time.perf_counter() - started < 5.0
+        assert "never completed the HELLO handshake" in str(excinfo.value)
+        assert "share write failed" in str(excinfo.value)
 
     def test_never_connecting_worker_fails_handshake(self, mini_dataset):
         network = _make_network(mini_dataset, "never-connect", connect_timeout=1.0)
@@ -211,9 +246,9 @@ class TestFaultInjection:
 # --------------------------------------------------------------------------- #
 class TestSpawnSpec:
     def test_spawn_spec_carries_no_share(self):
-        """A peer's share follows its HELLO as a SHARE frame, so the spec
-        pickled into the spawned worker stays small, however large the
-        share: ``Process.start()`` returns without waiting for it."""
+        """A peer's share follows its HELLO as a SHARE frame, so the
+        worker's command line stays small, however large the share: the
+        workers start without waiting for it."""
         dataset = get_dataset("DBLP", scale=1, seed=0)
         parts = partition_equally(dataset.transactions, 2, seed=0)
         network = RealNetwork(
@@ -221,7 +256,8 @@ class TestSpawnSpec:
         )
         for peer in network.peers:
             assert peer.transactions
-            assert len(pickle.dumps(network._make_spec(peer))) < 2048
+            command = WorkerProcess(network._make_spec(peer)).command
+            assert len(" ".join(command).encode("utf-8")) < 2048
 
 
 # --------------------------------------------------------------------------- #
@@ -298,3 +334,65 @@ class TestSimRealParity:
         assert real_net["wire_bytes"] > 0
         assert real_net["control_bytes"] > 0
         assert real_net["measured_wall_seconds"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# The worker
+# --------------------------------------------------------------------------- #
+def _thread_worker(spec) -> _FakeProcess:
+    """A worker handle serving *spec*'s peer on a thread of this process."""
+    return _FakeProcess(lambda: worker.main(spec.argv()), threading.Event())
+
+
+class TestWorker:
+    def test_thread_worker_fit_is_bit_identical(self, mini_dataset, monkeypatch):
+        monkeypatch.setattr(realnet, "WorkerProcess", _thread_worker)
+        sim_result, real_result = _fit_both(mini_dataset, 2, "numpy")
+        _assert_bit_identical(sim_result, real_result)
+
+    def test_local_phase_failure_reaches_the_driver(self, mini_dataset, monkeypatch):
+        def broken_phase(phase_input, engine):
+            raise ValueError("local phase broke")
+
+        monkeypatch.setattr(realnet, "WorkerProcess", _thread_worker)
+        monkeypatch.setattr(worker, "run_local_phase", broken_phase)
+        parts = partition_equally(mini_dataset.transactions, 2, seed=0)
+        config = ClusteringConfig(k=4, seed=0, max_iterations=2)
+        with pytest.raises(RealNetworkError, match="failed remotely") as excinfo:
+            CXKMeans(config.with_network("real", 30.0)).fit(parts)
+        assert "local phase broke" in str(excinfo.value)
+
+    def test_script_without_main_guard_fits_on_the_real_transport(self, tmp_path):
+        """The workers never re-run the script that started the fit."""
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        script = tmp_path / "fit_real.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""
+                import sys
+                sys.path.insert(0, {source_root!r})
+                from repro.core.config import ClusteringConfig
+                from repro.core.cxkmeans import CXKMeans
+                from repro.core.partition import partition_equally
+                from repro.datasets.registry import get_dataset
+
+                dataset = get_dataset("DBLP", scale=0.3, seed=0)
+                parts = partition_equally(dataset.transactions, 2, seed=0)
+                config = ClusteringConfig(k=4, seed=0, max_iterations=2)
+                result = CXKMeans(config.with_network("real", 10.0)).fit(parts)
+                print("FIT-DONE", result.iterations)
+                """
+            ),
+            encoding="utf-8",
+        )
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.count("FIT-DONE") == 1

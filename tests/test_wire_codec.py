@@ -11,11 +11,15 @@ field -- a codec that dropped the TCU vectors would otherwise pass.
 The second half of the suite locks in the failure behaviour: truncated
 frames, corrupted bytes (CRC), bad magic, version mismatches, unknown kind
 bytes and trailing garbage must all raise :class:`CodecError` instead of
-mis-parsing.
+mis-parsing.  :func:`read_frame` reads the same frames from a socket and
+tells a closed connection (:class:`EOFError`) from a corrupted frame.
 """
 
 from __future__ import annotations
 
+import socket
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +43,7 @@ from repro.network.codec import (
     encode_result,
     encode_share,
     parse_frame_header,
+    read_frame,
 )
 from repro.network.message import LocalPhaseOutput, Message, MessageKind
 from repro.text.vector import SparseVector
@@ -467,3 +472,37 @@ class TestPayloadFailures:
             assert "UTF-8" in str(error)
         else:  # pragma: no cover - defensive
             raise AssertionError("expected CodecError")
+
+
+# --------------------------------------------------------------------------- #
+# Frames read from a socket
+# --------------------------------------------------------------------------- #
+def _socket_reading(data: bytes) -> socket.socket:
+    """A socket that yields *data* and then the end of the stream."""
+    reader, writer = socket.socketpair()
+    with writer:
+        writer.sendall(data)
+    return reader
+
+
+class TestReadFrame:
+    def test_frames_back_to_back_then_eof(self):
+        hello = encode_frame(FrameKind.HELLO, encode_hello(3))
+        with _socket_reading(hello + encode_frame(FrameKind.SHUTDOWN, b"")) as sock:
+            assert read_frame(sock) == (FrameKind.HELLO, encode_hello(3))
+            assert read_frame(sock) == (FrameKind.SHUTDOWN, b"")
+            with pytest.raises(EOFError):
+                read_frame(sock)
+
+    def test_frame_cut_short_is_eof(self):
+        frame = encode_frame(FrameKind.SHARE, encode_share([]))
+        with _socket_reading(frame[:-1]) as sock:
+            with pytest.raises(EOFError, match="connection closed"):
+                read_frame(sock)
+
+    def test_corrupted_frame_is_codec_error(self):
+        frame = bytearray(encode_frame(FrameKind.ERROR, encode_error(1, "boom")))
+        frame[HEADER_SIZE] ^= 0xFF
+        with _socket_reading(bytes(frame)) as sock:
+            with pytest.raises(CodecError, match="CRC"):
+                read_frame(sock)
