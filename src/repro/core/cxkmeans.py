@@ -181,6 +181,9 @@ class CXKMeans:
             )
             network.start()
             return network
+        # the simulated local phases assign every share each round, on
+        # this engine
+        self._engine.fix_row_sets([peer.transactions for peer in peers])
         return SimulatedNetwork(peers, cost_model=self.cost_model)
 
     # ------------------------------------------------------------------ #

@@ -117,6 +117,7 @@ class PKMeans:
         # PK-means has no notion of per-cluster responsibility; peers are
         # created with empty responsibility lists.
         peers = make_peers(partitions, [[] for _ in range(m)])
+        self._engine.fix_row_sets([peer.transactions for peer in peers])
         network = SimulatedNetwork(peers, cost_model=self.cost_model)
 
         # Initial representatives: the same fair protocol as the paper's

@@ -111,6 +111,7 @@ class XKMeans:
         k = self.config.k
         # one-off corpus compilation (no-op for the reference backend)
         self.engine.backend.compile_corpus(transactions)
+        self.engine.fix_row_sets([transactions])
 
         representatives: List[Transaction] = list(
             select_seed_transactions(transactions, k, rng)

@@ -5,16 +5,18 @@
 :func:`refine_clusters` refines a list of them on the caller's engine and
 returns the representatives keyed by cluster index.  The caller is an
 algorithm, on its own engine, or a real-transport peer worker, on the one
-engine it builds for its share (:mod:`repro.network.worker`).
+engine it builds for its share (:mod:`repro.network.worker`).  A shard
+whose input repeats the last refinement of its representative id on that
+engine is answered from the engine's memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.similarity.transaction import SimilarityEngine
-from repro.transactions.transaction import Transaction
+from repro.transactions.transaction import Transaction, same_items
 
 
 def _store_transactions(store_dir: str, rows: Sequence[int]) -> List[Transaction]:
@@ -72,6 +74,20 @@ class RefinementShard:
         return _store_transactions(self.store_dir, self.member_rows)
 
 
+def _repeats(
+    last: Tuple[List[Transaction], Optional[List[int]], Transaction],
+    members: List[Transaction],
+    weights: Optional[List[int]],
+) -> bool:
+    """Whether *members* and *weights* repeat the refinement input *last*."""
+    last_members, last_weights, _ = last
+    return (
+        last_weights == weights
+        and len(last_members) == len(members)
+        and all(map(same_items, last_members, members))
+    )
+
+
 def refine_clusters(
     shards: Sequence[RefinementShard], engine: SimilarityEngine
 ) -> Dict[int, Transaction]:
@@ -82,6 +98,13 @@ def refine_clusters(
     caller's engine -- so refinement reuses the compiled corpus and the
     tag-path cache the assignment step already built.  An empty shard
     yields an empty representative.
+
+    Both functions read nothing but the members, the weights and the
+    engine's fixed settings, so a shard whose members (compared by
+    :func:`~repro.transactions.transaction.same_items`, in order) and
+    weights repeat its representative id's last refinement on this engine
+    gets that representative again.  ``engine.refinements`` keeps one
+    entry per representative id, holding references, not copies.
     """
     # Imported lazily: repro.core.representatives sits above this module in
     # the layer graph (repro.core.__init__ imports cxkmeans, which imports
@@ -92,8 +115,13 @@ def refine_clusters(
     )
 
     refined: Dict[int, Transaction] = {}
+    memo = engine.refinements
     for shard in shards:
         members = shard.resolve_members()
+        last = memo.get(shard.representative_id)
+        if last is not None and _repeats(last, members, shard.weights):
+            refined[shard.cluster_index] = last[2]
+            continue
         if shard.weights is None:
             representative = compute_local_representative(
                 members,
@@ -106,5 +134,6 @@ def refine_clusters(
                 engine,
                 representative_id=shard.representative_id,
             )
+        memo[shard.representative_id] = (members, shard.weights, representative)
         refined[shard.cluster_index] = representative
     return refined

@@ -137,11 +137,17 @@ class WorkerProcess:
         self._process: Optional[subprocess.Popen] = None
 
     def start(self) -> None:
-        """Start the worker, the directory holding ``repro`` first on its path."""
+        """Start the worker, the directory holding ``repro`` first on its path.
+
+        Its OpenBLAS pool defaults to one thread: no kernel calls BLAS, and
+        numpy imports in half the CPU time without the pool.  A value the
+        caller's environment sets wins.
+        """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (_SOURCE_ROOT, env.get("PYTHONPATH")))
         )
+        env.setdefault("OPENBLAS_NUM_THREADS", "1")
         self._process = subprocess.Popen(
             self.command, env=env, stdin=subprocess.DEVNULL
         )
@@ -267,7 +273,15 @@ class RealNetwork(SimulatedNetwork):
                     process = self._worker_factory(self._make_spec(peer))
                     process.start()
                     self._processes[peer.peer_id] = process
-                self._handshake(listener)
+                # encoded while the workers boot, so each share is ready
+                # when its HELLO arrives
+                shares = {
+                    peer.peer_id: encode_frame(
+                        FrameKind.SHARE, encode_share(peer.transactions)
+                    )
+                    for peer in self.peers
+                }
+                self._handshake(listener, shares)
         except BaseException:
             self.close()
             raise
@@ -309,8 +323,9 @@ class RealNetwork(SimulatedNetwork):
             connect_timeout=self.connect_timeout,
         )
 
-    def _handshake(self, listener: socket.socket) -> None:
-        """Accept every worker's ``HELLO`` and answer it with its ``SHARE``.
+    def _handshake(self, listener: socket.socket, shares: Dict[int, bytes]) -> None:
+        """Accept every worker's ``HELLO`` and answer it with its ``SHARE``
+        frame from *shares*.
 
         The workers' exits are read before each accept: a worker that
         connected before it exited has its connection queued already, so
@@ -341,10 +356,13 @@ class RealNetwork(SimulatedNetwork):
                 raise RealNetworkError(
                     f"peers {missing} never completed the HELLO handshake{detail}"
                 ) from None
-            self._greet(connection, deadline)
+            self._greet(connection, shares, deadline)
 
-    def _greet(self, connection: socket.socket, deadline: float) -> None:
-        """Read one worker's ``HELLO`` and write its ``SHARE`` by *deadline*.
+    def _greet(
+        self, connection: socket.socket, shares: Dict[int, bytes], deadline: float
+    ) -> None:
+        """Read one worker's ``HELLO`` and write its ``SHARE`` frame from
+        *shares* by *deadline*.
 
         A connection that fails before it names a known peer is dropped; a
         share write that fails or stalls ends the handshake at once.
@@ -363,9 +381,7 @@ class RealNetwork(SimulatedNetwork):
             return
         self.control_bytes += HEADER_SIZE + len(payload) + TRAILER_SIZE
         self._links[peer_id] = _PeerLink(peer_id, connection)
-        share = encode_frame(
-            FrameKind.SHARE, encode_share(self.peer(peer_id).transactions)
-        )
+        share = shares[peer_id]
         try:
             connection.sendall(share)
         except OSError as error:

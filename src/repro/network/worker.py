@@ -13,6 +13,7 @@ that started the fit, so that script needs no
 
 from __future__ import annotations
 
+import os
 import socket
 import sys
 import traceback
@@ -64,6 +65,7 @@ def serve(
         sock.settimeout(None)
         transactions = decode_share(payload)
         engine = SimilarityEngine(similarity, backend=backend)
+        engine.fix_row_sets([transactions])
         k: Optional[int] = None
         pending: Dict[int, Dict[int, Transaction]] = {}
         while True:
@@ -125,4 +127,10 @@ def main(argv: Sequence[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    # End as forked multiprocessing children do: without the interpreter's
+    # teardown, which only frees what the process exit frees anyway.
+    # Never inside main() or serve(): tests run those on threads.
+    code = main(sys.argv[1:])
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -27,13 +27,60 @@ while keeping this module as the executable specification.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.content import content_similarity
 from repro.similarity.item import SimilarityConfig, item_similarity
 from repro.transactions.items import TreeTupleItem
-from repro.transactions.transaction import Transaction, union_size
+from repro.transactions.transaction import Transaction, same_items, union_size
+
+
+class _FixedRows:
+    """One fixed row set's similarity matrix, column by representative.
+
+    Holds the row set itself (so no other sequence can take its ``id``),
+    the representatives its columns were scored against and one
+    ``array("d")`` column of ``sim^gamma_J`` values per representative.
+    """
+
+    __slots__ = ("rows", "representatives", "columns")
+
+    def __init__(self, rows: Sequence[Transaction]) -> None:
+        self.rows = rows
+        self.representatives: List[Transaction] = []
+        self.columns: List[array] = []
+
+    def assign(
+        self, representatives: Sequence[Transaction], backend
+    ) -> List[Tuple[int, float]]:
+        """Re-score the columns whose representative changed, then assign."""
+        previous = self.representatives
+        if len(previous) != len(representatives):
+            previous = []
+            self.columns = [array("d")] * len(representatives)
+        changed = [
+            index
+            for index, representative in enumerate(representatives)
+            if not previous or not same_items(previous[index], representative)
+        ]
+        if changed:
+            block = backend.pairwise_transaction_similarity(
+                self.rows, [representatives[index] for index in changed]
+            )
+            for position, index in enumerate(changed):
+                self.columns[index] = array("d", [row[position] for row in block])
+        self.representatives = list(representatives)
+        # the reference loop's argmax: the first column wins ties
+        best_values = list(self.columns[0])
+        best_indices = [0] * len(best_values)
+        for index in range(1, len(self.columns)):
+            for row, value in enumerate(self.columns[index]):
+                if value > best_values[row]:
+                    best_values[row] = value
+                    best_indices[row] = index
+        return list(zip(best_indices, best_values))
 
 
 class SimilarityEngine:
@@ -64,6 +111,11 @@ class SimilarityEngine:
         self.cache = cache if cache is not None else TagPathSimilarityCache()
         self.backend_name = backend or "python"
         self._backend = None
+        #: The last refinement per representative id, as ``(members,
+        #: weights, representative)``: kept and read by
+        #: :func:`repro.network.mpengine.refine_clusters`.
+        self.refinements: Dict[str, Tuple[list, Optional[list], Transaction]] = {}
+        self._fixed: Dict[int, _FixedRows] = {}
 
     @property
     def backend(self):
@@ -228,6 +280,18 @@ class SimilarityEngine:
             return -1, 0.0
         return best_index, best_similarity
 
+    def fix_row_sets(self, row_sets: Sequence[Sequence[Transaction]]) -> None:
+        """Keep the similarity matrix of each of *row_sets* between calls.
+
+        From now on :meth:`assign_all` on one of these very sequence
+        objects re-scores only the columns whose representative changed
+        since its last call there (compared by :func:`same_items`).  The
+        row sets must not change.  Replaces the row sets fixed before, so
+        an engine holds one ``n x k`` matrix per row set of its latest
+        run.
+        """
+        self._fixed = {id(rows): _FixedRows(rows) for rows in row_sets}
+
     def assign_all(
         self,
         transactions: Sequence[Transaction],
@@ -238,9 +302,15 @@ class SimilarityEngine:
         Delegates to the configured backend, which may amortise compilation
         and vectorise the whole block of similarity evaluations; the result
         is one ``(index, similarity)`` pair per transaction with the same
-        lowest-index tie-break as :meth:`nearest_representative`.
+        lowest-index tie-break as :meth:`nearest_representative`.  On a
+        row set fixed by :meth:`fix_row_sets` only the changed columns are
+        scored: a column scored alone equals the full block's column bit
+        for bit, so the result is the same.
         """
-        return self.backend.assign_all(transactions, representatives)
+        fixed = self._fixed.get(id(transactions))
+        if fixed is None or not representatives:
+            return self.backend.assign_all(transactions, representatives)
+        return fixed.assign(representatives, self.backend)
 
     def pairwise_transaction_similarity(
         self, rows: Sequence[Transaction], columns: Sequence[Transaction]

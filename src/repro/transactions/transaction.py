@@ -104,6 +104,29 @@ def union_size(tr1: Transaction, tr2: Transaction) -> int:
     return len(tr1.item_set() | tr2.item_set())
 
 
+def same_items(first: Transaction, second: Transaction) -> bool:
+    """Whether two transactions carry the same items in the same order.
+
+    Items must agree on (id, path, answer), terms and TCU vector, weight
+    order included: everything a similarity or a representative reads from
+    a transaction.  Stricter than ``==``, whose item equality ignores the
+    terms and vectors.
+    """
+    if first is second:
+        return True
+    if len(first.items) != len(second.items):
+        return False
+    for item_a, item_b in zip(first.items, second.items):
+        if item_a is item_b:
+            continue
+        if item_a != item_b or item_a.terms != item_b.terms:
+            return False
+        vector_a, vector_b = item_a.vector, item_b.vector
+        if vector_a is not vector_b and list(vector_a.items()) != list(vector_b.items()):
+            return False
+    return True
+
+
 def make_transaction(
     transaction_id: str,
     items: Iterable[TreeTupleItem],

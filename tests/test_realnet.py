@@ -245,6 +245,27 @@ class TestFaultInjection:
 # Spawn spec
 # --------------------------------------------------------------------------- #
 class TestSpawnSpec:
+    @pytest.mark.parametrize("caller_value", [None, "3"])
+    def test_blas_pool_defaults_to_one_thread(self, monkeypatch, caller_value):
+        """No kernel calls BLAS, so a worker starts without the thread pool,
+        unless the caller's environment says otherwise."""
+        if caller_value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller_value)
+        captured = {}
+
+        def fake_popen(command, env, stdin):
+            captured.update(env)
+
+        monkeypatch.setattr(realnet.subprocess, "Popen", fake_popen)
+        spec = realnet.PeerWorkerSpec(
+            peer_id=0, host="127.0.0.1", port=1, config=ClusteringConfig(k=4)
+        )
+        WorkerProcess(spec).start()
+        assert captured["OPENBLAS_NUM_THREADS"] == (caller_value or "1")
+        assert captured["PYTHONPATH"].split(os.pathsep)[0] == realnet._SOURCE_ROOT
+
     def test_spawn_spec_carries_no_share(self):
         """A peer's share follows its HELLO as a SHARE frame, so the
         worker's command line stays small, however large the share: the
@@ -361,6 +382,34 @@ class TestWorker:
         with pytest.raises(RealNetworkError, match="failed remotely") as excinfo:
             CXKMeans(config.with_network("real", 30.0)).fit(parts)
         assert "local phase broke" in str(excinfo.value)
+
+    def test_workers_exit_cleanly_after_a_real_fit(self, mini_dataset, monkeypatch):
+        """Every worker answers SHUTDOWN by exiting 0 on its own: close()
+        never escalates to terminate() or kill()."""
+        handles = []
+
+        class RecordingWorker(WorkerProcess):
+            def __init__(self, spec) -> None:
+                super().__init__(spec)
+                self.escalated = []
+                handles.append(self)
+
+            def terminate(self) -> None:
+                self.escalated.append("terminate")
+                super().terminate()
+
+            def kill(self) -> None:
+                self.escalated.append("kill")
+                super().kill()
+
+        monkeypatch.setattr(realnet, "WorkerProcess", RecordingWorker)
+        parts = partition_equally(mini_dataset.transactions, 2, seed=0)
+        config = ClusteringConfig(k=4, seed=0, max_iterations=2)
+        CXKMeans(config.with_network("real", 30.0)).fit(parts)
+        assert len(handles) == 2
+        for handle in handles:
+            assert handle._process.returncode == 0
+            assert handle.escalated == []
 
     def test_script_without_main_guard_fits_on_the_real_transport(self, tmp_path):
         """The workers never re-run the script that started the fit."""
