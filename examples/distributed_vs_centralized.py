@@ -16,10 +16,11 @@ minutes on a laptop -- lower ``SCALE`` for a quicker look).
 from __future__ import annotations
 
 from repro import ClusteringConfig, CXKMeans, PKMeans, SimilarityConfig
-from repro.core import partition_equally
-from repro.datasets import cluster_count, get_dataset
-from repro.evaluation import format_series, format_table, overall_f_measure
-from repro.network import CostModel
+from repro.core.partition import partition_equally
+from repro.datasets.registry import cluster_count, get_dataset
+from repro.evaluation.fmeasure import overall_f_measure
+from repro.evaluation.reporting import format_series, format_table
+from repro.network.costmodel import CostModel
 
 SCALE = 0.35
 NODE_COUNTS = (1, 3, 5, 7)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import random
 
 from repro import ClusteringConfig, CXKMeans, SimilarityConfig, parse_xml
-from repro.datasets import TOPICS
-from repro.evaluation import overall_f_measure
-from repro.transactions import build_dataset
+from repro.datasets.corpus import TOPICS
+from repro.evaluation.fmeasure import overall_f_measure
+from repro.transactions.builder import build_dataset
 
 TOPIC_NAMES = ["sports", "politics", "medicine"]
 PROVIDER_SCHEMAS = ["rss", "newsml"]

@@ -21,8 +21,8 @@ from repro import (
     XKMeans,
     parse_xml,
 )
-from repro.core import partition_equally
-from repro.transactions import build_dataset
+from repro.core.partition import partition_equally
+from repro.transactions.builder import build_dataset
 
 # --------------------------------------------------------------------------- #
 # 1. A tiny heterogeneous collection: conference papers and journal articles

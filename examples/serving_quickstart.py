@@ -32,7 +32,7 @@ from repro import ClusteringConfig, SimilarityConfig, XKMeans
 from repro.core.model_store import save_model
 from repro.datasets.registry import get_corpus, get_dataset
 from repro.serving import AsyncModelServer, ModelRouter
-from repro.store import SqliteModelRegistry
+from repro.store.registry import SqliteModelRegistry
 from repro.xmlmodel.serializer import serialize
 
 SCALE = 0.2  # raise for a bigger corpus (and a slower example)

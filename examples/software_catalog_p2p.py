@@ -21,9 +21,9 @@ import random
 from typing import Dict, List
 
 from repro import ClusteringConfig, CXKMeans, SimilarityConfig, parse_xml
-from repro.core import partition_equally
-from repro.evaluation import overall_f_measure
-from repro.transactions import build_dataset
+from repro.core.partition import partition_equally
+from repro.evaluation.fmeasure import overall_f_measure
+from repro.transactions.builder import build_dataset
 
 CATEGORY_WORDS = {
     "game": [

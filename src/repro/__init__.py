@@ -15,51 +15,17 @@ The package is organised as a layered system:
   localhost-TCP transport with one process per peer.
 * :mod:`repro.datasets` -- synthetic re-creations of the DBLP, IEEE,
   Shakespeare and Wikipedia evaluation corpora.
-* :mod:`repro.evaluation` -- F-measure and other external validity indices.
+* :mod:`repro.evaluation` -- the overall F-measure and text tables and series.
 * :mod:`repro.experiments` -- drivers that regenerate every table and figure
   of the paper's evaluation section.
+
+Subpackages re-export nothing: import each name from the module that
+defines it.  This module imports only the six names a first script needs.
 """
 
-from repro.xmlmodel import XMLTree, XMLNode, parse_xml
-from repro.treetuples import extract_tree_tuples, TreeTuple
-from repro.transactions import Transaction, TreeTupleItem, TransactionDataset
-from repro.similarity import (
-    structural_similarity,
-    content_similarity,
-    item_similarity,
-    transaction_similarity,
-    SimilarityConfig,
-)
-from repro.core import (
-    ClusteringConfig,
-    XKMeans,
-    CXKMeans,
-    PKMeans,
-    ClusteringResult,
-)
-from repro.evaluation import overall_f_measure
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "XMLTree",
-    "XMLNode",
-    "parse_xml",
-    "extract_tree_tuples",
-    "TreeTuple",
-    "Transaction",
-    "TreeTupleItem",
-    "TransactionDataset",
-    "structural_similarity",
-    "content_similarity",
-    "item_similarity",
-    "transaction_similarity",
-    "SimilarityConfig",
-    "ClusteringConfig",
-    "XKMeans",
-    "CXKMeans",
-    "PKMeans",
-    "ClusteringResult",
-    "overall_f_measure",
-    "__version__",
-]
+from repro.core.config import ClusteringConfig
+from repro.core.cxkmeans import CXKMeans
+from repro.core.pkmeans import PKMeans
+from repro.core.xkmeans import XKMeans
+from repro.similarity.item import SimilarityConfig
+from repro.xmlmodel.parser import parse_xml

@@ -290,7 +290,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
         registry = None
         if args.registry:
-            from repro.store import SqliteModelRegistry
+            from repro.store.registry import SqliteModelRegistry
 
             registry = SqliteModelRegistry(args.registry)
         try:
@@ -554,7 +554,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _open_cli_registry(args: argparse.Namespace):
     """Open the registry named by ``--registry`` for a ``models`` command."""
-    from repro.store import RegistryError, SqliteModelRegistry
+    from repro.store.registry import RegistryError, SqliteModelRegistry
 
     try:
         return SqliteModelRegistry(args.registry)

@@ -1,51 +1,1 @@
 """Clustering core: XK-means, CXK-means, PK-means and supporting machinery."""
-
-from repro.core.config import ClusteringConfig
-from repro.core.cxkmeans import CXKMeans, LocalPhaseInput, LocalPhaseOutput, run_local_phase
-from repro.core.partition import (
-    PartitioningScheme,
-    partition,
-    partition_equally,
-    partition_unequally,
-)
-from repro.core.pkmeans import PKMeans
-from repro.core.representatives import (
-    compute_global_representative,
-    compute_local_representative,
-    conflate_items,
-    generate_tree_tuple,
-    rank_items,
-    reference_item_ranks,
-    refinement_candidates,
-    representatives_equal,
-)
-from repro.core.results import ClusterInfo, ClusteringResult, build_result
-from repro.core.seeding import partition_cluster_ids, select_seed_transactions
-from repro.core.xkmeans import XKMeans
-
-__all__ = [
-    "ClusteringConfig",
-    "XKMeans",
-    "CXKMeans",
-    "PKMeans",
-    "LocalPhaseInput",
-    "LocalPhaseOutput",
-    "run_local_phase",
-    "ClusteringResult",
-    "ClusterInfo",
-    "build_result",
-    "PartitioningScheme",
-    "partition",
-    "partition_equally",
-    "partition_unequally",
-    "conflate_items",
-    "rank_items",
-    "reference_item_ranks",
-    "refinement_candidates",
-    "generate_tree_tuple",
-    "compute_local_representative",
-    "compute_global_representative",
-    "representatives_equal",
-    "partition_cluster_ids",
-    "select_seed_transactions",
-]

@@ -132,22 +132,6 @@ class ClusteringConfig:
         """Shortcut for the gamma matching threshold."""
         return self.similarity.gamma
 
-    def with_k(self, k: int) -> "ClusteringConfig":
-        """Return a copy of the configuration with a different ``k``."""
-        return replace(self, k=k)
-
-    def with_similarity(self, similarity: SimilarityConfig) -> "ClusteringConfig":
-        """Return a copy with a different similarity configuration."""
-        return replace(self, similarity=similarity)
-
-    def with_seed(self, seed: int) -> "ClusteringConfig":
-        """Return a copy with a different random seed."""
-        return replace(self, seed=seed)
-
-    def with_backend(self, backend: str) -> "ClusteringConfig":
-        """Return a copy with a different similarity backend."""
-        return replace(self, backend=backend)
-
     def with_network(
         self, network: str, network_timeout: Optional[float] = None
     ) -> "ClusteringConfig":

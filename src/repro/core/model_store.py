@@ -685,20 +685,6 @@ class ClusterModel:
         engine.backend.retain(assignment_reps)
 
     # ------------------------------------------------------------------ #
-    @property
-    def assignment_representatives(self) -> List[Transaction]:
-        """Representatives with ``None`` slots replaced by empty stand-ins.
-
-        An empty transaction has zero similarity to everything, so an
-        empty cluster can never win an assignment -- the same semantics an
-        empty local representative has inside the fit loop.
-        """
-        return self._assignment_representatives
-
-    @property
-    def backend_spec(self) -> str:
-        """The backend spec the model's engine runs on."""
-        return self.engine.backend_name
 
     # ------------------------------------------------------------------ #
     def transact(self, tree: XMLTree) -> List[Transaction]:

@@ -67,14 +67,6 @@ class ClusteringResult:
         """Number of (non-trash) clusters."""
         return len(self.clusters)
 
-    def cluster_sizes(self) -> List[int]:
-        """Return the sizes of the k clusters (trash excluded)."""
-        return [cluster.size() for cluster in self.clusters]
-
-    def total_clustered(self) -> int:
-        """Return the number of transactions assigned to non-trash clusters."""
-        return sum(self.cluster_sizes())
-
     def trash_size(self) -> int:
         """Return the number of unclustered (trash) transactions."""
         return self.trash.size()
@@ -104,19 +96,6 @@ class ClusteringResult:
     def representatives(self) -> List[Optional[Transaction]]:
         """Return the final representative of every (non-trash) cluster."""
         return [cluster.representative for cluster in self.clusters]
-
-    def summary(self) -> Dict[str, object]:
-        """Return a compact dictionary describing the run."""
-        return {
-            "k": self.k,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "clustered": self.total_clustered(),
-            "trash": self.trash_size(),
-            "elapsed_seconds": self.elapsed_seconds,
-            "simulated_seconds": self.simulated_seconds,
-            **{f"network_{key}": value for key, value in self.network.items()},
-        }
 
 
 def build_result(

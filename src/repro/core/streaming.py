@@ -422,18 +422,3 @@ def stream_chunks(
         transactions[start : start + chunk_size]
         for start in range(0, len(transactions), chunk_size)
     ]
-
-
-def stream_corpus(
-    clusterer: StreamingClusterer, transactions: Sequence[Transaction]
-) -> ClusteringResult:
-    """Replay a whole corpus through *clusterer* in configured chunks.
-
-    The batch-replay entry point the parity gates use: the corpus is
-    chunked by ``config.chunk_size`` and ingested in order, then
-    finalized.  With ``chunk_size=None`` the result is bit-exact with
-    ``XKMeans(config).fit(transactions)``.
-    """
-    for chunk in stream_chunks(transactions, clusterer.config.chunk_size):
-        clusterer.ingest(chunk)
-    return clusterer.finalize()

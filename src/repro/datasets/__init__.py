@@ -1,58 +1,1 @@
 """Synthetic re-creations of the paper's four evaluation corpora."""
-
-from repro.datasets.corpus import (
-    FILLER_WORDS,
-    GIVEN_NAMES,
-    SURNAMES,
-    TOPICS,
-    topic_names,
-    vocabulary_for,
-)
-from repro.datasets.dblp import DBLP_CATEGORIES, DBLP_TOPICS, generate_dblp
-from repro.datasets.generator import SyntheticCorpus, TextSampler, spread_classes
-from repro.datasets.ieee import IEEE_CATEGORIES, IEEE_TOPICS, generate_ieee
-from repro.datasets.registry import (
-    DATASET_NAMES,
-    CorpusProfile,
-    cluster_count,
-    get_corpus,
-    get_dataset,
-    profile,
-)
-from repro.datasets.shakespeare import (
-    PLAYS,
-    SHAKESPEARE_CONTENT_CLASSES,
-    SHAKESPEARE_STRUCTURE_CLASSES,
-    generate_shakespeare,
-)
-from repro.datasets.wikipedia import WIKIPEDIA_TOPICS, generate_wikipedia
-
-__all__ = [
-    "TOPICS",
-    "FILLER_WORDS",
-    "SURNAMES",
-    "GIVEN_NAMES",
-    "topic_names",
-    "vocabulary_for",
-    "SyntheticCorpus",
-    "TextSampler",
-    "spread_classes",
-    "generate_dblp",
-    "DBLP_TOPICS",
-    "DBLP_CATEGORIES",
-    "generate_ieee",
-    "IEEE_TOPICS",
-    "IEEE_CATEGORIES",
-    "generate_shakespeare",
-    "PLAYS",
-    "SHAKESPEARE_CONTENT_CLASSES",
-    "SHAKESPEARE_STRUCTURE_CLASSES",
-    "generate_wikipedia",
-    "WIKIPEDIA_TOPICS",
-    "DATASET_NAMES",
-    "CorpusProfile",
-    "profile",
-    "get_corpus",
-    "get_dataset",
-    "cluster_count",
-]

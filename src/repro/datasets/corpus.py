@@ -14,7 +14,7 @@ deterministic and dependency-free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 #: Generic academic / encyclopedic filler terms shared by every topic.
 FILLER_WORDS: List[str] = [
@@ -229,21 +229,6 @@ TOPICS: Dict[str, List[str]] = {
         "referee", "fixture", "transfer",
     ],
 }
-
-
-def topic_names() -> List[str]:
-    """Return all topic names in deterministic order."""
-    return list(TOPICS.keys())
-
-
-def vocabulary_for(topic: str) -> List[str]:
-    """Return the vocabulary of *topic* (raises ``KeyError`` when unknown)."""
-    return TOPICS[topic]
-
-
-def topics_subset(names: Sequence[str]) -> Dict[str, List[str]]:
-    """Return the vocabularies of a subset of topics, preserving order."""
-    return {name: TOPICS[name] for name in names}
 
 
 #: Family names used for synthetic author / character names.

@@ -52,29 +52,6 @@ class SyntheticCorpus:
             self.name, self.trees, doc_labels=self.doc_labels, config=builder_config
         )
 
-    def halved(self, seed: int = 0) -> "SyntheticCorpus":
-        """Return a corpus with half of the documents (for the Fig. 7 sweep).
-
-        The selection is a random (seeded) half that preserves the relative
-        frequency of the ground-truth classes approximately.
-        """
-        rng = random.Random(seed)
-        indices = list(range(len(self.trees)))
-        rng.shuffle(indices)
-        keep = sorted(indices[: max(1, len(indices) // 2)])
-        trees = [self.trees[i] for i in keep]
-        kept_ids = {tree.doc_id for tree in trees}
-        labels = {
-            name: {doc: label for doc, label in mapping.items() if doc in kept_ids}
-            for name, mapping in self.doc_labels.items()
-        }
-        return SyntheticCorpus(
-            name=f"{self.name}-half",
-            trees=trees,
-            doc_labels=labels,
-            class_counts=dict(self.class_counts),
-        )
-
 
 class TextSampler:
     """Samples topic-flavoured text snippets.

@@ -127,34 +127,3 @@ def overall_f_measure(
         return 0.0
     weighted = sum(entry.class_size * entry.f_score for entry in breakdown)
     return weighted / total
-
-
-def precision_recall_matrix(
-    clusters: Sequence[Sequence[str]],
-    reference: Mapping[str, str],
-) -> Dict[str, List[Dict[str, float]]]:
-    """Return the full P_ij / R_ij / F_ij matrix keyed by class label.
-
-    Mostly used by tests and notebooks to inspect how classes map to
-    clusters; each entry of the per-class list corresponds to one cluster.
-    """
-    classes: Dict[str, set] = {}
-    for transaction_id, label in reference.items():
-        classes.setdefault(label, set()).add(transaction_id)
-    matrix: Dict[str, List[Dict[str, float]]] = {}
-    for label, member_set in sorted(classes.items()):
-        row = []
-        for cluster in clusters:
-            cluster_set = set(cluster)
-            intersection = len(cluster_set & member_set)
-            precision = intersection / len(cluster_set) if cluster_set else 0.0
-            recall = intersection / len(member_set) if member_set else 0.0
-            row.append(
-                {
-                    "precision": precision,
-                    "recall": recall,
-                    "f": pairwise_f(precision, recall),
-                }
-            )
-        matrix[label] = row
-    return matrix

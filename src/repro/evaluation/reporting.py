@@ -106,18 +106,3 @@ def format_accuracy_table(
             )
             first = False
     return format_table(headers, rows, title=title)
-
-
-def comparison_table(
-    paper_values: Mapping[str, float],
-    measured_values: Mapping[str, float],
-    title: Optional[str] = None,
-) -> str:
-    """Side-by-side paper-vs-measured table used in EXPERIMENTS.md."""
-    headers = ["quantity", "paper", "measured", "delta"]
-    rows = []
-    for key in paper_values:
-        paper = paper_values[key]
-        measured = measured_values.get(key, float("nan"))
-        rows.append([key, paper, measured, measured - paper])
-    return format_table(headers, rows, title=title)

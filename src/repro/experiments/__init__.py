@@ -1,56 +1,1 @@
 """Experiment drivers regenerating every table and figure of the paper."""
-
-from repro.experiments.ablation import (
-    CostModelCheck,
-    collaborativeness_ablation,
-    cost_model_check,
-    gamma_sweep,
-)
-from repro.experiments.figure7 import Figure7Config, Figure7Result, run_figure7
-from repro.experiments.figure8 import Figure8Config, Figure8Result, run_figure8
-from repro.experiments.runner import (
-    GOAL_F_VALUES,
-    GOAL_LABELING,
-    AggregateRecord,
-    ExperimentSweep,
-    RunRecord,
-    aggregate_records,
-    make_algorithm,
-    pivot,
-    run_configuration,
-)
-from repro.experiments.table1 import (
-    AccuracyTableConfig,
-    AccuracyTableResult,
-    run_accuracy_table,
-    run_table1,
-)
-from repro.experiments.table2 import equal_vs_unequal_degradation, run_table2
-
-__all__ = [
-    "RunRecord",
-    "AggregateRecord",
-    "ExperimentSweep",
-    "run_configuration",
-    "aggregate_records",
-    "make_algorithm",
-    "pivot",
-    "GOAL_F_VALUES",
-    "GOAL_LABELING",
-    "Figure7Config",
-    "Figure7Result",
-    "run_figure7",
-    "Figure8Config",
-    "Figure8Result",
-    "run_figure8",
-    "AccuracyTableConfig",
-    "AccuracyTableResult",
-    "run_accuracy_table",
-    "run_table1",
-    "run_table2",
-    "equal_vs_unequal_degradation",
-    "gamma_sweep",
-    "collaborativeness_ablation",
-    "cost_model_check",
-    "CostModelCheck",
-]

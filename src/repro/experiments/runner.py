@@ -82,9 +82,6 @@ class RunRecord:
     #: the wire (see :meth:`repro.network.realnet.RealNetwork.summary`).
     predicted_vs_measured: Dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
-
 
 @dataclass
 class AggregateRecord:
@@ -102,9 +99,6 @@ class AggregateRecord:
     elapsed_seconds: float
     transferred_transactions: float
     runs: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
 
 
 def make_algorithm(

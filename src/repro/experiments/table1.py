@@ -85,11 +85,6 @@ class AccuracyTableResult:
             )
         return "\n\n".join(blocks)
 
-    def accuracy_loss(self, goal: str, dataset: str, nodes: int) -> float:
-        """Return F(1 node) - F(nodes): the loss w.r.t. the centralized case."""
-        series = self.tables[goal][dataset]
-        return series[1] - series[nodes]
-
 
 def run_accuracy_table(config: Optional[AccuracyTableConfig] = None) -> AccuracyTableResult:
     """Run the accuracy-vs-nodes sweep for the configured partitioning scheme."""

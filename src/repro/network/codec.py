@@ -268,29 +268,6 @@ def encode_frame(kind: FrameKind, payload: bytes) -> bytes:
     return header + payload + trailer
 
 
-def decode_frame(data: bytes) -> Tuple[FrameKind, bytes]:
-    """Decode exactly one frame from *data*; returns ``(kind, payload)``.
-
-    The buffer must contain the complete frame and nothing else --
-    truncation, corruption and trailing garbage all raise
-    :class:`CodecError`.  Socket readers use :func:`read_frame` instead.
-    """
-    header = parse_frame_header(data)
-    end = HEADER_SIZE + header.payload_length
-    if len(data) < end + TRAILER_SIZE:
-        raise CodecError(
-            f"truncated frame: header announces a {header.payload_length}-byte "
-            f"payload but only {len(data) - HEADER_SIZE} bytes follow"
-        )
-    payload = data[HEADER_SIZE:end]
-    check_frame_payload(data[:HEADER_SIZE], payload, data[end : end + TRAILER_SIZE])
-    if len(data) != end + TRAILER_SIZE:
-        raise CodecError(
-            f"{len(data) - end - TRAILER_SIZE} trailing bytes after the frame"
-        )
-    return header.kind, payload
-
-
 def read_frame(sock: socket.socket) -> Tuple[FrameKind, bytes]:
     """Read one complete frame from the blocking socket *sock*.
 

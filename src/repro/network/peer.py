@@ -31,9 +31,6 @@ class Peer:
     responsibilities: List[int] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
-    def local_size(self) -> int:
-        """Return ``|S_i|``: the number of locally stored transactions."""
-        return len(self.transactions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

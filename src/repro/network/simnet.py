@@ -43,7 +43,6 @@ class SimulatedNetwork:
         cost_model: Optional[CostModel] = None,
     ) -> None:
         self.peers: List[Peer] = list(peers)
-        self._by_id: Dict[int, Peer] = {peer.peer_id: peer for peer in self.peers}
         self.cost_model = cost_model or CostModel()
         self.stats = NetworkStats()
         self.simulated_seconds = 0.0
@@ -53,10 +52,6 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     # Topology
     # ------------------------------------------------------------------ #
-    def peer(self, peer_id: int) -> Peer:
-        """Return the peer with the given identifier."""
-        return self._by_id[peer_id]
-
     def peer_ids(self) -> List[int]:
         """Return the peer identifiers in peer order."""
         return [peer.peer_id for peer in self.peers]

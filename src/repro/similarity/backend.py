@@ -81,7 +81,7 @@ from typing import (
 
 from repro.similarity.content import content_similarity
 from repro.transactions.items import TreeTupleItem
-from repro.transactions.transaction import Transaction
+from repro.transactions.transaction import Transaction, same_items
 from repro.xmlmodel.paths import XMLPath
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -402,11 +402,13 @@ class NumpyBackend:
         # frozen dataclasses hashing by content): the share every local
         # phase re-presents, and serial runs where several peers share one
         # engine, all land on the same entries, so the cache size stays
-        # bounded by the number of distinct corpus transactions.  The
-        # transient cache (representative candidates churning through
-        # refinement) is identity-keyed and pruned once it exceeds
-        # TRANSIENT_CAP.
-        self._pinned: Dict[Transaction, _CompiledTransaction] = {}
+        # bounded by the number of distinct corpus transactions.  Each
+        # entry keeps the transaction it compiled, because ``==`` ignores
+        # TCU vectors: an entry answers only for that transaction or one
+        # with the same items (:meth:`_pinned_compile`).  The transient
+        # cache (representative candidates churning through refinement)
+        # is identity-keyed and pruned once it exceeds TRANSIENT_CAP.
+        self._pinned: Dict[Transaction, Tuple[Transaction, _CompiledTransaction]] = {}
         self._transient: Dict[int, Tuple[Transaction, _CompiledTransaction]] = {}
         #: Transactions compiled through :meth:`compile_corpus` and
         #: :meth:`extend_corpus` (a loaded model reports it in its stats).
@@ -489,8 +491,17 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
+    def _pinned_compile(self, transaction: Transaction) -> Optional[_CompiledTransaction]:
+        """The pinned compile of *transaction*, if one holds its items."""
+        entry = self._pinned.get(transaction)
+        if entry is not None and (
+            entry[0] is transaction or same_items(entry[0], transaction)
+        ):
+            return entry[1]
+        return None
+
     def _compile(self, transaction: Transaction) -> _CompiledTransaction:
-        compiled = self._pinned.get(transaction)
+        compiled = self._pinned_compile(transaction)
         if compiled is not None:
             return compiled
         key = id(transaction)
@@ -543,9 +554,9 @@ class NumpyBackend:
         cache and grow the structural matrix; return how many."""
         count = 0
         for transaction in transactions:
-            if transaction in self._pinned:
+            if self._pinned_compile(transaction) is not None:
                 continue
-            self._pinned[transaction] = self._compile_items(transaction)
+            self._pinned[transaction] = (transaction, self._compile_items(transaction))
             count += 1
         self._ensure_tp_matrix()
         return count
@@ -570,7 +581,7 @@ class NumpyBackend:
         """
         count = 0
         for transaction in transactions:
-            if transaction in self._pinned:
+            if self._pinned_compile(transaction) is not None:
                 continue
             compiled = self._compile_items(transaction)
             count += 1

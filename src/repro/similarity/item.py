@@ -43,37 +43,6 @@ class SimilarityConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
-    # -- clustering-goal helpers (Sec. 5.1) ------------------------------- #
-    @property
-    def clustering_goal(self) -> str:
-        """Return the paper's name for the goal implied by ``f``."""
-        if self.f <= 0.3:
-            return "content-driven"
-        if self.f <= 0.6:
-            return "structure/content-driven"
-        return "structure-driven"
-
-    @staticmethod
-    def content_driven(f: float = 0.2, gamma: float = 0.85) -> "SimilarityConfig":
-        """Preset for content-driven clustering (``f in [0, 0.3]``)."""
-        if not 0.0 <= f <= 0.3:
-            raise ValueError("content-driven configurations require f in [0, 0.3]")
-        return SimilarityConfig(f=f, gamma=gamma)
-
-    @staticmethod
-    def hybrid(f: float = 0.5, gamma: float = 0.85) -> "SimilarityConfig":
-        """Preset for structure/content-driven clustering (``f in [0.4, 0.6]``)."""
-        if not 0.4 <= f <= 0.6:
-            raise ValueError("hybrid configurations require f in [0.4, 0.6]")
-        return SimilarityConfig(f=f, gamma=gamma)
-
-    @staticmethod
-    def structure_driven(f: float = 0.8, gamma: float = 0.85) -> "SimilarityConfig":
-        """Preset for structure-driven clustering (``f in [0.7, 1]``)."""
-        if not 0.7 <= f <= 1.0:
-            raise ValueError("structure-driven configurations require f in [0.7, 1]")
-        return SimilarityConfig(f=f, gamma=gamma)
-
 
 def item_similarity(
     item_i,
@@ -100,13 +69,3 @@ def item_similarity(
     if config.f == 0.0:
         return sim_c
     return config.f * sim_s + (1.0 - config.f) * sim_c
-
-
-def gamma_matched(
-    item_i,
-    item_j,
-    config: SimilarityConfig,
-    structural: Optional[float] = None,
-) -> bool:
-    """Return True when the two items are gamma-matched (Eq. 2)."""
-    return item_similarity(item_i, item_j, config, structural=structural) >= config.gamma

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.xmlmodel.paths import XMLPath
-
 
 def dirichlet(tag_a: str, tag_b: str) -> float:
     """The Dirichlet (exact-match) tag comparison function.
@@ -84,12 +82,3 @@ def structural_similarity(item_i, item_j) -> float:
     attribute / ``S`` step) are compared with :func:`tag_path_similarity`.
     """
     return tag_path_similarity(item_i.tag_path.steps, item_j.tag_path.steps)
-
-
-def path_similarity(path_i: XMLPath, path_j: XMLPath) -> float:
-    """Structural similarity between two paths given as :class:`XMLPath`.
-
-    Complete paths are first reduced to their maximal tag paths so attribute
-    names and the ``S`` sentinel never take part in tag matching.
-    """
-    return tag_path_similarity(path_i.tag_path().steps, path_j.tag_path().steps)

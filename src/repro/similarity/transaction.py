@@ -134,40 +134,9 @@ class SimilarityEngine:
         structural = self.cache.item_similarity(item_a, item_b)
         return item_similarity(item_a, item_b, self.config, structural=structural)
 
-    def gamma_matched(self, item_a: TreeTupleItem, item_b: TreeTupleItem) -> bool:
-        """Return True when the two items are gamma-matched (Eq. 2)."""
-        return self.item_similarity(item_a, item_b) >= self.config.gamma
-
     # ------------------------------------------------------------------ #
     # Transaction level
     # ------------------------------------------------------------------ #
-    def directed_gamma_match(
-        self, source: Transaction, target: Transaction
-    ) -> Set[TreeTupleItem]:
-        """Return ``match_gamma(source -> target)``.
-
-        An item ``e`` of *source* is included when some item ``e_h`` of
-        *target* is gamma-matched with it and no other item of *source* is
-        strictly more similar to that ``e_h``.
-        """
-        if source.is_empty() or target.is_empty():
-            return set()
-        matched: Set[TreeTupleItem] = set()
-        source_items = source.items
-        for target_item in target.items:
-            best_similarity = -1.0
-            best_items: List[TreeTupleItem] = []
-            for source_item in source_items:
-                similarity = self.item_similarity(source_item, target_item)
-                if similarity > best_similarity:
-                    best_similarity = similarity
-                    best_items = [source_item]
-                elif similarity == best_similarity:
-                    best_items.append(source_item)
-            if best_similarity >= self.config.gamma:
-                matched.update(best_items)
-        return matched
-
     def gamma_shared_items(
         self, tr1: Transaction, tr2: Transaction
     ) -> Set[TreeTupleItem]:
@@ -330,32 +299,6 @@ class SimilarityEngine:
         """Blended (pre-weight) structural/content ranks of an item pool
         (Fig. 6), one batched backend call instead of per-item loops."""
         return self.backend.rank_items_batch(items)
-
-    def similarity_matrix(
-        self, transactions: Sequence[Transaction]
-    ) -> List[List[float]]:
-        """Return the symmetric pairwise similarity matrix (used in tests and
-        small-scale analyses; quadratic, so not for full corpora).
-
-        The diagonal is set directly -- 1.0 for non-empty transactions, 0.0
-        for empty ones -- instead of spending a full O(|tr|^2)
-        ``transaction_similarity`` call per self-pair: every non-empty
-        transaction gamma-matches itself item by item, so its
-        self-similarity is 1 by construction (Eq. 4).  (Pathological corner:
-        with ``gamma == 1.0`` and a TCU whose floating-point self-cosine
-        rounds below 1, the full computation could report a diagonal below
-        1; the closed form deliberately reports the mathematical value
-        instead of that rounding artefact.)
-        """
-        n = len(transactions)
-        matrix = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            matrix[i][i] = 0.0 if transactions[i].is_empty() else 1.0
-            for j in range(i + 1, n):
-                value = self.transaction_similarity(transactions[i], transactions[j])
-                matrix[i][j] = value
-                matrix[j][i] = value
-        return matrix
 
 
 def transaction_similarity(

@@ -11,19 +11,3 @@ models`` CLI and the async serving layer (:mod:`repro.serving`) read.
 See ``docs/SERVING.md`` for the fit -> publish -> serve -> hot-reload
 lifecycle built on top of it.
 """
-
-from repro.store.registry import (
-    REGISTRY_SCHEMA_VERSION,
-    ModelRecord,
-    RegistryError,
-    SqliteModelRegistry,
-    model_fingerprint,
-)
-
-__all__ = [
-    "REGISTRY_SCHEMA_VERSION",
-    "ModelRecord",
-    "RegistryError",
-    "SqliteModelRegistry",
-    "model_fingerprint",
-]

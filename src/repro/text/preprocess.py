@@ -61,10 +61,6 @@ class TextPreprocessor:
             tokens = [self._stemmer.stem(token) for token in tokens]
         return tokens
 
-    def process_many(self, texts: List[str]) -> List[List[str]]:
-        """Apply :meth:`process` to every string in *texts*."""
-        return [self.process(text) for text in texts]
-
 
 #: A module-level preprocessor with default settings, shared where no custom
 #: configuration is needed (the object is stateless apart from its config).

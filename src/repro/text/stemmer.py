@@ -7,8 +7,6 @@ free so the reproduction is self-contained.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 _VOWELS = "aeiou"
 
 
@@ -221,8 +219,3 @@ _DEFAULT_STEMMER = PorterStemmer()
 def stem(word: str) -> str:
     """Stem a single token with the module-level :class:`PorterStemmer`."""
     return _DEFAULT_STEMMER.stem(word)
-
-
-def stem_tokens(tokens: Iterable[str]) -> List[str]:
-    """Stem every token in *tokens*, preserving order and duplicates."""
-    return [_DEFAULT_STEMMER.stem(token) for token in tokens]

@@ -47,12 +47,3 @@ def tokenize(text: str, min_length: int = 2, keep_numbers: bool = False) -> List
         if len(token) >= min_length:
             tokens.append(token)
     return tokens
-
-
-def character_ngrams(text: str, n: int = 3) -> List[str]:
-    """Return the character n-grams of *text* (used by ablation experiments
-    on alternative content representations)."""
-    compact = re.sub(r"\s+", " ", text.lower()).strip()
-    if len(compact) < n:
-        return [compact] if compact else []
-    return [compact[i:i + n] for i in range(len(compact) - n + 1)]

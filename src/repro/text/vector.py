@@ -105,13 +105,6 @@ class SparseVector:
             merged[term] = merged.get(term, 0.0) + weight
         return SparseVector(merged)
 
-    def normalized(self) -> "SparseVector":
-        """Return the unit-norm version of this vector (empty stays empty)."""
-        norm = self.norm()
-        if norm == 0.0:
-            return SparseVector()
-        return self.scaled(1.0 / norm)
-
     # ------------------------------------------------------------------ #
     # Equality / representation
     # ------------------------------------------------------------------ #
@@ -135,11 +128,3 @@ def merge_vectors(vectors: Iterable[SparseVector]) -> SparseVector:
         for term, weight in vector.items():
             merged[term] = merged.get(term, 0.0) + weight
     return SparseVector(merged)
-
-
-def centroid_vector(vectors: Iterable[SparseVector]) -> SparseVector:
-    """Return the arithmetic-mean vector of *vectors*."""
-    vectors = list(vectors)
-    if not vectors:
-        return SparseVector()
-    return merge_vectors(vectors).scaled(1.0 / len(vectors))

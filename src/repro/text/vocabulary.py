@@ -35,17 +35,9 @@ class Vocabulary:
             self._id_to_term.append(term)
         return term_id
 
-    def add_all(self, terms: Iterable[str]) -> List[int]:
-        """Add every term in *terms*; return their identifiers in order."""
-        return [self.add(term) for term in terms]
-
     def id_of(self, term: str) -> Optional[int]:
         """Return the identifier of *term*, or ``None`` when unknown."""
         return self._term_to_id.get(term)
-
-    def term_of(self, term_id: int) -> str:
-        """Return the term with identifier *term_id* (raises ``IndexError``)."""
-        return self._id_to_term[term_id]
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_to_id
@@ -59,32 +51,3 @@ class Vocabulary:
     def terms(self) -> List[str]:
         """Return all terms in identifier order."""
         return list(self._id_to_term)
-
-    def freeze(self) -> "FrozenVocabulary":
-        """Return an immutable snapshot of the current vocabulary."""
-        return FrozenVocabulary(self._id_to_term)
-
-
-class FrozenVocabulary:
-    """Immutable vocabulary snapshot; lookups of unknown terms return None."""
-
-    def __init__(self, terms: Iterable[str]) -> None:
-        self._id_to_term: List[str] = list(terms)
-        self._term_to_id: Dict[str, int] = {
-            term: idx for idx, term in enumerate(self._id_to_term)
-        }
-
-    def id_of(self, term: str) -> Optional[int]:
-        return self._term_to_id.get(term)
-
-    def term_of(self, term_id: int) -> str:
-        return self._id_to_term[term_id]
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._term_to_id
-
-    def __len__(self) -> int:
-        return len(self._id_to_term)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._id_to_term)

@@ -100,9 +100,6 @@ class CorpusTermStatistics:
         """``n_{j,T}``: TCUs of the collection containing *term*."""
         return self._term_tcus_collection.get(term, 0)
 
-    def vocabulary_size(self) -> int:
-        return len(self.vocabulary)
-
 
 class TtfItfWeighter:
     """Computes ttf.itf-weighted :class:`SparseVector` representations."""

@@ -1,23 +1,1 @@
 """Transactional model of XML tree tuples (paper Sec. 3.3)."""
-
-from repro.transactions.builder import (
-    BuilderConfig,
-    TransactionDatasetBuilder,
-    build_dataset,
-)
-from repro.transactions.dataset import TransactionDataset
-from repro.transactions.items import ItemDomain, TreeTupleItem, make_synthetic_item
-from repro.transactions.transaction import Transaction, make_transaction, union_size
-
-__all__ = [
-    "TreeTupleItem",
-    "ItemDomain",
-    "make_synthetic_item",
-    "Transaction",
-    "make_transaction",
-    "union_size",
-    "TransactionDataset",
-    "BuilderConfig",
-    "TransactionDatasetBuilder",
-    "build_dataset",
-]

@@ -9,7 +9,7 @@ by the external cluster-validity measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.text.weighting import CorpusTermStatistics
 from repro.transactions.items import ItemDomain, TreeTupleItem
@@ -112,34 +112,9 @@ class TransactionDataset:
         """
         return self.labelings[name]
 
-    def classes_for(self, name: str) -> List[str]:
-        """Return the sorted distinct class labels of a labelling."""
-        return sorted(set(self.labelings[name].values()))
-
-    def class_count(self, name: str) -> int:
-        """Return the number of distinct classes of a labelling."""
-        return len(set(self.labelings[name].values()))
-
     # ------------------------------------------------------------------ #
     # Slicing (used by data partitioning across peers)
     # ------------------------------------------------------------------ #
-    def subset(self, transaction_ids: Iterable[str], name_suffix: str = "subset") -> "TransactionDataset":
-        """Return a dataset restricted to the given transaction identifiers.
-
-        The item domain, statistics and labelings are shared (not copied):
-        the subset is a *view* suitable for assigning data to peers.
-        """
-        wanted = set(transaction_ids)
-        picked = [tr for tr in self.transactions if tr.transaction_id in wanted]
-        subset = TransactionDataset(
-            name=f"{self.name}-{name_suffix}",
-            transactions=picked,
-            item_domain=self.item_domain,
-            statistics=self.statistics,
-            labelings=self.labelings,
-        )
-        return subset
-
     def split(self, chunks: Sequence[Sequence[Transaction]]) -> List["TransactionDataset"]:
         """Wrap pre-computed transaction chunks as shared-domain datasets."""
         result = []

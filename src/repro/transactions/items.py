@@ -58,11 +58,6 @@ class TreeTupleItem:
         """
         return self.path.tag_path()
 
-    @property
-    def is_synthetic(self) -> bool:
-        """True for items created by representative computation."""
-        return self.item_id < 0
-
     def key(self) -> Tuple[XMLPath, str]:
         """Return the de-duplication key (path, answer)."""
         return (self.path, self.answer)
@@ -144,30 +139,11 @@ class ItemDomain:
         """Return the item with the given identifier."""
         return self._items[item_id]
 
-    def find(self, path: XMLPath, answer: str) -> Optional[TreeTupleItem]:
-        """Return the item for (path, answer) or ``None`` when absent."""
-        index = self._by_key.get((path, answer))
-        return self._items[index] if index is not None else None
-
     def __len__(self) -> int:
         return len(self._items)
 
     def __iter__(self) -> Iterator[TreeTupleItem]:
         return iter(self._items)
-
-    def items(self) -> List[TreeTupleItem]:
-        """Return all items in identifier order."""
-        return list(self._items)
-
-    def distinct_paths(self) -> List[XMLPath]:
-        """Return the distinct complete paths appearing in the domain."""
-        seen = []
-        seen_set = set()
-        for item in self._items:
-            if item.path not in seen_set:
-                seen_set.add(item.path)
-                seen.append(item.path)
-        return seen
 
 
 def make_synthetic_item(

@@ -10,10 +10,9 @@ about where its items come from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.transactions.items import TreeTupleItem
-from repro.xmlmodel.paths import XMLPath
 
 
 @dataclass(frozen=True)
@@ -55,25 +54,9 @@ class Transaction:
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
-    def item_ids(self) -> Tuple[int, ...]:
-        """Return the identifiers of the (non-synthetic) items."""
-        return tuple(item.item_id for item in self.items)
-
     def item_set(self) -> Set[TreeTupleItem]:
         """Return the items as a set (used by union/intersection helpers)."""
         return set(self.items)
-
-    def paths(self) -> Set[XMLPath]:
-        """Return the set of complete paths covered by the transaction."""
-        return {item.path for item in self.items}
-
-    def tag_paths(self) -> Set[XMLPath]:
-        """Return the set of maximal tag paths covered by the transaction."""
-        return {item.tag_path for item in self.items}
-
-    def find_by_path(self, path: XMLPath) -> List[TreeTupleItem]:
-        """Return the items whose complete path equals *path*."""
-        return [item for item in self.items if item.path == path]
 
     def max_tcu_size(self) -> int:
         """Return the largest TCU vector dimensionality among the items."""

@@ -1,19 +1,1 @@
 """Tree tuple decomposition of XML documents (paper Sec. 3.2)."""
-
-from repro.treetuples.decompose import (
-    collection_tree_tuples,
-    count_tree_tuples,
-    extract_tree_tuples,
-    iter_tree_tuples,
-)
-from repro.treetuples.tupleobj import TreeTuple, is_maximal_tree_tuple, is_tree_tuple
-
-__all__ = [
-    "TreeTuple",
-    "is_tree_tuple",
-    "is_maximal_tree_tuple",
-    "extract_tree_tuples",
-    "iter_tree_tuples",
-    "collection_tree_tuples",
-    "count_tree_tuples",
-]

@@ -15,8 +15,7 @@ maximality (no further node can be added without repeating a label path).
 
 The number of tuples is a product of group sizes and can therefore grow
 combinatorially for documents with many repeated sibling labels at several
-levels; :func:`count_tree_tuples` computes the count without materialising
-the tuples, and :func:`extract_tree_tuples` accepts a ``limit`` that bounds
+levels; :func:`extract_tree_tuples` accepts a ``limit`` that bounds
 materialisation (the paper's corpora stay comfortably small because repeated
 labels concentrate on one level, e.g. ``author`` under ``inproceedings``).
 """
@@ -24,7 +23,7 @@ labels concentrate on one level, e.g. ``author`` under ``inproceedings``).
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.treetuples.tupleobj import TreeTuple
 from repro.xmlmodel.tree import XMLNode, XMLTree
@@ -41,25 +40,6 @@ def _group_children_by_label(node: XMLNode) -> List[List[XMLNode]]:
             order.append(child.label)
         groups[child.label].append(child)
     return [groups[label] for label in order]
-
-
-def count_tree_tuples(tree: XMLTree) -> int:
-    """Return the number of tree tuples of *tree* without materialising them.
-
-    The count follows the product construction:
-    ``count(leaf) = 1`` and
-    ``count(n) = prod_over_groups( sum_over_children_in_group(count(child)) )``.
-    """
-
-    def count(node: XMLNode) -> int:
-        if node.is_leaf:
-            return 1
-        total = 1
-        for group in _group_children_by_label(node):
-            total *= sum(count(child) for child in group)
-        return total
-
-    return count(tree.root)
 
 
 def _tuple_node_id_sets(node: XMLNode, limit: Optional[int]) -> List[Set[int]]:
@@ -124,18 +104,3 @@ def extract_tree_tuples(
             TreeTuple(tree=subtree, source_doc_id=doc_id, tuple_id=f"{doc_id}#{index}")
         )
     return tuples
-
-
-def iter_tree_tuples(
-    trees: Iterable[XMLTree], limit_per_tree: Optional[int] = None
-) -> Iterator[TreeTuple]:
-    """Yield the tree tuples of every tree in *trees* (collection ``T``)."""
-    for tree in trees:
-        yield from extract_tree_tuples(tree, limit=limit_per_tree)
-
-
-def collection_tree_tuples(
-    trees: Sequence[XMLTree], limit_per_tree: Optional[int] = None
-) -> List[TreeTuple]:
-    """Return the tree tuples of a collection as a list (``T`` in the paper)."""
-    return list(iter_tree_tuples(trees, limit_per_tree=limit_per_tree))

@@ -9,7 +9,7 @@ the role of an attribute and its (single) answer plays the role of the value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.xmlmodel.paths import XMLPath, complete_paths, path_answer
 from repro.xmlmodel.tree import XMLTree
@@ -66,10 +66,6 @@ class TreeTuple:
                 pairs.append((path, value))
         return pairs
 
-    def as_dict(self) -> Dict[str, str]:
-        """Return the relational view keyed by the textual path form."""
-        return {str(path): value for path, value in self.as_pairs()}
-
     # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #
@@ -78,55 +74,8 @@ class TreeTuple:
         counted with multiplicity one, since answers are functional)."""
         return self.tree.leaf_count()
 
-    def node_ids(self) -> FrozenSet[int]:
-        """Return the identifiers of the nodes that make up the tuple."""
-        return frozenset(node.node_id for node in self.tree.iter_nodes())
-
     def __len__(self) -> int:
         return self.leaf_count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TreeTuple({self.tuple_id}, {self.leaf_count()} leaves)"
-
-
-def is_tree_tuple(subtree: XMLTree, original: XMLTree) -> bool:
-    """Check the defining property: every path of *original* has an answer of
-    size at most one on *subtree* (Sec. 3.2).
-
-    Both tag paths and complete paths must be functional.  This predicate is
-    used by tests and by the property-based verification of the extractor; it
-    intentionally favours clarity over speed.
-    """
-    # Collect every path (tag and complete) of the original tree.
-    seen_paths = set()
-    for node in original.iter_nodes():
-        seen_paths.add(XMLPath.for_node(node))
-    for path in seen_paths:
-        if len(path_answer(path, subtree)) > 1:
-            return False
-    return True
-
-
-def is_maximal_tree_tuple(subtree: XMLTree, original: XMLTree) -> bool:
-    """Check maximality: no node of *original* can be added to *subtree*
-    while keeping the tree-tuple property.
-
-    A candidate node is addable when its parent already belongs to the
-    subtree; adding it must break functionality for the subtree to be maximal.
-    """
-    if not is_tree_tuple(subtree, original):
-        return False
-    kept = {node.node_id for node in subtree.iter_nodes()}
-    for node in original.iter_nodes():
-        if node.node_id in kept or node.parent is None:
-            continue
-        if node.parent.node_id not in kept:
-            continue
-        # Try to add this node together with its whole subtree? Maximality in
-        # the paper is node-wise: a maximal subtree cannot be extended by any
-        # single node.  Adding `node` alone is the weakest extension, so if it
-        # keeps functionality the subtree is not maximal.
-        extended = original.restricted_to(kept | {node.node_id})
-        if is_tree_tuple(extended, original):
-            return False
-    return True

@@ -8,15 +8,14 @@ The paper (Sec. 3.1) defines an XML tree over the alphabet
   customary in XPath-like notations), and
 * ``S`` is the distinguished symbol denoting ``#PCDATA`` text content.
 
-This module provides the :data:`PCDATA` sentinel, validation helpers for tag
-and attribute names, and the :class:`Label` value object used to tag nodes.
+This module provides the :data:`PCDATA` sentinel and the validation and
+classification helpers for tag and attribute labels; nodes carry labels as
+plain strings.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
 
 from repro.xmlmodel.errors import XMLTreeError
 
@@ -29,14 +28,6 @@ ATTRIBUTE_PREFIX = "@"
 # XML 1.0 (simplified): names start with a letter, underscore or colon and
 # continue with letters, digits, hyphens, underscores, dots or colons.
 _NAME_RE = re.compile(r"^[A-Za-z_:][A-Za-z0-9_.:\-]*$")
-
-
-class LabelKind(Enum):
-    """The three kinds of labels an XML tree node may carry."""
-
-    TAG = "tag"
-    ATTRIBUTE = "attribute"
-    TEXT = "text"
 
 
 def is_valid_name(name: str) -> bool:
@@ -66,15 +57,6 @@ def is_tag_label(label: str) -> bool:
     return not is_attribute_label(label) and not is_text_label(label)
 
 
-def label_kind(label: str) -> LabelKind:
-    """Classify *label* into one of the three :class:`LabelKind` values."""
-    if is_text_label(label):
-        return LabelKind.TEXT
-    if is_attribute_label(label):
-        return LabelKind.ATTRIBUTE
-    return LabelKind.TAG
-
-
 def validate_tag(name: str) -> str:
     """Validate an element tag name and return it unchanged.
 
@@ -101,36 +83,3 @@ def strip_attribute_prefix(label: str) -> str:
     if not is_attribute_label(label):
         raise XMLTreeError(f"not an attribute label: {label!r}")
     return label[len(ATTRIBUTE_PREFIX):]
-
-
-@dataclass(frozen=True)
-class Label:
-    """Immutable value object pairing a label string with its kind.
-
-    Using a value object (rather than bare strings) in higher layers makes the
-    structural-similarity code self documenting; the tree itself stores plain
-    strings for compactness.
-    """
-
-    value: str
-    kind: LabelKind
-
-    @staticmethod
-    def tag(name: str) -> "Label":
-        return Label(validate_tag(name), LabelKind.TAG)
-
-    @staticmethod
-    def attribute(name: str) -> "Label":
-        return Label(attribute_label(name), LabelKind.ATTRIBUTE)
-
-    @staticmethod
-    def text() -> "Label":
-        return Label(PCDATA, LabelKind.TEXT)
-
-    @staticmethod
-    def of(label: str) -> "Label":
-        """Build a :class:`Label` from a raw label string."""
-        return Label(label, label_kind(label))
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value

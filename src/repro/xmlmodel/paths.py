@@ -12,7 +12,7 @@ node set (tag paths) or the set of leaf string values (complete paths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.xmlmodel.errors import XMLPathError
 from repro.xmlmodel.names import is_attribute_label, is_tag_label, is_text_label
@@ -61,10 +61,6 @@ class XMLPath:
         return (XMLPath, (self.steps,))
 
     # -- constructors ----------------------------------------------------- #
-    @staticmethod
-    def of(*steps: str) -> "XMLPath":
-        """Build a path from individual step labels."""
-        return XMLPath(tuple(steps))
 
     @staticmethod
     def parse(text: str) -> "XMLPath":
@@ -180,48 +176,3 @@ def path_answer(path: XMLPath, tree: XMLTree) -> FrozenSet:
 def complete_paths(tree: XMLTree) -> Set[XMLPath]:
     """Return ``P_XT``: the set of all complete paths occurring in *tree*."""
     return {XMLPath.for_node(leaf) for leaf in tree.iter_leaves()}
-
-
-def maximal_tag_paths(tree: XMLTree) -> Set[XMLPath]:
-    """Return ``TP_XT``: maximal tag paths (complete paths minus last step)."""
-    return {path.tag_path() for path in complete_paths(tree)}
-
-
-def all_tag_paths(tree: XMLTree) -> Set[XMLPath]:
-    """Return every tag path occurring in *tree* (all prefixes over elements)."""
-    paths: Set[XMLPath] = set()
-    for node in tree.iter_nodes():
-        if node.is_element:
-            paths.add(XMLPath.for_node(node))
-    return paths
-
-
-def leaf_paths_with_nodes(tree: XMLTree) -> List[Tuple[XMLPath, XMLNode]]:
-    """Return (complete path, leaf node) pairs in document order."""
-    return [(XMLPath.for_node(leaf), leaf) for leaf in tree.iter_leaves()]
-
-
-def path_answers_by_path(tree: XMLTree) -> Dict[XMLPath, FrozenSet]:
-    """Return the mapping from every complete path of *tree* to its answer."""
-    return {path: path_answer(path, tree) for path in complete_paths(tree)}
-
-
-def collection_complete_paths(trees: Iterable[XMLTree]) -> Set[XMLPath]:
-    """Return the union of complete paths over a collection of trees."""
-    result: Set[XMLPath] = set()
-    for tree in trees:
-        result |= complete_paths(tree)
-    return result
-
-
-def collection_tag_paths(trees: Iterable[XMLTree]) -> Set[XMLPath]:
-    """Return the union of maximal tag paths over a collection of trees."""
-    result: Set[XMLPath] = set()
-    for tree in trees:
-        result |= maximal_tag_paths(tree)
-    return result
-
-
-def depth_of_paths(paths: Sequence[XMLPath]) -> int:
-    """Return the length of the longest path (the collection depth)."""
-    return max((p.length for p in paths), default=0)

@@ -80,19 +80,3 @@ def _serialize_node(node: XMLNode, lines: List[str], level: int, indent: int) ->
         else:
             _serialize_node(child, lines, level + 1, indent)
     lines.append(f"{pad}</{node.label}>")
-
-
-def to_compact_string(tree: XMLTree) -> str:
-    """Serialise *tree* without indentation or declaration (useful in tests)."""
-
-    def render(node: XMLNode) -> str:
-        attr_str = "".join(" " + a for a in _attributes_of(node))
-        content = [c for c in node.children if not c.is_attribute]
-        if not content:
-            return f"<{node.label}{attr_str}/>"
-        inner = "".join(
-            escape_text(c.value or "") if c.is_text else render(c) for c in content
-        )
-        return f"<{node.label}{attr_str}>{inner}</{node.label}>"
-
-    return render(tree.root)

@@ -13,7 +13,7 @@ easy to cross-check against the paper by hand.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.xmlmodel.errors import XMLTreeError
 from repro.xmlmodel.names import (
@@ -104,13 +104,6 @@ class XMLNode:
             labels.append(anc.label)
         return tuple(reversed(labels))
 
-    def node_path(self) -> Tuple["XMLNode", ...]:
-        """Return the sequence of nodes from the root down to this node."""
-        nodes = [self]
-        for anc in self.ancestors():
-            nodes.append(anc)
-        return tuple(reversed(nodes))
-
     def iter_preorder(self) -> Iterator["XMLNode"]:
         """Yield this node and all descendants in document (pre-) order."""
         stack: List[XMLNode] = [self]
@@ -124,10 +117,6 @@ class XMLNode:
         for node in self.iter_preorder():
             if node.is_leaf:
                 yield node
-
-    def child_elements(self) -> List["XMLNode"]:
-        """Return the element children only (no attribute / text leaves)."""
-        return [c for c in self.children if c.is_element]
 
     # ------------------------------------------------------------------ #
     # Dunder methods
@@ -160,11 +149,6 @@ class XMLTree:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def build(doc_id: Optional[str] = None) -> "XMLTreeBuilder":
-        """Return a fresh :class:`XMLTreeBuilder` (fluent construction API)."""
-        return XMLTreeBuilder(doc_id=doc_id)
-
     def _validate(self) -> None:
         """Check the structural invariants required by the formal model."""
         for node in self.iter_nodes():
@@ -209,10 +193,6 @@ class XMLTree:
         """Yield every leaf node in document order."""
         return self.root.iter_leaves()
 
-    def leaves(self) -> List[XMLNode]:
-        """Return the list of leaf nodes in document order."""
-        return list(self.iter_leaves())
-
     def node_count(self) -> int:
         """Return the total number of nodes."""
         return len(self._nodes_by_id)
@@ -227,30 +207,9 @@ class XMLTree:
         ``depth(XT)``."""
         return max((leaf.depth() + 1 for leaf in self.iter_leaves()), default=1)
 
-    def max_fanout(self) -> int:
-        """Return the maximum number of children over all nodes."""
-        return max((len(n.children) for n in self.iter_nodes()), default=0)
-
-    def subtree_nodes(self, node: XMLNode) -> List[XMLNode]:
-        """Return all nodes of the subtree rooted at *node* (document order)."""
-        return list(node.iter_preorder())
-
     # ------------------------------------------------------------------ #
     # Transformations
     # ------------------------------------------------------------------ #
-    def copy(self) -> "XMLTree":
-        """Return a deep copy with identical node identifiers."""
-        mapping: Dict[int, XMLNode] = {}
-
-        def clone(node: XMLNode, parent: Optional[XMLNode]) -> XMLNode:
-            new = XMLNode(node.node_id, node.label, node.value, parent)
-            mapping[node.node_id] = new
-            for child in node.children:
-                new.children.append(clone(child, new))
-            return new
-
-        return XMLTree(clone(self.root, None), doc_id=self.doc_id)
-
     def restricted_to(self, keep_ids: Iterable[int]) -> "XMLTree":
         """Return the subtree induced by *keep_ids* (node identifiers).
 
@@ -271,14 +230,6 @@ class XMLTree:
             return new
 
         return XMLTree(clone(self.root, None), doc_id=self.doc_id)
-
-    def map_values(self, fn: Callable[[str], str]) -> "XMLTree":
-        """Return a copy whose leaf values have been transformed by *fn*."""
-        copy = self.copy()
-        for node in copy.iter_nodes():
-            if node.value is not None:
-                node.value = fn(node.value)
-        return copy
 
     # ------------------------------------------------------------------ #
     # Comparison / hashing
@@ -311,7 +262,7 @@ class XMLTreeBuilder:
 
     Example
     -------
-    >>> b = XMLTree.build("example")
+    >>> b = XMLTreeBuilder("example")
     >>> b.start("dblp")
     >>> b.start("inproceedings")
     >>> b.attribute("key", "conf/kdd/ZakiA03")
@@ -390,44 +341,3 @@ class XMLTreeBuilder:
         if self._root is None:
             raise XMLTreeError("no root element was created")
         return XMLTree(self._root, doc_id=self._doc_id)
-
-
-def tree_from_nested(spec: Sequence, doc_id: Optional[str] = None) -> XMLTree:
-    """Build a tree from a nested-list specification.
-
-    The specification format is ``[tag, child1, child2, ...]`` where each
-    child is either another nested list, a string (text leaf), or a tuple
-    ``("@name", value)`` for attributes.  This is heavily used by tests and
-    dataset generators because it keeps fixtures compact and legible.
-
-    Example
-    -------
-    >>> tree = tree_from_nested(
-    ...     ["dblp", ["inproceedings", ("@key", "k1"), ["author", "M.J. Zaki"]]]
-    ... )
-    """
-    builder = XMLTreeBuilder(doc_id=doc_id)
-
-    def visit(node_spec: Sequence) -> None:
-        if not node_spec:
-            raise XMLTreeError("empty node specification")
-        tag = node_spec[0]
-        builder.start(tag)
-        for child in node_spec[1:]:
-            if isinstance(child, str):
-                builder.text(child)
-            elif isinstance(child, tuple):
-                name, value = child
-                if not name.startswith("@"):
-                    raise XMLTreeError(
-                        f"attribute specifications must start with '@': {name!r}"
-                    )
-                builder.attribute(name[1:], value)
-            elif isinstance(child, (list,)):
-                visit(child)
-            else:
-                raise XMLTreeError(f"unsupported child specification: {child!r}")
-        builder.end()
-
-    visit(spec)
-    return builder.finish()

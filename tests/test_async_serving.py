@@ -34,10 +34,10 @@ from repro.core.config import ClusteringConfig
 from repro.core.model_store import load_model, save_model
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
-from repro.serving import AsyncModelServer, ModelRouter
+from repro.serving import MAX_REQUEST_BYTES, AsyncModelServer, ModelRouter
 from repro.similarity.corpus_store import clear_store_cache, prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
-from repro.store import RegistryError, SqliteModelRegistry, model_fingerprint
+from repro.store.registry import RegistryError, SqliteModelRegistry, model_fingerprint
 from repro.xmlmodel.serializer import serialize
 
 
@@ -209,6 +209,48 @@ class TestRouting:
             stats = fetch_with_retry(f"{base}/models/alpha/stats")
             assert stats["errors"] == 1
             assert stats["requests"] == 0
+
+    def test_non_utf8_body_answers_400_and_counts_an_error(self, registry_path):
+        with running_server(registry_path) as (server, base):
+            request = urllib.request.Request(
+                f"{base}/models/alpha/classify", data=b"<a>\xff\xfe</a>", method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as failure:
+                urllib.request.urlopen(request, timeout=10)
+            assert failure.value.code == 400
+            assert "utf-8" in json.loads(failure.value.read())["error"]
+            stats = fetch_with_retry(f"{base}/models/alpha/stats")
+            assert (stats["errors"], stats["requests"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "length,message",
+        [("abc", "invalid Content-Length"), (str(MAX_REQUEST_BYTES + 1), "exceeds")],
+        ids=["not-a-number", "over-the-bound"],
+    )
+    def test_bad_content_length_answers_400_before_reading_a_body(
+        self, registry_path, length, message
+    ):
+        import socket
+
+        with running_server(registry_path) as (server, base):
+            port = int(base.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(
+                    b"POST /models/alpha/classify HTTP/1.1\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode("ascii")
+                )
+                response = b""
+                while chunk := sock.recv(4096):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].split()[1] == b"400"
+            assert message in json.loads(body)["error"]
+
+    def test_models_route_lists_the_stats_of_every_route(self, registry_path):
+        with running_server(registry_path) as (server, base):
+            listing = fetch_with_retry(f"{base}/models")
+            assert sorted(entry["model"] for entry in listing["models"]) == ["alpha", "beta"]
+            assert all(entry["requests"] == 0 for entry in listing["models"])
 
     def test_deeply_nested_xml_answers_400(self, registry_path):
         with running_server(registry_path) as (server, base):

@@ -268,6 +268,36 @@ class TestArgumentErrors:
         assert f"argument {arguments[-2]}:" in lines[-1]
 
 
+OPTION_CONFLICTS = [
+    (["cluster", "--algorithm", "xk", "--network", "real"], "CXK-means only"),
+    (["cluster", "--algorithm", "pk", "--network", "real"], "CXK-means only"),
+    (["serve", "--registry", "r"], "the HTTP server needs --port"),
+    (["serve"], "serve needs --model DIR"),
+    (["serve", "--port", "8000"], "serve needs --model DIR"),
+    (["serve", "--port", "8000", "--registry", "r", "--model", "m"], "drop --model"),
+    (["serve", "--port", "8000", "--model", "m", "--models", "a"], "use --registry"),
+]
+
+
+class TestOptionConflicts:
+    """Options that parse one by one but not together stop the command
+    with one message before any corpus, model or socket is touched."""
+
+    @pytest.mark.parametrize(
+        "arguments,message", OPTION_CONFLICTS, ids=[" ".join(a) for a, _ in OPTION_CONFLICTS]
+    )
+    def test_conflict_exits_with_its_message(self, arguments, message, monkeypatch):
+        from repro import cli
+
+        def fail_dataset(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the corpus must not be loaded")
+
+        monkeypatch.setattr(cli, "get_dataset", fail_dataset)
+        with pytest.raises(SystemExit) as failure:
+            main(arguments)
+        assert message in str(failure.value.code)
+
+
 class TestExperimentCommands:
     def test_table1_structure_only(self, capsys):
         code = main(

@@ -43,14 +43,46 @@ class TestClusteringConfig:
         with pytest.raises(ValueError):
             ClusteringConfig(k=2, max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("network", "tcp"),
+            ("network_timeout", 0.0),
+            ("chunk_size", 0),
+            ("retain_threshold", -0.1),
+            ("retain_threshold", 1.5),
+            ("drift_threshold", 0.0),
+            ("drift_threshold", 1.5),
+        ],
+    )
+    def test_out_of_range_fields_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClusteringConfig(k=2, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("retain_threshold", 0.0), ("retain_threshold", 1.0), ("drift_threshold", 1.0)],
+    )
+    def test_closed_range_bounds_are_accepted(self, field, value):
+        assert getattr(ClusteringConfig(k=2, **{field: value}), field) == value
+
+    @pytest.mark.parametrize(
+        "chunk_size,capacity", [(None, 8), (4, 8), (5, 10), (64, 128)]
+    )
+    def test_retain_capacity_is_two_chunks_and_at_least_eight(self, chunk_size, capacity):
+        config = ClusteringConfig(k=2, chunk_size=chunk_size)
+        assert config.effective_retain_capacity == capacity
+
     def test_with_helpers_return_modified_copies(self):
         config = ClusteringConfig(k=2)
-        assert config.with_k(5).k == 5
-        assert config.with_seed(9).seed == 9
-        new_similarity = SimilarityConfig(f=0.9, gamma=0.7)
-        assert config.with_similarity(new_similarity).similarity == new_similarity
+        real = config.with_network("real", 30.0)
+        assert (real.network, real.network_timeout) == ("real", 30.0)
+        assert config.with_network("real").network_timeout == config.network_timeout
+        streaming = config.with_streaming(chunk_size=16, drift_threshold=0.25)
+        assert (streaming.chunk_size, streaming.drift_threshold) == (16, 0.25)
+        assert streaming.retain_threshold == config.retain_threshold
         # original untouched
-        assert config.k == 2 and config.seed == 0
+        assert config.network == "sim" and config.chunk_size is None
 
 
 class TestSeeding:
@@ -150,6 +182,11 @@ class TestDataPartitioning:
         assert len(equal) == len(unequal) == 2
         assert abs(len(equal[0]) - len(equal[1])) <= 1
         assert len(unequal[0]) > len(unequal[1])
+
+    def test_partition_dispatcher_rejects_a_scheme_name(self):
+        transactions = make_transactions(20, docs=5)
+        with pytest.raises(ValueError, match="unknown partitioning scheme"):
+            partition(transactions, 2, "equal", seed=3)
 
     def test_partitioning_is_deterministic(self):
         transactions = make_transactions(40, docs=10)

@@ -1,5 +1,7 @@
 """Tests for the collaborative distributed CXK-means algorithm."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import ClusteringConfig
@@ -79,7 +81,7 @@ class TestCXKMeans:
     def test_all_transactions_are_clustered_or_trashed(self, mini_dataset, config):
         parts = partition_equally(mini_dataset.transactions, 3, seed=1)
         result = CXKMeans(config).fit(parts)
-        assert result.total_clustered() + result.trash_size() == len(mini_dataset)
+        assert sum(map(len, result.partition())) + result.trash_size() == len(mini_dataset)
         assigned = result.assignments(include_trash=True)
         assert set(assigned) == {t.transaction_id for t in mini_dataset}
 
@@ -141,12 +143,12 @@ class TestCXKMeans:
 
     def test_too_few_transactions_raises(self, mini_dataset, config):
         with pytest.raises(ValueError):
-            CXKMeans(config.with_k(100)).fit([mini_dataset.transactions[:5]])
+            CXKMeans(replace(config, k=100)).fit([mini_dataset.transactions[:5]])
 
     def test_peer_with_empty_share_is_tolerated(self, mini_dataset, config):
         parts = [mini_dataset.transactions[:10], []]
         result = CXKMeans(config).fit(parts)
-        assert result.total_clustered() + result.trash_size() == 10
+        assert sum(map(len, result.partition())) + result.trash_size() == 10
 
     def test_cost_model_influences_simulated_time(self, mini_dataset, config):
         parts = partition_equally(mini_dataset.transactions, 3, seed=1)

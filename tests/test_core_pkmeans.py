@@ -1,5 +1,7 @@
 """Tests for the PK-means baseline and its comparison with CXK-means."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import ClusteringConfig
@@ -24,7 +26,7 @@ class TestPKMeans:
     def test_all_transactions_are_assigned(self, mini_dataset, config):
         parts = partition_equally(mini_dataset.transactions, 3, seed=1)
         result = PKMeans(config).fit(parts)
-        assert result.total_clustered() + result.trash_size() == len(mini_dataset)
+        assert sum(map(len, result.partition())) + result.trash_size() == len(mini_dataset)
 
     def test_accuracy_is_reasonable(self, mini_dataset, config):
         parts = partition_equally(mini_dataset.transactions, 3, seed=1)
@@ -43,9 +45,13 @@ class TestPKMeans:
         with pytest.raises(ValueError):
             PKMeans(config).fit([])
 
+    def test_real_transport_is_refused(self, config):
+        with pytest.raises(ValueError, match="CXK-means only"):
+            PKMeans(config.with_network("real"))
+
     def test_too_few_transactions_raises(self, mini_dataset, config):
         with pytest.raises(ValueError):
-            PKMeans(config.with_k(500)).fit([mini_dataset.transactions[:4]])
+            PKMeans(replace(config, k=500)).fit([mini_dataset.transactions[:4]])
 
     def test_deterministic_given_seed(self, mini_dataset, config):
         parts = partition_equally(mini_dataset.transactions, 2, seed=5)

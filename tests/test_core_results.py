@@ -39,8 +39,7 @@ class TestClusteringResult:
     def test_counts(self):
         result = sample_result()
         assert result.k == 2
-        assert result.cluster_sizes() == [2, 1]
-        assert result.total_clustered() == 3
+        assert [len(cluster) for cluster in result.partition()] == [2, 1]
         assert result.trash_size() == 1
 
     def test_assignments_with_and_without_trash(self):
@@ -60,13 +59,13 @@ class TestClusteringResult:
         reps = result.representatives()
         assert [r.transaction_id for r in reps] == ["rep0", "rep1"]
 
-    def test_summary_contains_network_and_timing(self):
-        summary = sample_result().summary()
-        assert summary["k"] == 2
-        assert summary["iterations"] == 4
-        assert summary["converged"] is True
-        assert summary["network_messages"] == 10.0
-        assert summary["simulated_seconds"] == 0.7
+    def test_network_and_timing_are_kept(self):
+        result = sample_result()
+        assert result.iterations == 4
+        assert result.converged is True
+        assert result.elapsed_seconds == 1.5
+        assert result.simulated_seconds == 0.7
+        assert result.network == {"messages": 10.0}
 
     def test_metadata_is_preserved(self):
         result = sample_result()

@@ -1,5 +1,7 @@
 """Tests for the centralized XK-means algorithm."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import ClusteringConfig
@@ -22,7 +24,7 @@ class TestXKMeans:
     def test_produces_k_clusters_plus_trash(self, mini_dataset, config):
         result = XKMeans(config).fit(mini_dataset.transactions)
         assert result.k == 2
-        assert result.total_clustered() + result.trash_size() == len(mini_dataset)
+        assert sum(map(len, result.partition())) + result.trash_size() == len(mini_dataset)
 
     def test_every_transaction_is_assigned_exactly_once(self, mini_dataset, config):
         result = XKMeans(config).fit(mini_dataset.transactions)
@@ -41,7 +43,7 @@ class TestXKMeans:
         reference = mini_dataset.labels_for("content")
         best = max(
             overall_f_measure(
-                XKMeans(config.with_seed(seed)).fit(mini_dataset.transactions).partition(),
+                XKMeans(replace(config, seed=seed)).fit(mini_dataset.transactions).partition(),
                 reference,
             )
             for seed in (0, 1, 5)
@@ -73,13 +75,17 @@ class TestXKMeans:
 
     def test_different_seeds_may_change_initialisation(self, mini_dataset, config):
         first = XKMeans(config).fit(mini_dataset.transactions)
-        second = XKMeans(config.with_seed(99)).fit(mini_dataset.transactions)
+        second = XKMeans(replace(config, seed=99)).fit(mini_dataset.transactions)
         # both are valid clusterings over the same transactions
-        assert first.total_clustered() + first.trash_size() == second.total_clustered() + second.trash_size()
+        assert sum(map(len, first.partition())) + first.trash_size() == sum(map(len, second.partition())) + second.trash_size()
+
+    def test_real_transport_is_refused(self, config):
+        with pytest.raises(ValueError, match="CXK-means only"):
+            XKMeans(config.with_network("real"))
 
     def test_too_few_transactions_raises(self, mini_dataset, config):
         with pytest.raises(ValueError):
-            XKMeans(config.with_k(1000)).fit(mini_dataset.transactions[:3])
+            XKMeans(replace(config, k=1000)).fit(mini_dataset.transactions[:3])
 
     def test_representatives_are_nonempty_for_nonempty_clusters(self, mini_dataset, config):
         result = XKMeans(config).fit(mini_dataset.transactions)

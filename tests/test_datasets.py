@@ -1,10 +1,11 @@
 """Tests for the synthetic corpus generators and the registry."""
 
 import pytest
+from oracles import count_tree_tuples
 
-from repro.datasets.corpus import FILLER_WORDS, TOPICS, topic_names, vocabulary_for
+from repro.datasets.corpus import FILLER_WORDS, TOPICS
 from repro.datasets.dblp import DBLP_HYBRID_COMBOS, DBLP_TOPICS, generate_dblp
-from repro.datasets.generator import SyntheticCorpus, TextSampler, spread_classes
+from repro.datasets.generator import TextSampler, spread_classes
 from repro.datasets.ieee import IEEE_HYBRID_COMBOS, generate_ieee
 from repro.datasets.registry import (
     DATASET_NAMES,
@@ -15,14 +16,12 @@ from repro.datasets.registry import (
 )
 from repro.datasets.shakespeare import PLAYS, generate_shakespeare
 from repro.datasets.wikipedia import WIKIPEDIA_TOPICS, generate_wikipedia
-from repro.treetuples.decompose import count_tree_tuples
 import random
 
 
 class TestCorpusVocabularies:
     def test_every_topic_has_a_reasonable_vocabulary(self):
-        for name in topic_names():
-            words = vocabulary_for(name)
+        for name, words in TOPICS.items():
             assert len(words) >= 15
             assert len(set(words)) == len(words), f"duplicate words in {name}"
 
@@ -33,7 +32,7 @@ class TestCorpusVocabularies:
 
     def test_filler_words_are_disjoint_from_most_topic_words(self):
         filler = set(FILLER_WORDS)
-        overlapping = sum(1 for name in topic_names() if filler & set(TOPICS[name]))
+        overlapping = sum(1 for words in TOPICS.values() if filler & set(words))
         assert overlapping <= 3
 
 
@@ -56,6 +55,10 @@ class TestTextSampler:
         sampler = TextSampler(random.Random(0))
         assert len(sampler.person_name().split()) == 2
         assert 1995 <= int(sampler.year()) <= 2009
+
+    def test_spread_classes_needs_a_class(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            spread_classes(3, [], random.Random(0))
 
     def test_spread_classes_is_balanced(self):
         assigned = spread_classes(30, ["a", "b", "c"], random.Random(0))
@@ -171,16 +174,6 @@ class TestWikipedia:
     def test_topic_restriction(self):
         corpus = generate_wikipedia(num_documents=10, seed=2, topics=["music", "sports"])
         assert set(corpus.doc_labels["content"].values()) <= {"music", "sports"}
-
-
-class TestHalving:
-    def test_halved_corpus_keeps_half_the_documents(self):
-        corpus = generate_dblp(num_documents=40, seed=0)
-        half = corpus.halved(seed=1)
-        assert half.document_count() == 20
-        assert half.name.endswith("-half")
-        kept = {t.doc_id for t in half.trees}
-        assert set(half.doc_labels["content"]) == kept
 
 
 class TestRegistry:

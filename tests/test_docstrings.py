@@ -2,16 +2,16 @@
 
 ``docs/ARCHITECTURE.md`` documents the backend architecture; this test
 keeps the in-code documentation from regressing by enforcing that every
-public module / class / function / method of the four public API modules
-carries a docstring (the pydocstyle ``D100``-``D103`` family, mirrored by
-the ruff ``D`` job in CI -- this in-suite copy makes the gate enforceable
-without installing a linter).
+public module / class / function / method of the documented public API
+modules carries a docstring (the pydocstyle ``D100``-``D103`` family,
+mirrored by the ruff ``D`` job in CI -- this in-suite copy makes the gate
+enforceable without installing a linter).
 
-Covered modules (the ISSUE's documented public API):
+Covered modules (the documented public API):
 
 * ``repro.similarity.backend`` -- the backend protocol and registry
 * ``repro.core.representatives`` -- the summarisation machinery
-* ``repro.network.mpengine`` -- refinement shards, per-process engines
+* ``repro.network.mpengine`` -- refinement shards and the refinement memo
 * ``repro.core.config`` -- :class:`~repro.core.config.ClusteringConfig`
 * ``repro.core.streaming`` -- streaming / out-of-core incremental fitting
 * ``repro.similarity.corpus_store`` -- the persistent compiled-corpus store

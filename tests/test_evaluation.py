@@ -2,24 +2,8 @@
 
 import pytest
 
-from repro.evaluation.fmeasure import (
-    f_measure_breakdown,
-    overall_f_measure,
-    pairwise_f,
-    precision_recall_matrix,
-)
-from repro.evaluation.metrics import (
-    adjusted_rand_index,
-    clustering_report,
-    normalized_mutual_information,
-    purity,
-)
-from repro.evaluation.reporting import (
-    comparison_table,
-    format_accuracy_table,
-    format_series,
-    format_table,
-)
+from repro.evaluation.fmeasure import f_measure_breakdown, overall_f_measure, pairwise_f
+from repro.evaluation.reporting import format_accuracy_table, format_series, format_table
 
 REFERENCE = {
     "a1": "A", "a2": "A", "a3": "A",
@@ -76,34 +60,6 @@ class TestOverallFMeasure:
         assert by_class["B"].best_cluster == 1
         assert by_class["A"].precision == 1.0 and by_class["A"].recall == 1.0
 
-    def test_precision_recall_matrix_shape(self):
-        matrix = precision_recall_matrix(HALF, REFERENCE)
-        assert set(matrix) == {"A", "B", "C"}
-        assert len(matrix["A"]) == 2
-        assert all(0.0 <= cell["f"] <= 1.0 for row in matrix.values() for cell in row)
-
-
-class TestOtherIndices:
-    def test_perfect_clustering_maximises_all_indices(self):
-        assert purity(PERFECT, REFERENCE) == pytest.approx(1.0)
-        assert normalized_mutual_information(PERFECT, REFERENCE) == pytest.approx(1.0)
-        assert adjusted_rand_index(PERFECT, REFERENCE) == pytest.approx(1.0)
-
-    def test_merged_clustering_scores_lower(self):
-        assert purity(MERGED, REFERENCE) == pytest.approx(3 / 6)
-        assert normalized_mutual_information(MERGED, REFERENCE) == 0.0
-        assert adjusted_rand_index(MERGED, REFERENCE) == pytest.approx(0.0, abs=1e-9)
-
-    def test_empty_inputs(self):
-        assert purity([], REFERENCE) == 0.0
-        assert normalized_mutual_information([], {}) == 0.0
-        assert adjusted_rand_index([], REFERENCE) == 0.0
-
-    def test_report_bundles_all_metrics(self):
-        report = clustering_report(PERFECT, REFERENCE)
-        assert set(report) == {"f_measure", "purity", "nmi", "ari"}
-        assert all(value == pytest.approx(1.0) for value in report.values())
-
 
 class TestReporting:
     def test_format_table_aligns_columns(self):
@@ -131,7 +87,3 @@ class TestReporting:
         text = format_accuracy_table(results, cluster_counts={"DBLP": 6, "IEEE": 8})
         assert "DBLP" in text and "IEEE" in text
         assert "0.800" in text and "0.500" in text
-
-    def test_comparison_table_computes_delta(self):
-        text = comparison_table({"x": 1.0}, {"x": 0.8})
-        assert "-0.200" in text

@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     pivot,
     run_configuration,
 )
-from repro.experiments.table1 import AccuracyTableConfig, run_table1
+from repro.experiments.table1 import AccuracyTableConfig, AccuracyTableResult, run_table1
 from repro.experiments.table2 import equal_vs_unequal_degradation, run_table2
 from repro.network.costmodel import CostModel
 from repro.core.config import ClusteringConfig
@@ -171,18 +171,22 @@ class TestTables:
         degradation = equal_vs_unequal_degradation(equal, unequal)
         assert set(degradation["content"]["DBLP"]) == {1, 2}
 
-    def test_accuracy_loss_helper(self):
-        config = AccuracyTableConfig(
-            goals=("hybrid",),
-            node_counts=(1, 3),
-            scale=TINY_SCALE,
-            f_values=(0.5,),
-            max_iterations=FAST_ITERATIONS,
-            datasets=("DBLP",),
+    def test_degradation_covers_only_what_both_tables_hold(self):
+        equal = AccuracyTableResult(
+            "equal",
+            {
+                "content": {"DBLP": {1: 0.8, 2: 0.7}, "IEEE": {1: 0.6}},
+                "hybrid": {"DBLP": {1: 0.5}},
+            },
+            {},
         )
-        result = run_table1(config)
-        loss = result.accuracy_loss("hybrid", "DBLP", 3)
-        assert isinstance(loss, float)
+        unequal = AccuracyTableResult(
+            "unequal", {"content": {"DBLP": {1: 0.8, 2: 0.6, 4: 0.5}}}, {}
+        )
+        degradation = equal_vs_unequal_degradation(equal, unequal)
+        assert set(degradation) == {"content"}
+        assert degradation["content"]["DBLP"] == pytest.approx({1: 0.0, 2: 0.1})
+        assert degradation["content"]["IEEE"] == {}
 
 
 class TestFigure8:

@@ -11,6 +11,7 @@ typed errors for files damaged through raw SQL.
 from __future__ import annotations
 
 import json
+import shutil
 import sqlite3
 
 import pytest
@@ -25,7 +26,7 @@ from repro.datasets.registry import get_dataset
 from repro.serving import ModelRouter
 from repro.similarity.corpus_store import prepare_engine_corpus
 from repro.similarity.item import SimilarityConfig
-from repro.store import RegistryError, SqliteModelRegistry, model_fingerprint
+from repro.store.registry import RegistryError, SqliteModelRegistry, model_fingerprint
 from repro.store.registry import STATUS_PUBLISHED, STATUS_RETIRED
 
 
@@ -105,6 +106,26 @@ class TestPublish:
         registry = SqliteModelRegistry(tmp_path / "registry.db")
         with pytest.raises(RegistryError, match="no readable manifest"):
             registry.publish("dblp", tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda manifest: [manifest], "is not a JSON object"),
+            (lambda manifest: {**manifest, "format_version": -1}, "unsupported model format"),
+            (lambda manifest: {**manifest, "files": ["absent.json"]}, "model file missing"),
+        ],
+        ids=["not-an-object", "format-version", "missing-file"],
+    )
+    def test_damaged_model_directory_is_rejected(self, tmp_path, model_dirs, damage, message):
+        directory = tmp_path / "damaged"
+        shutil.copytree(model_dirs[0], directory)
+        manifest_path = directory / "model.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(damage(manifest)))
+        registry = SqliteModelRegistry(tmp_path / "registry.db")
+        with pytest.raises(RegistryError, match=message):
+            registry.publish("dblp", directory)
+        assert registry.list_models("dblp") == []
 
     def test_rows_survive_reopen(self, tmp_path, model_dirs):
         path = tmp_path / "registry.db"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.message import Message, MessageKind, representative_payload
-from repro.network.peer import Peer, make_peers
+from repro.network.peer import make_peers
 from repro.network.stats import NetworkStats
 from repro.text.vector import SparseVector
 from repro.transactions.items import make_synthetic_item
@@ -53,15 +53,12 @@ class TestMessage:
 
 
 class TestPeer:
-    def test_local_size(self):
-        peer = Peer(0, transactions=[rep_transaction(), rep_transaction()])
-        assert peer.local_size() == 2
 
     def test_make_peers_assigns_ids_and_responsibilities(self):
         peers = make_peers([[rep_transaction()], []], [[0, 2], [1]])
         assert [p.peer_id for p in peers] == [0, 1]
         assert peers[0].responsibilities == [0, 2]
-        assert peers[1].local_size() == 0
+        assert peers[1].transactions == []
 
     def test_make_peers_length_mismatch(self):
         with pytest.raises(ValueError):

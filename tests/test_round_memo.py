@@ -25,7 +25,7 @@ from repro.core.model_store import load_model, save_model
 from repro.core.partition import partition_equally
 from repro.core.pkmeans import PKMeans
 from repro.core.seeding import select_seed_transactions
-from repro.core.streaming import StreamingClusterer, stream_corpus
+from repro.core.streaming import StreamingClusterer, stream_chunks
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_corpus, get_dataset
 from repro.network import mpengine
@@ -278,6 +278,12 @@ def without_memos(monkeypatch) -> None:
     monkeypatch.setattr(mpengine, "_repeats", lambda last, members, weights: False)
 
 
+def stream(clusterer, transactions):
+    for chunk in stream_chunks(transactions, clusterer.config.chunk_size):
+        clusterer.ingest(chunk)
+    return clusterer.finalize()
+
+
 def run_signature(result):
     return (
         result.iterations,
@@ -331,13 +337,13 @@ class TestWholeRuns:
             chunk_size=24, retain_threshold=0.25, drift_threshold=0.25
         )
         clusterer = StreamingClusterer(streaming)
-        result = stream_corpus(clusterer, dataset.transactions)
+        result = stream(clusterer, dataset.transactions)
         assert clusterer.stats.re_refinements > 0
         # the bootstrap fit's corpus is the one fixed row set
         bootstrap = dataset.transactions[:24]
         assert_within_bound(clusterer.engine, [f"rep:{j}" for j in range(4)], [bootstrap], 4)
         without_memos(monkeypatch)
-        again = stream_corpus(StreamingClusterer(streaming), dataset.transactions)
+        again = stream(StreamingClusterer(streaming), dataset.transactions)
         assert run_signature(result) == run_signature(again)
 
 

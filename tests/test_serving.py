@@ -537,7 +537,7 @@ class TestCli:
     def test_serve_registry_with_a_corrupt_active_model_exits_cleanly(
         self, model_dir, tmp_path
     ):
-        from repro.store import SqliteModelRegistry
+        from repro.store.registry import SqliteModelRegistry
 
         model = shutil.copytree(model_dir, tmp_path / "model")
         SqliteModelRegistry(tmp_path / "registry.db").publish("dblp", model)

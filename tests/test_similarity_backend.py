@@ -11,6 +11,7 @@ the synthetic generator corpora.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -403,32 +404,41 @@ class TestEngineBehaviour:
             )
             assert engine.assign_all([target], [twin_a, twin_b]) == [(0, 1.0)]
 
-    def test_similarity_matrix_diagonal_is_set_directly(self):
-        """Non-empty transactions get 1.0, empty ones 0.0, without a full
-        self-similarity computation."""
-        engine = SimilarityEngine(SimilarityConfig(f=0.5, gamma=0.8))
-        transactions = [
-            make_transaction("t1", [item("r.a.S", "x", SparseVector({1: 1.0}))]),
-            make_transaction("empty", []),
-        ]
-        calls = []
-        original = engine.transaction_similarity
-
-        def counting(tr1, tr2):
-            calls.append((tr1.transaction_id, tr2.transaction_id))
-            return original(tr1, tr2)
-
-        engine.transaction_similarity = counting  # type: ignore[method-assign]
-        matrix = engine.similarity_matrix(transactions)
-        assert matrix[0][0] == 1.0
-        assert matrix[1][1] == 0.0
-        assert ("t1", "t1") not in calls and ("empty", "empty") not in calls
-
     def test_compile_corpus_is_idempotent_and_counts(self, dblp_small):
         engine = SimilarityEngine(SimilarityConfig(), backend="numpy")
         transactions = dblp_small.transactions[:10]
         assert engine.backend.compile_corpus(transactions) == 10
         assert engine.backend.compile_corpus(transactions) == 0
+
+    def test_pinned_compile_answers_only_for_the_same_items(self):
+        """``==`` ignores TCU vectors: a transaction equal to a pinned one
+        that carries other vectors gets its own compile, in every entry
+        point that checks the pins."""
+        transactions = get_dataset("DBLP", scale=0.3, seed=0).transactions
+        first, donor = transactions[0], transactions[1]
+        vectors = [item.vector for item in donor.items]
+        copy = replace(
+            first,
+            items=tuple(
+                item.with_vector(vectors[index % len(vectors)])
+                for index, item in enumerate(first.items)
+            ),
+        )
+        assert copy == first
+        config = SimilarityConfig(f=0.5, gamma=0.65)
+        reference = SimilarityEngine(config, backend="python")
+        columns = transactions[:40]
+        engine = SimilarityEngine(config, backend="numpy")
+        assert engine.backend.compile_corpus([first]) == 1
+        assert engine.pairwise_transaction_similarity(
+            [copy], columns
+        ) == reference.pairwise_transaction_similarity([copy], columns)
+        assert engine.backend.extend_corpus([copy]) == 1
+        assert engine.backend.compile_corpus([first]) == 0
+        assert engine.backend.compile_corpus([copy]) == 1
+        assert engine.pairwise_transaction_similarity(
+            [first], columns
+        ) == reference.pairwise_transaction_similarity([first], columns)
 
     def test_python_backend_compile_corpus_is_noop(self):
         engine = SimilarityEngine(SimilarityConfig(), backend="python")
@@ -474,7 +484,6 @@ class TestExperimentWiring:
         assert record.backend == backend
         assert record.cache_stats["entries"] > 0
         assert record.cache_stats["misses"] == 0
-        assert "cache_stats" in record.as_dict()
 
     def test_run_configuration_results_identical_across_backends(self, dblp_small):
         records = {

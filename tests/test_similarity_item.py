@@ -3,14 +3,26 @@
 import pytest
 
 from repro.similarity.content import content_similarity, cosine_similarity
-from repro.similarity.item import SimilarityConfig, gamma_matched, item_similarity
+from repro.similarity.item import SimilarityConfig, item_similarity
+from repro.similarity.transaction import gamma_shared_items
 from repro.text.vector import SparseVector
 from repro.transactions.items import make_synthetic_item
+from repro.transactions.transaction import make_transaction
 from repro.xmlmodel.paths import XMLPath
 
 
 def item(path: str, answer: str, vector=None):
     return make_synthetic_item(XMLPath.parse(path), answer, vector=vector)
+
+
+def gamma_matched(item_a, item_b, config: SimilarityConfig) -> bool:
+    """Whether two items are gamma-matched, read off Eq. 2 on one-item
+    transactions: each item is the other's only candidate, so both are
+    gamma-shared exactly when their similarity reaches gamma."""
+    shared = gamma_shared_items(
+        make_transaction("a", [item_a]), make_transaction("b", [item_b]), config
+    )
+    return shared == {item_a, item_b}
 
 
 class TestSimilarityConfig:
@@ -20,21 +32,16 @@ class TestSimilarityConfig:
         with pytest.raises(ValueError):
             SimilarityConfig(gamma=-0.1)
 
-    def test_clustering_goal_names(self):
-        assert SimilarityConfig(f=0.2).clustering_goal == "content-driven"
-        assert SimilarityConfig(f=0.5).clustering_goal == "structure/content-driven"
-        assert SimilarityConfig(f=0.9).clustering_goal == "structure-driven"
+    @pytest.mark.parametrize("field,value", [("f", -0.1), ("gamma", 1.5)])
+    def test_other_side_of_each_bound_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must lie in"):
+            SimilarityConfig(**{field: value})
 
-    def test_presets_enforce_their_ranges(self):
-        assert SimilarityConfig.content_driven().f <= 0.3
-        assert 0.4 <= SimilarityConfig.hybrid().f <= 0.6
-        assert SimilarityConfig.structure_driven().f >= 0.7
-        with pytest.raises(ValueError):
-            SimilarityConfig.content_driven(f=0.5)
-        with pytest.raises(ValueError):
-            SimilarityConfig.hybrid(f=0.9)
-        with pytest.raises(ValueError):
-            SimilarityConfig.structure_driven(f=0.2)
+    def test_unit_interval_end_points_are_accepted(self):
+        for f in (0.0, 1.0):
+            for gamma in (0.0, 1.0):
+                config = SimilarityConfig(f=f, gamma=gamma)
+                assert (config.f, config.gamma) == (f, gamma)
 
 
 class TestContentSimilarity:

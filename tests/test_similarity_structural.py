@@ -5,7 +5,6 @@ import pytest
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.structural import (
     dirichlet,
-    path_similarity,
     positional_tag_score,
     structural_similarity,
     tag_path_similarity,
@@ -93,11 +92,14 @@ class TestItemStructuralSimilarity:
         value = structural_similarity(key, author)
         assert 0.0 < value < 1.0
 
-    def test_path_similarity_wrapper(self):
-        assert path_similarity(
-            XMLPath.parse("dblp.inproceedings.author.S"),
-            XMLPath.parse("dblp.inproceedings.author.S"),
-        ) == pytest.approx(1.0)
+    def test_attribute_item_against_author_item_worked_example(self):
+        # Eq. 3 on dblp.inproceedings vs dblp.inproceedings.author: both tags
+        # of the shorter path sit at the same position in the longer one
+        # (1 + 1), and the longer one matches 'dblp' and 'inproceedings'
+        # but not 'author' (1 + 1 + 0), over 2 + 3 tags
+        key = make_synthetic_item(XMLPath.parse("dblp.inproceedings.@key"), "k")
+        author = make_synthetic_item(XMLPath.parse("dblp.inproceedings.author.S"), "Zaki")
+        assert structural_similarity(key, author) == pytest.approx(4 / 5)
 
 
 class TestTagPathCache:

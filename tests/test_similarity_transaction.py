@@ -1,6 +1,7 @@
 """Tests for gamma-shared items and the transaction similarity (Eq. 4)."""
 
 import pytest
+from oracles import directed_gamma_match
 
 from repro.similarity.cache import TagPathSimilarityCache
 from repro.similarity.item import SimilarityConfig
@@ -75,8 +76,8 @@ class TestGammaSharedItems:
         tr1, tr2 = simple_transactions()
         engine = SimilarityEngine(SimilarityConfig(f=0.4, gamma=0.6))
         combined = engine.gamma_shared_items(tr1, tr2)
-        directed = engine.directed_gamma_match(tr1, tr2) | engine.directed_gamma_match(
-            tr2, tr1
+        directed = directed_gamma_match(engine, tr1, tr2) | directed_gamma_match(
+            engine, tr2, tr1
         )
         assert combined == directed
 
@@ -90,6 +91,14 @@ class TestTransactionSimilarity:
         assert transaction_similarity(tr1, tr2, config) == pytest.approx(
             len(shared) / union
         )
+
+    def test_worked_example_is_three_shared_over_five(self):
+        # gamma-shared: the identical item and both near items; the union
+        # counts the shared item once: shared, near one, near two, solo, other
+        tr1, tr2 = simple_transactions()
+        assert transaction_similarity(
+            tr1, tr2, SimilarityConfig(f=0.5, gamma=0.7)
+        ) == pytest.approx(3 / 5)
 
     def test_similarity_is_symmetric(self):
         tr1, tr2 = simple_transactions()
@@ -142,14 +151,6 @@ class TestEngineHelpers:
         tr1, _ = simple_transactions()
         engine = SimilarityEngine(SimilarityConfig())
         assert engine.nearest_representative(tr1, []) == (-1, 0.0)
-
-    def test_similarity_matrix_is_symmetric_with_unit_diagonal(self):
-        tr1, tr2 = simple_transactions()
-        engine = SimilarityEngine(SimilarityConfig(f=0.5, gamma=0.7))
-        matrix = engine.similarity_matrix([tr1, tr2])
-        assert matrix[0][0] == pytest.approx(1.0)
-        assert matrix[1][1] == pytest.approx(1.0)
-        assert matrix[0][1] == pytest.approx(matrix[1][0])
 
     def test_shared_cache_is_reused(self):
         cache = TagPathSimilarityCache()

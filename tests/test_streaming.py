@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 pytest.importorskip("numpy")
 
 from repro.core.config import ClusteringConfig
-from repro.core.streaming import StreamingClusterer, stream_chunks, stream_corpus
+from repro.core.streaming import StreamingClusterer, stream_chunks
 from repro.core.xkmeans import XKMeans
 from repro.datasets.registry import get_dataset
 from repro.evaluation.fmeasure import overall_f_measure
@@ -239,6 +239,25 @@ class TestDriftEdges:
             if clusterer.stats.re_refinements == before:
                 assert clusterer.drift < 1.0
 
+    def test_a_chunk_larger_than_the_capacity_evicts_the_oldest(self, dblp_tiny):
+        """More parked transactions than the retained set holds commit the
+        oldest at once: the set never exceeds its capacity and no
+        transaction is lost."""
+        transactions = dblp_tiny.transactions
+        clusterer = StreamingClusterer(
+            make_config(4, retain_threshold=1.0, drift_threshold=1.0)
+        )
+        clusterer.ingest(transactions[:20])
+        chunk = transactions[20:]
+        scores = clusterer.engine.assign_all(chunk, clusterer.representatives)
+        parked = sum(1 for _, similarity in scores if similarity < 1.0)
+        assert parked > clusterer.retain_capacity
+        clusterer.ingest(chunk)
+        assert clusterer.stats.retained_peak == clusterer.retain_capacity
+        clusterer.finalize()
+        members = [t for cluster in clusterer.partition(include_trash=True) for t in cluster]
+        assert sorted(members) == sorted(t.transaction_id for t in transactions)
+
     def test_zero_retain_threshold_parks_only_zero_similarity(self, dblp_tiny):
         """retain_threshold=0.0: anything with positive similarity commits
         immediately, so the retained set only ever holds trash candidates."""
@@ -271,6 +290,20 @@ class TestEdgeStreams:
         with pytest.raises(RuntimeError, match="need at least"):
             clusterer.finalize()
 
+    def test_empty_chunk_changes_nothing(self, dblp_tiny):
+        clusterer = StreamingClusterer(make_config())
+        assert clusterer.ingest([]) == 0
+        clusterer.ingest(dblp_tiny.transactions[:8])
+        before = clusterer.stats.as_dict()
+        assert clusterer.ingest([]) == 0
+        assert clusterer.stats.as_dict() == before
+
+    def test_checkpoint_before_bootstrap_fails(self, dblp_tiny):
+        clusterer = StreamingClusterer(make_config())
+        clusterer.ingest(dblp_tiny.transactions[:2])
+        with pytest.raises(RuntimeError, match="cannot checkpoint before bootstrap"):
+            clusterer.checkpoint_result()
+
     def test_stream_chunks_edges(self, dblp_tiny):
         transactions = dblp_tiny.transactions
         assert stream_chunks([], 8) == []
@@ -278,16 +311,6 @@ class TestEdgeStreams:
         chunks = stream_chunks(transactions, 7)
         assert [t for chunk in chunks for t in chunk] == list(transactions)
         assert all(len(chunk) <= 7 for chunk in chunks)
-
-    def test_stream_corpus_helper_matches_manual_loop(self, dblp_tiny):
-        manual = replay(dblp_tiny.transactions, 8)
-        manual.finalize()
-        helper = StreamingClusterer(make_config(8))
-        stream_corpus(helper, dblp_tiny.transactions)
-        helper.finalize()
-        assert canonical(helper.partition(include_trash=True)) == canonical(
-            manual.partition(include_trash=True)
-        )
 
     def test_checkpoint_result_is_light_and_non_destructive(self, dblp_tiny):
         """A checkpoint snapshot does not flush retained state or change

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.text.preprocess import PreprocessingConfig, TextPreprocessor
-from repro.text.stemmer import PorterStemmer, stem, stem_tokens
+from repro.text.stemmer import PorterStemmer, stem
 from repro.text.stopwords import ENGLISH_STOPWORDS, default_stopwords, remove_stopwords
-from repro.text.tokenize import character_ngrams, tokenize
+from repro.text.tokenize import tokenize
 
 
 class TestTokenize:
@@ -38,11 +38,6 @@ class TestTokenize:
 
     def test_duplicates_are_preserved_in_order(self):
         assert tokenize("data data mining data") == ["data", "data", "mining", "data"]
-
-    def test_character_ngrams(self):
-        assert character_ngrams("abcd", n=3) == ["abc", "bcd"]
-        assert character_ngrams("ab", n=3) == ["ab"]
-        assert character_ngrams("", n=3) == []
 
 
 class TestStopwords:
@@ -113,6 +108,8 @@ class TestPorterStemmer:
             ("rate", "rate"),
             ("controlling", "control"),
             ("rolling", "roll"),
+            ("native", "nativ"),
+            ("ace", "ac"),
         ],
     )
     def test_reference_vocabulary(self, word, expected):
@@ -127,8 +124,15 @@ class TestPorterStemmer:
             once = stem(word)
             assert stem(once) == once
 
-    def test_stem_tokens_preserves_order(self):
-        assert stem_tokens(["mining", "trees"]) == ["mine", "tree"]
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        from repro.text import stemmer
+
+        monkeypatch.setattr(stemmer, "_STEM_CACHE", {})
+        monkeypatch.setattr(stemmer, "_STEM_CACHE_CAP", 2)
+        words = ["clustering", "documents", "trees", "mining", "clustering"]
+        expected = ["cluster", "document", "tree", "mine", "cluster"]
+        assert [stem(word) for word in words] == expected
+        assert 0 < len(stemmer._STEM_CACHE) <= 2
 
     def test_stemmer_instance_matches_module_function(self):
         stemmer = PorterStemmer()
@@ -154,12 +158,6 @@ class TestPreprocessor:
             PreprocessingConfig(stopwords=frozenset({"xml"}), stem=False)
         )
         assert processor.process("xml clustering") == ["clustering"]
-
-    def test_process_many(self):
-        processor = TextPreprocessor()
-        results = processor.process_many(["data mining", "query optimization"])
-        assert len(results) == 2
-        assert results[0] == ["data", "mine"]
 
     def test_numbers_kept_when_configured(self):
         processor = TextPreprocessor(PreprocessingConfig(keep_numbers=True, stem=False))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.text.vector import SparseVector, centroid_vector, merge_vectors
+from repro.text.vector import SparseVector, merge_vectors
 
 
 class TestConstruction:
@@ -64,6 +64,9 @@ class TestAlgebra:
         a = SparseVector({1: 1.0, 2: 2.0})
         assert a.cosine(a.scaled(10.0)) == pytest.approx(1.0)
 
+    def test_cosine_of_opposed_vectors_is_clamped_to_zero(self):
+        assert SparseVector({1: 1.0}).cosine(SparseVector({1: -2.0})) == 0.0
+
     def test_cosine_is_clamped_to_unit_interval(self):
         a = SparseVector({1: 1e-8, 2: 1e8})
         assert 0.0 <= a.cosine(a) <= 1.0
@@ -74,13 +77,6 @@ class TestAlgebra:
     def test_added(self):
         total = SparseVector({1: 1.0}).added(SparseVector({1: 2.0, 2: 3.0}))
         assert total.get(1) == 3.0 and total.get(2) == 3.0
-
-    def test_normalized_has_unit_norm(self):
-        unit = SparseVector({1: 3.0, 2: 4.0}).normalized()
-        assert unit.norm() == pytest.approx(1.0)
-
-    def test_normalized_empty_stays_empty(self):
-        assert not SparseVector().normalized()
 
 
 class TestEqualityAndHashing:
@@ -102,10 +98,3 @@ class TestAggregates:
 
     def test_merge_of_nothing_is_empty(self):
         assert not merge_vectors([])
-
-    def test_centroid_vector_is_mean(self):
-        centroid = centroid_vector([SparseVector({1: 2.0}), SparseVector({1: 4.0})])
-        assert centroid.get(1) == pytest.approx(3.0)
-
-    def test_centroid_of_empty_collection(self):
-        assert not centroid_vector([])

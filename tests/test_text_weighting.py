@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.text.vocabulary import FrozenVocabulary, Vocabulary
+from repro.text.vocabulary import Vocabulary
 from repro.text.weighting import CorpusTermStatistics, TtfItfWeighter
 
 
@@ -19,26 +19,13 @@ class TestVocabulary:
     def test_lookup_round_trip(self):
         vocabulary = Vocabulary(["x", "y"])
         assert vocabulary.id_of("y") == 1
-        assert vocabulary.term_of(1) == "y"
         assert vocabulary.id_of("missing") is None
         assert "x" in vocabulary
 
-    def test_add_all_and_terms_order(self):
-        vocabulary = Vocabulary()
-        vocabulary.add_all(["c", "a", "b", "a"])
+    def test_terms_keep_first_appearance_order(self):
+        vocabulary = Vocabulary(["c", "a", "b", "a"])
         assert vocabulary.terms() == ["c", "a", "b"]
         assert list(vocabulary) == ["c", "a", "b"]
-
-    def test_freeze_snapshot_is_immutable_view(self):
-        vocabulary = Vocabulary(["x"])
-        frozen = vocabulary.freeze()
-        vocabulary.add("y")
-        assert isinstance(frozen, FrozenVocabulary)
-        assert len(frozen) == 1
-        assert frozen.id_of("x") == 0
-        assert frozen.id_of("y") is None
-        assert frozen.term_of(0) == "x"
-        assert "x" in frozen and list(frozen) == ["x"]
 
 
 def build_statistics():
@@ -75,7 +62,7 @@ class TestCorpusTermStatistics:
 
     def test_vocabulary_grows_with_unique_terms(self):
         stats = build_statistics()
-        assert stats.vocabulary_size() == 7
+        assert len(stats.vocabulary) == 7
 
     def test_unknown_scopes_return_zero(self):
         stats = build_statistics()

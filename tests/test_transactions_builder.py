@@ -27,23 +27,6 @@ class TestTransactionObject:
         assert not transaction.is_empty()
         assert Transaction("empty", ()).is_empty()
 
-    def test_paths_and_tag_paths(self):
-        transaction = make_transaction(
-            "t",
-            [
-                make_synthetic_item(XMLPath.parse("a.b.S"), "1"),
-                make_synthetic_item(XMLPath.parse("a.@id"), "2"),
-            ],
-        )
-        assert transaction.paths() == {XMLPath.parse("a.b.S"), XMLPath.parse("a.@id")}
-        assert transaction.tag_paths() == {XMLPath.parse("a.b"), XMLPath.parse("a")}
-
-    def test_find_by_path(self):
-        item = make_synthetic_item(XMLPath.parse("a.b.S"), "1")
-        transaction = make_transaction("t", [item])
-        assert transaction.find_by_path(XMLPath.parse("a.b.S")) == [item]
-        assert transaction.find_by_path(XMLPath.parse("a.c.S")) == []
-
     def test_union_size_merges_equal_items(self):
         shared = make_synthetic_item(XMLPath.parse("a.b.S"), "same")
         only_first = make_synthetic_item(XMLPath.parse("a.c.S"), "x")
@@ -71,7 +54,7 @@ class TestBuilderOnPaperExample:
         dataset = build_dataset("paper", [paper_tree])
         booktitle = XMLPath.parse("dblp.inproceedings.booktitle.S")
         ids = {
-            transaction.find_by_path(booktitle)[0].item_id for transaction in dataset
+            item.item_id for transaction in dataset for item in transaction if item.path == booktitle
         }
         # item e5 ('KDD') is shared by all three transactions
         assert len(ids) == 1
@@ -80,7 +63,7 @@ class TestBuilderOnPaperExample:
         dataset = build_dataset("paper", [paper_tree])
         author = XMLPath.parse("dblp.inproceedings.author.S")
         answers = {
-            transaction.find_by_path(author)[0].answer for transaction in dataset
+            item.answer for transaction in dataset for item in transaction if item.path == author
         }
         assert answers == {"M.J. Zaki", "C.C. Aggarwal"}
 
@@ -110,12 +93,6 @@ class TestBuilderBehaviour:
         sample = dataset.transactions[0]
         assert content[sample.transaction_id] == labels["content"][sample.doc_id]
 
-    def test_class_count_helpers(self, mini_dataset):
-        assert mini_dataset.class_count("content") == 2
-        assert mini_dataset.class_count("structure") == 2
-        assert mini_dataset.class_count("hybrid") == 4
-        assert mini_dataset.classes_for("content") == ["db", "ml"]
-
     def test_items_carry_ttf_itf_vectors(self, mini_dataset):
         vectored = [
             item
@@ -134,12 +111,11 @@ class TestBuilderBehaviour:
             "shared", [parse_xml(xml_a, doc_id="a"), parse_xml(xml_b, doc_id="b")]
         )
         path = XMLPath.parse("r.t.S")
-        item = dataset.item_domain.find(path, "alpha beta")
-        assert item is not None
         assert len(dataset.transactions) == 2
         # both transactions reference the same averaged item object
-        for transaction in dataset:
-            assert transaction.find_by_path(path)[0] is dataset.item_domain.get(item.item_id)
+        first, second = [item for tr in dataset for item in tr.items if item.path == path]
+        assert first.answer == "alpha beta"
+        assert first is second is dataset.item_domain.get(first.item_id)
 
     def test_max_tuples_per_document_limit(self):
         xml = "<r>" + "".join(f"<a>v{i}</a>" for i in range(5)) + "".join(
@@ -156,13 +132,6 @@ class TestBuilderBehaviour:
         dataset = build_dataset("empty", [parse_xml("<r><n>123</n></r>", doc_id="d")])
         assert len(dataset) == 1  # transaction kept: it still has the item
         # but a truly leafless document cannot exist (parser requires content)
-
-    def test_subset_view_shares_domain(self, mini_dataset):
-        ids = [t.transaction_id for t in mini_dataset.transactions[:3]]
-        subset = mini_dataset.subset(ids)
-        assert len(subset) == 3
-        assert subset.item_domain is mini_dataset.item_domain
-        assert subset.labelings is mini_dataset.labelings
 
     def test_split_wraps_chunks(self, mini_dataset):
         chunks = [mini_dataset.transactions[:2], mini_dataset.transactions[2:5]]

@@ -18,7 +18,6 @@ class TestTreeTupleItem:
 
     def test_synthetic_items_are_marked(self):
         item = make_synthetic_item(XMLPath.parse("a.S"), "x")
-        assert item.is_synthetic
         assert item.item_id == -1
 
     def test_key_is_path_answer_pair(self):
@@ -61,12 +60,11 @@ class TestItemDomain:
         items = [domain.intern(XMLPath.parse("a.b.S"), str(i)) for i in range(5)]
         assert [item.item_id for item in items] == [0, 1, 2, 3, 4]
 
-    def test_get_and_find(self):
+    def test_get_returns_the_interned_item(self):
         domain = ItemDomain()
         item = domain.intern(XMLPath.parse("a.b.S"), "x")
         assert domain.get(item.item_id) is item
-        assert domain.find(XMLPath.parse("a.b.S"), "x") is item
-        assert domain.find(XMLPath.parse("a.b.S"), "missing") is None
+        assert domain.intern(XMLPath.parse("a.b.S"), "x") is item
 
     def test_replace_attaches_new_vector(self):
         domain = ItemDomain()
@@ -74,7 +72,7 @@ class TestItemDomain:
         domain.replace(item.with_vector(SparseVector({3: 2.0})))
         assert domain.get(item.item_id).vector.get(3) == 2.0
         # the de-duplication key still resolves to the same id
-        assert domain.find(XMLPath.parse("a.b.S"), "x").item_id == item.item_id
+        assert domain.intern(XMLPath.parse("a.b.S"), "x").item_id == item.item_id
 
     def test_replace_of_unknown_id_fails(self):
         domain = ItemDomain()
@@ -86,15 +84,4 @@ class TestItemDomain:
         domain = ItemDomain()
         domain.intern(XMLPath.parse("a.b.S"), "1")
         domain.intern(XMLPath.parse("a.c.S"), "2")
-        assert len(list(domain)) == 2
-        assert [item.item_id for item in domain.items()] == [0, 1]
-
-    def test_distinct_paths_preserve_first_seen_order(self):
-        domain = ItemDomain()
-        domain.intern(XMLPath.parse("a.b.S"), "1")
-        domain.intern(XMLPath.parse("a.c.S"), "2")
-        domain.intern(XMLPath.parse("a.b.S"), "3")
-        assert domain.distinct_paths() == [
-            XMLPath.parse("a.b.S"),
-            XMLPath.parse("a.c.S"),
-        ]
+        assert [item.item_id for item in domain] == [0, 1]

@@ -4,18 +4,11 @@ The assertions mirror the paper's running example: the Fig. 2 document
 decomposes into exactly the three tree tuples of Fig. 3.
 """
 
-import pytest
+from oracles import count_tree_tuples, is_maximal_tree_tuple, is_tree_tuple
 
-from repro.treetuples.decompose import (
-    collection_tree_tuples,
-    count_tree_tuples,
-    extract_tree_tuples,
-    iter_tree_tuples,
-)
-from repro.treetuples.tupleobj import is_maximal_tree_tuple, is_tree_tuple
+from repro.treetuples.decompose import extract_tree_tuples
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.paths import XMLPath
-from repro.xmlmodel.tree import tree_from_nested
 
 
 class TestPaperExample:
@@ -54,7 +47,8 @@ class TestPaperExample:
     def test_tuples_preserve_node_ids(self, paper_tree):
         tuples = extract_tree_tuples(paper_tree)
         for tree_tuple in tuples:
-            assert tree_tuple.node_ids() <= {n.node_id for n in paper_tree.iter_nodes()}
+            kept = {n.node_id for n in tree_tuple.tree.iter_nodes()}
+            assert kept <= {n.node_id for n in paper_tree.iter_nodes()}
 
     def test_tuples_satisfy_defining_property(self, paper_tree):
         for tree_tuple in extract_tree_tuples(paper_tree):
@@ -65,7 +59,7 @@ class TestPaperExample:
         # the paper's example: removing node n3 (@key) breaks maximality
         tuples = extract_tree_tuples(paper_tree)
         first = tuples[0]
-        pruned_ids = first.node_ids() - {3}
+        pruned_ids = {n.node_id for n in first.tree.iter_nodes()} - {3}
         pruned = paper_tree.restricted_to(pruned_ids)
         assert is_tree_tuple(pruned, paper_tree)
         assert not is_maximal_tree_tuple(pruned, paper_tree)
@@ -73,45 +67,42 @@ class TestPaperExample:
 
 class TestProductConstruction:
     def test_single_record_yields_one_tuple(self):
-        tree = tree_from_nested(
-            ["dblp", ["article", ["author", "A"], ["title", "T"]]], doc_id="single"
+        tree = parse_xml(
+            "<dblp><article><author>A</author><title>T</title></article></dblp>",
+            doc_id="single",
         )
         assert count_tree_tuples(tree) == 1
         assert len(extract_tree_tuples(tree)) == 1
 
     def test_repeated_siblings_multiply(self):
-        tree = tree_from_nested(
-            ["r", ["a", "1"], ["a", "2"], ["b", "x"], ["b", "y"], ["b", "z"]],
-            doc_id="grid",
+        tree = parse_xml(
+            "<r><a>1</a><a>2</a><b>x</b><b>y</b><b>z</b></r>", doc_id="grid"
         )
         # 2 choices for 'a' times 3 choices for 'b'
         assert count_tree_tuples(tree) == 6
         assert len(extract_tree_tuples(tree)) == 6
 
     def test_nested_repetition(self):
-        tree = tree_from_nested(
-            ["r", ["sec", ["p", "1"], ["p", "2"]], ["sec", ["p", "3"]]],
-            doc_id="nested",
+        tree = parse_xml(
+            "<r><sec><p>1</p><p>2</p></sec><sec><p>3</p></sec></r>", doc_id="nested"
         )
         # pick one sec; first sec contributes 2 tuples, second contributes 1
         assert count_tree_tuples(tree) == 3
 
     def test_extraction_matches_count_on_random_shapes(self):
-        specs = [
-            ["r", ["a", "1"]],
-            ["r", ["a", "1"], ["a", "2"]],
-            ["r", ["x", ["y", "1"], ["y", "2"]], ["z", "q"]],
-            ["r", ["x", ["y", "1"]], ["x", ["y", "2"], ["y", "3"]]],
+        shapes = [
+            "<r><a>1</a></r>",
+            "<r><a>1</a><a>2</a></r>",
+            "<r><x><y>1</y><y>2</y></x><z>q</z></r>",
+            "<r><x><y>1</y></x><x><y>2</y><y>3</y></x></r>",
         ]
-        for index, spec in enumerate(specs):
-            tree = tree_from_nested(spec, doc_id=f"shape{index}")
+        for index, text in enumerate(shapes):
+            tree = parse_xml(text, doc_id=f"shape{index}")
             assert len(extract_tree_tuples(tree)) == count_tree_tuples(tree)
 
     def test_limit_bounds_materialisation(self):
-        tree = tree_from_nested(
-            ["r"] + [["a", str(i)] for i in range(6)] + [["b", str(i)] for i in range(6)],
-            doc_id="big",
-        )
+        children = [f"<a>{i}</a>" for i in range(6)] + [f"<b>{i}</b>" for i in range(6)]
+        tree = parse_xml("<r>" + "".join(children) + "</r>", doc_id="big")
         assert count_tree_tuples(tree) == 36
         limited = extract_tree_tuples(tree, limit=10)
         assert len(limited) == 10
@@ -129,7 +120,7 @@ class TestProductConstruction:
 class TestTreeTupleObject:
     def test_relational_view(self, paper_tree):
         first = extract_tree_tuples(paper_tree)[0]
-        mapping = first.as_dict()
+        mapping = {str(path): value for path, value in first.as_pairs()}
         assert mapping["dblp.inproceedings.booktitle.S"] == "KDD"
         assert len(mapping) == 6
 
@@ -145,12 +136,3 @@ class TestTreeTupleObject:
         first = extract_tree_tuples(paper_tree)[0]
         paths = [p for p, _ in first.as_pairs()]
         assert paths == sorted(paths)
-
-
-class TestCollectionHelpers:
-    def test_iter_and_collect_over_collection(self, paper_tree):
-        other = parse_xml("<dblp><article><title>T</title></article></dblp>", doc_id="o")
-        tuples = collection_tree_tuples([paper_tree, other])
-        assert len(tuples) == 4
-        assert len(list(iter_tree_tuples([paper_tree, other]))) == 4
-        assert {t.source_doc_id for t in tuples} == {"dblp-example", "o"}

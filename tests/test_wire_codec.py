@@ -8,11 +8,11 @@ correct assertion, not approximate equality).  Because
 answer)``, the tests additionally compare ``terms`` and ``vector`` field by
 field -- a codec that dropped the TCU vectors would otherwise pass.
 
-The second half of the suite locks in the failure behaviour: truncated
-frames, corrupted bytes (CRC), bad magic, version mismatches, unknown kind
-bytes and trailing garbage must all raise :class:`CodecError` instead of
-mis-parsing.  :func:`read_frame` reads the same frames from a socket and
-tells a closed connection (:class:`EOFError`) from a corrupted frame.
+The second half of the suite locks in the failure behaviour of
+:func:`read_frame`, the socket reader the transport uses: corrupted bytes
+(CRC), bad magic, version mismatches, unknown kind bytes and trailing
+garbage raise :class:`CodecError` instead of mis-parsing, and a frame cut
+short by a closed connection raises :class:`EOFError`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from repro.network.codec import (
     VERSION,
     CodecError,
     FrameKind,
+    check_frame_payload,
     decode_error,
-    decode_frame,
     decode_hello,
     decode_message,
     decode_result,
@@ -45,6 +45,7 @@ from repro.network.codec import (
     parse_frame_header,
     read_frame,
 )
+from repro.network import codec
 from repro.network.message import LocalPhaseOutput, Message, MessageKind
 from repro.text.vector import SparseVector
 from repro.transactions.items import TreeTupleItem
@@ -310,11 +311,20 @@ payloads = st.binary(max_size=64)
 frame_kinds = st.sampled_from(list(FrameKind))
 
 
+def _socket_reading(data: bytes) -> socket.socket:
+    """A socket that yields *data* and then the end of the stream."""
+    reader, writer = socket.socketpair()
+    with writer:
+        writer.sendall(data)
+    return reader
+
+
 class TestFrameFailures:
     @given(kind=frame_kinds, payload=payloads)
     @settings(deadline=None)
     def test_frame_round_trip(self, kind, payload):
-        got_kind, got_payload = decode_frame(encode_frame(kind, payload))
+        with _socket_reading(encode_frame(kind, payload)) as sock:
+            got_kind, got_payload = read_frame(sock)
         assert got_kind is kind
         assert got_payload == payload
 
@@ -323,11 +333,9 @@ class TestFrameFailures:
     def test_truncated_frame_rejected(self, kind, payload, data):
         frame = encode_frame(kind, payload)
         cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
-        try:
-            decode_frame(frame[:cut])
-        except CodecError:
-            return
-        raise AssertionError(f"truncation at {cut} was not rejected")
+        with _socket_reading(frame[:cut]) as sock:
+            with pytest.raises(EOFError):
+                read_frame(sock)
 
     @given(kind=frame_kinds, payload=payloads, data=st.data())
     @settings(deadline=None)
@@ -336,21 +344,24 @@ class TestFrameFailures:
         index = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         mask = data.draw(st.integers(min_value=1, max_value=255))
         frame[index] ^= mask
-        try:
-            decode_frame(bytes(frame))
-        except CodecError:
-            return
+        with _socket_reading(bytes(frame)) as sock:
+            try:
+                read_frame(sock)
+            except CodecError:
+                return
+            except EOFError:
+                # a length prefix corrupted upwards waits for bytes never sent
+                assert parse_frame_header(bytes(frame)).payload_length > len(payload)
+                return
         raise AssertionError(f"corrupted byte at {index} was not rejected")
 
     @given(kind=frame_kinds, payload=payloads, garbage=st.binary(min_size=1, max_size=8))
     @settings(deadline=None)
     def test_trailing_bytes_rejected(self, kind, payload, garbage):
-        try:
-            decode_frame(encode_frame(kind, payload) + garbage)
-        except CodecError as error:
-            assert "trailing" in str(error)
-            return
-        raise AssertionError("trailing garbage was not rejected")
+        with _socket_reading(encode_frame(kind, payload) + garbage) as sock:
+            assert read_frame(sock) == (kind, payload)
+            with pytest.raises((CodecError, EOFError)):
+                read_frame(sock)
 
     def test_bad_magic(self):
         frame = bytearray(encode_frame(FrameKind.MESSAGE, b"x"))
@@ -382,6 +393,33 @@ class TestFrameFailures:
         else:  # pragma: no cover - defensive
             raise AssertionError("expected CodecError")
 
+    def test_truncated_header(self):
+        frame = encode_frame(FrameKind.MESSAGE, b"x")
+        with pytest.raises(CodecError, match="truncated frame header"):
+            parse_frame_header(frame[: HEADER_SIZE - 1])
+
+    def test_truncated_trailer(self):
+        frame = encode_frame(FrameKind.MESSAGE, b"xyz")
+        header, payload = frame[:HEADER_SIZE], frame[HEADER_SIZE:-TRAILER_SIZE]
+        check_frame_payload(header, payload, frame[-TRAILER_SIZE:])
+        with pytest.raises(CodecError, match="truncated frame trailer"):
+            check_frame_payload(header, payload, frame[-TRAILER_SIZE:-1])
+
+    def test_checksum_covers_the_header(self):
+        # a kind byte rewritten to another valid kind still fails the CRC
+        frame = bytearray(encode_frame(FrameKind.MESSAGE, b"xyz"))
+        frame[len(MAGIC) + 1] = int(FrameKind.HELLO)
+        header = bytes(frame[:HEADER_SIZE])
+        assert parse_frame_header(header).kind is FrameKind.HELLO
+        with pytest.raises(CodecError, match="CRC"):
+            check_frame_payload(header, b"xyz", bytes(frame[-TRAILER_SIZE:]))
+
+    def test_encoder_refuses_payload_over_the_bound(self, monkeypatch):
+        monkeypatch.setattr(codec, "MAX_FRAME_PAYLOAD", 4)
+        assert parse_frame_header(encode_frame(FrameKind.MESSAGE, b"1234")).payload_length == 4
+        with pytest.raises(CodecError, match="exceeds"):
+            encode_frame(FrameKind.MESSAGE, b"12345")
+
     def test_header_constants(self):
         frame = encode_frame(FrameKind.HELLO, b"abc")
         assert frame.startswith(MAGIC)
@@ -406,6 +444,16 @@ class TestPayloadFailures:
             assert "message kind" in str(error)
         else:  # pragma: no cover - defensive
             raise AssertionError("expected CodecError")
+
+    def test_unknown_flag_value_tag(self):
+        payload = bytearray(
+            encode_message(
+                Message(sender=0, recipient=1, kind=MessageKind.FLAG, payload={"k": 7})
+            )
+        )
+        payload[-9] = 99  # the tag byte before the trailing i64 value
+        with pytest.raises(CodecError, match="value tag 99"):
+            decode_message(bytes(payload))
 
     @given(payload=st.binary(max_size=10))
     @settings(deadline=None)
@@ -477,14 +525,6 @@ class TestPayloadFailures:
 # --------------------------------------------------------------------------- #
 # Frames read from a socket
 # --------------------------------------------------------------------------- #
-def _socket_reading(data: bytes) -> socket.socket:
-    """A socket that yields *data* and then the end of the stream."""
-    reader, writer = socket.socketpair()
-    with writer:
-        writer.sendall(data)
-    return reader
-
-
 class TestReadFrame:
     def test_frames_back_to_back_then_eof(self):
         hello = encode_frame(FrameKind.HELLO, encode_hello(3))

@@ -6,14 +6,11 @@ from repro.xmlmodel.errors import XMLTreeError
 from repro.xmlmodel.names import (
     ATTRIBUTE_PREFIX,
     PCDATA,
-    Label,
-    LabelKind,
     attribute_label,
     is_attribute_label,
     is_tag_label,
     is_text_label,
     is_valid_name,
-    label_kind,
     strip_attribute_prefix,
     validate_tag,
 )
@@ -69,40 +66,9 @@ class TestLabelClassification:
         assert not is_tag_label("@key")
         assert not is_tag_label("S")
 
-    def test_label_kind_covers_all_three_kinds(self):
-        assert label_kind("title") is LabelKind.TAG
-        assert label_kind("@key") is LabelKind.ATTRIBUTE
-        assert label_kind("S") is LabelKind.TEXT
-
     def test_strip_attribute_prefix(self):
         assert strip_attribute_prefix("@key") == "key"
 
     def test_strip_attribute_prefix_requires_attribute(self):
         with pytest.raises(XMLTreeError):
             strip_attribute_prefix("key")
-
-
-class TestLabelValueObject:
-    def test_tag_constructor(self):
-        label = Label.tag("author")
-        assert label.value == "author"
-        assert label.kind is LabelKind.TAG
-
-    def test_attribute_constructor(self):
-        label = Label.attribute("key")
-        assert label.value == "@key"
-        assert label.kind is LabelKind.ATTRIBUTE
-
-    def test_text_constructor(self):
-        label = Label.text()
-        assert label.value == "S"
-        assert label.kind is LabelKind.TEXT
-
-    def test_of_infers_kind(self):
-        assert Label.of("@id").kind is LabelKind.ATTRIBUTE
-        assert Label.of("S").kind is LabelKind.TEXT
-        assert Label.of("title").kind is LabelKind.TAG
-
-    def test_labels_are_hashable_value_objects(self):
-        assert Label.tag("a") == Label.tag("a")
-        assert len({Label.tag("a"), Label.tag("a"), Label.tag("b")}) == 2

@@ -9,7 +9,7 @@ from repro.xmlmodel.parser import (
     decode_entities,
     parse_xml,
 )
-from repro.xmlmodel.serializer import serialize, to_compact_string
+from repro.xmlmodel.serializer import serialize
 
 
 class TestBasicParsing:
@@ -105,6 +105,14 @@ class TestEntitiesAndCData:
         tree = parse_xml("<a><!-- note --><b>x</b></a>")
         assert [c.label for c in tree.root.children] == ["b"]
 
+    def test_processing_instruction_inside_element_is_skipped(self):
+        tree = parse_xml("<a>x<?pi data?>y</a>")
+        assert [(c.label, c.value) for c in tree.root.children] == [("S", "x"), ("S", "y")]
+
+    def test_unknown_entity_without_a_document_raises(self):
+        with pytest.raises(XMLSyntaxError, match="unknown entity: &bogus;"):
+            decode_entities("&bogus;")
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -123,6 +131,18 @@ class TestErrors:
     )
     def test_malformed_documents_raise(self, text):
         with pytest.raises(XMLSyntaxError):
+            parse_xml(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("<1a/>", "expected an XML name"),
+            ("<!DOCTYPE r [ <!ELEMENT r ANY>", "unterminated DOCTYPE"),
+            ("<a>text", "unterminated element <a>"),
+        ],
+    )
+    def test_error_names_what_is_wrong(self, text, message):
+        with pytest.raises(XMLSyntaxError, match=message):
             parse_xml(text)
 
     def test_error_carries_position(self):
@@ -165,5 +185,5 @@ class TestRoundTrip:
         second = parse_xml(serialize(first))
         assert first == second
 
-    def test_compact_round_trip_of_paper_example(self, paper_tree):
-        assert parse_xml(to_compact_string(paper_tree)) == paper_tree
+    def test_round_trip_of_paper_example(self, paper_tree):
+        assert parse_xml(serialize(paper_tree)) == paper_tree

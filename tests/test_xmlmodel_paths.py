@@ -3,20 +3,7 @@
 import pytest
 
 from repro.xmlmodel.errors import XMLPathError
-from repro.xmlmodel.parser import parse_xml
-from repro.xmlmodel.paths import (
-    XMLPath,
-    all_tag_paths,
-    apply_path,
-    collection_complete_paths,
-    collection_tag_paths,
-    complete_paths,
-    depth_of_paths,
-    leaf_paths_with_nodes,
-    maximal_tag_paths,
-    path_answer,
-    path_answers_by_path,
-)
+from repro.xmlmodel.paths import XMLPath, apply_path, complete_paths, path_answer
 
 
 class TestXMLPathObject:
@@ -24,9 +11,6 @@ class TestXMLPathObject:
         path = XMLPath.parse("dblp.inproceedings.author.S")
         assert str(path) == "dblp.inproceedings.author.S"
         assert path.length == 4
-
-    def test_of_builds_from_steps(self):
-        assert XMLPath.of("a", "b").steps == ("a", "b")
 
     def test_complete_vs_tag_path(self):
         assert XMLPath.parse("dblp.inproceedings.@key").is_complete
@@ -64,11 +48,11 @@ class TestXMLPathObject:
 
     def test_interior_attribute_step_is_rejected(self):
         with pytest.raises(XMLPathError):
-            XMLPath.of("a", "@key", "b")
+            XMLPath(("a", "@key", "b"))
 
     def test_single_step_complete_path_has_no_tag_prefix(self):
         with pytest.raises(XMLPathError):
-            XMLPath.of("@key").tag_path()
+            XMLPath(("@key",)).tag_path()
 
     def test_paths_are_hashable_and_ordered(self):
         a = XMLPath.parse("a.b")
@@ -118,40 +102,18 @@ class TestPathCollections:
             "dblp.inproceedings.pages.S",
         }
 
-    def test_maximal_tag_paths_drop_leaf_steps(self, paper_tree):
-        paths = {str(p) for p in maximal_tag_paths(paper_tree)}
-        assert "dblp.inproceedings.author" in paths
-        assert "dblp.inproceedings" in paths  # from the @key attribute
-        assert all(not p.endswith(".S") and "@" not in p for p in paths)
+    def test_leaf_paths_align_with_leaves(self, paper_tree):
+        leaves = list(paper_tree.iter_leaves())
+        paths = [XMLPath.for_node(leaf) for leaf in leaves]
+        assert len(paths) == paper_tree.leaf_count()
+        assert str(paths[0]) == "dblp.inproceedings.@key"
+        assert leaves[0].node_id == 3
+        assert set(paths) == complete_paths(paper_tree)
 
-    def test_all_tag_paths_include_every_element(self, paper_tree):
-        paths = {str(p) for p in all_tag_paths(paper_tree)}
-        assert "dblp" in paths
-        assert "dblp.inproceedings.pages" in paths
-
-    def test_leaf_paths_with_nodes_aligns_with_leaves(self, paper_tree):
-        pairs = leaf_paths_with_nodes(paper_tree)
-        assert len(pairs) == paper_tree.leaf_count()
-        path, node = pairs[0]
-        assert str(path) == "dblp.inproceedings.@key"
-        assert node.node_id == 3
-
-    def test_path_answers_by_path_covers_all_complete_paths(self, paper_tree):
-        answers = path_answers_by_path(paper_tree)
-        assert set(answers.keys()) == complete_paths(paper_tree)
+    def test_every_complete_path_has_a_nonempty_answer(self, paper_tree):
+        answers = {path: path_answer(path, paper_tree) for path in complete_paths(paper_tree)}
+        assert all(answers.values())
         assert answers[XMLPath.parse("dblp.inproceedings.booktitle.S")] == frozenset({"KDD"})
-
-    def test_collection_level_unions(self, paper_tree):
-        other = parse_xml("<dblp><article><title>X</title></article></dblp>", doc_id="o")
-        union = collection_complete_paths([paper_tree, other])
-        assert XMLPath.parse("dblp.article.title.S") in union
-        assert XMLPath.parse("dblp.inproceedings.title.S") in union
-        tag_union = collection_tag_paths([paper_tree, other])
-        assert XMLPath.parse("dblp.article.title") in tag_union
-
-    def test_depth_of_paths(self, paper_tree):
-        assert depth_of_paths(list(complete_paths(paper_tree))) == 4
-        assert depth_of_paths([]) == 0
 
 
 class TestPathPickling:

@@ -1,13 +1,7 @@
 """Tests for XML serialisation (repro.xmlmodel.serializer)."""
 
 from repro.xmlmodel.parser import parse_xml
-from repro.xmlmodel.serializer import (
-    escape_attribute,
-    escape_text,
-    serialize,
-    to_compact_string,
-)
-from repro.xmlmodel.tree import tree_from_nested
+from repro.xmlmodel.serializer import escape_attribute, escape_text, serialize
 
 
 class TestEscaping:
@@ -20,11 +14,11 @@ class TestEscaping:
 
 class TestSerialize:
     def test_declaration_is_emitted_by_default(self):
-        tree = tree_from_nested(["a", "x"])
+        tree = parse_xml("<a>x</a>")
         assert serialize(tree).startswith('<?xml version="1.0"')
 
     def test_declaration_can_be_suppressed(self):
-        tree = tree_from_nested(["a", "x"])
+        tree = parse_xml("<a>x</a>")
         assert serialize(tree, xml_declaration=False).startswith("<a>")
 
     def test_empty_element_is_self_closed(self):
@@ -50,15 +44,10 @@ class TestSerialize:
 
 
 class TestCompactString:
-    def test_compact_has_no_newlines(self):
+    def test_compact_has_no_indentation(self):
         tree = parse_xml("<a><b>x</b><c>y</c></a>")
-        compact = to_compact_string(tree)
-        assert "\n" not in compact
-        assert compact == "<a><b>x</b><c>y</c></a>"
+        compact = serialize(tree, indent=0, xml_declaration=False)
+        assert compact.splitlines() == ["<a>", "<b>x</b>", "<c>y</c>", "</a>"]
 
     def test_compact_round_trip(self, paper_tree):
-        assert parse_xml(to_compact_string(paper_tree)) == paper_tree
-
-    def test_mixed_content_round_trip(self):
-        tree = parse_xml("<p>before <b>bold</b> after</p>")
-        assert parse_xml(to_compact_string(tree)) == tree
+        assert parse_xml(serialize(paper_tree, indent=0)) == paper_tree

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.xmlmodel.errors import XMLTreeError
-from repro.xmlmodel.tree import XMLNode, XMLTree, XMLTreeBuilder, tree_from_nested
+from repro.xmlmodel.parser import parse_xml
+from repro.xmlmodel.tree import XMLNode, XMLTree, XMLTreeBuilder
 
 
 def build_small_tree():
-    builder = XMLTree.build("small")
+    builder = XMLTreeBuilder("small")
     builder.start("root")
     builder.attribute("id", "r1")
     builder.start("child")
@@ -88,16 +89,11 @@ class TestNodeClassification:
         text = tree.node(4)
         assert text.is_text and text.is_leaf
 
-    def test_child_elements_excludes_leaves(self):
-        tree = build_small_tree()
-        assert [c.label for c in tree.root.child_elements()] == ["child", "child"]
-
     def test_depth_and_paths(self):
         tree = build_small_tree()
         text = tree.node(4)
         assert text.depth() == 2
         assert text.label_path() == ("root", "child", "S")
-        assert [n.node_id for n in text.node_path()] == [1, 3, 4]
 
     def test_ancestors_iterates_to_root(self):
         tree = build_small_tree()
@@ -115,32 +111,19 @@ class TestTreeAccessors:
         # dblp.inproceedings.author.S has length 4
         assert paper_tree.depth() == 4
 
-    def test_max_fanout(self, paper_tree):
-        # the first inproceedings has key + 2 authors + title + year +
-        # booktitle + pages = 7 children
-        assert paper_tree.max_fanout() == 7
-
     def test_node_lookup_by_id(self, paper_tree):
         assert paper_tree.node(1).label == "dblp"
         with pytest.raises(KeyError):
             paper_tree.node(999)
 
     def test_leaves_are_in_document_order(self, paper_tree):
-        leaves = paper_tree.leaves()
+        leaves = list(paper_tree.iter_leaves())
         assert leaves[0].label == "@key"
         assert leaves[0].value == "conf/kdd/ZakiA03"
         assert leaves[-1].value == "71-80"
 
 
 class TestTreeTransformations:
-    def test_copy_preserves_ids_and_equality(self):
-        tree = build_small_tree()
-        clone = tree.copy()
-        assert clone == tree
-        assert [n.node_id for n in clone.iter_nodes()] == [
-            n.node_id for n in tree.iter_nodes()
-        ]
-        assert clone is not tree
 
     def test_restricted_to_drops_other_branches(self):
         tree = build_small_tree()
@@ -153,21 +136,20 @@ class TestTreeTransformations:
         with pytest.raises(XMLTreeError):
             tree.restricted_to({3, 4})
 
-    def test_map_values_transforms_leaves_only(self):
-        tree = build_small_tree()
-        upper = tree.map_values(str.upper)
-        assert upper.node(4).value == "HELLO WORLD"
-        assert tree.node(4).value == "hello world"
-
     def test_structure_signature_ignores_node_ids(self):
-        first = tree_from_nested(["root", ["a", "x"], ["b", "y"]])
-        second = tree_from_nested(["root", ["a", "x"], ["b", "y"]])
+        first = parse_xml("<root><a>x</a><b>y</b></root>")
+        second = parse_xml("<root><a>x</a><b>y</b></root>")
         assert first == second
         assert hash(first) == hash(second)
 
+    def test_a_tree_never_equals_another_type(self):
+        tree = parse_xml("<root><a>x</a></root>")
+        assert tree.__eq__(tree.structure_signature()) is NotImplemented
+        assert tree != tree.structure_signature()
+
     def test_different_values_break_equality(self):
-        first = tree_from_nested(["root", ["a", "x"]])
-        second = tree_from_nested(["root", ["a", "z"]])
+        first = parse_xml("<root><a>x</a></root>")
+        second = parse_xml("<root><a>z</a></root>")
         assert first != second
 
 
@@ -194,32 +176,17 @@ class TestTreeValidation:
         with pytest.raises(XMLTreeError):
             XMLTree(root)
 
+    def test_child_with_foreign_parent_pointer_is_rejected(self):
+        root = XMLNode(1, "root")
+        stranger = XMLNode(9, "other")
+        child = XMLNode(2, "child", None, stranger)
+        child.children.append(XMLNode(3, "S", "x", child))
+        root.children.append(child)
+        with pytest.raises(XMLTreeError, match="inconsistent parent pointer"):
+            XMLTree(root)
+
     def test_root_with_parent_is_rejected(self):
         fake_parent = XMLNode(99, "x")
         root = XMLNode(1, "root", None, fake_parent)
         with pytest.raises(XMLTreeError):
             XMLTree(root)
-
-
-class TestTreeFromNested:
-    def test_nested_specification(self):
-        tree = tree_from_nested(
-            ["dblp", ["inproceedings", ("@key", "k1"), ["author", "M.J. Zaki"]]],
-            doc_id="nested",
-        )
-        assert tree.doc_id == "nested"
-        assert tree.node_count() == 5
-        labels = [n.label for n in tree.iter_nodes()]
-        assert labels == ["dblp", "inproceedings", "@key", "author", "S"]
-
-    def test_invalid_attribute_spec_is_rejected(self):
-        with pytest.raises(XMLTreeError):
-            tree_from_nested(["root", ("id", "1")])
-
-    def test_empty_spec_is_rejected(self):
-        with pytest.raises(XMLTreeError):
-            tree_from_nested([])
-
-    def test_unsupported_child_type_is_rejected(self):
-        with pytest.raises(XMLTreeError):
-            tree_from_nested(["root", 42])
